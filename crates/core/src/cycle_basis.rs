@@ -124,7 +124,7 @@ pub fn fundamental_cycle_basis(g: &Graph) -> CycleBasis {
     let _ = crate::exchange::exchange_with_neighbors(
         g,
         &depths,
-        1,
+        |_| 1,
         "cycle basis: depth exchange",
         &mut ledger,
     );

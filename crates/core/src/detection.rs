@@ -15,13 +15,15 @@
 //! rounds, matching the Ω̃(n) bound's intuition. The tests exercise both
 //! regimes.
 
+use crate::exchange::{exchange_with_neighbors, lca_cycle};
 use crate::outcome::{BestCycle, MwcOutcome};
 use crate::util::simplify_path;
-use mwc_congest::{
-    convergecast_min, multi_source_bfs, BfsTree, Ledger, MultiBfsSpec, RoundOutput, INF,
-};
+use mwc_congest::{convergecast_min, multi_source_bfs, BfsTree, Ledger, MultiBfsSpec, INF};
 use mwc_graph::seq::Direction;
 use mwc_graph::{CycleWitness, Graph, NodeId, Weight};
+use std::borrow::Cow;
+use std::cmp::Ordering;
+use std::sync::Arc;
 
 /// Finds the shortest cycle of **hop length at most `q`** (treating the
 /// graph as unweighted), or reports that none exists, in `O(n + q)`
@@ -76,6 +78,12 @@ pub fn shortest_cycle_within(g: &Graph, q: u64) -> MwcOutcome {
     let mat = multi_source_bfs(g, &sources, &spec, "all-source q-hop BFS", &mut ledger);
 
     let mut local_best = vec![INF; n];
+    // Witnesses are validated by hop count.
+    let hops: Cow<Graph> = if g.is_unit_weight() {
+        Cow::Borrowed(g)
+    } else {
+        Cow::Owned(g.map_weights(|_| 1))
+    };
     if g.is_directed() {
         // Exact: a ≤q cycle through edge (u, v) is a shortest v→u path of
         // ≤ q−1 hops plus the edge.
@@ -93,7 +101,7 @@ pub fn shortest_cycle_within(g: &Graph, q: u64) -> MwcOutcome {
                         let cyc = simplify_path(path);
                         if cyc.len() as u64 >= min_len && cyc[0] == v {
                             let w = CycleWitness::new(cyc);
-                            if let Ok(weight) = w.validate(&unit_view(g)) {
+                            if let Ok(weight) = w.validate(&hops) {
                                 best.offer(weight, w);
                             }
                         }
@@ -105,8 +113,10 @@ pub fn shortest_cycle_within(g: &Graph, q: u64) -> MwcOutcome {
         // Undirected: girth-style non-tree-edge candidates. Nodes exchange
         // their *detected* (source, dist, pred) entries with neighbors —
         // message size proportional to how many sources reached them, so
-        // sparse instances stay cheap.
-        let entries: Vec<std::sync::Arc<Vec<(u32, Weight, u32)>>> = (0..n)
+        // sparse instances stay cheap. Each list is sorted by source, so
+        // an edge's endpoints find their common sources by merge-joining
+        // the two lists: `O(Σ_edges |list|)` host work, no allocation.
+        let entries: Vec<Arc<Vec<(u32, Weight, u32)>>> = (0..n)
             .map(|v| {
                 let mut list = Vec::new();
                 for s in 0..n {
@@ -116,52 +126,51 @@ pub fn shortest_cycle_within(g: &Graph, q: u64) -> MwcOutcome {
                         list.push((s as u32, d, p));
                     }
                 }
-                std::sync::Arc::new(list)
+                Arc::new(list)
             })
             .collect();
-        let mut net: mwc_congest::Network<std::sync::Arc<Vec<(u32, Weight, u32)>>> =
-            mwc_congest::Network::new_auto(g);
-        for v in 0..n {
-            for w in g.comm_neighbors(v) {
-                let words = (2 * entries[v].len() as u64).max(1);
-                net.send(v, w, std::sync::Arc::clone(&entries[v]), words)
-                    .expect("neighbors are linked");
-            }
-        }
-        let mut nbr: Vec<
-            std::collections::HashMap<NodeId, std::sync::Arc<Vec<(u32, Weight, u32)>>>,
-        > = vec![std::collections::HashMap::new(); n];
-        let mut out = RoundOutput::default();
-        while net.step_bulk_into(&mut out) {
-            for d in out.deliveries.drain(..) {
-                nbr[d.to].insert(d.from, d.payload);
-            }
-        }
-        ledger.absorb("detected-entry exchange", &net);
+        let nbr = exchange_with_neighbors(
+            g,
+            &entries,
+            |v| (2 * entries[v].len() as u64).max(1),
+            "detected-entry exchange",
+            &mut ledger,
+        );
 
         for e in g.edges() {
             let (x, y) = (e.u, e.v);
             let Some(ylist) = nbr[x].get(&y) else {
                 continue;
             };
-            let ymap: std::collections::HashMap<u32, (Weight, u32)> =
-                ylist.iter().map(|&(s, d, p)| (s, (d, p))).collect();
-            for &(s, dx, xpred) in entries[x].iter() {
-                let Some(&(dy, ypred)) = ymap.get(&s) else {
-                    continue;
-                };
-                if xpred as usize == y || ypred as usize == x {
-                    continue; // BFS-tree edge: no cycle
+            let (xlist, ylist) = (&entries[x][..], &ylist[..]);
+            let (mut i, mut j) = (0, 0);
+            while i < xlist.len() && j < ylist.len() {
+                let ((s, dx, xpred), (t, dy, ypred)) = (xlist[i], ylist[j]);
+                match s.cmp(&t) {
+                    Ordering::Less => {
+                        i += 1;
+                        continue;
+                    }
+                    Ordering::Greater => {
+                        j += 1;
+                        continue;
+                    }
+                    Ordering::Equal => (i, j) = (i + 1, j + 1),
                 }
+                // Cheap distance test first; every test here is pure, so
+                // the order does not change which candidates survive.
                 let cand = dx + dy + 1;
                 if cand > q || best.weight().is_some_and(|b| cand >= b) {
                     continue;
                 }
-                if let Some(cyc) = crate::exchange::lca_cycle(&mat, s as usize, x, y) {
+                if xpred as usize == y || ypred as usize == x {
+                    continue; // BFS-tree edge: no cycle
+                }
+                if let Some(cyc) = lca_cycle(&mat, s as usize, x, y) {
                     if cyc.len() as u64 <= q {
                         local_best[x] = local_best[x].min(cyc.len() as Weight);
                         let w = CycleWitness::new(cyc);
-                        if let Ok(weight) = w.validate(&unit_view(g)) {
+                        if let Ok(weight) = w.validate(&hops) {
                             best.offer(weight, w);
                         }
                     }
@@ -182,15 +191,6 @@ pub fn shortest_cycle_within(g: &Graph, q: u64) -> MwcOutcome {
         crate::bounds::detection,
     );
     best.into_outcome(ledger)
-}
-
-/// Unit-weight view for hop-count witness validation.
-fn unit_view(g: &Graph) -> Graph {
-    if g.is_unit_weight() {
-        g.clone()
-    } else {
-        g.map_weights(|_| 1)
-    }
 }
 
 /// `true` iff the graph contains a cycle of hop length at most `q`.

@@ -9,12 +9,12 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Sends `values[v]` from every `v` to each of its neighbors as a
-/// `words`-word message; returns, per node, the map *neighbor → their
-/// value*. Costs `O(words)` rounds (all links run in parallel).
+/// `words(v)`-word message; returns, per node, the map *neighbor → their
+/// value*. Costs `O(max_v words(v))` rounds (all links run in parallel).
 pub(crate) fn exchange_with_neighbors<T: Clone + Send>(
     g: &Graph,
     values: &[T],
-    words: u64,
+    words: impl Fn(NodeId) -> u64,
     label: &str,
     ledger: &mut Ledger,
 ) -> Vec<HashMap<NodeId, T>> {
@@ -22,6 +22,7 @@ pub(crate) fn exchange_with_neighbors<T: Clone + Send>(
     assert_eq!(values.len(), n, "one value per node");
     let mut net: Network<T> = Network::new_auto(g);
     for v in 0..n {
+        let words = words(v);
         for w in g.comm_neighbors(v) {
             net.send(v, w, values[v].clone(), words)
                 .expect("neighbors are linked");
@@ -62,7 +63,7 @@ pub(crate) fn exchange_matrix_columns(
             Arc::new(col)
         })
         .collect();
-    exchange_with_neighbors(g, &cols, 2 * k as u64, label, ledger)
+    exchange_with_neighbors(g, &cols, |_| 2 * k as u64, label, ledger)
 }
 
 /// The BFS-tree LCA cycle of a non-tree edge `(x, y)` w.r.t. the matrix's
@@ -93,7 +94,7 @@ mod tests {
         let g = connected_gnm(20, 30, Orientation::Undirected, WeightRange::unit(), 1);
         let values: Vec<u64> = (0..20).map(|v| 1000 + v as u64).collect();
         let mut ledger = Ledger::new();
-        let got = exchange_with_neighbors(&g, &values, 1, "x", &mut ledger);
+        let got = exchange_with_neighbors(&g, &values, |_| 1, "x", &mut ledger);
         for v in 0..20 {
             let nbrs = g.comm_neighbors(v);
             assert_eq!(got[v].len(), nbrs.len());
@@ -109,9 +110,9 @@ mod tests {
         let g = connected_gnm(16, 20, Orientation::Undirected, WeightRange::unit(), 2);
         let values: Vec<u64> = vec![0; 16];
         let mut l1 = Ledger::new();
-        exchange_with_neighbors(&g, &values, 1, "x", &mut l1);
+        exchange_with_neighbors(&g, &values, |_| 1, "x", &mut l1);
         let mut l8 = Ledger::new();
-        exchange_with_neighbors(&g, &values, 8, "x", &mut l8);
+        exchange_with_neighbors(&g, &values, |_| 8, "x", &mut l8);
         assert_eq!(l8.rounds, 8 * l1.rounds);
     }
 

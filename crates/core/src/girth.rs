@@ -240,7 +240,7 @@ fn girth_core_parts(
     let nbr_lists = exchange_with_neighbors(
         g,
         &lists,
-        2 * sigma as u64,
+        |_| 2 * sigma as u64,
         "neighborhood list exchange",
         &mut parts.ledger,
     );

@@ -227,7 +227,7 @@ fn long_cycles_undirected(g: &Graph, params: &Params, h: u64, parts: &mut Partia
     let nbr = exchange_with_neighbors(
         g,
         &cols,
-        k as u64,
+        |_| k as u64,
         "long-cycle estimate exchange",
         &mut parts.ledger,
     );

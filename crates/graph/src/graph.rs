@@ -355,7 +355,14 @@ impl Graph {
             let mut ecc = 0usize;
             while let Some(u) = queue.pop_front() {
                 ecc = ecc.max(dist[u]);
-                for w in self.comm_neighbors(u) {
+                // Both adjacency lists, without `comm_neighbors`' allocation;
+                // the `dist` check skips antiparallel duplicates.
+                let back: &[Adj] = if self.is_directed() {
+                    &self.in_adj[u]
+                } else {
+                    &[]
+                };
+                for w in self.out_adj[u].iter().chain(back).map(|a| a.to) {
                     if dist[w] == usize::MAX {
                         dist[w] = dist[u] + 1;
                         seen += 1;
