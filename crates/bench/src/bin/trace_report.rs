@@ -2,8 +2,8 @@
 //!
 //! Runs one representative of each algorithm family (exact MWC, girth
 //! approximation, directed 2-approximation, both weighted approximations,
-//! k-source BFS) on small seeded graphs inside an in-memory
-//! [`TraceSession`], then renders:
+//! k-source BFS) on small seeded graphs inside a [`RunRecorder`]'s
+//! in-memory trace session, then renders:
 //!
 //! 1. an indented text flamegraph of simulated rounds per span,
 //! 2. a table of every bound audit (measured vs. theoretical rounds),
@@ -15,7 +15,8 @@
 //!
 //! Usage: `trace_report [n]` (default 96).
 
-use mwc_bench::{report, Table};
+use mwc_bench::report::{self, RunRecorder};
+use mwc_bench::Table;
 use mwc_core::{
     approx_girth, approx_mwc_directed_weighted, approx_mwc_undirected_weighted, exact_mwc,
     k_source_bfs, two_approx_directed_mwc, Params,
@@ -23,7 +24,6 @@ use mwc_core::{
 use mwc_graph::generators::{connected_gnm, grid, ring_with_chords, WeightRange};
 use mwc_graph::seq::Direction;
 use mwc_graph::{NodeId, Orientation};
-use mwc_trace::{RunRecord, TraceSession};
 
 /// Count allocator traffic so spans carry `alloc_bytes`/`alloc_count` —
 /// the manifest and flamegraph ignore them (byte-determinism contract),
@@ -38,7 +38,8 @@ fn main() {
     let n: usize = report::arg(1, 96);
     let params = Params::lean().with_seed(42);
 
-    let session = TraceSession::memory();
+    let mut recorder = RunRecorder::start("trace_report");
+    recorder.param("n", n);
 
     let g = grid(4, 4, Orientation::Undirected, WeightRange::unit(), 0);
     exact_mwc(&g);
@@ -71,7 +72,7 @@ fn main() {
     );
     approx_mwc_directed_weighted(&g, &params);
 
-    let data = session.finish();
+    let (record, data) = recorder.into_record_with_trace();
 
     println!("== span flamegraph (simulated rounds) ==");
     print!("{}", data.flamegraph());
@@ -106,12 +107,6 @@ fn main() {
 
     report::save_json("trace_manifest.json", &data.to_manifest());
     report::save_chrome_trace(&data, "trace_report");
-
-    let mut record =
-        RunRecord::from_trace("trace_report", [("n".to_owned(), n.to_string())], &data);
-    record.shards = mwc_par::shards() as u64;
-    record.flood_kernel = mwc_congest::flood_kernel().name().to_owned();
-    record.peak_alloc_bytes = mwc_trace::profile::peak_alloc_bytes();
     report::save_metrics_exposition(&record);
     report::save_artifact(
         &format!("{}/trace_report.json", report::RUN_RECORD_DIR),

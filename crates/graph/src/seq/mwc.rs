@@ -1,30 +1,44 @@
 //! Exact sequential minimum-weight-cycle oracles.
 //!
-//! - [`mwc_directed_exact`]: `n` Dijkstra runs; for every edge `(u, v)` the
-//!   cheapest cycle through that edge is `d(v, u) + w(u, v)`.
+//! - [`mwc_directed_exact`]: one Dijkstra per source `v`; for every edge
+//!   `(u, v)` the cheapest cycle through it is `d(v, u) + w(u, v)`.
 //! - [`mwc_undirected_exact`]: per-edge deletion; the cheapest cycle through
 //!   edge `e = (x, y)` is `w(e) + d_{G−e}(x, y)`. Unconditionally correct.
-//! - [`girth_exact`]: all-source BFS; for a source on a shortest cycle the
-//!   "antipodal" non-tree edge certifies the girth exactly, and every
-//!   candidate corresponds to a real simple cycle (via the BFS-tree LCA),
-//!   so the minimum over sources and non-tree edges is exact.
+//! - [`girth_exact`]: a sequential two-stage all-source BFS. Stage 1 finds
+//!   the girth value with BFS runs cut at the best cycle seen so far;
+//!   stage 2 rescans sources in id order with full BFS trees and returns
+//!   the first (source, non-tree edge) whose BFS-tree LCA cycle has that
+//!   length.
 //!
 //! All oracles return a validated [`CycleWitness`] so distributed results
 //! can be compared both by value and by structure.
 //!
+//! # Pruning
+//!
+//! The two Dijkstra oracles share one upper bound `bound` on the answer,
+//! lowered after every finished item. A per-source search stops before
+//! settling a node farther than `bound`, and a per-edge search stops at
+//! `y` or beyond `bound − w(e)`: past that, no candidate can reach
+//! `bound`. The cutoff is strict, so a candidate *equal* to the bound —
+//! the winner and every tie with it — still settles the same nodes with
+//! the same parents as an unpruned search, and returns the same witness.
+//!
 //! # Parallelism and determinism
 //!
-//! The per-source / per-edge outer loops are embarrassingly parallel and
-//! dominate bench wall-clock, so they run through
+//! The Dijkstra oracles' per-source / per-edge outer loops run through
 //! [`mwc_par::ordered_map`] (worker count from `MWC_JOBS` / `--jobs`,
 //! default 1). The returned cycle is **identical for every worker
 //! count**: each oracle updates its running best only on *strict*
 //! improvement, so the sequential winner is the first item (in iteration
 //! order) attaining the global minimum — and merging per-item results in
-//! input order with the same strict rule reproduces exactly that item.
+//! input order with the same strict rule reproduces exactly that item. A
+//! worker reading a stale (larger) bound only prunes less. [`girth_exact`]
+//! is sequential: its pruning bound shrinks from one source to the next.
 
 use crate::graph::{Graph, NodeId, Weight};
-use crate::seq::paths::{bfs, dijkstra, dijkstra_skipping, extract_path, Direction, HOP_INF, INF};
+use crate::seq::paths::{
+    bfs, dijkstra_bounded, extract_path, Direction, HopDistTree, HOP_INF, INF,
+};
 use crate::witness::CycleWitness;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -53,6 +67,7 @@ pub struct Mwc {
 ///
 /// Runs Dijkstra from every node (`O(n · (m + n log n))`). A cycle through
 /// edge `(u, v)` of minimal weight is a shortest `v → u` path plus the edge.
+/// Each search stops beyond the lightest cycle found by earlier sources.
 ///
 /// # Examples
 ///
@@ -73,8 +88,13 @@ pub fn mwc_directed_exact(g: &Graph) -> Option<Mwc> {
         g.is_directed(),
         "mwc_directed_exact requires a directed graph"
     );
+    // Every candidate from source `v` is `d(v, u) + w ≥ d(v, u)`, so nodes
+    // farther than the best cycle so far cannot yield a better one.
+    let bound = AtomicU64::new(INF);
     let per_source = mwc_par::ordered_map((0..g.n()).collect(), |v| {
-        let t = dijkstra(g, v, Direction::Forward);
+        let t = dijkstra_bounded(g, v, Direction::Forward, None, None, || {
+            bound.load(Ordering::Relaxed)
+        });
         let mut best: Option<Mwc> = None;
         for a in g.in_adj(v) {
             let u = a.to;
@@ -91,6 +111,9 @@ pub fn mwc_directed_exact(g: &Graph) -> Option<Mwc> {
                 });
             }
         }
+        if let Some(b) = &best {
+            bound.fetch_min(b.weight, Ordering::Relaxed);
+        }
         best
     });
     let best = first_min(per_source);
@@ -103,8 +126,9 @@ pub fn mwc_directed_exact(g: &Graph) -> Option<Mwc> {
 /// Exact MWC of an undirected graph, or `None` if the graph is a forest.
 ///
 /// For every edge `e = (x, y)` computes `w(e) + d_{G−e}(x, y)` with a
-/// Dijkstra that skips `e`; the minimum over edges is the MWC. Edges whose
-/// weight already exceeds the best candidate are pruned.
+/// Dijkstra that skips `e`; the minimum over edges is the MWC. Each search
+/// stops at `y` or beyond `bound − w(e)`, where `bound` is the best
+/// candidate so far; edges heavier than `bound` are skipped outright.
 pub fn mwc_undirected_exact(g: &Graph) -> Option<Mwc> {
     assert!(
         !g.is_directed(),
@@ -115,15 +139,18 @@ pub fn mwc_undirected_exact(g: &Graph) -> Option<Mwc> {
     // satisfies `cand ≥ e.weight`, so `e.weight > bound ≥ final MWC`
     // proves the edge cannot win — whereas `e.weight == bound` could
     // still tie via a zero-weight path, and pruning it would change
-    // which edge index wins the tie. The bound only shrinks, so a stale
-    // read merely prunes less; the winning candidate is never skipped.
-    let bound = AtomicU64::new(u64::MAX);
+    // which edge index wins the tie. The same holds for the search cutoff
+    // `bound − w(e)`. The bound only shrinks, so a stale read merely
+    // prunes less; the winning candidate is never skipped.
+    let bound = AtomicU64::new(INF);
     let per_edge = mwc_par::ordered_map((0..g.edges().len()).collect(), |eid| {
         let e = &g.edges()[eid];
         if e.weight > bound.load(Ordering::Relaxed) {
             return None;
         }
-        let t = dijkstra_skipping(g, e.u, Direction::Forward, eid);
+        let t = dijkstra_bounded(g, e.u, Direction::Forward, Some(eid), Some(e.v), || {
+            bound.load(Ordering::Relaxed).saturating_sub(e.weight)
+        });
         if t.dist[e.v] == INF {
             return None;
         }
@@ -151,46 +178,110 @@ pub fn mwc_undirected_exact(g: &Graph) -> Option<Mwc> {
 /// MWC weight. This is the `O(nm)` classical method: from each source the
 /// BFS-tree LCA of every non-tree edge's endpoints yields a real simple
 /// cycle, and for a source on a shortest cycle the antipodal edge yields
-/// the girth exactly.
+/// the girth exactly. The witness is that of the first source (in id
+/// order) and, within it, the first non-tree edge (in edge order) whose
+/// cycle is a shortest one.
+///
+/// Runs in two stages: `girth_value` finds the girth `g` with pruned
+/// BFS runs, then sources are rescanned in id order until a non-tree edge
+/// closes a cycle of length `g`. Every candidate is at least `g`, so that
+/// first hit is exactly the first minimum an exhaustive scan would keep.
 pub fn girth_exact(g: &Graph) -> Option<Mwc> {
     assert!(!g.is_directed(), "girth_exact requires an undirected graph");
-    let per_source = mwc_par::ordered_map((0..g.n()).collect(), |s| {
+    let girth = girth_value(g)?;
+    let best = (0..g.n()).find_map(|s| {
         let t = bfs(g, s, Direction::Forward);
-        let mut best: Option<Mwc> = None;
-        for e in g.edges() {
+        g.edges().iter().find_map(|e| {
             let (u, v) = (e.u, e.v);
             if t.dist[u] == HOP_INF || t.dist[v] == HOP_INF {
-                continue;
+                return None;
             }
             // Skip BFS-tree edges: they close no cycle from this source.
             if t.parent[u] == Some(v) || t.parent[v] == Some(u) {
-                continue;
+                return None;
             }
-            let pu = extract_path(&t.parent, s, u).expect("reachable");
-            let pv = extract_path(&t.parent, s, v).expect("reachable");
-            let mut z = 0;
-            while z + 1 < pu.len() && z + 1 < pv.len() && pu[z + 1] == pv[z + 1] {
-                z += 1;
+            let z = tree_lca(&t, u, v);
+            if t.dist[u] + t.dist[v] + 1 - 2 * t.dist[z] != girth {
+                return None;
             }
-            // Cycle: pu[z..=u] then pv from v back down to z+1 (tree paths
-            // diverge at pu[z] and never rejoin).
-            let mut cyc: Vec<NodeId> = pu[z..].to_vec();
-            cyc.extend(pv[z + 1..].iter().rev());
-            let len = cyc.len() as Weight;
-            if len >= 3 && best.as_ref().is_none_or(|b| len < b.weight) {
-                best = Some(Mwc {
-                    weight: len,
-                    witness: CycleWitness::new(cyc),
-                });
-            }
-        }
-        best
+            // Cycle: z … u, then v back up to (excluding) z — the two tree
+            // paths diverge at z and never rejoin.
+            let mut cyc = extract_path(&t.parent, z, u).expect("z is an ancestor of u");
+            let pv = extract_path(&t.parent, z, v).expect("z is an ancestor of v");
+            cyc.extend(pv[1..].iter().rev());
+            Some(Mwc {
+                weight: girth as Weight,
+                witness: CycleWitness::new(cyc),
+            })
+        })
     });
-    let best = first_min(per_source);
-    debug_assert!(best.as_ref().is_none_or(|b| {
+    debug_assert!(best.as_ref().is_some_and(|b| {
         b.witness.validate(g).is_ok() && b.witness.hop_len() as Weight == b.weight
     }));
     best
+}
+
+/// The girth as a hop count, or `None` for a forest: BFS from every
+/// source, sharing one set of buffers.
+///
+/// A non-tree edge `(u, v)` seen from a source closes a walk of
+/// `dist[u] + dist[v] + 1` hops, which contains a cycle at most that long;
+/// from a source on a shortest cycle, the edge antipodal to it closes a
+/// walk of exactly the girth. When a node at depth `d` is dequeued, every
+/// walk still to be found is at least `2d` long, so the search stops once
+/// `2d ≥ best`. Nothing beats a triangle, so 3 ends the scan.
+fn girth_value(g: &Graph) -> Option<usize> {
+    let n = g.n();
+    let mut dist = vec![HOP_INF; n];
+    let mut parent = vec![NodeId::MAX; n];
+    let mut queue: Vec<NodeId> = Vec::with_capacity(n);
+    let mut best = HOP_INF;
+    for s in 0..n {
+        if best == 3 {
+            break;
+        }
+        dist[s] = 0;
+        parent[s] = NodeId::MAX;
+        queue.push(s);
+        let mut head = 0;
+        while let Some(&u) = queue.get(head) {
+            head += 1;
+            let du = dist[u];
+            if 2 * du >= best {
+                break;
+            }
+            for a in g.out_adj(u) {
+                if dist[a.to] == HOP_INF {
+                    dist[a.to] = du + 1;
+                    parent[a.to] = u;
+                    queue.push(a.to);
+                } else if a.to != parent[u] {
+                    best = best.min(du + dist[a.to] + 1);
+                }
+            }
+        }
+        for &v in &queue {
+            dist[v] = HOP_INF;
+        }
+        queue.clear();
+    }
+    (best != HOP_INF).then_some(best)
+}
+
+/// Lowest common ancestor of `u` and `v` in a BFS tree, by parent walk.
+fn tree_lca(t: &HopDistTree, mut u: NodeId, mut v: NodeId) -> NodeId {
+    let up = |x: NodeId| t.parent[x].expect("reached nodes have a parent chain");
+    while t.dist[u] > t.dist[v] {
+        u = up(u);
+    }
+    while t.dist[v] > t.dist[u] {
+        v = up(v);
+    }
+    while u != v {
+        u = up(u);
+        v = up(v);
+    }
+    u
 }
 
 /// Exact MWC for any graph, dispatching to the cheapest applicable oracle:

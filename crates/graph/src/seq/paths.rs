@@ -1,7 +1,7 @@
 //! Sequential shortest-path algorithms: BFS, Dijkstra and hop-limited
 //! Bellman–Ford, with parent trees for path extraction.
 
-use crate::graph::{Adj, Graph, NodeId, Weight};
+use crate::graph::{Adj, EdgeId, Graph, NodeId, Weight};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -89,37 +89,64 @@ pub fn bfs(g: &Graph, src: NodeId, dir: Direction) -> HopDistTree {
 /// Dijkstra's algorithm from `src`, following edges in `dir`. Weights are
 /// non-negative by the [`Graph`] invariant.
 pub fn dijkstra(g: &Graph, src: NodeId, dir: Direction) -> DistTree {
-    dijkstra_skipping(g, src, dir, usize::MAX)
+    dijkstra_bounded(g, src, dir, None, None, || INF)
 }
 
-/// Dijkstra that ignores the edge with id `skip_edge` in both directions —
-/// the workhorse of the per-edge-deletion MWC oracle. Pass
-/// `skip_edge = usize::MAX` to skip nothing.
-pub(crate) fn dijkstra_skipping(
+/// The one Dijkstra core behind [`dijkstra`] and the MWC oracles.
+///
+/// - `skip_edge` is ignored in both directions (per-edge deletion).
+/// - The search stops once `target` is settled.
+/// - It stops before settling a node farther than `cutoff()`. The cutoff
+///   is re-read at every step, so it may shrink while the search runs.
+///
+/// Nodes left unsettled read [`INF`] with no parent. Settling runs in the
+/// same `(distance, node)` order as the full search, and the cutoff test
+/// is strict, so every settled node — everything within the smallest
+/// cutoff seen, and the target — gets exactly the distance and parent the
+/// full search would give it.
+pub(crate) fn dijkstra_bounded(
     g: &Graph,
     src: NodeId,
     dir: Direction,
-    skip_edge: usize,
+    skip_edge: Option<EdgeId>,
+    target: Option<NodeId>,
+    cutoff: impl Fn() -> Weight,
 ) -> DistTree {
     let mut dist = vec![INF; g.n()];
     let mut parent = vec![None; g.n()];
     let mut heap = BinaryHeap::new();
     dist[src] = 0;
     heap.push(Reverse((0, src)));
-    while let Some(Reverse((d, u))) = heap.pop() {
+    while let Some(&Reverse((d, u))) = heap.peek() {
+        if d > cutoff() {
+            break;
+        }
+        heap.pop();
         if d > dist[u] {
             continue;
         }
+        if Some(u) == target {
+            break;
+        }
         for a in dir.adj(g, u) {
-            if a.edge == skip_edge {
+            if Some(a.edge) == skip_edge {
                 continue;
             }
-            let nd = d + a.weight;
+            // Saturates at INF, which never improves a distance.
+            let nd = d.saturating_add(a.weight);
             if nd < dist[a.to] {
                 dist[a.to] = nd;
                 parent[a.to] = Some(u);
                 heap.push(Reverse((nd, a.to)));
             }
+        }
+    }
+    // A node is unsettled iff its live entry (the one carrying its
+    // current distance) is still queued.
+    for Reverse((d, u)) in heap {
+        if dist[u] == d {
+            dist[u] = INF;
+            parent[u] = None;
         }
     }
     DistTree { dist, parent }
@@ -273,7 +300,44 @@ mod tests {
     fn skipping_edge_reroutes() {
         let g = weighted_diamond();
         let cheap_edge = g.edge_id(2, 3).unwrap();
-        let t = dijkstra_skipping(&g, 0, Direction::Forward, cheap_edge);
+        let t = dijkstra_bounded(&g, 0, Direction::Forward, Some(cheap_edge), None, || INF);
         assert_eq!(t.dist[3], 4); // forced through 0 → 1 → 3
+    }
+
+    #[test]
+    fn bounded_search_settles_nodes_at_the_cutoff() {
+        let g = Graph::from_edges(
+            5,
+            Orientation::Directed,
+            [(0, 1, 1), (1, 2, 0), (2, 3, 2), (0, 4, 5)],
+        )
+        .unwrap();
+        let full = dijkstra(&g, 0, Direction::Forward);
+        // The cutoff is strict: distance 1 still settles, with the full
+        // search's parents; 3 and 4 lie beyond it and read unreachable.
+        let t = dijkstra_bounded(&g, 0, Direction::Forward, None, None, || 1);
+        assert_eq!(t.dist, vec![0, 1, 1, INF, INF]);
+        assert_eq!(t.parent[..3], full.parent[..3]);
+        assert_eq!(t.parent[3..], [None, None]);
+        // A zero cutoff still settles the zero-weight edge.
+        let z = dijkstra_bounded(&g, 1, Direction::Forward, None, None, || 0);
+        assert_eq!(z.dist, vec![INF, 0, 0, INF, INF]);
+    }
+
+    #[test]
+    fn bounded_search_stops_at_the_target() {
+        let g = weighted_diamond();
+        let t = dijkstra_bounded(&g, 0, Direction::Forward, None, Some(2), || INF);
+        // Node 1 was reached but not settled when 2 was, so it reads
+        // unreachable like node 3.
+        assert_eq!(t.dist, vec![0, INF, 1, INF]);
+        assert_eq!(extract_path(&t.parent, 0, 2), Some(vec![0, 2]));
+    }
+
+    #[test]
+    fn relaxations_saturate_instead_of_overflowing() {
+        let g = Graph::from_edges(2, Orientation::Undirected, [(0, 1, INF - 1)]).unwrap();
+        // Relaxing 1 → 0 would add INF − 1 twice.
+        assert_eq!(dijkstra(&g, 0, Direction::Forward).dist, vec![0, INF - 1]);
     }
 }
