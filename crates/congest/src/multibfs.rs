@@ -38,7 +38,7 @@ use crate::ledger::Ledger;
 use mwc_graph::seq::Direction;
 use mwc_graph::{Graph, NodeId, Weight};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// Parameters of a multi-source search.
 #[derive(Clone, Copy, Debug)]
@@ -471,20 +471,33 @@ pub type DetectionLists = Vec<Vec<(Weight, NodeId)>>;
 
 /// Output of [`source_detection`]: the per-node top-`σ` lists plus
 /// predecessor bookkeeping for witness-path reconstruction.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Detection {
     /// Per node, the detected `(distance, source)` pairs (≤ `σ`, sorted).
     pub lists: DetectionLists,
-    /// Per node, every source ever admitted with its best `(dist, pred)`
-    /// (the neighbor the announcement arrived from).
-    best: Vec<HashMap<NodeId, (Weight, NodeId)>>,
+    /// Every source ever admitted at each node, as one flat CSR: node
+    /// `v`'s entries are `start[v]..start[v + 1]` of the parallel `src`,
+    /// `dist` and `pred` arrays, ascending by source id (looked up by
+    /// binary search). `pred` is the neighbor the best announcement
+    /// arrived from.
+    start: Vec<usize>,
+    src: Vec<u32>,
+    dist: Vec<Weight>,
+    pred: Vec<u32>,
 }
 
 impl Detection {
+    /// Index of `src`'s entry at `node`, if `src` was ever admitted there.
+    fn entry(&self, node: NodeId, src: NodeId) -> Option<usize> {
+        let (lo, hi) = (self.start[node], self.start[node + 1]);
+        let key = u32::try_from(src).ok()?;
+        self.src[lo..hi].binary_search(&key).ok().map(|i| lo + i)
+    }
+
     /// Best-known distance from `src` to `node`, if any announcement for
     /// `src` ever reached `node` (superset of the truncated lists).
     pub fn dist(&self, node: NodeId, src: NodeId) -> Option<Weight> {
-        self.best[node].get(&src).map(|&(d, _)| d)
+        self.entry(node, src).map(|i| self.dist[i])
     }
 
     /// The first hop of [`Detection::path_to_source`] without walking or
@@ -496,19 +509,19 @@ impl Detection {
     /// this equals `path_to_source(node, src)?[1]` whenever that path has
     /// a second vertex.
     pub fn pred(&self, node: NodeId, src: NodeId) -> Option<NodeId> {
-        self.best[node].get(&src).map(|&(_, p)| p)
+        self.entry(node, src).map(|i| self.pred[i] as NodeId)
     }
 
     /// The discovered path `node → … → src` following predecessor
     /// pointers (real graph edges). `None` if `src` never reached `node`.
     pub fn path_to_source(&self, node: NodeId, src: NodeId) -> Option<Vec<NodeId>> {
+        let n = self.start.len() - 1;
         let mut path = vec![node];
         let mut cur = node;
         while cur != src {
-            let &(_, pred) = self.best[cur].get(&src)?;
-            cur = pred;
+            cur = self.pred(cur, src)?;
             path.push(cur);
-            if path.len() > self.best.len() {
+            if path.len() > n {
                 return None;
             }
         }
@@ -516,27 +529,42 @@ impl Detection {
     }
 }
 
-/// Per-node detection state shared by both kernels: current best
-/// `(distance, pred)` per source row and the top-`σ` set the truncation
-/// discipline maintains. Stored flat — a `(dist, pred)` matrix with an
-/// [`INF`] absent-sentinel and per-node sorted vectors of at most `σ`
-/// entries — so the admit fast path is an array index plus a short
-/// binary search instead of hash-map and B-tree traffic.
+/// Per-node detection state shared by every kernel: current best
+/// distance and predecessor per source row, and the top-`σ` set the
+/// truncation discipline maintains. Stored flat — a distance matrix with
+/// an [`INF`] absent-sentinel, a parallel predecessor matrix the admit
+/// test never reads, and per-node sorted vectors of at most `σ` entries
+/// — so the admit fast path is an array index plus a short binary search
+/// instead of hash-map and B-tree traffic.
 struct DetectState {
     n: usize,
     rows: usize,
-    best: Vec<(Weight, NodeId)>,
+    /// `dist[v * rows + row]`: best-known distance of `row`'s source at
+    /// `v`, [`INF`] when none was admitted.
+    dist: Vec<Weight>,
+    /// The neighbor that distance arrived from. Read only where `dist`
+    /// is finite, so it starts zeroed: the allocator hands out zeroed
+    /// pages the admit loop touches only as it writes them.
+    pred: Vec<u32>,
     top: Vec<Vec<(Weight, u32)>>,
     sigma: usize,
 }
 
 impl DetectState {
     fn new(n: usize, rows: usize, sigma: usize) -> DetectState {
+        assert!(
+            u32::try_from(n).is_ok(),
+            "node ids must fit the u32 predecessor table"
+        );
+        // A top set never holds more than `rows` entries (plus one while
+        // an insertion awaits truncation), however large σ is.
+        let cap = sigma.min(rows) + 1;
         DetectState {
             n,
             rows,
-            best: vec![(INF, NodeId::MAX); n * rows],
-            top: (0..n).map(|_| Vec::with_capacity(sigma + 1)).collect(),
+            dist: vec![INF; n * rows],
+            pred: vec![0; n * rows],
+            top: (0..n).map(|_| Vec::with_capacity(cap)).collect(),
             sigma,
         }
     }
@@ -544,7 +572,7 @@ impl DetectState {
     /// Best-known distance of `row`'s source at `v` ([`INF`] when no
     /// announcement was ever admitted).
     fn best_dist(&self, v: NodeId, row: u32) -> Weight {
-        self.best[v * self.rows + row as usize].0
+        self.dist[v * self.rows + row as usize]
     }
 
     /// Whether `entry` is currently in `v`'s top-`σ` set.
@@ -567,14 +595,15 @@ impl DetectState {
         pred: NodeId,
         mut retire: impl FnMut(Weight, u32),
     ) -> bool {
-        let slot = &mut self.best[v * self.rows + src_row as usize];
-        let old = slot.0;
+        let i = v * self.rows + src_row as usize;
+        let old = self.dist[i];
         // Admitted distances never reach `INF` (announcements assert
         // against saturation), so the absent sentinel can only lose here.
         if old <= d {
             return false;
         }
-        *slot = (d, pred);
+        self.dist[i] = d;
+        self.pred[i] = pred as u32;
         let top = &mut self.top[v];
         if old != INF {
             // The superseded entry may already have been truncated away.
@@ -592,6 +621,49 @@ impl DetectState {
         // Forward only if the entry survived truncation (it did exactly
         // when it landed inside the first σ slots).
         pos < self.sigma
+    }
+
+    /// The finished [`Detection`]: top sets renamed from rows to source
+    /// ids, and one pass over the dense tables (rows are in source-id
+    /// order) compacting each node's admitted entries into the CSR.
+    fn into_detection(self, srcs: &[NodeId]) -> Detection {
+        let DetectState {
+            n,
+            rows,
+            dist: dense_dist,
+            pred: dense_pred,
+            top,
+            ..
+        } = self;
+        let lists: DetectionLists = top
+            .into_iter()
+            .map(|t| {
+                t.into_iter()
+                    .map(|(d, row)| (d, srcs[row as usize]))
+                    .collect()
+            })
+            .collect();
+        let mut start = Vec::with_capacity(n + 1);
+        let (mut src, mut dist, mut pred) = (Vec::new(), Vec::new(), Vec::new());
+        start.push(0);
+        for v in 0..n {
+            let base = v * rows;
+            for (row, &d) in dense_dist[base..base + rows].iter().enumerate() {
+                if d != INF {
+                    src.push(srcs[row] as u32);
+                    dist.push(d);
+                    pred.push(dense_pred[base + row]);
+                }
+            }
+            start.push(src.len());
+        }
+        Detection {
+            lists,
+            start,
+            src,
+            dist,
+            pred,
+        }
     }
 }
 
@@ -657,28 +729,7 @@ pub fn source_detection(
         crate::bounds::source_detection,
     );
 
-    let lists: DetectionLists = (0..n)
-        .map(|v| {
-            state.top[v]
-                .iter()
-                .map(|&(d, row)| (d, srcs[row as usize]))
-                .collect()
-        })
-        .collect();
-    let best_by_id: Vec<HashMap<NodeId, (Weight, NodeId)>> = (0..n)
-        .map(|v| {
-            (0..srcs.len())
-                .filter_map(|row| {
-                    let dp = state.best[v * srcs.len() + row];
-                    (dp.0 != INF).then_some((srcs[row], dp))
-                })
-                .collect()
-        })
-        .collect();
-    Detection {
-        lists,
-        best: best_by_id,
-    }
+    state.into_detection(&srcs)
 }
 
 /// The engine-stepped scalar detection loop (reference semantics; the
@@ -1419,6 +1470,27 @@ mod tests {
             "took {} rounds",
             ledger.rounds
         );
+    }
+
+    #[test]
+    fn unbounded_sigma_keeps_every_source() {
+        // σ = usize::MAX means "keep every source": it must behave exactly
+        // like σ = |S| (no truncation can happen either way) instead of
+        // overflowing while sizing the per-node top sets.
+        let g = connected_gnm(30, 40, Orientation::Undirected, WeightRange::unit(), 5);
+        let sources: Vec<NodeId> = (0..g.n()).step_by(3).collect();
+        for kernel in [FloodKernel::Scalar, FloodKernel::Bitset] {
+            let _k = with_kernel(kernel);
+            let run = |sigma| {
+                let mut ledger = Ledger::new();
+                let dir = Direction::Forward;
+                let det = source_detection(&g, &sources, 6, sigma, dir, None, "sd", &mut ledger);
+                (det, ledger.rounds, ledger.words, ledger.messages)
+            };
+            let (all, bounded) = (run(usize::MAX), run(sources.len()));
+            assert_eq!(all, bounded, "{kernel:?}");
+            assert_eq!(all.0.lists, detection_oracle(&g, &sources, 6, usize::MAX));
+        }
     }
 
     #[test]

@@ -117,17 +117,9 @@ pub fn fundamental_cycle_basis(g: &Graph) -> CycleBasis {
     let tree = BfsTree::build(g, 0, &mut ledger);
 
     // One round: endpoints learn each other's (depth, parent) so every
-    // node knows which incident edges are non-tree chords.
-    let depths: Vec<(usize, Option<NodeId>)> = (0..g.n())
-        .map(|v| (tree.depth[v], tree.parent[v]))
-        .collect();
-    let _ = crate::exchange::exchange_with_neighbors(
-        g,
-        &depths,
-        |_| 1,
-        "cycle basis: depth exchange",
-        &mut ledger,
-    );
+    // node knows which incident edges are non-tree chords (read in place
+    // from `tree` below).
+    crate::exchange::charge_neighbor_exchange(g, |_| 1, "cycle basis: depth exchange", &mut ledger);
 
     let mut cycles = Vec::new();
     let mut chords = Vec::new();

@@ -15,15 +15,13 @@
 //! rounds, matching the Ω̃(n) bound's intuition. The tests exercise both
 //! regimes.
 
-use crate::exchange::{exchange_with_neighbors, lca_cycle};
+use crate::exchange::{charge_neighbor_exchange, lca_cycle};
 use crate::outcome::{BestCycle, MwcOutcome};
 use crate::util::simplify_path;
 use mwc_congest::{convergecast_min, multi_source_bfs, BfsTree, Ledger, MultiBfsSpec, INF};
 use mwc_graph::seq::Direction;
 use mwc_graph::{CycleWitness, Graph, NodeId, Weight};
 use std::borrow::Cow;
-use std::cmp::Ordering;
-use std::sync::Arc;
 
 /// Finds the shortest cycle of **hop length at most `q`** (treating the
 /// graph as unweighted), or reports that none exists, in `O(n + q)`
@@ -113,49 +111,26 @@ pub fn shortest_cycle_within(g: &Graph, q: u64) -> MwcOutcome {
         // Undirected: girth-style non-tree-edge candidates. Nodes exchange
         // their *detected* (source, dist, pred) entries with neighbors —
         // message size proportional to how many sources reached them, so
-        // sparse instances stay cheap. Each list is sorted by source, so
-        // an edge's endpoints find their common sources by merge-joining
-        // the two lists: `O(Σ_edges |list|)` host work, no allocation.
-        let entries: Vec<Arc<Vec<(u32, Weight, u32)>>> = (0..n)
-            .map(|v| {
-                let mut list = Vec::new();
-                for s in 0..n {
-                    let d = mat.get_row(s, v);
-                    if d != INF {
-                        let p = mat.pred_row(s, v).map_or(u32::MAX, |p| p as u32);
-                        list.push((s as u32, d, p));
-                    }
-                }
-                Arc::new(list)
-            })
-            .collect();
-        let nbr = exchange_with_neighbors(
+        // sparse instances stay cheap on the links — and each edge
+        // endpoint reads the other's entries in place. A node's entries
+        // are its contiguous `DistMatrix` column, so one pass over both
+        // endpoints' columns finds their common sources in ascending
+        // order: `O(m·n)` host work, the order of the n × n matrix the
+        // all-source BFS already filled, and no allocation.
+        let detected = |v: NodeId| (0..n).filter(|&s| mat.get_row(s, v) != INF).count();
+        charge_neighbor_exchange(
             g,
-            &entries,
-            |v| (2 * entries[v].len() as u64).max(1),
+            |v| (2 * detected(v) as u64).max(1),
             "detected-entry exchange",
             &mut ledger,
         );
 
         for e in g.edges() {
             let (x, y) = (e.u, e.v);
-            let Some(ylist) = nbr[x].get(&y) else {
-                continue;
-            };
-            let (xlist, ylist) = (&entries[x][..], &ylist[..]);
-            let (mut i, mut j) = (0, 0);
-            while i < xlist.len() && j < ylist.len() {
-                let ((s, dx, xpred), (t, dy, ypred)) = (xlist[i], ylist[j]);
-                match s.cmp(&t) {
-                    Ordering::Less => {
-                        i += 1;
-                        continue;
-                    }
-                    Ordering::Greater => {
-                        j += 1;
-                        continue;
-                    }
-                    Ordering::Equal => (i, j) = (i + 1, j + 1),
+            for s in 0..n {
+                let (dx, dy) = (mat.get_row(s, x), mat.get_row(s, y));
+                if dx == INF || dy == INF {
+                    continue;
                 }
                 // Cheap distance test first; every test here is pure, so
                 // the order does not change which candidates survive.
@@ -163,10 +138,10 @@ pub fn shortest_cycle_within(g: &Graph, q: u64) -> MwcOutcome {
                 if cand > q || best.weight().is_some_and(|b| cand >= b) {
                     continue;
                 }
-                if xpred as usize == y || ypred as usize == x {
+                if mat.pred_row(s, x) == Some(y) || mat.pred_row(s, y) == Some(x) {
                     continue; // BFS-tree edge: no cycle
                 }
-                if let Some(cyc) = lca_cycle(&mat, s as usize, x, y) {
+                if let Some(cyc) = lca_cycle(&mat, s, x, y) {
                     if cyc.len() as u64 <= q {
                         local_best[x] = local_best[x].min(cyc.len() as Weight);
                         let w = CycleWitness::new(cyc);

@@ -23,6 +23,7 @@
 //! subroutine that §5.2's weighted algorithm needs (Corollary 4.1 applied
 //! to Algorithm 2).
 
+use crate::exchange::charge_neighbor_exchange;
 use crate::ksssp::k_source_bfs;
 use crate::outcome::{BestCycle, MwcOutcome};
 use crate::params::Params;
@@ -333,7 +334,7 @@ pub(crate) fn build_rsets(
     n: usize,
     ns: usize,
     classes: &[Vec<usize>],
-    to_s: &[Arc<Vec<Weight>>],
+    to_s: &[Vec<Weight>],
     d_st: &[Weight],
     seed: u64,
 ) -> Vec<Arc<Vec<(u32, Weight)>>> {
@@ -418,14 +419,12 @@ fn short_cycles_restricted_bfs(
 
     // d(v, s) and d(s, v) vectors per node (information each node holds
     // from line 3's BFS runs).
-    let mut to_s: Vec<Arc<Vec<Weight>>> = Vec::with_capacity(n);
-    let mut from_s: Vec<Arc<Vec<Weight>>> = Vec::with_capacity(n);
-    for v in 0..n {
-        let t: Vec<Weight> = (0..ns).map(|si| d_to_s.get(si, v)).collect();
-        let f: Vec<Weight> = (0..ns).map(|si| d_from_s.get(si, v)).collect();
-        to_s.push(Arc::new(t));
-        from_s.push(Arc::new(f));
-    }
+    let to_s: Vec<Vec<Weight>> = (0..n)
+        .map(|v| (0..ns).map(|si| d_to_s.get(si, v)).collect())
+        .collect();
+    let from_s: Vec<Vec<Weight>> = (0..n)
+        .map(|v| (0..ns).map(|si| d_from_s.get(si, v)).collect())
+        .collect();
 
     let rset = build_rsets(n, ns, &classes, &to_s, d_st, params.seed);
 
@@ -438,40 +437,22 @@ fn short_cycles_restricted_bfs(
         .collect();
 
     // Line 11: every node sends {(d(v,s), d(s,v))} to each neighbor —
-    // a 2|S|-word bulk exchange, O(|S|) rounds.
-    let mut net: Network<(Arc<Vec<Weight>>, Arc<Vec<Weight>>)> = Network::new_auto(g);
-    for v in 0..n {
-        for w in g.comm_neighbors(v) {
-            net.send(
-                v,
-                w,
-                (Arc::clone(&to_s[v]), Arc::clone(&from_s[v])),
-                2 * ns as u64,
-            )
-            .expect("neighbors are linked");
-        }
-    }
-    let mut nbr_to_s: Vec<HashMap<NodeId, Arc<Vec<Weight>>>> = vec![HashMap::new(); n];
-    let mut nbr_from_s: Vec<HashMap<NodeId, Arc<Vec<Weight>>>> = vec![HashMap::new(); n];
-    let mut out = RoundOutput::default();
-    while net.step_bulk_into(&mut out) {
-        for d in out.deliveries.drain(..) {
-            nbr_to_s[d.to].insert(d.from, d.payload.0);
-            nbr_from_s[d.to].insert(d.from, d.payload.1);
-        }
-    }
-    ledger.absorb("Alg3: neighbor sample-distance exchange", &net);
+    // a 2|S|-word bulk exchange, O(|S|) rounds. Receivers read their
+    // neighbors' vectors in place.
+    charge_neighbor_exchange(
+        g,
+        |_| 2 * ns as u64,
+        "Alg3: neighbor sample-distance exchange",
+        ledger,
+    );
 
     // Membership/forwarding test of line 22: forward source y's BFS to
     // out-neighbor u iff ∀(t, d(y,t)) ∈ Q(y):
     //   d(u,t) + 2d*(y,u) ≤ d(t,u) + 2d(y,t).
-    let forward_test = |v: NodeId, u: NodeId, cand: Weight, q: &[(u32, Weight)]| -> bool {
-        let Some(ut) = nbr_to_s[v].get(&u) else {
-            return false;
-        };
-        let Some(tu) = nbr_from_s[v].get(&u) else {
-            return false;
-        };
+    // `u` is linked to the forwarding node, which got `u`'s vectors in
+    // the line-11 exchange.
+    let forward_test = |u: NodeId, cand: Weight, q: &[(u32, Weight)]| -> bool {
+        let (ut, tu) = (&to_s[u], &from_s[u]);
         q.iter().all(|&(t_i, dyt)| {
             ut[t_i as usize].saturating_add(2u64.saturating_mul(cand))
                 <= tu[t_i as usize].saturating_add(2u64.saturating_mul(dyt))
@@ -586,7 +567,7 @@ fn short_cycles_restricted_bfs(
                     if cand > budget {
                         continue;
                     }
-                    if forward_test(v, hop.to as usize, cand, &q) {
+                    if forward_test(hop.to as usize, cand, &q) {
                         sends.push((
                             v,
                             hop.to as usize,
@@ -838,8 +819,8 @@ mod tests {
                 d_st[i * ns + j] = to(samples[i], samples[j]);
             }
         }
-        let to_s: Vec<Arc<Vec<Weight>>> = (0..n)
-            .map(|v| Arc::new(samples.iter().map(|&s| to(v, s)).collect()))
+        let to_s: Vec<Vec<Weight>> = (0..n)
+            .map(|v| samples.iter().map(|&s| to(v, s)).collect())
             .collect();
         let beta = ((n as f64).log2().ceil() as usize).max(1);
         let classes: Vec<Vec<usize>> = (0..beta).map(|c| (c..ns).step_by(beta).collect()).collect();

@@ -22,7 +22,7 @@
 //! benchmarks use, preserving the linear-in-`n` shape of the baseline.
 
 use crate::apsp::distributed_apsp;
-use crate::exchange::{exchange_matrix_columns, lca_cycle};
+use crate::exchange::{charge_neighbor_exchange, lca_cycle};
 use crate::outcome::{BestCycle, MwcOutcome};
 use crate::util::simplify_path;
 use mwc_congest::{convergecast_min, Ledger, PhaseCache, INF};
@@ -88,20 +88,21 @@ pub fn exact_mwc(g: &Graph) -> MwcOutcome {
             }
         }
     } else {
-        // Undirected: neighbors exchange distance columns, then every edge
-        // endpoint scans all sources.
-        let cols = exchange_matrix_columns(g, &mat, "neighbor column exchange", &mut ledger);
+        // Undirected: neighbors exchange their (dist, pred) columns (2n
+        // words per link), then every edge endpoint scans all sources,
+        // reading the other endpoint's column in place.
+        let k = mat.k();
+        charge_neighbor_exchange(g, |_| 2 * k as u64, "neighbor column exchange", &mut ledger);
         for e in g.edges() {
             let (x, y, w) = (e.u, e.v, e.weight);
-            let ycol = &cols[x][&y];
-            for s in 0..n {
+            for s in 0..k {
                 let dx = mat.get_row(s, x);
-                let (dy, ypred) = ycol[s];
+                let dy = mat.get_row(s, y);
                 if dx == INF || dy == INF {
                     continue;
                 }
                 // Skip BFS-tree edges (they close no cycle).
-                if mat.pred_row(s, x) == Some(y) || ypred as usize == x {
+                if mat.pred_row(s, x) == Some(y) || mat.pred_row(s, y) == Some(x) {
                     continue;
                 }
                 let cand = dx + w + dy;

@@ -1,69 +1,49 @@
-//! Neighbor bulk exchange: every node sends a (multi-word) value to all of
-//! its communication neighbors. Used for the "send your distance table to
-//! your neighbors" steps (Algorithm 3 line 11, the non-tree-edge scans of
-//! the exact and girth algorithms).
+//! Neighbor bulk exchange, charged but not copied.
+//!
+//! Several steps have every node send one multi-word value to each of its
+//! communication neighbors: Algorithm 3 line 11's sample-distance
+//! vectors, the girth algorithm's sampled-distance columns and detected
+//! lists, the exact and long-cycle scans' distance columns, and the cycle
+//! basis' depths. In CONGEST local computation is free (DESIGN §2), so an
+//! exchange's only cost is its words on the links.
+//! [`charge_neighbor_exchange`] charges exactly those — the same
+//! messages, with the same per-sender word counts, in the same send order
+//! — through a payload-free `Network<()>`, and returns nothing.
+//!
+//! After the charge, each receiver reads its neighbor's value **in
+//! place** (`values[y]`, the `DistMatrix` column of `y`, ...). That is
+//! exact: the sender's value is immutable across the exchange, and a
+//! [`Graph`] is simple (no self-loops, no parallel edges), so every edge
+//! endpoint is a communication link that delivered precisely that value.
 
 use mwc_congest::{DistMatrix, Ledger, Network, RoundOutput};
-use mwc_graph::{Graph, NodeId, Weight};
-use std::collections::HashMap;
-use std::sync::Arc;
+use mwc_graph::{Graph, NodeId};
 
-/// Sends `values[v]` from every `v` to each of its neighbors as a
-/// `words(v)`-word message; returns, per node, the map *neighbor → their
-/// value*. Costs `O(max_v words(v))` rounds (all links run in parallel).
-pub(crate) fn exchange_with_neighbors<T: Clone + Send>(
+/// Charges one neighbor exchange to `ledger` under `label`: every `v`
+/// sends a `words(v)`-word message to each communication neighbor. Costs
+/// `O(max_v words(v))` rounds (all links run in parallel). Receivers then
+/// read the senders' values in place (see the module docs).
+pub(crate) fn charge_neighbor_exchange(
     g: &Graph,
-    values: &[T],
     words: impl Fn(NodeId) -> u64,
     label: &str,
     ledger: &mut Ledger,
-) -> Vec<HashMap<NodeId, T>> {
-    let n = g.n();
-    assert_eq!(values.len(), n, "one value per node");
-    let mut net: Network<T> = Network::new_auto(g);
-    for v in 0..n {
-        let words = words(v);
-        for w in g.comm_neighbors(v) {
-            net.send(v, w, values[v].clone(), words)
-                .expect("neighbors are linked");
-        }
-    }
-    let mut got: Vec<HashMap<NodeId, T>> = vec![HashMap::new(); n];
-    let mut out = RoundOutput::default();
-    while net.step_bulk_into(&mut out) {
-        for d in out.deliveries.drain(..) {
-            got[d.to].insert(d.from, d.payload);
-        }
-    }
+) {
+    let mut net: Network<()> = Network::new_auto(g);
+    run_exchange(g, &mut net, words);
     ledger.absorb(label, &net);
-    got
 }
 
-/// One node's `(dist, pred)` column of a [`DistMatrix`], shared by `Arc`.
-pub(crate) type DistPredColumn = Arc<Vec<(Weight, u32)>>;
-
-/// Builds each node's `(dist, pred)` column over the matrix's sources and
-/// exchanges them with neighbors (`2k` words per message).
-pub(crate) fn exchange_matrix_columns(
-    g: &Graph,
-    mat: &DistMatrix,
-    label: &str,
-    ledger: &mut Ledger,
-) -> Vec<HashMap<NodeId, DistPredColumn>> {
-    let n = g.n();
-    let k = mat.k();
-    let cols: Vec<DistPredColumn> = (0..n)
-        .map(|v| {
-            let mut col = Vec::with_capacity(k);
-            for row in 0..k {
-                let d = mat.get_row(row, v);
-                let p = mat.pred_row(row, v).map_or(u32::MAX, |p| p as u32);
-                col.push((d, p));
-            }
-            Arc::new(col)
-        })
-        .collect();
-    exchange_with_neighbors(g, &cols, |_| 2 * k as u64, label, ledger)
+/// Sends the exchange's messages on `net` and steps it until idle.
+fn run_exchange(g: &Graph, net: &mut Network<()>, words: impl Fn(NodeId) -> u64) {
+    for v in 0..g.n() {
+        let words = words(v);
+        for w in g.comm_neighbors(v) {
+            net.send(v, w, (), words).expect("neighbors are linked");
+        }
+    }
+    let mut out = RoundOutput::default();
+    while net.step_bulk_into(&mut out) {}
 }
 
 /// The BFS-tree LCA cycle of a non-tree edge `(x, y)` w.r.t. the matrix's
@@ -89,30 +69,67 @@ mod tests {
     use mwc_graph::generators::{connected_gnm, WeightRange};
     use mwc_graph::Orientation;
 
-    #[test]
-    fn exchange_reaches_all_neighbors() {
-        let g = connected_gnm(20, 30, Orientation::Undirected, WeightRange::unit(), 1);
-        let values: Vec<u64> = (0..20).map(|v| 1000 + v as u64).collect();
-        let mut ledger = Ledger::new();
-        let got = exchange_with_neighbors(&g, &values, |_| 1, "x", &mut ledger);
-        for v in 0..20 {
-            let nbrs = g.comm_neighbors(v);
-            assert_eq!(got[v].len(), nbrs.len());
-            for w in nbrs {
-                assert_eq!(got[v][&w], 1000 + w as u64);
+    /// Reference for [`run_exchange`]: the same sends, each carrying a
+    /// `words(v)`-word payload that is delivered and checked.
+    fn payload_exchange(g: &Graph, words: impl Fn(NodeId) -> u64) -> Network<Vec<u64>> {
+        let mut net: Network<Vec<u64>> = Network::new(g);
+        net.enable_history();
+        for v in 0..g.n() {
+            let words = words(v);
+            for w in g.comm_neighbors(v) {
+                net.send(v, w, vec![v as u64; words as usize], words)
+                    .unwrap();
             }
         }
-        assert!(ledger.rounds >= 1);
+        let mut out = RoundOutput::default();
+        let mut delivered = 0;
+        while net.step_bulk_into(&mut out) {
+            for d in out.deliveries.drain(..) {
+                assert!(d.payload.iter().all(|&x| x == d.from as u64));
+                delivered += 1;
+            }
+        }
+        let links: usize = (0..g.n()).map(|v| g.comm_neighbors(v).len()).sum();
+        assert_eq!(delivered, links, "one message per link");
+        net
+    }
+
+    #[test]
+    fn charge_only_exchange_matches_payload_reference() {
+        // Mixed per-sender word counts (0 is charged as 1, like any send).
+        let words = |v: NodeId| (v as u64 * 7) % 6;
+        let undirected = connected_gnm(40, 60, Orientation::Undirected, WeightRange::unit(), 3);
+        let directed = connected_gnm(40, 60, Orientation::Directed, WeightRange::unit(), 4);
+        for g in [undirected, directed] {
+            let want = payload_exchange(&g, words);
+            let mut net: Network<()> = Network::new(&g);
+            net.enable_history();
+            run_exchange(&g, &mut net, words);
+            assert_eq!(net.round(), want.round());
+            // Every stat: words, messages, per-link words and queue
+            // high-waters, the round histogram, `words_per_round`, peaks.
+            assert_eq!(net.stats(), want.stats());
+            assert!(!net.stats().words_per_round.is_empty());
+
+            let (mut got_l, mut want_l) = (Ledger::new(), Ledger::new());
+            got_l.absorb("x", &net);
+            want_l.absorb("x", &want);
+            assert_eq!(
+                (got_l.rounds, got_l.words, got_l.messages),
+                (want_l.rounds, want_l.words, want_l.messages)
+            );
+            assert_eq!(got_l.words_per_round(), want_l.words_per_round());
+        }
     }
 
     #[test]
     fn exchange_words_scale_rounds() {
         let g = connected_gnm(16, 20, Orientation::Undirected, WeightRange::unit(), 2);
-        let values: Vec<u64> = vec![0; 16];
         let mut l1 = Ledger::new();
-        exchange_with_neighbors(&g, &values, |_| 1, "x", &mut l1);
+        charge_neighbor_exchange(&g, |_| 1, "x", &mut l1);
         let mut l8 = Ledger::new();
-        exchange_with_neighbors(&g, &values, |_| 8, "x", &mut l8);
+        charge_neighbor_exchange(&g, |_| 8, "x", &mut l8);
+        assert!(l1.rounds >= 1);
         assert_eq!(l8.rounds, 8 * l1.rounds);
     }
 

@@ -26,7 +26,7 @@
 //! closed walk) before being offered, so reported values are never below
 //! the true MWC.
 
-use crate::exchange::{exchange_matrix_columns, exchange_with_neighbors, lca_cycle};
+use crate::exchange::{charge_neighbor_exchange, lca_cycle};
 use crate::outcome::{BestCycle, MwcOutcome, Partial};
 use crate::params::Params;
 use crate::util::{extract_cycle_from_walk, sample_vertices};
@@ -35,8 +35,7 @@ use mwc_congest::{
     PhaseCache, INF,
 };
 use mwc_graph::seq::Direction;
-use mwc_graph::{CycleWitness, Graph, NodeId, Weight};
-use std::sync::Arc;
+use mwc_graph::{CycleWitness, EdgeId, Graph, NodeId, Weight};
 
 pub(crate) const SALT_GIRTH_SAMPLES: u64 = 0xC1;
 
@@ -182,19 +181,24 @@ fn girth_core_parts(
             "BFS from sampled sources",
             &mut parts.ledger,
         );
-        let cols = exchange_matrix_columns(g, &mat, "sampled-distance exchange", &mut parts.ledger);
+        // Neighbors exchange their (dist, pred) columns (2k words per
+        // link); each edge endpoint then reads the other's column in place.
+        let k = samples.len();
+        charge_neighbor_exchange(
+            g,
+            |_| 2 * k as u64,
+            "sampled-distance exchange",
+            &mut parts.ledger,
+        );
         for e in g.edges() {
             let (x, y) = (e.u, e.v);
-            let Some(ycol) = cols[x].get(&y) else {
-                continue;
-            };
-            for row in 0..samples.len() {
+            for row in 0..k {
                 let dx = mat.get_row(row, x);
-                let (dy, ypred) = ycol[row];
+                let dy = mat.get_row(row, y);
                 if dx == INF || dy == INF {
                     continue;
                 }
-                if mat.pred_row(row, x) == Some(y) || ypred as usize == x {
+                if mat.pred_row(row, x) == Some(y) || mat.pred_row(row, y) == Some(x) {
                     continue; // tree edge w.r.t. this source
                 }
                 let cand = dx + e.weight + dy;
@@ -225,21 +229,10 @@ fn girth_core_parts(
         &mut parts.ledger,
     );
 
-    // Exchange detected lists (entries carry (src, dist, pred) ≈ 2 words
-    // each) with all neighbors.
-    let lists: Vec<Arc<Vec<(NodeId, Weight, NodeId)>>> = (0..n)
-        .map(|v| {
-            Arc::new(
-                det.lists[v]
-                    .iter()
-                    .map(|&(d, s)| (s, d, det.pred(v, s).unwrap_or(v)))
-                    .collect(),
-            )
-        })
-        .collect();
-    let nbr_lists = exchange_with_neighbors(
+    // Neighbors exchange their detected lists (entries carry (src, dist,
+    // pred) ≈ 2 words each); receivers read `det` in place.
+    charge_neighbor_exchange(
         g,
-        &lists,
         |_| 2 * sigma as u64,
         "neighborhood list exchange",
         &mut parts.ledger,
@@ -248,21 +241,21 @@ fn girth_core_parts(
     // (a) Per-edge candidates among common detected sources.
     for e in g.edges() {
         let (x, y) = (e.u, e.v);
-        let Some(ylist) = nbr_lists[x].get(&y) else {
-            continue;
-        };
+        let ylist = &det.lists[y];
         // `ylist` holds at most σ entries — a linear probe beats building
         // a per-edge hash map.
-        for &(v, dx, xpred) in lists[x].iter() {
-            let Some(&(_, dy, ypred)) = ylist.iter().find(|&&(s, _, _)| s == v) else {
+        for &(dx, v) in &det.lists[x] {
+            let Some(&(dy, _)) = ylist.iter().find(|&&(_, s)| s == v) else {
                 continue;
             };
-            if xpred == y || ypred == x {
-                continue; // tree-ish edge: degenerate closed walk
-            }
+            // Both tests are pure, so their order does not change which
+            // candidates survive; the distance test is the cheap one.
             let cand = dx + e.weight + dy;
             if parts.best.weight().is_some_and(|b| cand >= b) {
                 continue;
+            }
+            if det.pred(x, v) == Some(y) || det.pred(y, v) == Some(x) {
+                continue; // tree-ish edge: degenerate closed walk
             }
             offer_closed_walk(g, &mut parts.best, &det, v, x, y, None);
         }
@@ -281,15 +274,15 @@ fn girth_core_parts(
     let mut two_best: Vec<[(Weight, NodeId); 2]> = vec![[(INF, usize::MAX); 2]; n];
     let mut stamp: Vec<usize> = vec![usize::MAX; n];
     let mut sources: Vec<NodeId> = Vec::new();
+    let mut nbrs: Vec<(NodeId, EdgeId)> = Vec::new();
     for z in 0..n {
         sources.clear();
-        let mut nbrs: Vec<NodeId> = nbr_lists[z].keys().copied().collect();
+        nbrs.clear();
+        nbrs.extend(g.out_adj(z).iter().map(|a| (a.to, a.edge)));
         nbrs.sort_unstable();
-        for x in nbrs {
-            let xlist = &nbr_lists[z][&x];
-            let Some(eid) = g.edge_id(z, x) else { continue };
+        for &(x, eid) in &nbrs {
             let ell = latency.map_or(1, |l| l[eid].max(1));
-            for &(v, d, _) in xlist.iter() {
+            for &(d, v) in &det.lists[x] {
                 let key = d.saturating_add(ell);
                 if stamp[v] != z {
                     stamp[v] = z;

@@ -24,7 +24,7 @@
 //! below the true MWC; the `(2+ε)` upper bound holds w.h.p.
 
 use crate::directed::hop_limited_directed_mwc;
-use crate::exchange::exchange_with_neighbors;
+use crate::exchange::charge_neighbor_exchange;
 use crate::girth::hop_limited_girth;
 use crate::ksssp::{k_source_approx_sssp, KSourceApproxSssp};
 use crate::outcome::{BestCycle, MwcOutcome, Partial};
@@ -219,14 +219,11 @@ fn long_cycles_undirected(g: &Graph, params: &Params, h: u64, parts: &mut Partia
     let sssp = k_source_approx_sssp(g, &samples, Direction::Forward, params);
     parts.ledger.merge(&sssp.ledger);
 
-    // Neighbors exchange their estimate columns (k words per link).
+    // Neighbors exchange their estimate columns (k words per link); each
+    // edge endpoint reads the other's column in place.
     let k = samples.len();
-    let cols: Vec<Arc<Vec<Weight>>> = (0..n)
-        .map(|v| Arc::new((0..k).map(|row| sssp.get_row(row, v)).collect()))
-        .collect();
-    let nbr = exchange_with_neighbors(
+    charge_neighbor_exchange(
         g,
-        &cols,
         |_| k as u64,
         "long-cycle estimate exchange",
         &mut parts.ledger,
@@ -234,10 +231,9 @@ fn long_cycles_undirected(g: &Graph, params: &Params, h: u64, parts: &mut Partia
 
     for e in g.edges() {
         let (x, y, w) = (e.u, e.v, e.weight);
-        let Some(ycol) = nbr[x].get(&y) else { continue };
         for row in 0..k {
-            let dx = cols[x][row];
-            let dy = ycol[row];
+            let dx = sssp.get_row(row, x);
+            let dy = sssp.get_row(row, y);
             if dx == INF || dy == INF {
                 continue;
             }
