@@ -254,9 +254,12 @@ pub struct Network<M> {
     round: u64,
     /// `links[l] = (from, to)`.
     link_ends: Vec<(NodeId, NodeId)>,
-    /// For each node, its outgoing (neighbor, link id) pairs, sorted by
-    /// neighbor.
-    out_links: Vec<Vec<(NodeId, usize)>>,
+    /// CSR offsets into `out_links`: node `u`'s outgoing links are
+    /// `out_links[out_start[u]..out_start[u + 1]]` (length `n + 1`).
+    out_start: Vec<usize>,
+    /// Every node's outgoing `(neighbor, link id)` pairs, each node's
+    /// slice sorted by neighbor for [`Network::link_id`].
+    out_links: Vec<(NodeId, usize)>,
     queues: Vec<VecDeque<InFlight<M>>>,
     /// Links with a non-empty queue.
     active: Vec<usize>,
@@ -319,25 +322,48 @@ impl std::error::Error for SendError {}
 
 impl<M> Network<M> {
     /// Builds a network whose links are the undirected support of `graph`.
+    ///
+    /// Link ids are grouped by sender in ascending order; within a sender
+    /// they follow [`Graph::comm_neighbors`] order (adjacency order for
+    /// undirected graphs, ascending neighbor for directed ones). The
+    /// table is built in place from the adjacency lists, with no
+    /// per-node allocation.
     pub fn new(graph: &Graph) -> Self {
         let n = graph.n();
-        let mut link_ends = Vec::new();
-        let mut out_links = vec![Vec::new(); n];
+        let directed = graph.is_directed();
+        // Every edge appears in two adjacency lists, so this bounds the
+        // link count (exact unless antiparallel edges share a link).
+        let max_links = 2 * graph.m();
+        let mut link_ends = Vec::with_capacity(max_links);
+        let mut out_start = Vec::with_capacity(n + 1);
+        let mut out_links: Vec<(NodeId, usize)> = Vec::with_capacity(max_links);
+        // `u`'s communication neighbors, as `Graph::comm_neighbors` lists
+        // them: a directed node's are the sorted, deduplicated union of
+        // its out- and in-neighbors.
+        let mut nbrs: Vec<NodeId> = Vec::new();
         for u in 0..n {
-            for v in graph.comm_neighbors(u) {
-                let l = link_ends.len();
-                link_ends.push((u, v));
-                out_links[u].push((v, l));
+            let start = link_ends.len();
+            out_start.push(start);
+            nbrs.clear();
+            nbrs.extend(graph.out_adj(u).iter().map(|a| a.to));
+            if directed {
+                nbrs.extend(graph.in_adj(u).iter().map(|a| a.to));
+                nbrs.sort_unstable();
+                nbrs.dedup();
             }
+            for &v in &nbrs {
+                out_links.push((v, link_ends.len()));
+                link_ends.push((u, v));
+            }
+            out_links[start..].sort_unstable();
         }
-        for links in &mut out_links {
-            links.sort_unstable();
-        }
+        out_start.push(link_ends.len());
         let m = link_ends.len();
         Network {
             n,
             round: 0,
             link_ends,
+            out_start,
             out_links,
             queues: (0..m).map(|_| VecDeque::new()).collect(),
             active: Vec::new(),
@@ -396,7 +422,7 @@ impl<M> Network<M> {
         M: Send,
     {
         let mut net = Self::new(graph);
-        let degrees: Vec<usize> = net.out_links.iter().map(Vec::len).collect();
+        let degrees: Vec<usize> = net.out_start.windows(2).map(|w| w[1] - w[0]).collect();
         let plan = crate::shard::ShardPlan::new(&degrees, shards);
         if plan.shards() > 1 {
             net.sharding = Some(Box::new(crate::shard::Sharding::new(plan)));
@@ -407,6 +433,11 @@ impl<M> Network<M> {
     /// The shard count this network was built with (1 when unsharded).
     pub fn shards(&self) -> usize {
         self.sharding.as_ref().map_or(1, |s| s.plan.shards())
+    }
+
+    /// The shard plan this network steps with; `None` when unsharded.
+    pub fn shard_plan(&self) -> Option<&crate::ShardPlan> {
+        self.sharding.as_ref().map(|s| &s.plan)
     }
 
     /// The network's sequence number in the message-event log, if logging
@@ -467,7 +498,7 @@ impl<M> Network<M> {
     /// can be fed to [`Network::send_on_link`] to skip the per-send
     /// neighbor lookup in tight flooding loops.
     pub fn link_id(&self, from: NodeId, to: NodeId) -> Option<usize> {
-        let links = &self.out_links[from];
+        let links = &self.out_links[self.out_start[from]..self.out_start[from + 1]];
         links
             .binary_search_by_key(&to, |&(nb, _)| nb)
             .ok()

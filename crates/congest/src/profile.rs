@@ -66,19 +66,30 @@ impl CongestionProfile {
 /// The order is a *total* order — load descending, then `(from, to)`
 /// ascending — never map or insertion order, so every hot-link report
 /// (engine, ledger, run records, diffs) is deterministic even on ties.
+/// Because the order is total, selecting the first `k` and sorting only
+/// those gives exactly the first `k` of a full sort.
 pub fn top_links(
     link_ends: &[(NodeId, NodeId)],
     per_link_words: &[u64],
     k: usize,
 ) -> Vec<((NodeId, NodeId), u64)> {
+    if k == 0 {
+        return Vec::new();
+    }
     let mut loaded: Vec<((NodeId, NodeId), u64)> = link_ends
         .iter()
         .copied()
         .zip(per_link_words.iter().copied())
         .filter(|&(_, w)| w > 0)
         .collect();
-    loaded.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    loaded.truncate(k);
+    let order = |a: &((NodeId, NodeId), u64), b: &((NodeId, NodeId), u64)| {
+        b.1.cmp(&a.1).then(a.0.cmp(&b.0))
+    };
+    if k < loaded.len() {
+        loaded.select_nth_unstable_by(k, order);
+        loaded.truncate(k);
+    }
+    loaded.sort_unstable_by(order);
     loaded
 }
 
@@ -116,6 +127,61 @@ mod tests {
         let top = top_links(&ends, &words, 2);
         assert_eq!(top, vec![((0, 1), 5), ((1, 0), 5)]);
         assert!(top_links(&ends, &[0, 0, 0], 2).is_empty());
+    }
+
+    /// The reference: sort every loaded link, keep the first `k`.
+    fn full_sort(
+        ends: &[(NodeId, NodeId)],
+        words: &[u64],
+        k: usize,
+    ) -> Vec<((NodeId, NodeId), u64)> {
+        let mut all: Vec<_> = ends
+            .iter()
+            .copied()
+            .zip(words.iter().copied())
+            .filter(|&(_, w)| w > 0)
+            .collect();
+        all.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        all.truncate(k);
+        all
+    }
+
+    #[test]
+    fn top_links_matches_a_full_sort() {
+        // Links of a 7-node complete digraph listed in a scrambled order,
+        // loads drawn from a few values so ties straddle every k-th place.
+        use mwc_rng::SliceRandom;
+        let mut rng = mwc_rng::StdRng::seed_from_u64(7);
+        let mut ends: Vec<(NodeId, NodeId)> = (0..7)
+            .flat_map(|u| (0..7).filter(move |&v| v != u).map(move |v| (u, v)))
+            .collect();
+        ends.shuffle(&mut rng);
+        for round in 0..40 {
+            let words: Vec<u64> = match round {
+                0 => vec![0; ends.len()],
+                1 => vec![3; ends.len()],
+                _ => ends.iter().map(|_| rng.random_range(0..4u64)).collect(),
+            };
+            let loaded = words.iter().filter(|&&w| w > 0).count();
+            for k in [
+                0,
+                1,
+                2,
+                3,
+                5,
+                8,
+                loaded.saturating_sub(1),
+                loaded,
+                loaded + 1,
+                ends.len() + 3,
+            ] {
+                assert_eq!(
+                    top_links(&ends, &words, k),
+                    full_sort(&ends, &words, k),
+                    "round {round}, k = {k}"
+                );
+            }
+        }
     }
 
     #[test]

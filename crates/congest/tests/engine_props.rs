@@ -5,12 +5,62 @@
 //! Runs on `mwc_rng::proptest_lite`; new failures persist their case
 //! seed under `proplite-regressions/`.
 
-use mwc_congest::{broadcast, multi_source_bfs, BfsTree, Ledger, MultiBfsSpec, Network};
+use mwc_congest::{broadcast, multi_source_bfs, BfsTree, Ledger, MultiBfsSpec, Network, ShardPlan};
 use mwc_graph::generators::{connected_gnm, WeightRange};
 use mwc_graph::seq::{bfs, Direction, HOP_INF};
 use mwc_graph::{Graph, NodeId, Orientation};
 use mwc_rng::proptest_lite::{self as plite, Config};
-use mwc_rng::{prop_assert, prop_assert_eq, prop_tests};
+use mwc_rng::{prop_assert, prop_assert_eq, prop_tests, StdRng};
+
+/// A directed graph on `n` nodes whose last `isolated` nodes have no
+/// edges: about `m` random edges among the others, a share of them
+/// doubled into antiparallel pairs.
+fn directed_with_pairs(n: usize, m: usize, isolated: usize, seed: u64) -> Graph {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let live = n - isolated;
+    let mut g = Graph::directed(n);
+    if live < 2 {
+        return g;
+    }
+    for _ in 0..m {
+        let u = rng.random_range(0..live);
+        let v = rng.random_range(0..live);
+        if u == v || g.has_edge(u, v) {
+            continue;
+        }
+        g.add_edge(u, v, 1).unwrap();
+        if rng.random_bool(0.3) && !g.has_edge(v, u) {
+            g.add_edge(v, u, 1).unwrap();
+        }
+    }
+    g
+}
+
+/// Checks `g`'s engine link table against a reference built from
+/// [`Graph::comm_neighbors`]: the same `(from, to)` table in the same
+/// link-id order, the same `link_id` answer for every ordered node pair
+/// (`None` off-link), and the same shard degrees under `new_sharded`.
+fn check_link_table(g: &Graph, shards: usize) -> plite::TestCaseResult {
+    let n = g.n();
+    let reference: Vec<(NodeId, NodeId)> = (0..n)
+        .flat_map(|u| g.comm_neighbors(u).into_iter().map(move |v| (u, v)))
+        .collect();
+    let net: Network<()> = Network::new(g);
+    prop_assert_eq!(net.link_ends(), &reference[..]);
+    for u in 0..n {
+        for v in 0..n {
+            let want = reference.iter().position(|&e| e == (u, v));
+            prop_assert_eq!(net.link_id(u, v), want, "link_id({}, {})", u, v);
+        }
+    }
+    let sharded: Network<()> = Network::new_sharded(g, shards);
+    let want = ShardPlan::for_graph(g, shards);
+    match sharded.shard_plan() {
+        Some(plan) => prop_assert_eq!(plan, &want),
+        None => prop_assert_eq!(want.shards(), 1),
+    }
+    Ok(())
+}
 
 prop_tests! {
     config = Config::with_cases(48);
@@ -100,6 +150,21 @@ prop_tests! {
         prop_assert_eq!(values, (0..items as u64).collect::<Vec<_>>());
         let envelope = 4 * (items as u64 + 2 * tree.height as u64 + 2);
         prop_assert!(bl.rounds <= envelope, "{} > {}", bl.rounds, envelope);
+    }
+
+    /// The flat link table matches the adjacency-list reference on
+    /// random undirected graphs.
+    fn link_table_matches_reference_undirected(seed in 0u64..5000, n in 1usize..30, extra in 0usize..60, shards in 1usize..6) {
+        let g = connected_gnm(n, extra, Orientation::Undirected, WeightRange::unit(), seed);
+        check_link_table(&g, shards)?;
+    }
+
+    /// The same on directed graphs with antiparallel pairs (one link per
+    /// direction, not two) and edgeless trailing nodes (empty slices at
+    /// the end of the offset table).
+    fn link_table_matches_reference_directed(seed in 0u64..5000, n in 1usize..30, m in 0usize..80, isolated in 0usize..4, shards in 1usize..6) {
+        let g = directed_with_pairs(n, m, isolated.min(n), seed);
+        check_link_table(&g, shards)?;
     }
 
     /// Word accounting is conserved across a full BFS: words recorded by

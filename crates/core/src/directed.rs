@@ -329,18 +329,18 @@ impl BfsMsg {
 /// `R(v)` for every `v` by probing one still-uncovered sample per
 /// partition class. The covering condition is Definition 3.1 specialized
 /// to a candidate sample `s` against an already-chosen `t`:
-/// `d(s,t) + 2d(v,s) ≤ d(t,s) + 2d(v,t)`.
+/// `d(s,t) + 2d(v,s) ≤ d(t,s) + 2d(v,t)`. `to_s` is node-major:
+/// `to_s[v * ns + i] = d(v, s_i)`.
 pub(crate) fn build_rsets(
     n: usize,
     ns: usize,
     classes: &[Vec<usize>],
-    to_s: &[Vec<Weight>],
+    to_s: &[Weight],
     d_st: &[Weight],
     seed: u64,
 ) -> Vec<Arc<Vec<(u32, Weight)>>> {
-    let covered_check = |v: NodeId, s_i: usize, r: &[(u32, Weight)]| -> bool {
+    let covered_check = |dvs: Weight, s_i: usize, r: &[(u32, Weight)]| -> bool {
         // Returns true if s_i is still *uncovered* (i.e. in P(v) so far).
-        let dvs = to_s[v][s_i];
         r.iter().all(|&(t_i, dvt)| {
             let dst = d_st[s_i * ns + t_i as usize];
             let dts = d_st[t_i as usize * ns + s_i];
@@ -351,17 +351,22 @@ pub(crate) fn build_rsets(
 
     let mut rset: Vec<Arc<Vec<(u32, Weight)>>> = Vec::with_capacity(n);
     let mut rng_r = StdRng::seed_from_u64(seed).fork("alg3/rset");
+    // One candidate buffer for every (node, class) probe.
+    let mut t: Vec<usize> = Vec::new();
     for v in 0..n {
+        let tv = &to_s[v * ns..(v + 1) * ns];
         let mut r: Vec<(u32, Weight)> = Vec::new();
         for class in classes {
-            let t: Vec<usize> = class
-                .iter()
-                .copied()
-                .filter(|&s_i| to_s[v][s_i] != INF && covered_check(v, s_i, &r))
-                .collect();
+            t.clear();
+            t.extend(
+                class
+                    .iter()
+                    .copied()
+                    .filter(|&s_i| tv[s_i] != INF && covered_check(tv[s_i], s_i, &r)),
+            );
             if !t.is_empty() {
                 let pick = t[rng_r.random_range(0..t.len())];
-                r.push((pick as u32, to_s[v][pick]));
+                r.push((pick as u32, tv[pick]));
             }
         }
         rset.push(Arc::new(r));
@@ -418,13 +423,16 @@ fn short_cycles_restricted_bfs(
     }
 
     // d(v, s) and d(s, v) vectors per node (information each node holds
-    // from line 3's BFS runs).
-    let to_s: Vec<Vec<Weight>> = (0..n)
-        .map(|v| (0..ns).map(|si| d_to_s.get(si, v)).collect())
-        .collect();
-    let from_s: Vec<Vec<Weight>> = (0..n)
-        .map(|v| (0..ns).map(|si| d_from_s.get(si, v)).collect())
-        .collect();
+    // from line 3's BFS runs), node-major: entry `v * ns + i` is `s_i`'s.
+    let node_major = |t: &DistTable| -> Vec<Weight> {
+        let mut out = Vec::with_capacity(n * ns);
+        for v in 0..n {
+            out.extend((0..ns).map(|si| t.get(si, v)));
+        }
+        out
+    };
+    let to_s = node_major(d_to_s);
+    let from_s = node_major(d_from_s);
 
     let rset = build_rsets(n, ns, &classes, &to_s, d_st, params.seed);
 
@@ -452,7 +460,8 @@ fn short_cycles_restricted_bfs(
     // `u` is linked to the forwarding node, which got `u`'s vectors in
     // the line-11 exchange.
     let forward_test = |u: NodeId, cand: Weight, q: &[(u32, Weight)]| -> bool {
-        let (ut, tu) = (&to_s[u], &from_s[u]);
+        let row = u * ns..(u + 1) * ns;
+        let (ut, tu) = (&to_s[row.clone()], &from_s[row]);
         q.iter().all(|&(t_i, dyt)| {
             ut[t_i as usize].saturating_add(2u64.saturating_mul(cand))
                 <= tu[t_i as usize].saturating_add(2u64.saturating_mul(dyt))
@@ -463,7 +472,8 @@ fn short_cycles_restricted_bfs(
     let max_phase = rho + budget; // arrivals occur by δ_v + budget ≤ ρ + h*.
     let mut reached: Vec<HashMap<u32, Reach>> = vec![HashMap::new(); n];
     let mut overflow = vec![false; n];
-    // future[p % window] = messages arriving at phase p (stretch ≥ 1).
+    // future[p % window] = messages arriving at phase p (stretch ≥ 1), as
+    // `(from, to, link, msg)`.
     let max_stretch = match mode {
         Mode::Unweighted => 1,
         Mode::Stretched { latency, .. } => {
@@ -471,9 +481,9 @@ fn short_cycles_restricted_bfs(
         }
     };
     let window = max_stretch + 1;
-    let mut future: Vec<Vec<(NodeId, NodeId, BfsMsg)>> = vec![Vec::new(); window];
+    let mut future: Vec<Vec<(NodeId, NodeId, u32, BfsMsg)>> = vec![Vec::new(); window];
     let mut bfs_net: Network<()> = Network::new_auto(g); // round accounting only
-    let mut phase_rounds_total = 0u64;
+
     // Traversal-edge CSR: link ids and stretches resolved once, so the
     // phase loop's send and arrival-scheduling paths do no adjacency or
     // edge-id searches. In this mode-unit world an edge's length is its
@@ -490,50 +500,72 @@ fn short_cycles_restricted_bfs(
         },
     );
 
+    // Initiators in (δ_v, v) order: phase p's initiations are the next
+    // run of equal delays, in ascending node order.
+    let mut initiators: Vec<NodeId> = (0..n).collect();
+    initiators.sort_by_key(|&v| delays[v]);
+    let mut next_init = 0;
+    // Buffers reused by every phase. Sends carry their resolved
+    // `(link, ell)` so charging and scheduling stay lookup-free; a phase's
+    // fresh messages are kept per node, with the nodes holding any listed
+    // in `fresh_nodes`; `received` counts line 19's per-edge receives by
+    // link id and is reset through `touched`.
+    let mut sends: Vec<(NodeId, NodeId, u32, u64, BfsMsg)> = Vec::new();
+    let mut fresh: Vec<Vec<(u32, Weight, Arc<Vec<(u32, Weight)>>)>> = vec![Vec::new(); n];
+    let mut fresh_nodes: Vec<NodeId> = Vec::new();
+    let mut received = vec![0u32; bfs_net.link_ends().len()];
+    let mut touched: Vec<u32> = Vec::new();
+    let mut drained = RoundOutput::default();
+
     for phase in 1..=max_phase {
-        // Initiations at δ_v (line 15–17). Sends carry their resolved
-        // `(link, ell)` so charging and scheduling below stay lookup-free.
-        let mut sends: Vec<(NodeId, NodeId, u32, u64, BfsMsg)> = Vec::new();
-        if phase <= rho {
-            for v in 0..n {
-                if delays[v] == phase && !overflow[v] {
-                    let q = Arc::clone(&rset[v]);
-                    for hop in plan.of(v) {
-                        let ell = hop.latency + 1;
-                        if ell > budget {
-                            continue;
-                        }
-                        sends.push((
-                            v,
-                            hop.to as usize,
-                            hop.link,
-                            ell,
-                            BfsMsg {
-                                src: v as u32,
-                                dist: ell,
-                                q: Arc::clone(&q),
-                            },
-                        ));
-                    }
-                }
-            }
+        let slot = (phase as usize) % window;
+        let init_end = next_init
+            + initiators[next_init..]
+                .iter()
+                .take_while(|&&v| delays[v] == phase)
+                .count();
+        if init_end == next_init && future[slot].is_empty() {
+            continue; // quiet phase: nothing starts or arrives, zero rounds.
         }
 
-        // Deliveries scheduled for this phase.
-        let arriving = std::mem::take(&mut future[(phase as usize) % window]);
+        // Initiations at δ_v (line 15–17).
+        for &v in &initiators[next_init..init_end] {
+            if overflow[v] {
+                continue;
+            }
+            let q = &rset[v];
+            for hop in plan.of(v) {
+                let ell = hop.latency + 1;
+                if ell > budget {
+                    continue;
+                }
+                sends.push((
+                    v,
+                    hop.to as usize,
+                    hop.link,
+                    ell,
+                    BfsMsg {
+                        src: v as u32,
+                        dist: ell,
+                        q: Arc::clone(q),
+                    },
+                ));
+            }
+        }
+        next_init = init_end;
 
         // Per-edge receive counting (line 19) and first-message dedup
-        // (line 20).
-        let mut per_edge: HashMap<(NodeId, NodeId), usize> = HashMap::new();
-        let mut fresh: Vec<Vec<(u32, Weight, NodeId, Arc<Vec<(u32, Weight)>>)>> =
-            vec![Vec::new(); n];
-        for (from, to, msg) in arriving {
+        // (line 20) over the deliveries scheduled for this phase.
+        for (from, to, link, msg) in future[slot].drain(..) {
             if overflow[to] {
                 continue;
             }
-            let c = per_edge.entry((from, to)).or_insert(0);
+            let c = &mut received[link as usize];
+            if *c == 0 {
+                touched.push(link);
+            }
             *c += 1;
-            if *c > cap {
+            if *c as usize > cap {
                 overflow[to] = true;
                 fresh[to].clear();
                 continue;
@@ -548,19 +580,27 @@ fn short_cycles_restricted_bfs(
                     pred: from,
                 },
             );
-            fresh[to].push((msg.src, msg.dist, from, msg.q));
+            if fresh[to].is_empty() {
+                fresh_nodes.push(to);
+            }
+            fresh[to].push((msg.src, msg.dist, msg.q));
+        }
+        for l in touched.drain(..) {
+            received[l as usize] = 0;
         }
 
         // Line 21: Y^r(v) cap; line 22: forward with the membership test.
-        for v in 0..n {
-            if overflow[v] || fresh[v].is_empty() {
-                continue;
-            }
-            if fresh[v].len() > cap {
+        // Ascending node order, as a scan over every node would visit them.
+        fresh_nodes.sort_unstable();
+        for &v in &fresh_nodes {
+            if !overflow[v] && fresh[v].len() > cap {
                 overflow[v] = true;
+            }
+            if overflow[v] {
+                fresh[v].clear();
                 continue;
             }
-            for (src, dist, _pred, q) in std::mem::take(&mut fresh[v]) {
+            for (src, dist, q) in fresh[v].drain(..) {
                 for hop in plan.of(v) {
                     let ell = hop.latency + 1;
                     let cand = dist.saturating_add(ell);
@@ -583,27 +623,25 @@ fn short_cycles_restricted_bfs(
                 }
             }
         }
+        fresh_nodes.clear();
 
         if sends.is_empty() {
-            continue; // quiet phase: zero rounds.
+            continue; // nothing forwarded: zero rounds.
         }
         // Charge this phase's rounds: drain all sends through the engine.
         for (_, _, link, _, msg) in &sends {
             bfs_net.send_on_link(*link as usize, (), msg.words(), 0);
         }
-        let mut drained = RoundOutput::default();
         while bfs_net.step_bulk_into(&mut drained) {}
-        phase_rounds_total = bfs_net.round();
         // Schedule arrivals at entry phase + stretch, read off the plan
         // hop — no edge-id recovery.
-        for (from, to, _, ell, msg) in sends {
+        for (from, to, link, ell, msg) in sends.drain(..) {
             let arrive = phase + ell;
             if arrive <= max_phase {
-                future[(arrive as usize) % window].push((from, to, msg));
+                future[(arrive as usize) % window].push((from, to, link, msg));
             }
         }
     }
-    let _ = phase_rounds_total;
     ledger.absorb("Alg3: restricted BFS phases", &bfs_net);
 
     // Lines 25–26: close cycles found by the restricted BFS — at node y
@@ -819,8 +857,8 @@ mod tests {
                 d_st[i * ns + j] = to(samples[i], samples[j]);
             }
         }
-        let to_s: Vec<Vec<Weight>> = (0..n)
-            .map(|v| samples.iter().map(|&s| to(v, s)).collect())
+        let to_s: Vec<Weight> = (0..n)
+            .flat_map(|v| samples.iter().map(move |&s| to(v, s)))
             .collect();
         let beta = ((n as f64).log2().ceil() as usize).max(1);
         let classes: Vec<Vec<usize>> = (0..beta).map(|c| (c..ns).step_by(beta).collect()).collect();

@@ -30,17 +30,18 @@ pub(crate) fn charge_neighbor_exchange(
     ledger: &mut Ledger,
 ) {
     let mut net: Network<()> = Network::new_auto(g);
-    run_exchange(g, &mut net, words);
+    run_exchange(&mut net, words);
     ledger.absorb(label, &net);
 }
 
-/// Sends the exchange's messages on `net` and steps it until idle.
-fn run_exchange(g: &Graph, net: &mut Network<()>, words: impl Fn(NodeId) -> u64) {
-    for v in 0..g.n() {
-        let words = words(v);
-        for w in g.comm_neighbors(v) {
-            net.send(v, w, (), words).expect("neighbors are linked");
-        }
+/// Sends the exchange's messages on `net` and steps it until idle. The
+/// engine numbers links by sender in ascending order, each sender's in
+/// [`Graph::comm_neighbors`] order, so sending on every link id in turn
+/// is the per-node, per-neighbor send order without walking adjacency.
+fn run_exchange(net: &mut Network<()>, words: impl Fn(NodeId) -> u64) {
+    for l in 0..net.link_ends().len() {
+        let (v, _) = net.link_ends()[l];
+        net.send_on_link(l, (), words(v), 0);
     }
     let mut out = RoundOutput::default();
     while net.step_bulk_into(&mut out) {}
@@ -65,7 +66,7 @@ pub(crate) fn lca_cycle(mat: &DistMatrix, row: usize, x: NodeId, y: NodeId) -> O
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mwc_congest::{multi_source_bfs, MultiBfsSpec};
+    use mwc_congest::{multi_source_bfs, EventCapture, MultiBfsSpec};
     use mwc_graph::generators::{connected_gnm, WeightRange};
     use mwc_graph::Orientation;
 
@@ -101,10 +102,17 @@ mod tests {
         let undirected = connected_gnm(40, 60, Orientation::Undirected, WeightRange::unit(), 3);
         let directed = connected_gnm(40, 60, Orientation::Directed, WeightRange::unit(), 4);
         for g in [undirected, directed] {
+            // The message-event logs pin the delivery (and so the send)
+            // order, not just the order-free totals.
+            let cap = EventCapture::memory();
             let want = payload_exchange(&g, words);
+            let want_events = cap.finish();
+            let cap = EventCapture::memory();
             let mut net: Network<()> = Network::new(&g);
             net.enable_history();
-            run_exchange(&g, &mut net, words);
+            run_exchange(&mut net, words);
+            assert_eq!(cap.finish(), want_events);
+            assert!(!want_events.is_empty());
             assert_eq!(net.round(), want.round());
             // Every stat: words, messages, per-link words and queue
             // high-waters, the round histogram, `words_per_round`, peaks.

@@ -9,6 +9,9 @@
 //! FNV-1a digest of their `(label, rounds, words)` triples; a mismatch
 //! prints every differing row in full so the table can be re-read.
 
+mod common;
+
+use common::phase_digest;
 use mwc_congest::Ledger;
 use mwc_core::{
     approx_girth, approx_girth_parts, approx_mwc_directed_weighted, approx_mwc_undirected_weighted,
@@ -40,22 +43,6 @@ struct Got {
     messages: u64,
     phases: usize,
     digest: u64,
-}
-
-/// FNV-1a over every phase's `label NUL rounds words`.
-fn phase_digest(ledger: &Ledger) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for p in &ledger.phases {
-        let mut bytes = p.label.as_bytes().to_vec();
-        bytes.push(0);
-        bytes.extend(p.rounds.to_le_bytes());
-        bytes.extend(p.words.to_le_bytes());
-        for b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-    h
 }
 
 fn got(name: String, weight: Option<Weight>, witness: Option<Vec<NodeId>>, l: &Ledger) -> Got {
