@@ -43,7 +43,6 @@ static ALLOC: mwc_trace::profile::CountingAlloc = mwc_trace::profile::CountingAl
 
 fn main() {
     report::init_profiling();
-    report::init_flood_kernel();
     let n: usize = report::arg(1, 512);
     let mut rec = report::RunRecorder::start("ablation");
     rec.param("n", n);

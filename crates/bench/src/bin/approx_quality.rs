@@ -92,7 +92,6 @@ static ALLOC: mwc_trace::profile::CountingAlloc = mwc_trace::profile::CountingAl
 
 fn main() {
     report::init_profiling();
-    report::init_flood_kernel();
     let n: usize = report::arg(1, 96);
     let seeds: u64 = report::arg(2, 10);
     let mut rec = report::RunRecorder::start("approx_quality");

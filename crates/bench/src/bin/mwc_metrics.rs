@@ -132,10 +132,10 @@ fn cmd_report(records_dir: &str) {
             "  profile: alloc {} B / {} allocs, peak {} B, worker util {} (busy {} ms / wall {} ms x {} job(s))",
             r.alloc_bytes, r.alloc_count, r.peak_alloc_bytes, util, r.workers.busy_ms, r.wall_ms, jobs
         );
-        // Flood-kernel engagement: how many flood primitives this run
-        // dispatched to a bitset kernel (unit-latency or calendar-queue
-        // stretched) vs. the scalar reference. Informational, like the
-        // `flood_kernel` knob stamp; pre-v8 records read as 0/0.
+        // Flood tallies: how many flood primitives this run executed
+        // (the scalar count is 0 since the scalar path was removed).
+        // Informational, like the `flood_kernel` stamp; pre-v8 records
+        // read as 0/0.
         let knob = if r.flood_kernel.is_empty() {
             "-"
         } else {

@@ -40,7 +40,6 @@ static ALLOC: mwc_trace::profile::CountingAlloc = mwc_trace::profile::CountingAl
 
 fn main() {
     report::init_profiling();
-    report::init_flood_kernel();
     let algo = report::arg_str(1, "directed");
     let max_n: usize = report::arg(2, 512);
     let params = Params::lean().with_seed(42);

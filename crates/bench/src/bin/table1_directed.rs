@@ -23,7 +23,6 @@ static ALLOC: mwc_trace::profile::CountingAlloc = mwc_trace::profile::CountingAl
 fn main() {
     report::init_profiling();
     report::init_shards();
-    report::init_flood_kernel();
     let max_n: usize = report::arg(1, 1024);
     let params = Params::lean().with_seed(42);
     let mut rec = report::RunRecorder::start("table1_directed");

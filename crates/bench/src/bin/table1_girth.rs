@@ -23,7 +23,6 @@ fn main() {
     report::init_profiling();
     report::init_jobs();
     report::init_shards();
-    report::init_flood_kernel();
     let max_n: usize = report::arg(1, 4096);
     let params = Params::lean().with_seed(4242);
     let mut rec = report::RunRecorder::start("table1_girth");

@@ -30,7 +30,6 @@ static ALLOC: mwc_trace::profile::CountingAlloc = mwc_trace::profile::CountingAl
 
 fn main() {
     report::init_profiling();
-    report::init_flood_kernel();
     let max_q: usize = report::arg(1, 48);
     let mut rec = report::RunRecorder::start("table1_lower_bounds");
     rec.param("max_q", max_q);

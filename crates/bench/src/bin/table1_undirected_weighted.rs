@@ -21,7 +21,6 @@ fn main() {
     report::init_profiling();
     report::init_jobs();
     report::init_shards();
-    report::init_flood_kernel();
     let max_n: usize = report::arg(1, 512);
     let w_max = 8;
     let mut rec = report::RunRecorder::start("table1_undirected_weighted");

@@ -28,7 +28,6 @@ static ALLOC: mwc_trace::profile::CountingAlloc = mwc_trace::profile::CountingAl
 
 fn main() {
     report::init_profiling();
-    report::init_flood_kernel();
     let max_n: usize = report::arg(1, 2048);
     let params = Params::lean().with_seed(1616);
     let mut rec = report::RunRecorder::start("thm16_ksssp");

@@ -34,7 +34,6 @@ static ALLOC: mwc_trace::profile::CountingAlloc = mwc_trace::profile::CountingAl
 fn main() {
     report::init_shards();
     report::init_profiling();
-    report::init_flood_kernel();
     let n: usize = report::arg(1, 96);
     let params = Params::lean().with_seed(42);
 

@@ -68,7 +68,6 @@ static ALLOC: mwc_trace::profile::CountingAlloc = mwc_trace::profile::CountingAl
 
 fn main() {
     report::init_profiling();
-    report::init_flood_kernel();
     let side: usize = report::arg(1, 24);
     let mut rec = report::RunRecorder::start("traffic_profile");
     rec.param("side", side);

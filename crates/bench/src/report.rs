@@ -77,49 +77,6 @@ pub fn init_shards() -> usize {
     mwc_par::shards()
 }
 
-/// Resolves the flood kernel for this bin and installs it process-wide:
-/// a `--flood-kernel=NAME` flag (`scalar` or `bitset`) wins over the
-/// `MWC_FLOOD_KERNEL` environment variable (default `bitset`). The
-/// bitset kernel covers unit-latency floods *and* latency-stretched ones
-/// (the calendar-queue variant, engaged whenever the plan's maximum
-/// stretch fits under `MWC_FLOOD_RING_MAX`); `scalar` forces the
-/// reference loop everywhere. Returns the effective kernel. Call once at
-/// bin startup, alongside [`init_jobs`]/[`init_shards`].
-///
-/// An unrecognized flag or environment value keeps the default (the
-/// lenient env-knob convention) but is reported to stderr naming the
-/// valid spellings, so a typo cannot silently run the wrong kernel.
-///
-/// Like the shard count, the kernel name **is** stamped on run records
-/// (the informational `flood_kernel` field, plus the per-run
-/// `floods_bitset`/`floods_scalar` engagement tallies) so sweeps are
-/// attributable — but it is never diffed: both kernels charge
-/// model-faithful rounds through the same ledger path, so every gated
-/// metric is byte-identical for either kernel (pinned by the
-/// flood-kernel differential suite).
-pub fn init_flood_kernel() -> mwc_congest::FloodKernel {
-    let complain = |source: &str, raw: &str| {
-        eprintln!(
-            "[warn] unrecognized {source} value {raw:?}: valid flood kernels are `scalar` \
-             (reference loop) and `bitset` (default; covers unit-latency and latency-stretched \
-             floods up to MWC_FLOOD_RING_MAX stretch); keeping `{}`",
-            mwc_congest::flood_kernel().name()
-        );
-    };
-    if let Some(flag) = std::env::args().find(|a| a.starts_with("--flood-kernel=")) {
-        let raw = flag["--flood-kernel=".len()..].trim().to_owned();
-        match mwc_congest::FloodKernel::parse(&raw) {
-            Some(k) => mwc_congest::set_flood_kernel(k),
-            None => complain("--flood-kernel", &raw),
-        }
-    } else if let Ok(raw) = std::env::var("MWC_FLOOD_KERNEL") {
-        if mwc_congest::FloodKernel::parse(&raw).is_none() {
-            complain("MWC_FLOOD_KERNEL", raw.trim());
-        }
-    }
-    mwc_congest::flood_kernel()
-}
-
 /// Enables wall-clock and allocation profiling on the calling thread and
 /// zeroes the process-wide peak-allocation high-water mark, so the run's
 /// spans accumulate wall-nanoseconds and (when the bin installed
@@ -194,8 +151,8 @@ impl RunRecorder {
     /// Starts recording: opens an in-memory trace session and the
     /// wall-clock stopwatch, zeroes the process-wide `mwc-par` worker
     /// counters so the record's `workers` tally covers exactly this run,
-    /// and snapshots the process-cumulative flood-engagement tallies so
-    /// the record's `floods_bitset`/`floods_scalar` deltas do too.
+    /// and snapshots the process-cumulative flood count so the record's
+    /// `floods_bitset` delta does too.
     /// `name` is by convention the binary name — the baseline pairing key.
     pub fn start(name: &str) -> RunRecorder {
         mwc_par::reset_worker_counters();
@@ -227,11 +184,12 @@ impl RunRecorder {
     /// wall-clock since [`RunRecorder::start`] — the one intentionally
     /// non-deterministic field (informational only; `trace_diff` never
     /// compares it, and determinism tests zero it before comparing) —
-    /// and `shards`/`jobs`/`workers`/`peak_alloc_bytes` plus the
-    /// `floods_bitset`/`floods_scalar` engagement deltas (also
-    /// informational: parallelism knobs, pool counters, the allocator
-    /// high-water mark, and kernel-engagement tallies never change a
-    /// gated metric).
+    /// and `shards`/`jobs`/`workers`/`peak_alloc_bytes` plus the flood
+    /// stamps (also informational: parallelism knobs, pool counters, the
+    /// allocator high-water mark, and flood tallies never change a gated
+    /// metric). The flood stamps keep the v8 schema: `flood_kernel` is
+    /// always `"bitset"` and `floods_scalar` always 0, since there is one
+    /// flood loop; `floods_bitset` counts the run's floods.
     pub fn into_record(self) -> RunRecord {
         self.into_record_with_trace().0
     }

@@ -783,57 +783,29 @@ impl<M> Network<M> {
         true
     }
 
-    /// Charges one round of a **unit-latency flood** without touching the
-    /// queue machinery: `links` are the links that each carry exactly one
-    /// one-word message this round, in send order (a link may appear at
-    /// most once — in the flood primitives each directed link has a single
-    /// sender, and a node forwards at most one announcement per round).
+    /// Charges round `round` of a flood without touching the queue
+    /// machinery. `round` may jump ahead over quiet rounds, like
+    /// [`Network::step_fast_into`]. `links` each carry one one-word
+    /// *transfer* this round, in send order; a link appears at most once
+    /// (each directed link has one sender, which forwards at most one
+    /// announcement per round). `delivered` are the links whose messages
+    /// *arrive* this round, in delivery order: this round's zero-latency
+    /// sends first, then earlier sends whose latency expires now.
     ///
-    /// Reproduces, stat for stat and event for event, what
-    /// [`Network::send_on_link`] followed by [`Network::step_into`] would
-    /// record for that traffic pattern: round/word/message totals,
-    /// per-link words, queue high-waters (each queue's depth peaks at
-    /// exactly one), the active-round histogram, peak-round tracking
-    /// (first-reach tie-break), the optional per-round history, and
-    /// message events in delivery order. This is what lets the bitset
-    /// flood kernel ([`crate::flood`]) bypass per-message queueing while
-    /// staying byte-identical to the engine-stepped scalar kernel in every
-    /// ledger count, congestion profile, and event log. An empty `links`
-    /// slice advances the round and records nothing, exactly like a
-    /// [`Network::step_into`] with no active link (source detection
-    /// charges such rounds when every popped announcement is filtered by
-    /// the distance budget).
-    pub(crate) fn charge_flood_round(&mut self, links: &[u32]) {
-        let round = self.round + 1;
-        self.charge_stretched_flood_round(round, links, links);
-    }
-
-    /// The latency-stretched generalization of
-    /// [`Network::charge_flood_round`]: charges round `round` (which may
-    /// jump ahead over quiet rounds, like [`Network::step_fast_into`])
-    /// where `links` each carry one one-word *transfer* this round (send
-    /// order) and `delivered` are the links whose messages *arrive* this
-    /// round (delivery order). On a unit-latency flood the two coincide;
-    /// on a stretched flood a send with latency `ℓ` transfers now but
-    /// arrives `ℓ` rounds later, so the calendar-queue kernel
-    /// ([`crate::flood::CalendarRing`]) passes this round's sends as
-    /// `links` and this round's calendar expiries (plus the zero-latency
-    /// sends, first, in send order — the scalar engine delivers same-round
-    /// completions before transit expiries) as `delivered`.
-    ///
-    /// Reproduces exactly what [`Network::send_on_link`] +
-    /// [`Network::step_into`]/[`Network::step_fast_into`] would record:
-    /// transfer stats (words, per-link words, active-round histogram,
-    /// first-reach peak tracking, optional history, queue high-waters at
-    /// depth 1) are charged only when `links` is nonempty — a pure-arrival
-    /// round is a quiet round that moves no words, matching an engine step
-    /// whose active set is empty — while the message count and the event
-    /// log follow `delivered`.
-    pub(crate) fn charge_stretched_flood_round(
+    /// Records exactly what [`Network::send_on_link`] followed by
+    /// [`Network::step_into`] (or, with no transfer, a
+    /// [`Network::step_fast_into`] landing on `round`) would: transfer
+    /// stats — words, per-link words, the active-round histogram,
+    /// first-reach peak tracking, the optional history, queue high-waters
+    /// at depth 1 — only when `links` is nonempty, while the message
+    /// count and the event log follow `delivered`. An empty charge at
+    /// `round() + 1` is an idle `step_into`: the round advances and
+    /// nothing is recorded.
+    pub(crate) fn charge_flood_round(
         &mut self,
         round: u64,
         links: &[u32],
-        delivered: &[u32],
+        delivered: impl ExactSizeIterator<Item = u32>,
     ) {
         debug_assert!(round > self.round, "flood rounds advance monotonically");
         self.round = round;
@@ -862,7 +834,7 @@ impl<M> Network<M> {
         }
         self.stats.messages += delivered.len() as u64;
         if let Some(net) = self.events_net {
-            for &l in delivered {
+            for l in delivered {
                 let (from, to) = self.link_ends[l as usize];
                 crate::events::emit_msg(net, self.round, from, to, 1);
             }
@@ -1527,6 +1499,114 @@ mod tests {
         assert_eq!(merged.active_rounds, combined.active_rounds);
         assert_eq!(merged.queue_high_water, combined.queue_high_water);
         assert_eq!(merged.round_histogram, combined.round_histogram);
+    }
+
+    /// One flood pass for [`flood_charge_matches_engine_stepping`]: the
+    /// `(link, latency)` sends, and whether an empty pass still charges
+    /// an idle round (detection's filtered-pop rule).
+    type Pass = (Vec<(u32, u64)>, bool);
+
+    /// Random passes over `links` distinct-link batches: about a third
+    /// empty (half of those idle-charged), latencies 0–5 with 0 common.
+    fn random_passes(seed: u64, links: u32) -> Vec<Pass> {
+        let mut rng = mwc_rng::Rng::seed_from_u64(seed);
+        (0..rng.random_range(1usize..30))
+            .map(|_| {
+                let mut ids: Vec<u32> = (0..links).collect();
+                let k = if rng.random_bool(0.35) {
+                    0
+                } else {
+                    rng.random_range(1..=links as usize)
+                };
+                let mut batch = Vec::with_capacity(k);
+                for i in 0..k {
+                    let j = rng.random_range(i..ids.len());
+                    ids.swap(i, j);
+                    let lat = if rng.random_bool(0.5) {
+                        0
+                    } else {
+                        rng.random_range(1u64..6)
+                    };
+                    batch.push((ids[i], lat));
+                }
+                (batch, rng.random_bool(0.5))
+            })
+            .collect()
+    }
+
+    /// Runs `passes` through the engine: `send_on_link` each send, then
+    /// `step_into` (a pass that sends, or an idle-charged one) or
+    /// `step_fast_into` (a pass that sends nothing), then drain.
+    fn engine_flood(g: &Graph, passes: &[Pass]) -> (u64, NetStats, Vec<String>) {
+        let cap = crate::events::EventCapture::memory();
+        let mut net: Network<()> = Network::new(g);
+        net.enable_history();
+        let mut out = RoundOutput::default();
+        for (batch, idle) in passes {
+            for &(l, lat) in batch {
+                net.send_on_link(l as usize, (), 1, lat);
+            }
+            if !batch.is_empty() || *idle {
+                net.step_into(&mut out);
+            } else {
+                net.step_fast_into(&mut out);
+            }
+        }
+        while net.step_fast_into(&mut out) {}
+        (net.round(), net.stats().clone(), cap.finish())
+    }
+
+    /// The same passes charged with `charge_flood_round`, arrivals kept in
+    /// a plain map: this pass's latency-0 sends deliver first, then the
+    /// round's earlier sends in send order.
+    fn charged_flood(g: &Graph, passes: &[Pass]) -> (u64, NetStats, Vec<String>) {
+        let cap = crate::events::EventCapture::memory();
+        let mut net: Network<()> = Network::new(g);
+        net.enable_history();
+        let mut arrivals: std::collections::BTreeMap<u64, Vec<u32>> = Default::default();
+        for (batch, idle) in passes {
+            let send_round = net.round() + 1;
+            let links: Vec<u32> = batch.iter().map(|&(l, _)| l).collect();
+            let mut delivered = Vec::new();
+            for &(l, lat) in batch {
+                if lat == 0 {
+                    delivered.push(l);
+                } else {
+                    arrivals.entry(send_round + lat).or_default().push(l);
+                }
+            }
+            let round = if !batch.is_empty() || *idle {
+                send_round
+            } else if let Some(&r) = arrivals.keys().next() {
+                r
+            } else {
+                continue;
+            };
+            delivered.extend(arrivals.remove(&round).unwrap_or_default());
+            net.charge_flood_round(round, &links, delivered.into_iter());
+        }
+        while let Some((r, delivered)) = arrivals.pop_first() {
+            net.charge_flood_round(r, &[], delivered.into_iter());
+        }
+        (net.round(), net.stats().clone(), cap.finish())
+    }
+
+    /// The flood loop charges rounds in bulk instead of stepping the
+    /// engine, so the bulk charge must record exactly what per-message
+    /// sends plus engine steps record: every `NetStats` field (history
+    /// on) and the event log, over random one-word batches with mixed
+    /// latencies, idle rounds, and quiet-gap fast-forwards.
+    #[test]
+    fn flood_charge_matches_engine_stepping() {
+        use mwc_graph::generators::{connected_gnm, WeightRange};
+        let g = connected_gnm(10, 16, Orientation::Directed, WeightRange::unit(), 3);
+        let links = Network::<()>::new(&g).link_ends().len() as u32;
+        for seed in 0..200 {
+            let passes = random_passes(seed, links);
+            let engine = engine_flood(&g, &passes);
+            assert!(engine.0 > 0 || passes.iter().all(|p| p.0.is_empty() && !p.1));
+            assert_eq!(charged_flood(&g, &passes), engine, "seed {seed}");
+        }
     }
 
     #[test]

@@ -1,170 +1,73 @@
-//! Shared flood-kernel machinery for the flood primitives: the
-//! precomputed traversal-edge CSR ([`FloodPlan`]), the u64-bitset frontier
-//! ([`BitFrontier`]) behind the bit-parallel kernel, the arrival-round
-//! calendar queue ([`CalendarRing`]) behind its latency-stretched variant,
-//! and the [`FloodKernel`] selection knob (`MWC_FLOOD_KERNEL`).
+//! Data structures behind the flood loop of [`crate::multi_source_bfs`]
+//! and [`crate::source_detection`] (the `multibfs` module docs state its
+//! round semantics):
 //!
-//! # Two kernels, one schedule
+//! - [`FloodPlan`]: the precomputed traversal-edge CSR the loop sends
+//!   over, in plan order;
+//! - [`BitFrontier`]: a node's fresh announcements as distance-bucketed
+//!   u64 words, 64 source rows per word, popped in `(distance, row)`
+//!   order and maintained eagerly (a superseded or evicted announcement
+//!   is cleared with one AND-NOT, so every pop is fresh);
+//! - [`NodeSet`]: the nodes holding a fresh announcement, iterated in
+//!   ascending id;
+//! - [`CalendarRing`]: in-flight announcements keyed by arrival round,
+//!   for any latency.
 //!
-//! The pipelined flood primitives ([`crate::multi_source_bfs`] and
-//! [`crate::source_detection`]) have two interchangeable inner loops:
+//! The loop bypasses the engine's per-message queues: each round's
+//! traffic is charged in one `Network::charge_flood_round` call that
+//! records exactly what `Network::send_on_link` plus
+//! `Network::step_into`/`Network::step_fast_into` would (pinned by the
+//! engine's unit tests). The flood semantics themselves are pinned
+//! against a small sequential specification by
+//! `crates/congest/tests/flood_spec_differential.rs`.
 //!
-//! - **Scalar**: the reference implementation — per-node `BinaryHeap`
-//!   outboxes, every announcement enqueued on a [`Network`] link and moved
-//!   by `step_into`, stale heap entries skipped lazily at pop time.
-//! - **Bitset**: frontiers are distance-bucketed u64 words, 64 source rows
-//!   per word, maintained *eagerly* (an improved or evicted announcement is
-//!   cleared with one AND-NOT instead of lingering as a stale heap entry),
-//!   and the engine's queue machinery is bypassed entirely — each round's
-//!   sends are delivered directly and charged in one pass through
-//!   [`Network::charge_flood_round`].
-//!
-//! Both kernels execute the *same schedule*: the pop order of a
-//! [`BitFrontier`] is exactly the `(distance, source row)` heap order, and
-//! eager removal is observationally identical to lazy stale-skipping (a
-//! stale entry is popped and discarded for free; an eagerly-removed entry
-//! is simply never popped). The ledger keeps charging model-faithful
-//! rounds/words — bitset packing is an implementation detail, not a model
-//! change — so every run record, congestion profile, event log, and
-//! distance-table digest is byte-identical across kernels. The
-//! differential suites (`crates/congest/tests/flood_kernel_differential.rs`
-//! and the `MWC_FLOOD_KERNEL=scalar` CI perf-gate leg) pin that.
-//!
-//! Unit-latency floods (every traversal edge crosses in one round — plain
-//! BFS, or stretched searches whose latencies are all ≤ 1, which includes
-//! zero-weight edges) run the distance-bucketed kernel above.
-//! **Latency-stretched** floods run a calendar-queue variant: in-flight
-//! announcements live in a [`CalendarRing`] of `max_latency + 1`
-//! arrival-round buckets, a send over an edge with stretch `ℓ` lands `ℓ`
-//! buckets ahead, and each round is charged in one pass through
-//! `Network::charge_stretched_flood_round` (this round's sends as the
-//! transfers, this round's calendar expiries as the arrivals) — the exact
-//! per-round stats, in-flight occupancy, and event log the scalar engine's
-//! transit heap would have produced. The stretched kernel engages when
-//! `FloodPlan::max_latency() <= MWC_FLOOD_RING_MAX` (default
-//! [`FLOOD_RING_MAX_DEFAULT`], generous); a pathological latency table
-//! beyond the cap falls back to the scalar path rather than allocate an
-//! oversized ring.
-//!
-//! Kernel resolution, highest priority first (the [`mwc_par::shards`]
-//! convention): [`set_flood_kernel`] → the `MWC_FLOOD_KERNEL` environment
-//! variable (`scalar` | `bitset`) → [`FloodKernel::Bitset`]. Bitset is the
-//! default because it is byte-identical by construction and strictly
-//! faster; `scalar` is the escape hatch and the differential anchor.
+//! [`flood_kernel`] and [`flood_engagement`] are a constant stamp and a
+//! counter for run records and the benchmark harness; there is one flood
+//! loop and nothing to select.
 
 use crate::engine::Network;
 use mwc_graph::seq::Direction;
 use mwc_graph::{Graph, NodeId, Weight};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Which inner loop the unit-latency flood primitives run. See the
-/// [module docs](self) for the contract: the choice is invisible to every
-/// gated metric — only wall-clock moves.
+/// The flood implementation a run executed under, as stamped on run
+/// records. There is one: the bit-parallel loop.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FloodKernel {
-    /// Engine-stepped reference loop (heap outboxes, per-link queues).
-    Scalar,
     /// Bit-parallel loop (u64 frontier words, direct delivery, rounds
-    /// charged in bulk via [`Network::charge_flood_round`]).
+    /// charged in bulk).
     Bitset,
 }
 
 impl FloodKernel {
-    /// Parses a knob value (`"scalar"` / `"bitset"`, case-insensitive).
-    pub fn parse(s: &str) -> Option<FloodKernel> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "scalar" => Some(FloodKernel::Scalar),
-            "bitset" => Some(FloodKernel::Bitset),
-            _ => None,
-        }
-    }
-
-    /// The knob spelling of this kernel (what run records stamp).
+    /// The spelling run records stamp.
     pub fn name(self) -> &'static str {
         match self {
-            FloodKernel::Scalar => "scalar",
             FloodKernel::Bitset => "bitset",
         }
     }
 }
 
-/// Process-wide override set by [`set_flood_kernel`]; `0` = unset,
-/// `1` = scalar, `2` = bitset.
-static FLOOD_KERNEL_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Overrides the flood kernel for the whole process. Bench bins call this
-/// when given a `--flood-kernel=NAME` flag; it wins over
-/// `MWC_FLOOD_KERNEL`.
-pub fn set_flood_kernel(k: FloodKernel) {
-    let v = match k {
-        FloodKernel::Scalar => 1,
-        FloodKernel::Bitset => 2,
-    };
-    FLOOD_KERNEL_OVERRIDE.store(v, Ordering::Relaxed);
-}
-
-/// The effective flood kernel: [`set_flood_kernel`] override, else
-/// `MWC_FLOOD_KERNEL`, else [`FloodKernel::Bitset`] (unrecognized values
-/// fall through to the default, the lenient env-knob convention).
+/// The flood implementation every flood runs: [`FloodKernel::Bitset`].
 pub fn flood_kernel() -> FloodKernel {
-    match FLOOD_KERNEL_OVERRIDE.load(Ordering::Relaxed) {
-        1 => return FloodKernel::Scalar,
-        2 => return FloodKernel::Bitset,
-        _ => {}
-    }
-    std::env::var("MWC_FLOOD_KERNEL")
-        .ok()
-        .as_deref()
-        .and_then(FloodKernel::parse)
-        .unwrap_or(FloodKernel::Bitset)
+    FloodKernel::Bitset
 }
 
-/// Default cap on [`FloodPlan::max_latency`] for the stretched bitset
-/// kernel: the calendar ring allocates `max_latency + 1` buckets, so the
-/// cap bounds that allocation. 65 536 buckets ≈ 1.5 MiB of empty `Vec`
-/// headers — generous enough that every latency table the workloads
-/// produce qualifies, small enough that a pathological table cannot
-/// balloon the ring.
-pub const FLOOD_RING_MAX_DEFAULT: u64 = 65_536;
+/// Process-cumulative count of floods run.
+static FLOODS: AtomicU64 = AtomicU64::new(0);
 
-/// The effective calendar-ring cap: `MWC_FLOOD_RING_MAX`, else
-/// [`FLOOD_RING_MAX_DEFAULT`] (unparseable values fall through to the
-/// default, the lenient env-knob convention). A stretched flood whose
-/// [`FloodPlan::max_latency`] exceeds this runs the scalar path.
-pub fn flood_ring_max() -> u64 {
-    std::env::var("MWC_FLOOD_RING_MAX")
-        .ok()
-        .and_then(|s| s.trim().parse::<u64>().ok())
-        .unwrap_or(FLOOD_RING_MAX_DEFAULT)
-}
-
-/// Process-cumulative count of floods dispatched to a bitset kernel
-/// (unit-latency or calendar-queue).
-static FLOODS_BITSET: AtomicU64 = AtomicU64::new(0);
-/// Process-cumulative count of floods dispatched to the scalar fallback.
-static FLOODS_SCALAR: AtomicU64 = AtomicU64::new(0);
-
-/// Process-cumulative kernel engagement: how many floods (one
-/// [`crate::multi_source_bfs`] or [`crate::source_detection`] call each)
-/// dispatched to a bitset kernel vs. the scalar fallback, as
-/// `(bitset, scalar)`. Bench bins snapshot this at run start and stamp the
-/// delta on the run record as the informational `floods_bitset` /
-/// `floods_scalar` fields.
+/// Process-cumulative flood count as `(bitset, scalar)`: how many
+/// [`crate::multi_source_bfs`] / [`crate::source_detection`] calls ran.
+/// The second field is always 0 (there is no scalar path); the pair
+/// keeps the shape run records stamp as `floods_bitset`/`floods_scalar`.
 pub fn flood_engagement() -> (u64, u64) {
-    (
-        FLOODS_BITSET.load(Ordering::Relaxed),
-        FLOODS_SCALAR.load(Ordering::Relaxed),
-    )
+    (FLOODS.load(Ordering::Relaxed), 0)
 }
 
-/// Tallies one flood dispatch for [`flood_engagement`].
-pub(crate) fn note_flood_engagement(bitset: bool) {
-    let ctr = if bitset {
-        &FLOODS_BITSET
-    } else {
-        &FLOODS_SCALAR
-    };
-    ctr.fetch_add(1, Ordering::Relaxed);
+/// Tallies one flood for [`flood_engagement`].
+pub(crate) fn note_flood() {
+    FLOODS.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Per traversal edge, everything a flood's inner loop needs: the link to
@@ -188,17 +91,15 @@ pub struct FloodHop {
 
 /// Precomputed CSR over a graph's traversal edges. Resolving link ids,
 /// receiver nodes, and latency-table entries once up front keeps the
-/// per-announcement loops free of adjacency searches — it matters at
+/// per-announcement loop free of adjacency searches — it matters at
 /// millions of announcements per run. Built per flood (direction and
-/// latency table are parameters); shared by the flood primitives here and
-/// the restricted-BFS phase loop in `mwc-core`.
+/// latency table are parameters).
 pub struct FloodPlan {
     /// CSR offsets: node `v`'s hops are `hops[start[v]..start[v + 1]]`.
     start: Vec<u32>,
     /// One [`FloodHop`] per traversal edge, grouped by sending node.
     hops: Vec<FloodHop>,
-    /// Largest hop latency — 0 means every edge crosses in one round and
-    /// the bitset kernel applies.
+    /// Largest hop latency (0 when every edge crosses in one round).
     max_latency: u64,
 }
 
@@ -262,108 +163,124 @@ impl FloodPlan {
         &self.hops[self.start[v] as usize..self.start[v + 1] as usize]
     }
 
-    /// `true` when every hop crosses in one round (all latencies 0) — the
-    /// case the distance-bucketed bitset kernel handles without a
-    /// calendar ring.
-    pub fn unit_latency(&self) -> bool {
-        self.max_latency == 0
-    }
-
-    /// Largest hop latency in the plan. The stretched bitset kernel sizes
-    /// its [`CalendarRing`] as `max_latency + 1` buckets and engages only
-    /// when this is at most [`flood_ring_max`].
+    /// Largest hop latency in the plan (0 for a unit-latency flood). The
+    /// flood loop sizes its [`CalendarRing`] from it.
     pub fn max_latency(&self) -> u64 {
         self.max_latency
     }
 }
 
-/// A calendar queue over flood arrival rounds: a ring of
-/// `max_latency + 1` buckets, one per pending arrival round, indexed by
-/// `arrival % ring_size`. The stretched flood kernels park a latency-`ℓ`
-/// send in the bucket `ℓ` slots ahead of the round being charged and
-/// drain exactly one bucket per charged round — replacing the scalar
-/// engine's global transit `BinaryHeap` with O(1) insert and pop.
+/// Most buckets a [`CalendarRing`] allocates: arrivals further ahead than
+/// this many rounds wait in its sparse overflow level instead.
+const RING_SPAN_MAX: u64 = 1 << 16;
+
+/// A calendar queue over flood arrival rounds. Arrivals within the ring's
+/// window — `span` consecutive rounds from the earliest undrained one,
+/// where `span = min(max_latency + 1, 65 536)` — sit in a ring of
+/// per-round buckets indexed by `arrival % span`; arrivals beyond the
+/// window wait in a sparse ordered overflow level and migrate into their
+/// bucket as the window reaches them. Any latency is accepted.
 ///
-/// Why a plain ring is enough: when round `R` is charged, every live
-/// arrival lies in the window `[R, R + max_latency]` (sends from earlier
-/// rounds have arrival `> R − 1 + 0` and at most `send_round +
-/// max_latency`; this round's sends land in `[R + 1, R + max_latency]`).
-/// The window spans at most `ring_size` consecutive rounds, so arrivals
-/// map injectively onto buckets and the bucket for round `R` holds
-/// *exactly* the round-`R` arrivals — no overflow chains, no sorting.
-///
-/// Order fidelity: the scalar transit heap pops by `(arrival round,
-/// global send sequence)`. Here items are pushed in send order and rounds
-/// are charged in increasing order, so each bucket's insertion order *is*
-/// the send-sequence order and a per-round drain replays the heap's pop
-/// order exactly. [`CalendarRing::next_arrival`] is the bulk analogue of
-/// the engine's quiet-round fast-forward: it scans at most one window for
-/// the earliest pending arrival so fully-quiet gaps are skipped without
-/// charging rounds.
+/// Order: items for one round come out in push order. Pushes happen in
+/// send order and rounds are drained in increasing order, so this is the
+/// `(send round, send order)` order of the engine's transit heap. An
+/// overflow arrival for round `a` was pushed while `a` was still beyond
+/// the window, hence before any push that landed in `a`'s bucket, and
+/// migrates ahead of all of them.
 #[derive(Clone, Debug)]
 pub struct CalendarRing<T> {
-    /// `buckets[a % buckets.len()]` holds the pending round-`a` arrivals
-    /// in send order, tagged with `a` to assert the window invariant.
+    /// `buckets[a % span]` holds the pending round-`a` arrivals in push
+    /// order, tagged with `a` to assert the window invariant.
     buckets: Vec<Vec<(u64, T)>>,
-    /// Total pending arrivals across all buckets.
+    /// Arrivals at or beyond `next + span`, by round, each in push order.
+    far: BTreeMap<u64, Vec<T>>,
+    /// The earliest round not yet drained: the window is
+    /// `[next, next + span)`.
+    next: u64,
+    /// Total pending arrivals across buckets and overflow.
     len: usize,
 }
 
 impl<T> CalendarRing<T> {
-    /// A ring covering arrival latencies up to `max_latency` (so
-    /// `max_latency + 1` buckets: a latency-1 send charged at round `R`
-    /// arrives at `R + 1`, the furthest at `R + max_latency`).
+    /// An empty ring whose first drainable round is 1, with buckets for
+    /// latencies up to `max_latency` (capped at a fixed span; larger
+    /// latencies are still accepted).
     pub fn new(max_latency: u64) -> CalendarRing<T> {
-        let size = usize::try_from(max_latency + 1).expect("ring size fits usize");
+        let span = max_latency.saturating_add(1).min(RING_SPAN_MAX) as usize;
         CalendarRing {
-            buckets: (0..size).map(|_| Vec::new()).collect(),
+            buckets: (0..span).map(|_| Vec::new()).collect(),
+            far: BTreeMap::new(),
+            next: 1,
             len: 0,
         }
     }
 
-    /// Parks `item` for delivery at round `arrival`. The caller keeps the
-    /// window invariant: `arrival` is within `max_latency` rounds of the
-    /// round being charged.
+    fn span(&self) -> u64 {
+        self.buckets.len() as u64
+    }
+
+    /// Parks `item` for delivery at round `arrival`, which must not be a
+    /// round already drained.
     pub fn push(&mut self, arrival: u64, item: T) {
-        let b = (arrival % self.buckets.len() as u64) as usize;
-        self.buckets[b].push((arrival, item));
+        debug_assert!(arrival >= self.next, "arrival in a drained round");
+        if arrival - self.next < self.span() {
+            let b = (arrival % self.span()) as usize;
+            self.buckets[b].push((arrival, item));
+        } else {
+            self.far.entry(arrival).or_default().push(item);
+        }
         self.len += 1;
     }
 
-    /// Drains the round-`round` arrivals into `out` in send order —
-    /// exactly what the scalar transit heap would pop while expiring
-    /// round `round`.
+    /// Moves every overflow arrival the window now covers into its bucket.
+    fn migrate(&mut self) {
+        let end = self.next.saturating_add(self.span());
+        while let Some(entry) = self.far.first_entry() {
+            if *entry.key() >= end {
+                break;
+            }
+            let (arrival, items) = entry.remove_entry();
+            let b = (arrival % self.span()) as usize;
+            self.buckets[b].extend(items.into_iter().map(|item| (arrival, item)));
+        }
+    }
+
+    /// Drains the round-`round` arrivals into `out` in push order. Rounds
+    /// drain in increasing order, and nothing may be pending before
+    /// `round` (a jump ahead takes [`CalendarRing::next_arrival`]).
     pub fn drain_round_into(&mut self, round: u64, out: &mut Vec<T>) {
-        let b = (round % self.buckets.len() as u64) as usize;
+        debug_assert!(round >= self.next, "calendar rounds drain in order");
+        self.next = round;
+        self.migrate();
+        let b = (round % self.span()) as usize;
         self.len -= self.buckets[b].len();
         for (arrival, item) in self.buckets[b].drain(..) {
             debug_assert_eq!(arrival, round, "calendar window invariant violated");
             out.push(item);
         }
+        self.next = round + 1;
+        self.migrate();
     }
 
-    /// The earliest pending arrival strictly after round `after`, or
-    /// `None` when the ring is empty — the stretched kernel's
-    /// quiet-round fast-forward (`Network::step_fast_into` in the scalar
-    /// path). Scans at most one window: every live arrival lies in
-    /// `(after, after + ring_size]` once rounds up to `after` are
-    /// drained.
-    pub fn next_arrival(&self, after: u64) -> Option<u64> {
+    /// The earliest pending arrival, or `None` when nothing is pending —
+    /// the flood loop's quiet-round fast-forward (the engine's
+    /// `step_fast_into`). Scans at most one window, then the overflow.
+    pub fn next_arrival(&self) -> Option<u64> {
         if self.len == 0 {
             return None;
         }
-        let size = self.buckets.len() as u64;
-        (after + 1..=after + size).find(|r| !self.buckets[(r % size) as usize].is_empty())
+        let span = self.span();
+        (self.next..self.next + span)
+            .find(|r| !self.buckets[(r % span) as usize].is_empty())
+            .or_else(|| self.far.keys().next().copied())
     }
 
-    /// `true` when no arrival is pending — the stretched kernel's
-    /// `Network::is_idle` analogue.
+    /// `true` when no arrival is pending.
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
 
-    /// Number of pending arrivals (the scalar path's in-flight transit
-    /// occupancy).
+    /// Number of pending arrivals.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -388,22 +305,8 @@ pub(crate) fn validate_sources(n: usize, sources: &[NodeId]) {
 /// `(d, w, bits)` holds the fresh announcements at distance `d` for source
 /// rows `64w .. 64w + 63` (bit `i` ⇔ row `64w + i`). Entries are sorted by
 /// `(d, w)` and never empty, so the minimum announcement is the lowest set
-/// bit of the first entry — `(d, row)` heap order by construction — and
-/// one AND-NOT retires any of a word's 64 rows. Unlike the scalar heap,
-/// the frontier is maintained eagerly: improvements and top-σ evictions
-/// *move bits* (into a companion *ghost* frontier) instead of leaving
-/// stale entries to skip at pop time, which is what makes pops
-/// unconditional (always fresh) in the bitset kernel's inner loop.
-///
-/// The ghost frontier exists purely for schedule fidelity: the scalar
-/// heap keeps superseded entries until a pop walks past them, and a
-/// node re-enters the pending list while *any* entry remains — stale or
-/// not. That re-pend timing feeds the next round's send order, which
-/// the event log and ledger histories observe. So the bitset kernel
-/// mirrors it: retired bits land in the ghost, [`BitFrontier::drain_below`]
-/// replays the pop-until-fresh walk (stale entries below the fresh
-/// minimum get consumed), and "outbox or ghost nonempty" is the re-pend
-/// test — byte-identical scheduling at bitset speed.
+/// bit of the first entry — `(d, row)` order by construction — and one
+/// AND-NOT retires any of a word's 64 rows.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct BitFrontier {
     /// Sorted, deduplicated by `(dist, word)`; every `bits` is nonzero.
@@ -421,48 +324,15 @@ impl BitFrontier {
     }
 
     /// Clears row `row` at distance `d` if present (tolerant: the row may
-    /// already have been popped and forwarded). Returns whether the bit
-    /// was present — the caller moves removed bits into its ghost
-    /// frontier, and an already-forwarded row has no scalar heap entry
-    /// to ghost.
-    pub(crate) fn remove(&mut self, d: Weight, row: u32) -> bool {
+    /// already have been popped and forwarded).
+    pub(crate) fn remove(&mut self, d: Weight, row: u32) {
         let (w, bit) = (row / 64, 1u64 << (row % 64));
         if let Ok(i) = self.entries.binary_search_by_key(&(d, w), |e| (e.0, e.1)) {
-            if self.entries[i].2 & bit != 0 {
-                self.entries[i].2 &= !bit;
-                if self.entries[i].2 == 0 {
-                    self.entries.remove(i);
-                }
-                return true;
+            self.entries[i].2 &= !bit;
+            if self.entries[i].2 == 0 {
+                self.entries.remove(i);
             }
         }
-        false
-    }
-
-    /// Drops every announcement strictly below `(d, row)` in pop order —
-    /// the ghost-frontier replay of the scalar heap's pop-until-fresh
-    /// walk, which consumes exactly the stale entries ahead of the fresh
-    /// minimum.
-    pub(crate) fn drain_below(&mut self, d: Weight, row: u32) {
-        let w = row / 64;
-        // Whole entries with (dist, word) < (d, w) are entirely below.
-        let cut = self.entries.partition_point(|e| (e.0, e.1) < (d, w));
-        self.entries.drain(..cut);
-        // A surviving (d, w) entry may still hold bits below `row`.
-        if let Some(first) = self.entries.first_mut() {
-            if (first.0, first.1) == (d, w) {
-                first.2 &= !((1u64 << (row % 64)) - 1);
-                if first.2 == 0 {
-                    self.entries.remove(0);
-                }
-            }
-        }
-    }
-
-    /// Drops everything — the scalar heap's "no fresh entry found, heap
-    /// fully drained" outcome.
-    pub(crate) fn clear(&mut self) {
-        self.entries.clear();
     }
 
     /// Pops the minimum announcement in `(distance, source row)` order.
@@ -479,6 +349,53 @@ impl BitFrontier {
     /// `true` when no fresh announcement is pending.
     pub(crate) fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+}
+
+/// A set of node ids as u64 words, drained in ascending id order — the
+/// flood loop's "nodes holding a fresh announcement".
+#[derive(Clone, Debug)]
+pub(crate) struct NodeSet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl NodeSet {
+    /// An empty set over nodes `0..n`.
+    pub(crate) fn new(n: usize) -> NodeSet {
+        NodeSet {
+            words: vec![0; n.div_ceil(64)],
+            len: 0,
+        }
+    }
+
+    /// Adds `v` (idempotent).
+    pub(crate) fn insert(&mut self, v: NodeId) {
+        let (w, bit) = (v / 64, 1u64 << (v % 64));
+        if self.words[w] & bit == 0 {
+            self.words[w] |= bit;
+            self.len += 1;
+        }
+    }
+
+    /// `true` when the set holds no node.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Empties the set, yielding its nodes in ascending order.
+    pub(crate) fn drain(&mut self) -> impl Iterator<Item = NodeId> + '_ {
+        self.len = 0;
+        self.words.iter_mut().enumerate().flat_map(|(i, word)| {
+            let mut bits = std::mem::take(word);
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let tz = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    i * 64 + tz
+                })
+            })
+        })
     }
 }
 
@@ -509,6 +426,8 @@ mod tests {
         f.remove(4, 10); // absent word
         assert_eq!(f.pop_min(), Some((5, 10)));
         assert_eq!(f.pop_min(), None);
+        f.remove(5, 10); // already popped
+        assert!(f.is_empty());
     }
 
     #[test]
@@ -516,7 +435,7 @@ mod tests {
         let mut f = BitFrontier::default();
         f.insert(9, 65);
         f.insert(9, 66);
-        // Row 65 improves to 4: the eager move of the bitset kernel.
+        // Row 65 improves to 4: the eager move of the flood loop.
         f.remove(9, 65);
         f.insert(4, 65);
         assert_eq!(f.pop_min(), Some((4, 65)));
@@ -525,51 +444,39 @@ mod tests {
     }
 
     #[test]
-    fn bit_frontier_remove_reports_presence() {
-        let mut f = BitFrontier::default();
-        f.insert(5, 10);
-        assert!(f.remove(5, 10));
-        assert!(!f.remove(5, 10), "second removal finds nothing");
-        assert!(!f.remove(7, 3), "absent word finds nothing");
-        assert!(f.is_empty());
+    fn node_set_drains_ascending_and_empties() {
+        let mut s = NodeSet::new(200);
+        for v in [130, 3, 64, 3, 199, 0] {
+            s.insert(v);
+        }
+        assert!(!s.is_empty());
+        assert_eq!(s.drain().collect::<Vec<_>>(), vec![0, 3, 64, 130, 199]);
+        assert!(s.is_empty());
+        assert_eq!(s.drain().count(), 0);
     }
 
     #[test]
-    fn bit_frontier_drain_below_consumes_strictly_smaller() {
-        let mut f = BitFrontier::default();
-        for (d, row) in [(1, 3), (1, 64), (2, 0), (2, 5), (2, 70), (3, 1)] {
-            f.insert(d, row);
+    fn calendar_ring_accepts_latencies_past_its_span() {
+        // A 3-bucket ring; arrivals 10 and 1_000_000 start in overflow.
+        let mut ring: CalendarRing<&str> = CalendarRing::new(2);
+        ring.push(1_000_000, "far");
+        ring.push(10, "a");
+        ring.push(2, "near");
+        ring.push(10, "b");
+        let mut out = Vec::new();
+        let mut rounds = Vec::new();
+        while let Some(r) = ring.next_arrival() {
+            ring.drain_round_into(r, &mut out);
+            rounds.push(r);
+            if r == 2 {
+                // Window now [3, 6): round 10 is still in overflow; a
+                // push for it must queue behind the earlier ones.
+                ring.push(10, "c");
+            }
         }
-        // The scalar pop walk reaching fresh minimum (2, 5): everything
-        // strictly below is consumed, (2, 5) itself and above survive.
-        f.drain_below(2, 5);
-        let mut got = Vec::new();
-        while let Some(p) = f.pop_min() {
-            got.push(p);
-        }
-        assert_eq!(got, vec![(2, 5), (2, 70), (3, 1)]);
-        // Draining below a word-aligned row keeps bit 0 of that word.
-        let mut g = BitFrontier::default();
-        g.insert(4, 64);
-        g.insert(4, 63);
-        g.drain_below(4, 64);
-        assert_eq!(g.pop_min(), Some((4, 64)));
-        assert_eq!(g.pop_min(), None);
-    }
-
-    #[test]
-    fn kernel_parse_and_names_round_trip() {
-        assert_eq!(FloodKernel::parse("scalar"), Some(FloodKernel::Scalar));
-        assert_eq!(FloodKernel::parse(" BitSet "), Some(FloodKernel::Bitset));
-        assert_eq!(FloodKernel::parse("simd"), None);
-        assert_eq!(
-            FloodKernel::parse(FloodKernel::Scalar.name()),
-            Some(FloodKernel::Scalar)
-        );
-        assert_eq!(
-            FloodKernel::parse(FloodKernel::Bitset.name()),
-            Some(FloodKernel::Bitset)
-        );
+        assert_eq!(rounds, vec![2, 10, 1_000_000]);
+        assert_eq!(out, vec!["near", "a", "b", "c", "far"]);
+        assert!(ring.is_empty());
     }
 
     #[test]

@@ -61,10 +61,7 @@ pub use cache::{
 pub use distmat::{DistMatrix, INF};
 pub use engine::{hist_bucket, Delivery, NetStats, Network, RoundOutput, SendError, HIST_BUCKETS};
 pub use events::EventCapture;
-pub use flood::{
-    flood_engagement, flood_kernel, flood_ring_max, set_flood_kernel, CalendarRing, FloodHop,
-    FloodKernel, FloodPlan, FLOOD_RING_MAX_DEFAULT,
-};
+pub use flood::{flood_engagement, flood_kernel, CalendarRing, FloodHop, FloodKernel, FloodPlan};
 pub use ledger::{Ledger, Phase};
 pub use multibfs::{multi_source_bfs, source_detection, Detection, DetectionLists, MultiBfsSpec};
 pub use profile::{top_links, CongestionProfile, PROFILE_HOT_LINKS};

@@ -3,42 +3,54 @@
 //! `k`-source `h`-hop BFS and `(S, h, σ)` source detection).
 //!
 //! Both primitives use the classic pipelining schedule: every node keeps a
-//! priority queue of announcements `(distance, source)` and, each round,
-//! forwards the smallest fresh one over all of its traversal-direction
-//! links. With unit latencies this completes `k`-source `h`-hop BFS in
+//! queue of fresh announcements `(distance, source)` and, each round,
+//! forwards the smallest one over all of its traversal-direction links.
+//! With unit latencies this completes `k`-source `h`-hop BFS in
 //! `O(h + k)` rounds; the tests assert that envelope empirically.
 //!
 //! Announcements can also travel with **per-edge latencies** (the scaled /
 //! stretched graphs of paper §4–5): an edge of stretch `ℓ` delays delivery
-//! by `ℓ` rounds and adds `ℓ` to the announced distance, which is exactly a
-//! BFS on the stretched graph where each weighted edge becomes a path of
-//! `ℓ` unit edges simulated at its endpoint.
+//! by `ℓ` rounds and adds its weight to the announced distance, which is
+//! exactly a BFS on the stretched graph where each weighted edge becomes a
+//! path of `ℓ` unit edges simulated at its endpoint.
 //!
-//! Each primitive has interchangeable inner loops selected by
-//! [`crate::flood::flood_kernel`]: the engine-stepped **scalar** reference
-//! and the bit-parallel **bitset** kernels (u64 frontier words, direct
-//! delivery, rounds charged via `Network::charge_flood_round` /
-//! `Network::charge_stretched_flood_round`). Unit-latency floods run the
-//! plain bitset kernel; latency-stretched floods run its calendar-queue
-//! variant (in-flight announcements parked in a
-//! [`CalendarRing`](crate::flood::CalendarRing) of arrival-round buckets)
-//! whenever `FloodPlan::max_latency()` fits under
-//! [`flood_ring_max`](crate::flood::flood_ring_max). Every kernel is
-//! byte-identical to the scalar one in every ledger count, event, and
-//! output — see the [`crate::flood`] module docs for the equivalence
-//! argument.
+//! # Round semantics
+//!
+//! Both primitives run one flood loop, [`flood`], and differ only in what
+//! a receiver admits ([`Admission`]). Its rounds follow five rules:
+//!
+//! 1. Each round, the nodes holding a fresh announcement act in ascending
+//!    node id.
+//! 2. An acting node pops its `(distance, source row)` minimum and sends
+//!    it over its [`FloodPlan`] hops, in plan order, skipping hops whose
+//!    announced distance exceeds the budget.
+//! 3. A round delivers its latency-0 sends first, in send order; earlier
+//!    sends arriving that round follow, in `(send round, send order)`.
+//! 4. A delivery is admitted only if it strictly improves the receiver's
+//!    distance for that source (detection also requires it to survive
+//!    top-`σ` truncation), so the first strictly better delivery sets the
+//!    predecessor.
+//! 5. Round control: a pass that sends charges the next round; a pass
+//!    that popped announcements but had every send filtered by the budget
+//!    charges no round for BFS (the same nodes pop again) and one idle
+//!    round for detection; a pass with nothing to pop fast-forwards to
+//!    the next arrival, or ends the flood. The asymmetry is visible in
+//!    the ledgers and is kept.
+//!
+//! A sequential specification of these rules in
+//! `crates/congest/tests/common/flood_spec.rs` is differential-tested
+//! against both primitives. The loop itself keeps per-node
+//! [`BitFrontier`] outboxes (64 source rows per word, maintained eagerly
+//! so every pop is fresh), parks latency-delayed sends in a
+//! [`CalendarRing`], and charges each round's traffic in one
+//! `Network::charge_flood_round` call instead of stepping the engine.
 
 use crate::distmat::{DistMatrix, INF};
-use crate::engine::{Network, RoundOutput};
-use crate::flood::{
-    flood_kernel, flood_ring_max, note_flood_engagement, validate_sources, BitFrontier,
-    CalendarRing, FloodKernel, FloodPlan,
-};
+use crate::engine::Network;
+use crate::flood::{note_flood, validate_sources, BitFrontier, CalendarRing, FloodPlan, NodeSet};
 use crate::ledger::Ledger;
 use mwc_graph::seq::Direction;
 use mwc_graph::{Graph, NodeId, Weight};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Parameters of a multi-source search.
 #[derive(Clone, Copy, Debug)]
@@ -64,9 +76,6 @@ impl Default for MultiBfsSpec<'_> {
     }
 }
 
-/// A BFS announcement: `(source row, distance at the receiver)`.
-type Announce = (u32, Weight);
-
 /// Adds an edge's announced weight to a distance, panicking when the sum
 /// saturates into the [`INF`] sentinel: a genuine huge distance aliasing
 /// to "unreachable" would silently flip the reachable-vs-unreachable
@@ -77,6 +86,141 @@ fn add_dist(d: Weight, add: Weight) -> Weight {
     match d.checked_add(add) {
         Some(c) if c < INF => c,
         _ => panic!("flood distance {d} + {add} saturates into the INF sentinel"),
+    }
+}
+
+/// What a flood's receivers keep: the one place BFS and source detection
+/// differ, apart from the round-control rule.
+trait Admission {
+    /// Whether a pass whose pops were all filtered by the distance budget
+    /// still charges a round (rule 5 of the module docs).
+    const CHARGES_FILTERED_POPS: bool;
+
+    /// Admits source `row` at its own node `s`, queueing it in `outbox`
+    /// if it is to be forwarded.
+    fn seed(&mut self, s: NodeId, row: u32, outbox: &mut BitFrontier);
+
+    /// Offers `(d, row)` arriving at `v` from `from`. On admission,
+    /// updates the state, retires any announcement it displaces from
+    /// `outbox`, queues the new one if it is to be forwarded, and returns
+    /// whether it did.
+    fn admit(
+        &mut self,
+        v: NodeId,
+        row: u32,
+        d: Weight,
+        from: NodeId,
+        outbox: &mut BitFrontier,
+    ) -> bool;
+}
+
+impl Admission for DistMatrix {
+    const CHARGES_FILTERED_POPS: bool = false;
+
+    fn seed(&mut self, s: NodeId, row: u32, outbox: &mut BitFrontier) {
+        self.set_row(row as usize, s, 0, None);
+        outbox.insert(0, row);
+    }
+
+    fn admit(
+        &mut self,
+        v: NodeId,
+        row: u32,
+        d: Weight,
+        from: NodeId,
+        outbox: &mut BitFrontier,
+    ) -> bool {
+        let old = self.get_row(row as usize, v);
+        if d >= old {
+            return false;
+        }
+        if old != INF {
+            outbox.remove(old, row);
+        }
+        self.set_row(row as usize, v, d, Some(from));
+        outbox.insert(d, row);
+        true
+    }
+}
+
+/// An announcement on its way: `(link, to, row, dist, from)` — the link
+/// that carried it and everything delivery needs.
+type Transit = (u32, u32, u32, Weight, u32);
+
+/// The flood loop behind both primitives: seeds `sources` (row `i` is
+/// `sources[i]`), then runs rounds by the module docs' five rules until
+/// nothing is left to send or deliver, charging each round to `net`.
+fn flood<A: Admission>(
+    sources: &[NodeId],
+    budget: Weight,
+    plan: &FloodPlan,
+    net: &mut Network<()>,
+    state: &mut A,
+) {
+    note_flood();
+    let n = net.n();
+    let mut outbox: Vec<BitFrontier> = vec![BitFrontier::default(); n];
+    let mut pending = NodeSet::new(n);
+    let mut acting = NodeSet::new(n);
+    let mut ring: CalendarRing<Transit> = CalendarRing::new(plan.max_latency());
+    for (row, &s) in sources.iter().enumerate() {
+        state.seed(s, row as u32, &mut outbox[s]);
+        if !outbox[s].is_empty() {
+            pending.insert(s);
+        }
+    }
+
+    // One pass's traffic: the links charged, in send order, and the
+    // round's deliveries — latency-0 sends, then the ring's expiries.
+    let mut links: Vec<u32> = Vec::new();
+    let mut deliv: Vec<Transit> = Vec::new();
+    loop {
+        links.clear();
+        deliv.clear();
+        let send_round = net.round() + 1;
+        let mut popped = false;
+        std::mem::swap(&mut acting, &mut pending);
+        for v in acting.drain() {
+            let Some((d, row)) = outbox[v].pop_min() else {
+                continue; // detection evicted everything it held
+            };
+            popped = true;
+            for hop in plan.of(v) {
+                let cand = add_dist(d, hop.dist_add);
+                if cand > budget {
+                    continue;
+                }
+                links.push(hop.link);
+                let msg = (hop.link, hop.to, row, cand, v as u32);
+                if hop.latency == 0 {
+                    deliv.push(msg);
+                } else {
+                    ring.push(send_round + hop.latency, msg);
+                }
+            }
+            if !outbox[v].is_empty() {
+                pending.insert(v);
+            }
+        }
+
+        let round = if !links.is_empty() || (popped && A::CHARGES_FILTERED_POPS) {
+            send_round
+        } else if !pending.is_empty() {
+            continue; // BFS: every pop was filtered, no round passes
+        } else {
+            match ring.next_arrival() {
+                Some(r) => r,
+                None => break,
+            }
+        };
+        ring.drain_round_into(round, &mut deliv);
+        net.charge_flood_round(round, &links, deliv.iter().map(|m| m.0));
+        for &(_, to, row, cand, from) in &deliv {
+            let v = to as usize;
+            if state.admit(v, row, cand, from as usize, &mut outbox[v]) {
+                pending.insert(v);
+            }
+        }
     }
 }
 
@@ -103,20 +247,9 @@ pub fn multi_source_bfs(
     let _span = mwc_trace::span_owned(|| format!("multibfs/{label}"));
     let n = g.n();
     let mut mat = DistMatrix::new(n, sources.to_vec());
-    let mut net: Network<Announce> = Network::new_auto(g);
+    let mut net: Network<()> = Network::new_auto(g);
     let plan = FloodPlan::build(g, &net, spec.direction, spec.latency);
-
-    let bitset = flood_kernel() == FloodKernel::Bitset && plan.max_latency() <= flood_ring_max();
-    note_flood_engagement(bitset);
-    if bitset {
-        if plan.unit_latency() {
-            bfs_kernel_bitset(sources, spec.max_dist, &plan, &mut net, &mut mat);
-        } else {
-            bfs_kernel_stretched(sources, spec.max_dist, &plan, &mut net, &mut mat);
-        }
-    } else {
-        bfs_kernel_scalar(n, sources, spec.max_dist, &plan, &mut net, &mut mat);
-    }
+    flood(sources, spec.max_dist, &plan, &mut net, &mut mat);
 
     ledger.absorb(label, &net);
     mwc_trace::check_bound(
@@ -134,335 +267,6 @@ pub fn multi_source_bfs(
     );
     mat
 }
-
-/// The engine-stepped scalar BFS loop: heap outboxes with lazy
-/// stale-skipping, every announcement moved through the [`Network`]'s
-/// per-link queues (and, for stretched edges, its transit heap). The
-/// reference semantics every bitset kernel must replicate byte-for-byte,
-/// and the fallback when a latency table overflows the calendar-ring cap.
-fn bfs_kernel_scalar(
-    n: usize,
-    sources: &[NodeId],
-    max_dist: Weight,
-    plan: &FloodPlan,
-    net: &mut Network<Announce>,
-    mat: &mut DistMatrix,
-) {
-    // outbox[v]: fresh announcements not yet forwarded, smallest first.
-    let mut outbox: Vec<BinaryHeap<Reverse<Announce2>>> =
-        (0..n).map(|_| BinaryHeap::new()).collect();
-    let mut pending: Vec<NodeId> = Vec::new();
-    let mut pending_flag = vec![false; n];
-
-    for (row, &s) in sources.iter().enumerate() {
-        mat.set_row(row, s, 0, None);
-        outbox[s].push(Reverse((0, row as u32)));
-        if !pending_flag[s] {
-            pending_flag[s] = true;
-            pending.push(s);
-        }
-    }
-
-    let mut out = RoundOutput::default();
-    loop {
-        // Node actions for this round: each pending node forwards its
-        // smallest fresh announcement over every traversal link.
-        let acting = std::mem::take(&mut pending);
-        let mut any_sent = false;
-        for v in acting {
-            pending_flag[v] = false;
-            // Pop entries until one is fresh (stale = improved since push).
-            let fresh = loop {
-                match outbox[v].pop() {
-                    Some(Reverse((d, row))) => {
-                        if mat.get_row(row as usize, v) == d {
-                            break Some((d, row));
-                        }
-                    }
-                    None => break None,
-                }
-            };
-            let Some((d, row)) = fresh else { continue };
-            for hop in plan.of(v) {
-                let cand = add_dist(d, hop.dist_add);
-                if cand > max_dist {
-                    continue;
-                }
-                // Receiver-side pruning happens on delivery; sender-side we
-                // also skip if the receiver is already known (to the
-                // sender) to be closer — we cannot know that locally, so
-                // no such check: CONGEST nodes only know their own state.
-                any_sent = true;
-                net.send_on_link(hop.link as usize, (row, cand), 1, hop.latency);
-            }
-            if !outbox[v].is_empty() && !pending_flag[v] {
-                pending_flag[v] = true;
-                pending.push(v);
-            }
-        }
-
-        if !any_sent {
-            if !pending.is_empty() {
-                // Entirely-filtered pops: keep draining outboxes locally
-                // without charging rounds (nothing was transmitted).
-                continue;
-            }
-            if net.is_idle() {
-                break;
-            }
-        }
-        let stepped = if any_sent {
-            net.step_into(&mut out);
-            true
-        } else {
-            net.step_fast_into(&mut out)
-        };
-        if !stepped {
-            break;
-        }
-        for d in out.deliveries.drain(..) {
-            let (row, cand) = d.payload;
-            let v = d.to;
-            if cand < mat.get_row(row as usize, v) {
-                mat.set_row(row as usize, v, cand, Some(d.from));
-                outbox[v].push(Reverse((cand, row)));
-                if !pending_flag[v] {
-                    pending_flag[v] = true;
-                    pending.push(v);
-                }
-            }
-        }
-    }
-}
-
-/// The bit-parallel BFS loop for unit-latency floods: per-node
-/// [`BitFrontier`] outboxes (64 source rows per word, maintained eagerly
-/// so every pop is fresh), deliveries applied directly in send order, and
-/// each round's traffic charged in one [`Network::charge_flood_round`]
-/// pass. Executes the exact scalar schedule — same pops, same sends, same
-/// delivery order, same predecessor tie-breaks — without the per-message
-/// queue machinery.
-///
-/// Superseded announcements move into a per-node *ghost* frontier rather
-/// than vanishing: the scalar heap keeps stale entries until a pop walks
-/// past them, and "heap nonempty" is its re-pend test — so ghost
-/// occupancy must feed the bitset re-pend test too, or nodes would enter
-/// the pending list at different positions and the send order (observed
-/// by the event log) would drift.
-fn bfs_kernel_bitset(
-    sources: &[NodeId],
-    max_dist: Weight,
-    plan: &FloodPlan,
-    net: &mut Network<Announce>,
-    mat: &mut DistMatrix,
-) {
-    let mut outbox: Vec<BitFrontier> = vec![BitFrontier::default(); mat.n()];
-    let mut ghost: Vec<BitFrontier> = vec![BitFrontier::default(); mat.n()];
-    let mut pending: Vec<NodeId> = Vec::new();
-    let mut pending_flag = vec![false; mat.n()];
-
-    for (row, &s) in sources.iter().enumerate() {
-        mat.set_row(row, s, 0, None);
-        outbox[s].insert(0, row as u32);
-        if !pending_flag[s] {
-            pending_flag[s] = true;
-            pending.push(s);
-        }
-    }
-
-    // This round's traffic: the links charged and the deliveries they
-    // carry as `(to, row, dist, from)`, both in send order.
-    let mut links: Vec<u32> = Vec::new();
-    let mut deliv: Vec<(u32, u32, Weight, u32)> = Vec::new();
-    loop {
-        let acting = std::mem::take(&mut pending);
-        links.clear();
-        deliv.clear();
-        for v in acting {
-            pending_flag[v] = false;
-            // Eager maintenance means no stale entries: the first pop is
-            // the smallest fresh announcement. The scalar pop walk would
-            // have consumed the stale (ghost) entries ahead of it — or
-            // the whole heap when nothing fresh remains.
-            let Some((d, row)) = outbox[v].pop_min() else {
-                ghost[v].clear();
-                continue;
-            };
-            ghost[v].drain_below(d, row);
-            for hop in plan.of(v) {
-                let cand = add_dist(d, hop.dist_add);
-                if cand > max_dist {
-                    continue;
-                }
-                links.push(hop.link);
-                deliv.push((hop.to, row, cand, v as u32));
-            }
-            if (!outbox[v].is_empty() || !ghost[v].is_empty()) && !pending_flag[v] {
-                pending_flag[v] = true;
-                pending.push(v);
-            }
-        }
-
-        if links.is_empty() {
-            if !pending.is_empty() {
-                // Entirely-filtered pops: no traffic, no round charged.
-                continue;
-            }
-            break;
-        }
-        net.charge_flood_round(&links);
-        for &(to, row, cand, from) in &deliv {
-            let v = to as usize;
-            let old = mat.get_row(row as usize, v);
-            if cand < old {
-                if old != INF && outbox[v].remove(old, row) {
-                    // The eager move: the superseded announcement becomes
-                    // a ghost (the scalar heap would keep it as a stale
-                    // entry). Already-forwarded rows have no bit to move.
-                    ghost[v].insert(old, row);
-                }
-                mat.set_row(row as usize, v, cand, Some(from as usize));
-                outbox[v].insert(cand, row);
-                if !pending_flag[v] {
-                    pending_flag[v] = true;
-                    pending.push(v);
-                }
-            }
-        }
-    }
-}
-
-/// An in-flight announcement parked in the calendar ring:
-/// `(link, to, row, dist, from)` — the link whose transfer was already
-/// charged in its send round, and everything delivery needs on expiry.
-type RingMsg = (u32, u32, u32, Weight, u32);
-
-/// The calendar-queue BFS loop for latency-stretched floods: the same
-/// eager [`BitFrontier`] outbox/ghost discipline as [`bfs_kernel_bitset`],
-/// plus a [`CalendarRing`] standing in for the scalar engine's transit
-/// heap. A send over a hop with latency `ℓ ≥ 1` is charged as a transfer
-/// in its send round but parked `ℓ` buckets ahead; zero-latency sends are
-/// delivered in the send round itself, *before* that round's calendar
-/// expiries — exactly the scalar `step_into` order (same-round completions
-/// in send order, then transit pops in `(arrival, send-sequence)` order,
-/// which per-bucket insertion order reproduces).
-///
-/// Round control mirrors the scalar loop branch for branch: filtered pops
-/// with pending work left spin without charging a round; a round with
-/// sends is charged via `Network::charge_stretched_flood_round` with this
-/// round's links and arrivals; and when nothing was sent but arrivals are
-/// still in flight, [`CalendarRing::next_arrival`] fast-forwards to the
-/// next expiry (`step_fast_into` in the scalar path) — a charged round
-/// with zero transfers, messages only.
-fn bfs_kernel_stretched(
-    sources: &[NodeId],
-    max_dist: Weight,
-    plan: &FloodPlan,
-    net: &mut Network<Announce>,
-    mat: &mut DistMatrix,
-) {
-    let n = mat.n();
-    let mut outbox: Vec<BitFrontier> = vec![BitFrontier::default(); n];
-    let mut ghost: Vec<BitFrontier> = vec![BitFrontier::default(); n];
-    let mut pending: Vec<NodeId> = Vec::new();
-    let mut pending_flag = vec![false; n];
-    let mut ring: CalendarRing<RingMsg> = CalendarRing::new(plan.max_latency());
-
-    for (row, &s) in sources.iter().enumerate() {
-        mat.set_row(row, s, 0, None);
-        outbox[s].insert(0, row as u32);
-        if !pending_flag[s] {
-            pending_flag[s] = true;
-            pending.push(s);
-        }
-    }
-
-    // This round's traffic: every charged link in send order, and the
-    // messages *delivered* this round — zero-latency sends first (send
-    // order), then calendar expiries — as parallel delivered-link /
-    // payload vectors.
-    let mut links: Vec<u32> = Vec::new();
-    let mut dlinks: Vec<u32> = Vec::new();
-    let mut deliv: Vec<(u32, u32, Weight, u32)> = Vec::new();
-    let mut expiries: Vec<RingMsg> = Vec::new();
-    loop {
-        let acting = std::mem::take(&mut pending);
-        links.clear();
-        dlinks.clear();
-        deliv.clear();
-        // If anything is sent this iteration, it is charged at this round.
-        let send_round = net.round() + 1;
-        for v in acting {
-            pending_flag[v] = false;
-            let Some((d, row)) = outbox[v].pop_min() else {
-                ghost[v].clear();
-                continue;
-            };
-            ghost[v].drain_below(d, row);
-            for hop in plan.of(v) {
-                let cand = add_dist(d, hop.dist_add);
-                if cand > max_dist {
-                    continue;
-                }
-                links.push(hop.link);
-                if hop.latency == 0 {
-                    dlinks.push(hop.link);
-                    deliv.push((hop.to, row, cand, v as u32));
-                } else {
-                    ring.push(
-                        send_round + hop.latency,
-                        (hop.link, hop.to, row, cand, v as u32),
-                    );
-                }
-            }
-            if (!outbox[v].is_empty() || !ghost[v].is_empty()) && !pending_flag[v] {
-                pending_flag[v] = true;
-                pending.push(v);
-            }
-        }
-
-        let round = if links.is_empty() {
-            if !pending.is_empty() {
-                // Entirely-filtered pops: no traffic, no round charged.
-                continue;
-            }
-            // Nothing to send and nothing ever will be unless an arrival
-            // lands: fast-forward to the next expiry, or finish.
-            let Some(next) = ring.next_arrival(net.round()) else {
-                break;
-            };
-            next
-        } else {
-            send_round
-        };
-        expiries.clear();
-        ring.drain_round_into(round, &mut expiries);
-        for &(link, to, row, cand, from) in &expiries {
-            dlinks.push(link);
-            deliv.push((to, row, cand, from));
-        }
-        net.charge_stretched_flood_round(round, &links, &dlinks);
-        for &(to, row, cand, from) in &deliv {
-            let v = to as usize;
-            let old = mat.get_row(row as usize, v);
-            if cand < old {
-                if old != INF && outbox[v].remove(old, row) {
-                    ghost[v].insert(old, row);
-                }
-                mat.set_row(row as usize, v, cand, Some(from as usize));
-                outbox[v].insert(cand, row);
-                if !pending_flag[v] {
-                    pending_flag[v] = true;
-                    pending.push(v);
-                }
-            }
-        }
-    }
-}
-
-/// `(dist, src)` ordering helper — distance first, then source row for a
-/// deterministic tiebreak.
-type Announce2 = (Weight, u32);
 
 /// Result of [`source_detection`]: for each node, its detected sources as
 /// `(distance, source)` pairs sorted lexicographically — the `σ` closest
@@ -529,13 +333,13 @@ impl Detection {
     }
 }
 
-/// Per-node detection state shared by every kernel: current best
-/// distance and predecessor per source row, and the top-`σ` set the
-/// truncation discipline maintains. Stored flat — a distance matrix with
-/// an [`INF`] absent-sentinel, a parallel predecessor matrix the admit
-/// test never reads, and per-node sorted vectors of at most `σ` entries
-/// — so the admit fast path is an array index plus a short binary search
-/// instead of hash-map and B-tree traffic.
+/// Per-node detection state: current best distance and predecessor per
+/// source row, and the top-`σ` set the truncation discipline maintains.
+/// Stored flat — a distance matrix with an [`INF`] absent-sentinel, a
+/// parallel predecessor matrix the admit test never reads, and per-node
+/// sorted vectors of at most `σ` entries — so the admit fast path is an
+/// array index plus a short binary search instead of hash-map and B-tree
+/// traffic.
 struct DetectState {
     n: usize,
     rows: usize,
@@ -567,60 +371,6 @@ impl DetectState {
             top: (0..n).map(|_| Vec::with_capacity(cap)).collect(),
             sigma,
         }
-    }
-
-    /// Best-known distance of `row`'s source at `v` ([`INF`] when no
-    /// announcement was ever admitted).
-    fn best_dist(&self, v: NodeId, row: u32) -> Weight {
-        self.dist[v * self.rows + row as usize]
-    }
-
-    /// Whether `entry` is currently in `v`'s top-`σ` set.
-    fn in_top(&self, v: NodeId, entry: (Weight, u32)) -> bool {
-        self.top[v].binary_search(&entry).is_ok()
-    }
-
-    /// Offers `(d, src_row)` arriving at `v` from `pred`. Updates the
-    /// best/top structures and returns whether the entry survived
-    /// truncation (= should be forwarded). `retire` is called for every
-    /// announcement this displaces — the superseded distance on an
-    /// improvement, and each truncation eviction — which is how the
-    /// bitset kernel keeps its frontier eagerly fresh (the scalar kernel
-    /// passes a no-op and skips stale heap entries lazily at pop time).
-    fn admit(
-        &mut self,
-        v: NodeId,
-        src_row: u32,
-        d: Weight,
-        pred: NodeId,
-        mut retire: impl FnMut(Weight, u32),
-    ) -> bool {
-        let i = v * self.rows + src_row as usize;
-        let old = self.dist[i];
-        // Admitted distances never reach `INF` (announcements assert
-        // against saturation), so the absent sentinel can only lose here.
-        if old <= d {
-            return false;
-        }
-        self.dist[i] = d;
-        self.pred[i] = pred as u32;
-        let top = &mut self.top[v];
-        if old != INF {
-            // The superseded entry may already have been truncated away.
-            if let Ok(i) = top.binary_search(&(old, src_row)) {
-                top.remove(i);
-            }
-            retire(old, src_row);
-        }
-        let pos = top.binary_search(&(d, src_row)).unwrap_err();
-        top.insert(pos, (d, src_row));
-        while top.len() > self.sigma {
-            let worst = top.pop().expect("nonempty");
-            retire(worst.0, worst.1);
-        }
-        // Forward only if the entry survived truncation (it did exactly
-        // when it landed inside the first σ slots).
-        pos < self.sigma
     }
 
     /// The finished [`Detection`]: top sets renamed from rows to source
@@ -667,6 +417,60 @@ impl DetectState {
     }
 }
 
+impl Admission for DetectState {
+    const CHARGES_FILTERED_POPS: bool = true;
+
+    fn seed(&mut self, s: NodeId, row: u32, outbox: &mut BitFrontier) {
+        // A source's own announcement arrives "from" itself, which is
+        // what `Detection::pred` reports at the source.
+        self.admit(s, row, 0, s, outbox);
+    }
+
+    /// Admits `(d, row)` if it improves `v`'s best distance for the row,
+    /// retiring the superseded announcement and every top-`σ` eviction
+    /// from `outbox`; it is queued for forwarding only if it survives
+    /// truncation.
+    fn admit(
+        &mut self,
+        v: NodeId,
+        row: u32,
+        d: Weight,
+        from: NodeId,
+        outbox: &mut BitFrontier,
+    ) -> bool {
+        let i = v * self.rows + row as usize;
+        let old = self.dist[i];
+        // Admitted distances never reach `INF` (announcements assert
+        // against saturation), so the absent sentinel can only lose here.
+        if old <= d {
+            return false;
+        }
+        self.dist[i] = d;
+        self.pred[i] = from as u32;
+        let top = &mut self.top[v];
+        if old != INF {
+            // The superseded entry may already have been truncated away.
+            if let Ok(i) = top.binary_search(&(old, row)) {
+                top.remove(i);
+            }
+            outbox.remove(old, row);
+        }
+        let pos = top.binary_search(&(d, row)).unwrap_err();
+        top.insert(pos, (d, row));
+        while top.len() > self.sigma {
+            let (wd, wrow) = top.pop().expect("nonempty");
+            outbox.remove(wd, wrow);
+        }
+        // Forward only if the entry survived truncation (it did exactly
+        // when it landed inside the first σ slots).
+        let fresh = pos < self.sigma;
+        if fresh {
+            outbox.insert(d, row);
+        }
+        fresh
+    }
+}
+
 /// `(S, h, σ)` source detection \[37\]: every node learns the `σ`
 /// lexicographically-smallest `(distance, source)` pairs among sources
 /// within distance `h`. Costs `O(h + σ)` rounds for unit latencies.
@@ -699,7 +503,7 @@ pub fn source_detection(
     validate_sources(g.n(), sources);
     let _span = mwc_trace::span_owned(|| format!("detect/{label}"));
     let n = g.n();
-    let mut net: Network<(u32, Weight)> = Network::new_auto(g);
+    let mut net: Network<()> = Network::new_auto(g);
     let plan = FloodPlan::build(g, &net, direction, latency);
 
     // Sort sources so "source row" order matches id order (consistent
@@ -708,17 +512,7 @@ pub fn source_detection(
     srcs.sort_unstable();
 
     let mut state = DetectState::new(n, srcs.len(), sigma);
-    let bitset = flood_kernel() == FloodKernel::Bitset && plan.max_latency() <= flood_ring_max();
-    note_flood_engagement(bitset);
-    if bitset {
-        if plan.unit_latency() {
-            detect_kernel_bitset(&srcs, h, &plan, &mut net, &mut state);
-        } else {
-            detect_kernel_stretched(&srcs, h, &plan, &mut net, &mut state);
-        }
-    } else {
-        detect_kernel_scalar(n, &srcs, h, &plan, &mut net, &mut state);
-    }
+    flood(&srcs, h, &plan, &mut net, &mut state);
     ledger.absorb(label, &net);
     mwc_trace::check_bound(
         "congest/source_detection",
@@ -732,329 +526,92 @@ pub fn source_detection(
     state.into_detection(&srcs)
 }
 
-/// The engine-stepped scalar detection loop (reference semantics; the
-/// fallback when a latency table overflows the calendar-ring cap). Heap
-/// outboxes hold entries that may go stale — superseded by a closer
-/// announcement or evicted from the top-`σ` set — and are skipped lazily
-/// at pop time.
-fn detect_kernel_scalar(
-    n: usize,
-    srcs: &[NodeId],
-    h: Weight,
-    plan: &FloodPlan,
-    net: &mut Network<(u32, Weight)>,
-    state: &mut DetectState,
-) {
-    let mut outbox: Vec<BinaryHeap<Reverse<(Weight, u32)>>> =
-        (0..n).map(|_| BinaryHeap::new()).collect();
-    let mut pending: Vec<NodeId> = Vec::new();
-    let mut pending_flag = vec![false; n];
-
-    for (row, &s) in srcs.iter().enumerate() {
-        if state.admit(s, row as u32, 0, s, |_, _| {}) {
-            outbox[s].push(Reverse((0, row as u32)));
-            if !pending_flag[s] {
-                pending_flag[s] = true;
-                pending.push(s);
-            }
-        }
-    }
-
-    let mut out = RoundOutput::default();
-    loop {
-        let acting = std::mem::take(&mut pending);
-        let mut any_action = false;
-        for v in acting {
-            pending_flag[v] = false;
-            let fresh = loop {
-                match outbox[v].pop() {
-                    Some(Reverse((d, row))) => {
-                        // Fresh = still our best and still within top-σ.
-                        if state.best_dist(v, row) == d && state.in_top(v, (d, row)) {
-                            break Some((d, row));
-                        }
-                    }
-                    None => break None,
-                }
-            };
-            let Some((d, row)) = fresh else { continue };
-            any_action = true;
-            for hop in plan.of(v) {
-                let cand = add_dist(d, hop.dist_add);
-                if cand > h {
-                    continue;
-                }
-                net.send_on_link(hop.link as usize, (row, cand), 1, hop.latency);
-            }
-            if !outbox[v].is_empty() && !pending_flag[v] {
-                pending_flag[v] = true;
-                pending.push(v);
-            }
-        }
-
-        if !any_action && net.is_idle() {
-            break;
-        }
-        let stepped = if any_action {
-            net.step_into(&mut out);
-            true
-        } else {
-            net.step_fast_into(&mut out)
-        };
-        if !stepped {
-            break;
-        }
-        for dmsg in out.deliveries.drain(..) {
-            let (row, cand) = dmsg.payload;
-            let v = dmsg.to;
-            if state.admit(v, row, cand, dmsg.from, |_, _| {}) {
-                outbox[v].push(Reverse((cand, row)));
-                if !pending_flag[v] {
-                    pending_flag[v] = true;
-                    pending.push(v);
-                }
-            }
-        }
-    }
-}
-
-/// The bit-parallel detection loop for unit-latency floods: frontier
-/// words maintained eagerly through `DetectState::admit`'s retire hook
-/// (improvements and top-`σ` evictions clear bits on the spot), direct
-/// delivery in send order, rounds charged via
-/// [`Network::charge_flood_round`]. Note the round-control contract it
-/// mirrors from the scalar loop: a round is charged whenever any node
-/// popped a fresh announcement, even if the distance budget then filtered
-/// every send (an empty charge advances the round like an idle
-/// `step_into`).
-fn detect_kernel_bitset(
-    srcs: &[NodeId],
-    h: Weight,
-    plan: &FloodPlan,
-    net: &mut Network<(u32, Weight)>,
-    state: &mut DetectState,
-) {
-    let n = state.n;
-    let mut outbox: Vec<BitFrontier> = vec![BitFrontier::default(); n];
-    let mut ghost: Vec<BitFrontier> = vec![BitFrontier::default(); n];
-    let mut pending: Vec<NodeId> = Vec::new();
-    let mut pending_flag = vec![false; n];
-
-    for (row, &s) in srcs.iter().enumerate() {
-        let (ob, gh) = (&mut outbox[s], &mut ghost[s]);
-        let retire = |d, r| {
-            if ob.remove(d, r) {
-                gh.insert(d, r);
-            }
-        };
-        if state.admit(s, row as u32, 0, s, retire) {
-            outbox[s].insert(0, row as u32);
-            if !pending_flag[s] {
-                pending_flag[s] = true;
-                pending.push(s);
-            }
-        }
-    }
-
-    let mut links: Vec<u32> = Vec::new();
-    let mut deliv: Vec<(u32, u32, Weight, u32)> = Vec::new();
-    loop {
-        let acting = std::mem::take(&mut pending);
-        links.clear();
-        deliv.clear();
-        let mut any_action = false;
-        for v in acting {
-            pending_flag[v] = false;
-            // As in the BFS kernel: replay the scalar pop walk's ghost
-            // consumption so the re-pend test below matches its "heap
-            // nonempty, stale entries included" semantics.
-            let Some((d, row)) = outbox[v].pop_min() else {
-                ghost[v].clear();
-                continue;
-            };
-            ghost[v].drain_below(d, row);
-            any_action = true;
-            for hop in plan.of(v) {
-                let cand = add_dist(d, hop.dist_add);
-                if cand > h {
-                    continue;
-                }
-                links.push(hop.link);
-                deliv.push((hop.to, row, cand, v as u32));
-            }
-            if (!outbox[v].is_empty() || !ghost[v].is_empty()) && !pending_flag[v] {
-                pending_flag[v] = true;
-                pending.push(v);
-            }
-        }
-
-        if !any_action {
-            break;
-        }
-        net.charge_flood_round(&links);
-        for &(to, row, cand, from) in &deliv {
-            let v = to as usize;
-            let (ob, gh) = (&mut outbox[v], &mut ghost[v]);
-            let retire = |d, r| {
-                if ob.remove(d, r) {
-                    gh.insert(d, r);
-                }
-            };
-            if state.admit(v, row, cand, from as usize, retire) {
-                outbox[v].insert(cand, row);
-                if !pending_flag[v] {
-                    pending_flag[v] = true;
-                    pending.push(v);
-                }
-            }
-        }
-    }
-}
-
-/// The calendar-queue detection loop for latency-stretched floods:
-/// [`detect_kernel_bitset`]'s eager frontier/ghost discipline with a
-/// [`CalendarRing`] in place of the engine's transit heap, delivering
-/// zero-latency sends before the round's calendar expiries exactly as the
-/// stretched BFS kernel does (see [`bfs_kernel_stretched`]).
-///
-/// Detection's round-control contract differs from BFS and is mirrored
-/// here: a round is charged whenever any node popped a fresh announcement
-/// — even if the budget then filtered every send, in which case the
-/// charge carries zero links (an idle `step_into`: the round advances,
-/// nothing is transferred, and that round's arrivals still land).
-fn detect_kernel_stretched(
-    srcs: &[NodeId],
-    h: Weight,
-    plan: &FloodPlan,
-    net: &mut Network<(u32, Weight)>,
-    state: &mut DetectState,
-) {
-    let n = state.n;
-    let mut outbox: Vec<BitFrontier> = vec![BitFrontier::default(); n];
-    let mut ghost: Vec<BitFrontier> = vec![BitFrontier::default(); n];
-    let mut pending: Vec<NodeId> = Vec::new();
-    let mut pending_flag = vec![false; n];
-    let mut ring: CalendarRing<RingMsg> = CalendarRing::new(plan.max_latency());
-
-    for (row, &s) in srcs.iter().enumerate() {
-        let (ob, gh) = (&mut outbox[s], &mut ghost[s]);
-        let retire = |d, r| {
-            if ob.remove(d, r) {
-                gh.insert(d, r);
-            }
-        };
-        if state.admit(s, row as u32, 0, s, retire) {
-            outbox[s].insert(0, row as u32);
-            if !pending_flag[s] {
-                pending_flag[s] = true;
-                pending.push(s);
-            }
-        }
-    }
-
-    let mut links: Vec<u32> = Vec::new();
-    let mut dlinks: Vec<u32> = Vec::new();
-    let mut deliv: Vec<(u32, u32, Weight, u32)> = Vec::new();
-    let mut expiries: Vec<RingMsg> = Vec::new();
-    loop {
-        let acting = std::mem::take(&mut pending);
-        links.clear();
-        dlinks.clear();
-        deliv.clear();
-        let send_round = net.round() + 1;
-        let mut any_action = false;
-        for v in acting {
-            pending_flag[v] = false;
-            let Some((d, row)) = outbox[v].pop_min() else {
-                ghost[v].clear();
-                continue;
-            };
-            ghost[v].drain_below(d, row);
-            any_action = true;
-            for hop in plan.of(v) {
-                let cand = add_dist(d, hop.dist_add);
-                if cand > h {
-                    continue;
-                }
-                links.push(hop.link);
-                if hop.latency == 0 {
-                    dlinks.push(hop.link);
-                    deliv.push((hop.to, row, cand, v as u32));
-                } else {
-                    ring.push(
-                        send_round + hop.latency,
-                        (hop.link, hop.to, row, cand, v as u32),
-                    );
-                }
-            }
-            if (!outbox[v].is_empty() || !ghost[v].is_empty()) && !pending_flag[v] {
-                pending_flag[v] = true;
-                pending.push(v);
-            }
-        }
-
-        let round = if any_action {
-            // Charged even when the budget filtered every send: the
-            // scalar loop still steps the engine for a popped node.
-            send_round
-        } else {
-            let Some(next) = ring.next_arrival(net.round()) else {
-                break;
-            };
-            next
-        };
-        expiries.clear();
-        ring.drain_round_into(round, &mut expiries);
-        for &(link, to, row, cand, from) in &expiries {
-            dlinks.push(link);
-            deliv.push((to, row, cand, from));
-        }
-        net.charge_stretched_flood_round(round, &links, &dlinks);
-        for &(to, row, cand, from) in &deliv {
-            let v = to as usize;
-            let (ob, gh) = (&mut outbox[v], &mut ghost[v]);
-            let retire = |d, r| {
-                if ob.remove(d, r) {
-                    gh.insert(d, r);
-                }
-            };
-            if state.admit(v, row, cand, from as usize, retire) {
-                outbox[v].insert(cand, row);
-                if !pending_flag[v] {
-                    pending_flag[v] = true;
-                    pending.push(v);
-                }
-            }
-        }
-    }
-}
+/// The sequential flood specification the tests below check against.
+#[cfg(test)]
+#[allow(dead_code)]
+#[path = "../tests/common/flood_spec.rs"]
+mod flood_spec;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flood_spec::{run_flood, Rule, SpecOutcome};
     use mwc_graph::generators::{connected_gnm, grid, WeightRange};
     use mwc_graph::seq::{bellman_ford_hops, bfs, HOP_INF};
     use mwc_graph::Orientation;
-    use std::sync::{Mutex, MutexGuard};
 
-    /// Serializes tests that flip the process-global flood kernel and
-    /// restores the default on drop.
-    static KERNEL_GLOBAL: Mutex<()> = Mutex::new(());
-
-    struct KernelGuard {
-        _guard: MutexGuard<'static, ()>,
-    }
-
-    fn with_kernel(k: FloodKernel) -> KernelGuard {
-        let guard = KERNEL_GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-        crate::flood::set_flood_kernel(k);
-        KernelGuard { _guard: guard }
-    }
-
-    impl Drop for KernelGuard {
-        fn drop(&mut self) {
-            crate::flood::set_flood_kernel(FloodKernel::Bitset);
+    /// Runs a BFS and checks distances, predecessors, and the ledger's
+    /// totals and per-link words against the sequential spec.
+    fn assert_bfs_matches_spec(
+        g: &Graph,
+        sources: &[NodeId],
+        spec: &MultiBfsSpec<'_>,
+    ) -> DistMatrix {
+        let mut ledger = Ledger::new();
+        let mat = multi_source_bfs(g, sources, spec, "spec", &mut ledger);
+        let want = run_flood(
+            g,
+            sources,
+            spec.max_dist,
+            spec.direction,
+            spec.latency,
+            Rule::Bfs,
+        );
+        for (row, &s) in sources.iter().enumerate() {
+            for v in 0..g.n() {
+                let (d, p) = want.best[v]
+                    .get(&row)
+                    .map_or((INF, None), |&(d, p)| (d, Some(p)));
+                let p = p.filter(|_| v != s);
+                assert_eq!(
+                    (mat.get_row(row, v), mat.pred_row(row, v)),
+                    (d, p),
+                    "row {row} node {v}"
+                );
+            }
         }
+        assert_totals_match(&ledger, &want);
+        mat
+    }
+
+    /// Runs a detection and checks lists, predecessors, and the ledger
+    /// against the sequential spec.
+    fn assert_detection_matches_spec(
+        g: &Graph,
+        sources: &[NodeId],
+        h: Weight,
+        sigma: usize,
+        latency: Option<&[Weight]>,
+    ) -> Detection {
+        let mut ledger = Ledger::new();
+        let dir = Direction::Forward;
+        let det = source_detection(g, sources, h, sigma, dir, latency, "spec", &mut ledger);
+        let mut srcs = sources.to_vec();
+        srcs.sort_unstable();
+        let want = run_flood(g, &srcs, h, dir, latency, Rule::Detect { sigma });
+        for v in 0..g.n() {
+            let lists: Vec<(Weight, NodeId)> =
+                want.top[v].iter().map(|&(d, r)| (d, srcs[r])).collect();
+            assert_eq!(det.lists[v], lists, "node {v} list");
+            for (row, &s) in srcs.iter().enumerate() {
+                let entry = want.best[v].get(&row).copied();
+                assert_eq!(det.dist(v, s), entry.map(|e| e.0), "node {v} src {s}");
+                assert_eq!(det.pred(v, s), entry.map(|e| e.1), "node {v} src {s}");
+            }
+        }
+        assert_totals_match(&ledger, &want);
+        det
+    }
+
+    fn assert_totals_match(ledger: &Ledger, want: &SpecOutcome) {
+        assert_eq!(
+            (ledger.rounds, ledger.words, ledger.messages),
+            (want.rounds, want.words, want.messages)
+        );
+        let mut links: Vec<((NodeId, NodeId), u64)> = ledger.hot_links(usize::MAX);
+        links.sort_unstable();
+        let want_links: Vec<_> = want.link_words.iter().map(|(&l, &w)| (l, w)).collect();
+        assert_eq!(links, want_links, "per-link words");
     }
 
     fn assert_matches_bfs(g: &Graph, sources: &[NodeId], h: Weight, dir: Direction) {
@@ -1262,10 +819,9 @@ mod tests {
     }
 
     #[test]
-    fn zero_weight_edges_identical_across_kernels() {
-        // `dist_add = 0` with `stretch = 1` must cost one round and add
-        // zero distance in BOTH kernels. All weights ≤ 1, so the flood is
-        // unit-latency and the plain (ring-free) bitset kernel engages.
+    fn zero_weight_edges_match_spec() {
+        // `dist_add = 0` with `stretch = 1` costs one round and adds zero
+        // distance. All weights ≤ 1, so the flood is unit-latency.
         let g = Graph::from_edges(
             6,
             Orientation::Directed,
@@ -1286,27 +842,16 @@ mod tests {
             direction: Direction::Forward,
             latency: Some(&lat),
         };
-        let mut results = Vec::new();
-        for kernel in [FloodKernel::Scalar, FloodKernel::Bitset] {
-            let _k = with_kernel(kernel);
-            let mut ledger = Ledger::new();
-            let mat = multi_source_bfs(&g, &[0, 3], &spec, "zw", &mut ledger);
-            // Zero-weight edges added no distance…
-            assert_eq!(mat.get_row(0, 1), 0, "{kernel:?}");
-            assert_eq!(mat.get_row(1, 4), 0, "{kernel:?}");
-            // …but still cost a round each to cross.
-            assert!(ledger.rounds >= 3, "{kernel:?}: {} rounds", ledger.rounds);
-            results.push((mat.digest(), ledger.rounds, ledger.words, ledger.messages));
-        }
-        assert_eq!(results[0], results[1], "kernels disagree on w = 0 flood");
+        let mat = assert_bfs_matches_spec(&g, &[0, 3], &spec);
+        // Zero-weight edges added no distance…
+        assert_eq!(mat.get_row(0, 1), 0);
+        assert_eq!(mat.get_row(1, 4), 0);
     }
 
     #[test]
-    fn stretched_flood_identical_across_kernels() {
-        // Latency-stretched floods now have a bitset kernel too (the
-        // calendar ring): pin digests, predecessors, and every ledger
-        // count against the scalar engine-stepped reference, for both a
-        // bounded and an unbounded search.
+    fn stretched_flood_matches_spec() {
+        // Bounded and unbounded latency-stretched searches, zero-weight
+        // edges mixed in.
         let g = connected_gnm(
             44,
             100,
@@ -1321,28 +866,12 @@ mod tests {
                 direction: Direction::Forward,
                 latency: Some(&lat),
             };
-            let mut results = Vec::new();
-            for kernel in [FloodKernel::Scalar, FloodKernel::Bitset] {
-                let _k = with_kernel(kernel);
-                let mut ledger = Ledger::new();
-                let mat = multi_source_bfs(&g, &[0, 7, 21], &spec, "st", &mut ledger);
-                results.push((
-                    mat.digest(),
-                    ledger.rounds,
-                    ledger.words,
-                    ledger.messages,
-                    ledger.hot_links(8),
-                ));
-            }
-            assert_eq!(
-                results[0], results[1],
-                "kernels disagree on stretched flood (max_dist {max_dist})"
-            );
+            assert_bfs_matches_spec(&g, &[0, 7, 21], &spec);
         }
     }
 
     #[test]
-    fn stretched_detection_identical_across_kernels() {
+    fn stretched_detection_matches_spec() {
         let g = connected_gnm(
             40,
             90,
@@ -1352,26 +881,7 @@ mod tests {
         );
         let lat: Vec<Weight> = g.edges().iter().map(|e| e.weight).collect();
         let sources: Vec<NodeId> = (0..40).step_by(3).collect();
-        let mut results = Vec::new();
-        for kernel in [FloodKernel::Scalar, FloodKernel::Bitset] {
-            let _k = with_kernel(kernel);
-            let mut ledger = Ledger::new();
-            let det = source_detection(
-                &g,
-                &sources,
-                20,
-                4,
-                Direction::Forward,
-                Some(&lat),
-                "sd",
-                &mut ledger,
-            );
-            results.push((det.lists, ledger.rounds, ledger.words, ledger.messages));
-        }
-        assert_eq!(
-            results[0], results[1],
-            "kernels disagree on stretched detection"
-        );
+        assert_detection_matches_spec(&g, &sources, 20, 4, Some(&lat));
     }
 
     #[test]
@@ -1479,18 +989,15 @@ mod tests {
         // overflowing while sizing the per-node top sets.
         let g = connected_gnm(30, 40, Orientation::Undirected, WeightRange::unit(), 5);
         let sources: Vec<NodeId> = (0..g.n()).step_by(3).collect();
-        for kernel in [FloodKernel::Scalar, FloodKernel::Bitset] {
-            let _k = with_kernel(kernel);
-            let run = |sigma| {
-                let mut ledger = Ledger::new();
-                let dir = Direction::Forward;
-                let det = source_detection(&g, &sources, 6, sigma, dir, None, "sd", &mut ledger);
-                (det, ledger.rounds, ledger.words, ledger.messages)
-            };
-            let (all, bounded) = (run(usize::MAX), run(sources.len()));
-            assert_eq!(all, bounded, "{kernel:?}");
-            assert_eq!(all.0.lists, detection_oracle(&g, &sources, 6, usize::MAX));
-        }
+        let run = |sigma| {
+            let mut ledger = Ledger::new();
+            let dir = Direction::Forward;
+            let det = source_detection(&g, &sources, 6, sigma, dir, None, "sd", &mut ledger);
+            (det, ledger.rounds, ledger.words, ledger.messages)
+        };
+        let (all, bounded) = (run(usize::MAX), run(sources.len()));
+        assert_eq!(all, bounded);
+        assert_eq!(all.0.lists, detection_oracle(&g, &sources, 6, usize::MAX));
     }
 
     #[test]
@@ -1640,28 +1147,9 @@ mod tests {
     }
 
     #[test]
-    fn detection_identical_across_kernels() {
-        // Unit-weight flood: the bitset kernel engages by default; pin
-        // that the scalar fallback produces identical lists, paths, and
-        // ledger counts.
+    fn detection_matches_spec() {
         let g = connected_gnm(48, 70, Orientation::Undirected, WeightRange::unit(), 33);
         let sources: Vec<NodeId> = (0..48).step_by(3).collect();
-        let mut results = Vec::new();
-        for kernel in [FloodKernel::Scalar, FloodKernel::Bitset] {
-            let _k = with_kernel(kernel);
-            let mut ledger = Ledger::new();
-            let det = source_detection(
-                &g,
-                &sources,
-                6,
-                4,
-                Direction::Forward,
-                None,
-                "sd",
-                &mut ledger,
-            );
-            results.push((det.lists, ledger.rounds, ledger.words, ledger.messages));
-        }
-        assert_eq!(results[0], results[1], "kernels disagree on detection");
+        assert_detection_matches_spec(&g, &sources, 6, 4, None);
     }
 }

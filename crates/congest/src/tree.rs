@@ -96,7 +96,7 @@ impl BfsTree {
 ///
 /// Returns the items in a deterministic (engine-arrival) order together
 /// with their origins; conceptually every node now holds this list.
-pub fn broadcast<T: Clone + Send>(
+pub fn broadcast<T: Send>(
     g: &Graph,
     tree: &BfsTree,
     items: Vec<(NodeId, T)>,
@@ -133,48 +133,25 @@ pub fn broadcast<T: Clone + Send>(
 
     // Downcast: the root streams the full list down every tree edge. The
     // schedule is a fully saturated pipeline (item `i` reaches depth `d`
-    // at round `words_per_item·(i+d)`), so under the bitset kernel the
-    // whole phase is charged in closed form instead of stepping the
-    // engine per message — byte-identical ledger, O(links + rounds)
-    // instead of O(items · links) work. The scalar kernel keeps the
-    // engine-stepped loop as the executable reference.
+    // at round `words_per_item·(i+d)`), so the whole phase is charged in
+    // closed form instead of stepping the engine per message: O(links +
+    // rounds) instead of O(items · links) work, pinned against an
+    // engine-stepped downcast by the broadcast differential test.
     let mut net: Network<(NodeId, T)> = Network::new_auto(g);
-    if crate::flood::flood_kernel() == crate::flood::FloodKernel::Bitset {
-        // Tree links in BFS order (depth ascending, siblings in
-        // `children[]` order) — the order the engine's active list
-        // settles into, which pins the event-log order.
-        let mut links: Vec<(u32, u32)> = Vec::with_capacity(n.saturating_sub(1));
-        let mut queue: std::collections::VecDeque<NodeId> = std::collections::VecDeque::new();
-        queue.push_back(tree.root);
-        while let Some(v) = queue.pop_front() {
-            for &c in &tree.children[v] {
-                let l = net.link_id(v, c).expect("tree edges are links");
-                links.push((l as u32, tree.depth[c] as u32));
-                queue.push_back(c);
-            }
+    // Tree links in BFS order (depth ascending, siblings in `children[]`
+    // order) — the order the engine's active list settles into, which
+    // pins the event-log order.
+    let mut links: Vec<(u32, u32)> = Vec::with_capacity(n.saturating_sub(1));
+    let mut queue: std::collections::VecDeque<NodeId> = std::collections::VecDeque::new();
+    queue.push_back(tree.root);
+    while let Some(v) = queue.pop_front() {
+        for &c in &tree.children[v] {
+            let l = net.link_id(v, c).expect("tree edges are links");
+            links.push((l as u32, tree.depth[c] as u32));
+            queue.push_back(c);
         }
-        net.charge_pipelined_downcast(&links, collected.len() as u64, words_per_item);
-    } else {
-        let mut received: Vec<usize> = vec![0; n];
-        for &c in &tree.children[tree.root] {
-            for item in &collected {
-                net.send(tree.root, c, item.clone(), words_per_item)
-                    .expect("tree edges are links");
-            }
-        }
-        let mut out = RoundOutput::default();
-        while net.step_bulk_into(&mut out) {
-            for d in out.deliveries.drain(..) {
-                let v = d.to;
-                received[v] += 1;
-                for &c in &tree.children[v] {
-                    net.send(v, c, d.payload.clone(), words_per_item)
-                        .expect("tree edges are links");
-                }
-            }
-        }
-        debug_assert!((0..n).all(|v| v == tree.root || received[v] == collected.len()));
     }
+    net.charge_pipelined_downcast(&links, collected.len() as u64, words_per_item);
     ledger.absorb("broadcast: downcast", &net);
     mwc_trace::check_bound(
         "congest/broadcast",

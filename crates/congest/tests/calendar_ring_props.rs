@@ -1,40 +1,53 @@
-//! Property-based tests of the [`CalendarRing`] behind the stretched
-//! flood kernels: against a reference `BinaryHeap<Reverse<(arrival,
-//! seq)>>` (the scalar engine's transit order), random insert schedules
-//! must agree on pop order, bucket rotation across many wraparounds, and
-//! quiet-gap fast-forwards; and random stretched floods must leave both
-//! kernels — including the ghost-frontier stale-entry replay — in
-//! byte-identical agreement.
+//! Property-based tests of the [`CalendarRing`] behind the flood loop:
+//! against a reference `BinaryHeap<Reverse<(arrival, seq)>>` (the
+//! engine's transit order), random insert schedules — latencies well past
+//! the ring's span included — must agree on pop order, bucket rotation
+//! across many wraparounds, overflow migration, and quiet-gap
+//! fast-forwards; and random stretched floods must match the sequential
+//! flood specification.
 //!
 //! Runs on `mwc_rng::proptest_lite`; new failures persist their case
 //! seed under `proplite-regressions/`.
 
+mod common;
+
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use mwc_congest::{
-    multi_source_bfs, set_flood_kernel, source_detection, CalendarRing, FloodKernel, Ledger,
-    MultiBfsSpec,
-};
+use common::flood_spec::{run_flood, Rule};
+use mwc_congest::{multi_source_bfs, source_detection, CalendarRing, Ledger, MultiBfsSpec, INF};
 use mwc_graph::generators::{connected_gnm, WeightRange};
 use mwc_graph::seq::Direction;
 use mwc_graph::{NodeId, Orientation, Weight};
 use mwc_rng::proptest_lite::{self as plite, Config};
 use mwc_rng::{prop_assert, prop_assert_eq, prop_tests};
 
-/// Ring span used by the schedule tests: small enough that long schedules
-/// lap the ring many times (the rotation being tested), large enough for
-/// same-round pileups of fast and slow arrivals.
+/// Ring sizing used by the schedule tests: an 8-bucket ring, small
+/// enough that long schedules lap it many times, with latencies drawn up
+/// to five times its span so many arrivals start in the overflow level.
 const MAX_LAT: u64 = 7;
+
+/// Pops every heap entry due by `round`, in `(arrival, seq)` order.
+fn heap_due(heap: &mut BinaryHeap<Reverse<(u64, u64)>>, round: u64) -> Vec<u64> {
+    let mut due = Vec::new();
+    while let Some(&Reverse((a, s))) = heap.peek() {
+        if a > round {
+            break;
+        }
+        heap.pop();
+        due.push(s);
+    }
+    due
+}
 
 prop_tests! {
     config = Config::with_cases(64);
 
     /// Round-by-round schedule: each batch of latencies is inserted at
     /// its send round and that round's expiries are drained. The ring
-    /// must pop exactly what the scalar transit heap pops, in `(arrival,
-    /// send sequence)` order, with occupancy in lockstep.
-    fn ring_matches_transit_heap(batches in plite::vec(plite::vec(0u64..MAX_LAT + 1, 0..5), 1..24)) {
+    /// must pop exactly what the transit heap pops, in `(arrival, send
+    /// sequence)` order, with occupancy in lockstep.
+    fn ring_matches_transit_heap(batches in plite::vec(plite::vec(0u64..5 * (MAX_LAT + 1), 0..5), 1..24)) {
         let mut ring: CalendarRing<u64> = CalendarRing::new(MAX_LAT);
         let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
         let mut seq = 0u64;
@@ -50,21 +63,13 @@ prop_tests! {
             }
             got.clear();
             ring.drain_round_into(round, &mut got);
-            let mut want = Vec::new();
-            while let Some(&Reverse((a, s))) = heap.peek() {
-                if a > round {
-                    break;
-                }
-                heap.pop();
-                want.push(s);
-            }
-            prop_assert_eq!(&got, &want, "round {} expiries diverge", round);
+            prop_assert_eq!(&got, &heap_due(&mut heap, round), "round {} expiries diverge", round);
             prop_assert_eq!(ring.len(), heap.len());
         }
         // Tail: no more sends, so every remaining arrival is reached via
         // the quiet-gap fast-forward — `next_arrival` must land exactly
         // on the heap's minimum, every time, until both are empty.
-        while let Some(next) = ring.next_arrival(round) {
+        while let Some(next) = ring.next_arrival() {
             prop_assert!(next > round, "fast-forward must advance");
             prop_assert_eq!(
                 heap.peek().map(|&Reverse((a, _))| a),
@@ -74,59 +79,52 @@ prop_tests! {
             round = next;
             got.clear();
             ring.drain_round_into(round, &mut got);
-            let mut want = Vec::new();
-            while let Some(&Reverse((a, s))) = heap.peek() {
-                if a > round {
-                    break;
-                }
-                heap.pop();
-                want.push(s);
-            }
-            prop_assert_eq!(&got, &want, "tail round {} expiries diverge", round);
+            prop_assert_eq!(&got, &heap_due(&mut heap, round), "tail round {} expiries diverge", round);
         }
         prop_assert!(ring.is_empty() && heap.is_empty(), "pending arrivals leaked");
-        prop_assert_eq!(ring.next_arrival(round), None);
+        prop_assert_eq!(ring.next_arrival(), None);
     }
 
-    /// Random stretched floods agree across kernels: the calendar-queue
-    /// bitset kernel (ghost drains included) must reproduce the scalar
-    /// reference's distances, predecessors, detection lists, and every
-    /// ledger total on arbitrary connected graphs with zero-weight edges
-    /// mixed in.
-    fn stretched_kernels_agree(seed in 0u64..5000, n in 4usize..24, extra in 0usize..48, wmax in 1u64..9) {
+    /// Random stretched floods match the spec: distances, predecessors,
+    /// detection lists, and every ledger total, on arbitrary connected
+    /// graphs with zero-weight edges mixed in.
+    fn stretched_floods_match_spec(seed in 0u64..5000, n in 4usize..24, extra in 0usize..48, wmax in 1u64..9) {
         let g = connected_gnm(n, extra, Orientation::Directed, WeightRange::uniform(0, wmax), seed);
         let lat: Vec<Weight> = g.edges().iter().map(|e| e.weight).collect();
         let sources: Vec<NodeId> = (0..n).step_by(3).collect();
+        let dir = Direction::Forward;
         let spec = MultiBfsSpec {
-            direction: Direction::Forward,
+            direction: dir,
             latency: Some(&lat),
             ..MultiBfsSpec::default()
         };
-        let mut results = Vec::new();
-        for kernel in [FloodKernel::Scalar, FloodKernel::Bitset] {
-            set_flood_kernel(kernel);
-            let mut ledger = Ledger::new();
-            let mat = multi_source_bfs(&g, &sources, &spec, "p", &mut ledger);
-            let det = source_detection(
-                &g,
-                &sources,
-                3 * wmax,
-                3,
-                Direction::Forward,
-                Some(&lat),
-                "p",
-                &mut ledger,
-            );
-            results.push((
-                mat.digest(),
-                det.lists,
-                ledger.rounds,
-                ledger.words,
-                ledger.messages,
-                ledger.hot_links(8),
-            ));
+        let mut ledger = Ledger::new();
+        let mat = multi_source_bfs(&g, &sources, &spec, "p", &mut ledger);
+        let want = run_flood(&g, &sources, INF, dir, Some(&lat), Rule::Bfs);
+        for (row, &s) in sources.iter().enumerate() {
+            for v in 0..n {
+                let entry = want.best[v].get(&row).copied();
+                let p = entry.map(|e| e.1).filter(|_| v != s);
+                prop_assert_eq!(mat.get_row(row, v), entry.map_or(INF, |e| e.0));
+                prop_assert_eq!(mat.pred_row(row, v), p);
+            }
         }
-        set_flood_kernel(FloodKernel::Bitset);
-        prop_assert_eq!(&results[0], &results[1], "kernels disagree on stretched flood");
+        prop_assert_eq!(
+            (ledger.rounds, ledger.words, ledger.messages),
+            (want.rounds, want.words, want.messages)
+        );
+
+        let mut ledger = Ledger::new();
+        let h = 3 * wmax;
+        let det = source_detection(&g, &sources, h, 3, dir, Some(&lat), "p", &mut ledger);
+        let want = run_flood(&g, &sources, h, dir, Some(&lat), Rule::Detect { sigma: 3 });
+        for v in 0..n {
+            let list: Vec<_> = want.top[v].iter().map(|&(d, r)| (d, sources[r])).collect();
+            prop_assert_eq!(&det.lists[v], &list);
+        }
+        prop_assert_eq!(
+            (ledger.rounds, ledger.words, ledger.messages),
+            (want.rounds, want.words, want.messages)
+        );
     }
 }

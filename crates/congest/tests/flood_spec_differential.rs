@@ -1,0 +1,483 @@
+//! Flood differential suite: [`multi_source_bfs`] and
+//! [`source_detection`] against the sequential specification in
+//! `common/flood_spec.rs`. On every graph family the Table-1 experiments
+//! sweep — unit-weight, weighted (plain and latency-stretched),
+//! zero-weight, heavy-tail latencies, directed graphs in both traversal
+//! directions — plus budget-filtered passes under both round-control
+//! rules and a latency far past the calendar ring's span, each flood is
+//! compared with the spec on:
+//!
+//! - distances and predecessors (detection: lists, every admitted
+//!   entry's distance and predecessor),
+//! - rounds, words, and messages,
+//! - words per directed link,
+//! - the message-event log, delivery by delivery.
+//!
+//! The tree [`broadcast`] downcast, charged in closed form, is checked
+//! against an engine-stepped downcast written here.
+
+mod common;
+
+use common::flood_spec::{run_flood, Rule, SpecOutcome};
+use mwc_congest::{
+    broadcast, multi_source_bfs, source_detection, BfsTree, EventLog, Ledger, MultiBfsSpec,
+    Network, RoundOutput, INF,
+};
+use mwc_graph::generators::{connected_gnm, ring_with_chords, WeightRange};
+use mwc_graph::seq::Direction;
+use mwc_graph::{Graph, NodeId, Orientation, Weight};
+
+/// Checks the ledger and event log of one flood against the spec.
+fn assert_traffic_matches(ledger: &Ledger, log: &EventLog, want: &SpecOutcome, family: &str) {
+    assert_eq!(
+        (ledger.rounds, ledger.words, ledger.messages),
+        (want.rounds, want.words, want.messages),
+        "{family}: rounds/words/messages"
+    );
+    let mut links = ledger.hot_links(usize::MAX);
+    links.sort_unstable();
+    let want_links: Vec<_> = want.link_words.iter().map(|(&l, &w)| (l, w)).collect();
+    assert_eq!(links, want_links, "{family}: per-link words");
+    assert!(log.messages.iter().all(|m| m.net == 0 && m.words == 1));
+    let events: Vec<_> = log
+        .messages
+        .iter()
+        .map(|m| (m.round, m.from, m.to))
+        .collect();
+    assert_eq!(events, want.events, "{family}: event log");
+}
+
+/// Runs a BFS and checks it against the spec; returns the spec's run.
+fn check_bfs(g: &Graph, sources: &[NodeId], spec: &MultiBfsSpec<'_>, family: &str) -> SpecOutcome {
+    let mut ledger = Ledger::new();
+    let mut mat = None;
+    let log = EventLog::capture(|| {
+        mat = Some(multi_source_bfs(g, sources, spec, "bfs", &mut ledger));
+    });
+    let mat = mat.expect("flood ran");
+    let want = run_flood(
+        g,
+        sources,
+        spec.max_dist,
+        spec.direction,
+        spec.latency,
+        Rule::Bfs,
+    );
+    for (row, &s) in sources.iter().enumerate() {
+        for v in 0..g.n() {
+            let entry = want.best[v].get(&row).copied();
+            let d = entry.map_or(INF, |e| e.0);
+            // A source's own entry has no predecessor in a DistMatrix.
+            let p = entry.map(|e| e.1).filter(|_| v != s);
+            assert_eq!(
+                (mat.get_row(row, v), mat.pred_row(row, v)),
+                (d, p),
+                "{family}: row {row} node {v}"
+            );
+        }
+    }
+    assert_traffic_matches(&ledger, &log, &want, family);
+    want
+}
+
+/// Runs a detection and checks it against the spec; returns the spec's
+/// run.
+fn check_detection(
+    g: &Graph,
+    sources: &[NodeId],
+    (h, sigma): (Weight, usize),
+    direction: Direction,
+    latency: Option<&[Weight]>,
+    family: &str,
+) -> SpecOutcome {
+    let mut ledger = Ledger::new();
+    let mut det = None;
+    let log = EventLog::capture(|| {
+        det = Some(source_detection(
+            g,
+            sources,
+            h,
+            sigma,
+            direction,
+            latency,
+            "detect",
+            &mut ledger,
+        ));
+    });
+    let det = det.expect("flood ran");
+    let mut srcs = sources.to_vec();
+    srcs.sort_unstable();
+    let want = run_flood(g, &srcs, h, direction, latency, Rule::Detect { sigma });
+    for v in 0..g.n() {
+        let list: Vec<_> = want.top[v].iter().map(|&(d, r)| (d, srcs[r])).collect();
+        assert_eq!(det.lists[v], list, "{family}: node {v} list");
+        for (row, &s) in srcs.iter().enumerate() {
+            let entry = want.best[v].get(&row).copied();
+            assert_eq!(det.dist(v, s), entry.map(|e| e.0), "{family}: {v} ← {s}");
+            assert_eq!(det.pred(v, s), entry.map(|e| e.1), "{family}: {v} ← {s}");
+        }
+    }
+    assert_traffic_matches(&ledger, &log, &want, family);
+    want
+}
+
+/// The per-family pipeline: a plain BFS, a BFS stretched by `latency`,
+/// and a source detection plain and stretched, all from every other
+/// node.
+fn check_family(g: &Graph, direction: Direction, latency: &[Weight], family: &str) {
+    let sources: Vec<NodeId> = (0..g.n()).step_by(2).collect();
+    let plain = MultiBfsSpec {
+        direction,
+        ..MultiBfsSpec::default()
+    };
+    let unit = check_bfs(g, &sources, &plain, &format!("{family}/unit"));
+    assert!(
+        unit.rounds > 0 && unit.words > 0,
+        "{family}: the flood must move traffic"
+    );
+    let stretched = MultiBfsSpec {
+        latency: Some(latency),
+        ..plain
+    };
+    check_bfs(g, &sources, &stretched, &format!("{family}/stretched"));
+    check_detection(
+        g,
+        &sources,
+        (64, 3),
+        direction,
+        None,
+        &format!("{family}/detect"),
+    );
+    let h = 4 * latency.iter().max().copied().unwrap_or(1).max(1);
+    check_detection(
+        g,
+        &sources,
+        (h, 3),
+        direction,
+        Some(latency),
+        &format!("{family}/detect-stretched"),
+    );
+}
+
+/// Stretch table over `g`'s edge weights, each at least 1.
+fn weight_latency(g: &Graph) -> Vec<Weight> {
+    g.edges().iter().map(|e| e.weight.max(1)).collect()
+}
+
+/// Raw edge weights as the latency table, 0 entries included: a `w = 0`
+/// edge adds zero distance but still takes one round to cross.
+fn raw_weight_latency(g: &Graph) -> Vec<Weight> {
+    g.edges().iter().map(|e| e.weight).collect()
+}
+
+#[test]
+fn unit_family_matches_spec() {
+    for seed in 0..3 {
+        let g = connected_gnm(40, 90, Orientation::Undirected, WeightRange::unit(), seed);
+        check_family(
+            &g,
+            Direction::Forward,
+            &weight_latency(&g),
+            "unit/connected_gnm",
+        );
+    }
+}
+
+#[test]
+fn weighted_family_matches_spec() {
+    for seed in [2, 9] {
+        let g = ring_with_chords(
+            30,
+            10,
+            Orientation::Undirected,
+            WeightRange::uniform(1, 9),
+            seed,
+        );
+        check_family(
+            &g,
+            Direction::Forward,
+            &weight_latency(&g),
+            "weighted/ring_with_chords",
+        );
+    }
+}
+
+#[test]
+fn directed_family_matches_spec_both_ways() {
+    for seed in [3, 11] {
+        let g = connected_gnm(
+            28,
+            70,
+            Orientation::Directed,
+            WeightRange::uniform(1, 6),
+            seed,
+        );
+        let lat = weight_latency(&g);
+        check_family(&g, Direction::Forward, &lat, "directed/connected_gnm");
+        check_family(
+            &g,
+            Direction::Reverse,
+            &lat,
+            "directed-reverse/connected_gnm",
+        );
+    }
+}
+
+/// A `{0, 1}`-weight graph with its raw weights as the latency table:
+/// every hop crosses in one round, and some add zero distance — the
+/// aliasing case for the frontier's distance buckets.
+#[test]
+fn zero_weight_family_matches_spec() {
+    for seed in [1, 7] {
+        let g = connected_gnm(
+            32,
+            80,
+            Orientation::Directed,
+            WeightRange::uniform(0, 1),
+            seed,
+        );
+        let lat = raw_weight_latency(&g);
+        assert!(
+            lat.contains(&0) && lat.iter().all(|&l| l <= 1),
+            "family must mix zero- and unit-weight edges"
+        );
+        check_family(&g, Direction::Forward, &lat, "zero-weight/connected_gnm");
+    }
+}
+
+/// Heavy-tail latencies: zero-weight edges, stretch-1 edges, and
+/// latencies hundreds of rounds long in one graph — deep parking in the
+/// calendar ring, quiet-gap fast-forwards, and same-round collisions of
+/// fast and slow arrivals.
+#[test]
+fn heavy_tail_latency_family_matches_spec() {
+    for seed in [4, 19] {
+        let base = connected_gnm(
+            36,
+            96,
+            Orientation::Directed,
+            WeightRange::uniform(0, 1),
+            seed,
+        );
+        // Mostly short (0 / 1 / 2), a thick tail of 37s, and rare
+        // 211-round outliers, keyed by edge index.
+        let edges: Vec<(usize, usize, Weight)> = base
+            .edges()
+            .iter()
+            .enumerate()
+            .map(|(i, e)| {
+                let w = match i % 9 {
+                    0 => 0,
+                    1..=3 => 1,
+                    4 | 5 => 2,
+                    6 | 7 => 37,
+                    _ => 211,
+                };
+                (e.u, e.v, w)
+            })
+            .collect();
+        let g = Graph::from_edges(base.n(), Orientation::Directed, edges).unwrap();
+        let lat = raw_weight_latency(&g);
+        assert!(
+            lat.contains(&0) && lat.contains(&1) && lat.contains(&211),
+            "family must mix zero-weight, stretch-1, and long edges"
+        );
+        check_family(&g, Direction::Forward, &lat, "heavy-tail/connected_gnm");
+        check_family(
+            &g,
+            Direction::Reverse,
+            &lat,
+            "heavy-tail-reverse/connected_gnm",
+        );
+    }
+}
+
+/// Budgets tight enough that whole passes pop announcements and send
+/// nothing: BFS then charges no round and pops again, detection charges
+/// an idle round. Both rules must be exercised, on unit and stretched
+/// floods.
+#[test]
+fn budget_filtered_pops_follow_both_round_rules() {
+    let g = ring_with_chords(
+        24,
+        6,
+        Orientation::Undirected,
+        WeightRange::uniform(1, 7),
+        5,
+    );
+    let lat = weight_latency(&g);
+    let sources: Vec<NodeId> = (0..g.n()).step_by(5).collect();
+    let (mut bfs_filtered, mut detect_filtered) = (0, 0);
+    for budget in [0, 1, 3, 6, 9] {
+        for latency in [None, Some(lat.as_slice())] {
+            let spec = MultiBfsSpec {
+                max_dist: budget,
+                direction: Direction::Forward,
+                latency,
+            };
+            let family = format!(
+                "filtered/bfs/budget={budget}/stretched={}",
+                latency.is_some()
+            );
+            bfs_filtered += check_bfs(&g, &sources, &spec, &family).filtered_passes;
+            let family = format!("filtered/detect/h={budget}/stretched={}", latency.is_some());
+            let dir = Direction::Forward;
+            let det = check_detection(&g, &sources, (budget, 2), dir, latency, &family);
+            detect_filtered += det.filtered_passes;
+        }
+    }
+    assert!(bfs_filtered > 0, "no BFS pass was budget-filtered");
+    assert!(detect_filtered > 0, "no detection pass was budget-filtered");
+}
+
+/// One edge whose latency is far past the calendar ring's span: its
+/// arrival waits in the ring's overflow level. Distances must still be
+/// the weighted shortest paths, and everything else must match the spec.
+#[test]
+fn latency_beyond_the_ring_span_matches_spec_and_dijkstra() {
+    let mut edges: Vec<(usize, usize, Weight)> = (0..11).map(|i| (i, (i + 1) % 12, 1)).collect();
+    edges.push((11, 0, 1_000_000));
+    edges.push((3, 9, 2));
+    edges.push((6, 0, 700_000));
+    let g = Graph::from_edges(12, Orientation::Directed, edges).unwrap();
+    let lat = raw_weight_latency(&g);
+    let sources = [0, 5, 11];
+    for direction in [Direction::Forward, Direction::Reverse] {
+        let spec = MultiBfsSpec {
+            max_dist: INF,
+            direction,
+            latency: Some(&lat),
+        };
+        let want = check_bfs(&g, &sources, &spec, "beyond-span/bfs");
+        assert!(want.rounds > 1_000_000, "the long edge must be crossed");
+        for (row, &s) in sources.iter().enumerate() {
+            let t = mwc_graph::seq::dijkstra(&g, s, direction);
+            for v in 0..g.n() {
+                let d = want.best[v].get(&row).map_or(INF, |e| e.0);
+                assert_eq!(d, t.dist[v], "{direction:?} {s} → {v}");
+            }
+        }
+        check_detection(
+            &g,
+            &sources,
+            (INF - 1, 2),
+            direction,
+            Some(&lat),
+            "beyond-span/detect",
+        );
+    }
+}
+
+/// Every observable of a broadcast: totals, the phase journal (each
+/// phase's congestion and shard profile), words per link, the congestion
+/// summary, the event log, and the collected items in order.
+#[derive(Debug, PartialEq)]
+struct BroadcastRun {
+    items: Vec<(NodeId, u64)>,
+    totals: (u64, u64, u64),
+    phases: String,
+    link_words: Vec<((NodeId, NodeId), u64)>,
+    summary: mwc_trace::CongestionSummary,
+    events: EventLog,
+}
+
+fn observe_broadcast(
+    g: &Graph,
+    root: NodeId,
+    run: impl FnOnce(&Graph, &BfsTree, &mut Ledger) -> Vec<(NodeId, u64)>,
+) -> BroadcastRun {
+    let mut ledger = Ledger::new();
+    let mut items = Vec::new();
+    let events = EventLog::capture(|| {
+        let tree = BfsTree::build(g, root, &mut ledger);
+        items = run(g, &tree, &mut ledger);
+    });
+    BroadcastRun {
+        items,
+        totals: (ledger.rounds, ledger.words, ledger.messages),
+        phases: format!("{:?}", ledger.phases),
+        link_words: ledger.hot_links(usize::MAX),
+        summary: ledger.congestion_summary("broadcast"),
+        events,
+    }
+}
+
+/// [`broadcast`] with its downcast stepped through the engine message by
+/// message: the root sends every item to each child, and each node
+/// forwards each item to its children the round it arrives.
+fn engine_broadcast(
+    g: &Graph,
+    tree: &BfsTree,
+    items: Vec<(NodeId, u64)>,
+    words: u64,
+    ledger: &mut Ledger,
+) -> Vec<(NodeId, u64)> {
+    let mut out = RoundOutput::default();
+    let mut net: Network<(NodeId, u64)> = Network::new(g);
+    let mut collected = Vec::new();
+    for (origin, item) in items {
+        match tree.parent[origin] {
+            Some(p) => net.send(origin, p, (origin, item), words).unwrap(),
+            None => collected.push((origin, item)),
+        }
+    }
+    while net.step_bulk_into(&mut out) {
+        for d in out.deliveries.drain(..) {
+            match tree.parent[d.to] {
+                Some(p) => net.send(d.to, p, d.payload, words).unwrap(),
+                None => collected.push(d.payload),
+            }
+        }
+    }
+    ledger.absorb("broadcast: upcast", &net);
+
+    let mut net: Network<(NodeId, u64)> = Network::new(g);
+    for &c in &tree.children[tree.root] {
+        for &item in &collected {
+            net.send(tree.root, c, item, words).unwrap();
+        }
+    }
+    while net.step_bulk_into(&mut out) {
+        for d in out.deliveries.drain(..) {
+            for &c in &tree.children[d.to] {
+                net.send(d.to, c, d.payload, words).unwrap();
+            }
+        }
+    }
+    ledger.absorb("broadcast: downcast", &net);
+    collected
+}
+
+/// The closed-form downcast charge against the engine-stepped one, on
+/// the shapes that stress the schedule: a path (maximum height), a star
+/// (the root queue holds every item), and a random connected graph
+/// (branching trees), each with `m ∈ {0, 1, many}` items of one or
+/// three words.
+#[test]
+fn broadcast_downcast_matches_engine_stepping() {
+    let mut path = Graph::undirected(12);
+    for i in 0..11 {
+        path.add_edge(i, i + 1, 1).unwrap();
+    }
+    let mut star = Graph::undirected(10);
+    for i in 1..10 {
+        star.add_edge(0, i, 1).unwrap();
+    }
+    let gnm = connected_gnm(26, 50, Orientation::Undirected, WeightRange::unit(), 13);
+    let shapes: [(&str, &Graph, NodeId); 3] =
+        [("path", &path, 0), ("star", &star, 0), ("gnm", &gnm, 5)];
+    for (name, g, root) in shapes {
+        for m in [0usize, 1, 17] {
+            for w in [1u64, 3] {
+                let items: Vec<(NodeId, u64)> =
+                    (0..m).map(|i| (i % g.n(), 1000 + i as u64)).collect();
+                let want = observe_broadcast(g, root, |g, t, l| {
+                    engine_broadcast(g, t, items.clone(), w, l)
+                });
+                let got =
+                    observe_broadcast(g, root, |g, t, l| broadcast(g, t, items.clone(), w, l));
+                assert_eq!(got, want, "broadcast/{name}/m={m}/w={w}");
+            }
+        }
+    }
+}

@@ -178,8 +178,8 @@ type LogPin = (&'static str, &'static [usize], usize, u64);
 /// `small_overflow_runs()` order.
 #[rustfmt::skip]
 const LOG_PINS: &[LogPin] = &[
-    ("2apx n48 cap0.1 s5", &[8], 154905, 0x7c64b3073f29e0af),
-    ("weighted n48 cap0.1 s6", &[0, 0, 1, 4, 5, 6, 8, 7], 476601, 0xae188bbe014259df),
+    ("2apx n48 cap0.1 s5", &[8], 154905, 0xfee58084fc39a535),
+    ("weighted n48 cap0.1 s6", &[0, 0, 1, 4, 5, 6, 8, 7], 476601, 0x20e1c6f64cfd9e43),
 ];
 
 /// Two small runs whose every message event is cheap to keep in memory.

@@ -97,8 +97,8 @@ const PINS: &[(&str, u64, Pin)] = &[
     ("weighted-160", 5, (Some(4), Some(&[80, 114, 108, 128]), 288, 35985, 8533)),
     ("weighted-160", 8, (Some(4), Some(&[80, 114, 108, 128]), 487, 109048, 31348)),
     ("dense-300", 3, (Some(3), Some(&[42, 150, 248]), 623, 3442317, 168617)),
-    ("dense-300", 5, (Some(3), Some(&[99, 150, 248]), 910, 5942097, 1989895)),
-    ("dense-300", 8, (Some(3), Some(&[99, 150, 248]), 910, 5942097, 1989895)),
+    ("dense-300", 5, (Some(3), Some(&[42, 150, 248]), 910, 5942097, 1989895)),
+    ("dense-300", 8, (Some(3), Some(&[42, 150, 248]), 910, 5942097, 1989895)),
 ];
 
 #[test]

@@ -1106,8 +1106,9 @@ mod tests {
         let d = diff_records(&base, &fresh, &DiffConfig::default());
         assert!(d.has_regression(), "{}", d.render());
         // Engagement tallies are informational, not kernel identity: two
-        // same-kernel records with wildly different tallies (e.g. one run
-        // raised MWC_FLOOD_RING_MAX mid-series) still arm the alloc gate.
+        // same-kernel records with wildly different tallies (e.g. an old
+        // record whose floods fell back to the scalar path) still arm the
+        // alloc gate.
         let mut base = record();
         base.flood_kernel = "bitset".to_owned();
         base.floods_bitset = 40;
