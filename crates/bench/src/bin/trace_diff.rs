@@ -94,13 +94,36 @@ fn totals_json(r: &RunRecord) -> Json {
     ])
 }
 
+/// Relative `peak_alloc` change beyond which a pair is tagged `NOTABLE`.
+/// The tag only draws the eye: the peak depends on allocator timing, so
+/// it is never gated.
+const PEAK_ALLOC_NOTABLE: f64 = 0.10;
+
+/// The relative `peak_alloc` change base → fresh and whether it is
+/// notable; `None` when the baseline carries no peak.
+fn peak_alloc_change(base: &RunRecord, fresh: &RunRecord) -> Option<(f64, bool)> {
+    if base.peak_alloc_bytes == 0 {
+        return None;
+    }
+    let (b, f) = (base.peak_alloc_bytes as f64, fresh.peak_alloc_bytes as f64);
+    let rel = (f - b) / b;
+    Some((rel, rel.abs() > PEAK_ALLOC_NOTABLE))
+}
+
 /// One human-report line for the informational fields — printed, never
 /// gated, so the reader sees the wall-clock/allocation/parallelism
 /// context instead of the report silently dropping it.
 fn info_line(base: &RunRecord, fresh: &RunRecord) -> String {
+    let peak_change = match peak_alloc_change(base, fresh) {
+        Some((rel, notable)) => {
+            let tag = if notable { ", NOTABLE" } else { "" };
+            format!(" ({:+.1} %{tag})", 100.0 * rel)
+        }
+        None => String::new(),
+    };
     format!(
-        "{:<16} wall_ms {} -> {}, peak_alloc {} -> {}, shards {} -> {}, jobs {} -> {} \
-         (informational, never gated)\n",
+        "{:<16} wall_ms {} -> {}, peak_alloc {} -> {}{peak_change}, shards {} -> {}, \
+         jobs {} -> {} (informational, never gated)\n",
         "info",
         base.wall_ms,
         fresh.wall_ms,
@@ -111,6 +134,21 @@ fn info_line(base: &RunRecord, fresh: &RunRecord) -> String {
         base.jobs,
         fresh.jobs
     )
+}
+
+/// The JSON report's informational `peak_alloc` entry for one pair.
+fn peak_alloc_json(name: &str, base: &RunRecord, fresh: &RunRecord) -> Json {
+    let change = peak_alloc_change(base, fresh);
+    Json::obj([
+        ("record", Json::str(name)),
+        ("base", Json::U64(base.peak_alloc_bytes)),
+        ("fresh", Json::U64(fresh.peak_alloc_bytes)),
+        (
+            "change_rel",
+            change.map_or(Json::Null, |(rel, _)| Json::F64(rel)),
+        ),
+        ("notable", Json::Bool(change.is_some_and(|(_, n)| n))),
+    ])
 }
 
 /// `--verbose` / `--top=K` / `--only=NAME`. Flags are filtered out of
@@ -299,6 +337,15 @@ fn main() {
                 "diffs",
                 Json::Arr(diffs.iter().map(RunDiff::to_json).collect()),
             ),
+            (
+                "peak_alloc",
+                Json::Arr(
+                    pairs
+                        .iter()
+                        .map(|(n, b, f)| peak_alloc_json(n, b, f))
+                        .collect(),
+                ),
+            ),
         ]),
     );
     let worst = triage.first();
@@ -347,5 +394,43 @@ fn main() {
     }
     if regressions > 0 {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn peak(bytes: u64) -> RunRecord {
+        RunRecord {
+            peak_alloc_bytes: bytes,
+            ..RunRecord::default()
+        }
+    }
+
+    #[test]
+    fn peak_alloc_moves_beyond_ten_percent_are_notable() {
+        let line = info_line(&peak(42_145_076), &peak(11_108_252));
+        assert!(
+            line.contains("42145076 -> 11108252 (-73.6 %, NOTABLE)"),
+            "{line}"
+        );
+        let line = info_line(&peak(1000), &peak(1100));
+        assert!(
+            line.contains("(+10.0 %)") && !line.contains("NOTABLE"),
+            "{line}"
+        );
+        let line = info_line(&peak(1000), &peak(1101));
+        assert!(line.contains("(+10.1 %, NOTABLE)"), "{line}");
+        let line = info_line(&peak(0), &peak(500));
+        assert!(line.contains("peak_alloc 0 -> 500, shards"), "{line}");
+
+        let json = peak_alloc_json("r", &peak(1000), &peak(850));
+        assert_eq!(json.get("notable"), Some(&Json::Bool(true)));
+        let rel = json.get("change_rel").and_then(Json::as_f64).unwrap();
+        assert!((rel + 0.15).abs() < 1e-12, "{rel}");
+        let json = peak_alloc_json("r", &peak(0), &peak(850));
+        assert_eq!(json.get("notable"), Some(&Json::Bool(false)));
+        assert_eq!(json.get("change_rel"), Some(&Json::Null));
     }
 }

@@ -44,6 +44,14 @@
 //! so every pop is fresh), parks latency-delayed sends in a
 //! [`CalendarRing`], and charges each round's traffic in one
 //! `Network::charge_flood_round` call instead of stepping the engine.
+//!
+//! Receivers keep what they admit in flat state allocated once. BFS
+//! fills a node-major [`DistMatrix`]. Detection keeps a sparse
+//! `DetectState`: each node's admitted rows form one row-sorted segment
+//! of a single slab (a segment that outgrows its slot spills to one
+//! shared vector), and its top-`σ` set sits in a fixed-stride slab. A
+//! row new to a node that falls behind the node's full top set is
+//! recorded and goes no further: it is *truncated on arrival*.
 
 use crate::distmat::{DistMatrix, INF};
 use crate::engine::Network;
@@ -333,77 +341,172 @@ impl Detection {
     }
 }
 
-/// Per-node detection state: current best distance and predecessor per
-/// source row, and the top-`σ` set the truncation discipline maintains.
-/// Stored flat — a distance matrix with an [`INF`] absent-sentinel, a
-/// parallel predecessor matrix the admit test never reads, and per-node
-/// sorted vectors of at most `σ` entries — so the admit fast path is an
-/// array index plus a short binary search instead of hash-map and B-tree
-/// traffic.
+/// One source row admitted at a node: its best distance and the neighbor
+/// that distance arrived from.
+#[derive(Clone, Copy, Debug, Default)]
+struct Entry {
+    dist: Weight,
+    row: u32,
+    pred: u32,
+}
+
+/// Where a node's admitted entries live: `cap` slots from `base`, the
+/// first `len` in use and sorted by row. A `base` below the slab's length
+/// indexes the slab; one at or past it indexes the spill vector, offset
+/// by that length.
+#[derive(Clone, Copy, Debug)]
+struct Seg {
+    base: usize,
+    len: u32,
+    cap: u32,
+}
+
+/// Per-node detection state. Each node keeps only the source rows it has
+/// admitted, plus its top-`σ` set, and no node owns a heap vector:
+///
+/// - Admitted `(row, pred, dist)` entries form one row-sorted segment per
+///   node in a single slab, allocated once. Node `v`'s slot holds
+///   `min((σ + 1)·(1 + hops(v)), ¾·|S|)` entries (a node learns rows from
+///   its neighbors' top sets); the cap keeps the slab of 16-byte entries
+///   from outweighing the dense 12-byte distance/predecessor cells it
+///   replaces.
+/// - A segment that outgrows its slot moves to the end of one spill
+///   vector at double capacity (at most `|S|`), abandoning its old slots.
+/// - The top sets share one fixed-stride slab of `min(σ, |S|) + 1` slots
+///   per node (room for an insertion awaiting truncation) and a length
+///   array.
+///
+/// The admit fast path is a binary search of the node's segment. A row
+/// new to the node that falls behind a full top set is *truncated on
+/// arrival*: it is recorded in the segment and goes no further, since the
+/// top set would only take it in and evict it again.
 struct DetectState {
-    n: usize,
     rows: usize,
-    /// `dist[v * rows + row]`: best-known distance of `row`'s source at
-    /// `v`, [`INF`] when none was admitted.
-    dist: Vec<Weight>,
-    /// The neighbor that distance arrived from. Read only where `dist`
-    /// is finite, so it starts zeroed: the allocator hands out zeroed
-    /// pages the admit loop touches only as it writes them.
-    pred: Vec<u32>,
-    top: Vec<Vec<(Weight, u32)>>,
     sigma: usize,
+    slab: Vec<Entry>,
+    spill: Vec<Entry>,
+    segs: Vec<Seg>,
+    /// Node `v`'s top set is `top[v * stride..][..top_len[v]]`, sorted.
+    top: Vec<(Weight, u32)>,
+    top_len: Vec<u32>,
+    stride: usize,
 }
 
 impl DetectState {
-    fn new(n: usize, rows: usize, sigma: usize) -> DetectState {
+    /// State for `n` nodes flooding over `plan` from `rows` sources. No
+    /// slot exceeds `max_slot` entries: the tests pass 0 to send every
+    /// segment through the spill path.
+    fn new(n: usize, plan: &FloodPlan, rows: usize, sigma: usize, max_slot: usize) -> DetectState {
         assert!(
             u32::try_from(n).is_ok(),
             "node ids must fit the u32 predecessor table"
         );
-        // A top set never holds more than `rows` entries (plus one while
-        // an insertion awaits truncation), however large σ is.
-        let cap = sigma.min(rows) + 1;
+        let slot_max = (rows * 3 / 4).min(max_slot);
+        let mut base = 0;
+        let segs = (0..n)
+            .map(|v| {
+                let cap = sigma
+                    .saturating_add(1)
+                    .saturating_mul(1 + plan.of(v).len())
+                    .min(slot_max);
+                let seg = Seg {
+                    base,
+                    len: 0,
+                    cap: cap as u32,
+                };
+                base += cap;
+                seg
+            })
+            .collect();
+        let stride = sigma.min(rows) + 1;
         DetectState {
-            n,
             rows,
-            dist: vec![INF; n * rows],
-            pred: vec![0; n * rows],
-            top: (0..n).map(|_| Vec::with_capacity(cap)).collect(),
             sigma,
+            slab: vec![Entry::default(); base],
+            spill: Vec::new(),
+            segs,
+            top: vec![(0, 0); n * stride],
+            top_len: vec![0; n],
+            stride,
         }
     }
 
+    /// A segment's slots, `cap` long.
+    fn slots(&self, s: Seg) -> &[Entry] {
+        let cap = s.cap as usize;
+        match s.base.checked_sub(self.slab.len()) {
+            None => &self.slab[s.base..s.base + cap],
+            Some(b) => &self.spill[b..b + cap],
+        }
+    }
+
+    fn slots_mut(&mut self, s: Seg) -> &mut [Entry] {
+        let cap = s.cap as usize;
+        match s.base.checked_sub(self.slab.len()) {
+            None => &mut self.slab[s.base..s.base + cap],
+            Some(b) => &mut self.spill[b..b + cap],
+        }
+    }
+
+    /// Inserts `e` at `pos` of `v`'s segment, first moving a full segment
+    /// to the end of the spill vector at double capacity.
+    fn insert(&mut self, v: NodeId, pos: usize, e: Entry) {
+        let mut s = self.segs[v];
+        let len = s.len as usize;
+        if s.len == s.cap {
+            let cap = (2 * s.cap as usize).clamp(1, self.rows);
+            let base = self.spill.len();
+            match s.base.checked_sub(self.slab.len()) {
+                None => self
+                    .spill
+                    .extend_from_slice(&self.slab[s.base..s.base + len]),
+                Some(b) => self.spill.extend_from_within(b..b + len),
+            }
+            self.spill.resize(base + cap, Entry::default());
+            s.base = self.slab.len() + base;
+            s.cap = cap as u32;
+        }
+        let slots = self.slots_mut(s);
+        slots.copy_within(pos..len, pos + 1);
+        slots[pos] = e;
+        s.len += 1;
+        self.segs[v] = s;
+    }
+
+    /// Whether `(d, row)` falls behind `v`'s full top set (always, when
+    /// σ = 0). Distances compare first; rows only break ties.
+    fn beyond_top(&self, v: NodeId, d: Weight, row: u32) -> bool {
+        let len = self.top_len[v] as usize;
+        len >= self.sigma
+            && (len == 0 || {
+                let (wd, wrow) = self.top[v * self.stride + len - 1];
+                wd < d || (wd == d && wrow < row)
+            })
+    }
+
     /// The finished [`Detection`]: top sets renamed from rows to source
-    /// ids, and one pass over the dense tables (rows are in source-id
-    /// order) compacting each node's admitted entries into the CSR.
+    /// ids, and the segments (rows are in source-id order) concatenated
+    /// into the CSR.
     fn into_detection(self, srcs: &[NodeId]) -> Detection {
-        let DetectState {
-            n,
-            rows,
-            dist: dense_dist,
-            pred: dense_pred,
-            top,
-            ..
-        } = self;
-        let lists: DetectionLists = top
-            .into_iter()
-            .map(|t| {
-                t.into_iter()
-                    .map(|(d, row)| (d, srcs[row as usize]))
+        let lists: DetectionLists = (0..self.segs.len())
+            .map(|v| {
+                let top = &self.top[v * self.stride..][..self.top_len[v] as usize];
+                top.iter()
+                    .map(|&(d, row)| (d, srcs[row as usize]))
                     .collect()
             })
             .collect();
-        let mut start = Vec::with_capacity(n + 1);
-        let (mut src, mut dist, mut pred) = (Vec::new(), Vec::new(), Vec::new());
+        let total = self.segs.iter().map(|s| s.len as usize).sum();
+        let mut start = Vec::with_capacity(self.segs.len() + 1);
+        let mut src = Vec::with_capacity(total);
+        let mut dist = Vec::with_capacity(total);
+        let mut pred = Vec::with_capacity(total);
         start.push(0);
-        for v in 0..n {
-            let base = v * rows;
-            for (row, &d) in dense_dist[base..base + rows].iter().enumerate() {
-                if d != INF {
-                    src.push(srcs[row] as u32);
-                    dist.push(d);
-                    pred.push(dense_pred[base + row]);
-                }
+        for &s in &self.segs {
+            for e in &self.slots(s)[..s.len as usize] {
+                src.push(srcs[e.row as usize] as u32);
+                dist.push(e.dist);
+                pred.push(e.pred);
             }
             start.push(src.len());
         }
@@ -438,32 +541,57 @@ impl Admission for DetectState {
         from: NodeId,
         outbox: &mut BitFrontier,
     ) -> bool {
-        let i = v * self.rows + row as usize;
-        let old = self.dist[i];
+        let seg = self.segs[v];
+        let entries = &self.slots(seg)[..seg.len as usize];
+        let (pos, old) = match entries.binary_search_by_key(&row, |e| e.row) {
+            Ok(i) => (i, entries[i].dist),
+            Err(i) => (i, INF),
+        };
         // Admitted distances never reach `INF` (announcements assert
         // against saturation), so the absent sentinel can only lose here.
         if old <= d {
             return false;
         }
-        self.dist[i] = d;
-        self.pred[i] = from as u32;
-        let top = &mut self.top[v];
+        let entry = Entry {
+            dist: d,
+            row,
+            pred: from as u32,
+        };
+        // Truncated on arrival: a new row behind a full top set is only
+        // recorded.
+        if old == INF && self.beyond_top(v, d, row) {
+            self.insert(v, pos, entry);
+            return false;
+        }
+        if old == INF {
+            self.insert(v, pos, entry);
+        } else {
+            self.slots_mut(seg)[pos] = entry;
+        }
+
+        let mut len = self.top_len[v] as usize;
+        let top = &mut self.top[v * self.stride..][..self.stride];
         if old != INF {
             // The superseded entry may already have been truncated away.
-            if let Ok(i) = top.binary_search(&(old, row)) {
-                top.remove(i);
+            if let Ok(i) = top[..len].binary_search(&(old, row)) {
+                top.copy_within(i + 1..len, i);
+                len -= 1;
             }
             outbox.remove(old, row);
         }
-        let pos = top.binary_search(&(d, row)).unwrap_err();
-        top.insert(pos, (d, row));
-        while top.len() > self.sigma {
-            let (wd, wrow) = top.pop().expect("nonempty");
+        let at = top[..len].binary_search(&(d, row)).unwrap_err();
+        top.copy_within(at..len, at + 1);
+        top[at] = (d, row);
+        len += 1;
+        if len > self.sigma {
+            len -= 1;
+            let (wd, wrow) = top[len];
             outbox.remove(wd, wrow);
         }
+        self.top_len[v] = len as u32;
         // Forward only if the entry survived truncation (it did exactly
         // when it landed inside the first σ slots).
-        let fresh = pos < self.sigma;
+        let fresh = at < self.sigma;
         if fresh {
             outbox.insert(d, row);
         }
@@ -497,6 +625,34 @@ pub fn source_detection(
     label: &str,
     ledger: &mut Ledger,
 ) -> Detection {
+    detect(
+        g,
+        sources,
+        h,
+        sigma,
+        direction,
+        latency,
+        label,
+        ledger,
+        usize::MAX,
+    )
+}
+
+/// [`source_detection`] with [`DetectState`] slots capped at `max_slot`
+/// entries (the tests pass 0 to send every segment through the spill
+/// path).
+#[allow(clippy::too_many_arguments)]
+fn detect(
+    g: &Graph,
+    sources: &[NodeId],
+    h: Weight,
+    sigma: usize,
+    direction: Direction,
+    latency: Option<&[Weight]>,
+    label: &str,
+    ledger: &mut Ledger,
+    max_slot: usize,
+) -> Detection {
     if let Some(l) = latency {
         assert!(l.len() >= g.m(), "latency table must cover all edges");
     }
@@ -511,7 +667,7 @@ pub fn source_detection(
     let mut srcs: Vec<NodeId> = sources.to_vec();
     srcs.sort_unstable();
 
-    let mut state = DetectState::new(n, srcs.len(), sigma);
+    let mut state = DetectState::new(n, &plan, srcs.len(), sigma, max_slot);
     flood(&srcs, h, &plan, &mut net, &mut state);
     ledger.absorb(label, &net);
     mwc_trace::check_bound(
@@ -583,9 +739,31 @@ mod tests {
         sigma: usize,
         latency: Option<&[Weight]>,
     ) -> Detection {
+        assert_slotted_detection_matches_spec(g, sources, (h, sigma), latency, usize::MAX)
+    }
+
+    /// [`assert_detection_matches_spec`] with [`DetectState`] slots capped
+    /// at `max_slot`; also checks the CSR entry by entry.
+    fn assert_slotted_detection_matches_spec(
+        g: &Graph,
+        sources: &[NodeId],
+        (h, sigma): (Weight, usize),
+        latency: Option<&[Weight]>,
+        max_slot: usize,
+    ) -> Detection {
         let mut ledger = Ledger::new();
         let dir = Direction::Forward;
-        let det = source_detection(g, sources, h, sigma, dir, latency, "spec", &mut ledger);
+        let det = detect(
+            g,
+            sources,
+            h,
+            sigma,
+            dir,
+            latency,
+            "spec",
+            &mut ledger,
+            max_slot,
+        );
         let mut srcs = sources.to_vec();
         srcs.sort_unstable();
         let want = run_flood(g, &srcs, h, dir, latency, Rule::Detect { sigma });
@@ -598,6 +776,14 @@ mod tests {
                 assert_eq!(det.dist(v, s), entry.map(|e| e.0), "node {v} src {s}");
                 assert_eq!(det.pred(v, s), entry.map(|e| e.1), "node {v} src {s}");
             }
+            let csr: Vec<(u32, Weight, u32)> = (det.start[v]..det.start[v + 1])
+                .map(|i| (det.src[i], det.dist[i], det.pred[i]))
+                .collect();
+            let spec: Vec<(u32, Weight, u32)> = want.best[v]
+                .iter()
+                .map(|(&row, &(d, p))| (srcs[row] as u32, d, p as u32))
+                .collect();
+            assert_eq!(csr, spec, "node {v} admitted entries");
         }
         assert_totals_match(&ledger, &want);
         det
@@ -1144,6 +1330,24 @@ mod tests {
             "sat",
             &mut ledger,
         );
+    }
+
+    /// Slots of zero entries: every segment's first admission moves it to
+    /// the spill vector, and each later overflow moves it again.
+    #[test]
+    fn spilled_segments_match_spec() {
+        let unit = connected_gnm(40, 90, Orientation::Undirected, WeightRange::unit(), 6);
+        let weighted = grid(5, 6, Orientation::Undirected, WeightRange::uniform(1, 4), 2);
+        let lat: Vec<Weight> = weighted.edges().iter().map(|e| e.weight).collect();
+        for (g, latency, h) in [(&unit, None, 6), (&weighted, Some(lat.as_slice()), 12)] {
+            let all: Vec<NodeId> = (0..g.n()).collect();
+            let half: Vec<NodeId> = (0..g.n()).step_by(2).collect();
+            for sources in [&all, &half] {
+                for sigma in [0, 1, 3, sources.len(), usize::MAX] {
+                    assert_slotted_detection_matches_spec(g, sources, (h, sigma), latency, 0);
+                }
+            }
+        }
     }
 
     #[test]

@@ -53,6 +53,9 @@ pub struct SpecOutcome {
     /// Passes that popped announcements but sent nothing (rule 5's
     /// filtered case), so tests can check they cover it.
     pub filtered_passes: u64,
+    /// Detection admissions of a row new to the node that land outside
+    /// its top-σ set at once, so tests can check they cover them.
+    pub truncated_on_arrival: u64,
 }
 
 /// An announcement in flight.
@@ -193,6 +196,8 @@ fn admit(
             }
             if top.contains(&(d, row)) {
                 outbox.insert((d, row));
+            } else if old.is_none() {
+                out.truncated_on_arrival += 1;
             }
         }
     }

@@ -4,8 +4,9 @@
 //! sweep — unit-weight, weighted (plain and latency-stretched),
 //! zero-weight, heavy-tail latencies, directed graphs in both traversal
 //! directions — plus budget-filtered passes under both round-control
-//! rules and a latency far past the calendar ring's span, each flood is
-//! compared with the spec on:
+//! rules, a latency far past the calendar ring's span, detection at the
+//! σ extremes and with no sources, and the girth algorithm's
+//! neighborhood shape, each flood is compared with the spec on:
 //!
 //! - distances and predecessors (detection: lists, every admitted
 //!   entry's distance and predecessor),
@@ -328,6 +329,64 @@ fn budget_filtered_pops_follow_both_round_rules() {
     }
     assert!(bfs_filtered > 0, "no BFS pass was budget-filtered");
     assert!(detect_filtered > 0, "no detection pass was budget-filtered");
+}
+
+/// Detection at the σ values the receiver state treats specially: 0
+/// (every admission is truncated on arrival), 1, ⌈√n⌉, |S| (nothing is
+/// ever truncated) and unbounded, from half the nodes, plus an empty
+/// source set; plain and stretched.
+#[test]
+fn detection_sigma_extremes_match_spec() {
+    let g = connected_gnm(
+        40,
+        90,
+        Orientation::Undirected,
+        WeightRange::uniform(1, 5),
+        8,
+    );
+    let lat = weight_latency(&g);
+    let half: Vec<NodeId> = (0..g.n()).step_by(2).collect();
+    let root = (g.n() as f64).sqrt().ceil() as usize;
+    let dir = Direction::Forward;
+    for (h, latency) in [(6, None), (12, Some(lat.as_slice()))] {
+        let stretched = latency.is_some();
+        for sigma in [0, 1, root, half.len(), usize::MAX] {
+            let family = format!("extremes/σ={sigma}/stretched={stretched}");
+            let want = check_detection(&g, &half, (h, sigma), dir, latency, &family);
+            if sigma == 0 {
+                assert!(want.top.iter().all(|t| t.is_empty()));
+                assert!(want.truncated_on_arrival > 0, "{family}");
+            }
+        }
+        let family = format!("extremes/no-sources/stretched={stretched}");
+        let want = check_detection(&g, &[], (h, root), dir, latency, &family);
+        assert_eq!((want.rounds, want.messages), (0, 0), "{family}");
+    }
+}
+
+/// The girth algorithm's σ-neighborhood step (paper §4) at test size:
+/// every node a source and `h = σ = ⌈√n⌉ = 16` on a sparse 256-node
+/// graph, plain and stretched. Most admissions there fall behind a full
+/// top set on arrival, so the spec must see that case.
+#[test]
+fn girth_shape_detection_matches_spec() {
+    let g = connected_gnm(
+        256,
+        256,
+        Orientation::Undirected,
+        WeightRange::uniform(1, 3),
+        21,
+    );
+    let lat = weight_latency(&g);
+    let all: Vec<NodeId> = (0..g.n()).collect();
+    for latency in [None, Some(lat.as_slice())] {
+        let family = format!("girth-shape/stretched={}", latency.is_some());
+        let want = check_detection(&g, &all, (16, 16), Direction::Forward, latency, &family);
+        assert!(
+            want.truncated_on_arrival > 0,
+            "{family}: no admission was truncated on arrival"
+        );
+    }
 }
 
 /// One edge whose latency is far past the calendar ring's span: its

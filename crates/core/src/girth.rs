@@ -198,12 +198,14 @@ fn girth_core_parts(
                 if dx == INF || dy == INF {
                     continue;
                 }
-                if mat.pred_row(row, x) == Some(y) || mat.pred_row(row, y) == Some(x) {
-                    continue; // tree edge w.r.t. this source
-                }
+                // Both tests are pure, so their order does not change which
+                // candidates survive; the distance test is the cheap one.
                 let cand = dx + e.weight + dy;
                 if parts.best.weight().is_some_and(|b| cand >= b) {
                     continue;
+                }
+                if mat.pred_row(row, x) == Some(y) || mat.pred_row(row, y) == Some(x) {
+                    continue; // tree edge w.r.t. this source
                 }
                 if let Some(cyc) = lca_cycle(&mat, row, x, y) {
                     offer_validated(g, &mut parts.best, cyc);
