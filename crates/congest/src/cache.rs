@@ -17,13 +17,42 @@
 //! [`Ledger::rounds_saved`] / the open trace span, so reports and diffs
 //! can audit exactly what reuse bought.
 //!
+//! A third table, the **flood memo**, runs each distinct
+//! [`multi_source_bfs`](crate::multi_source_bfs) flood once per scope.
+//! Its key is the graph fingerprint plus a digest of the direction, the
+//! distance budget, the source rows in order and the latency table. A
+//! repeated flood is not re-run: its span, [`flood_engagement`] tally,
+//! ledger phase and bound audit are replayed from the first run's round
+//! count and moved-out [`NetStats`]. Unlike a tree hit, a replay charges
+//! its full cost again — a real execution runs the flood twice — so
+//! ledgers, audits and run records are identical with the memo on or off;
+//! only host work is saved. The policy follows which results are wanted:
+//!
+//! - a real run stores its charges;
+//! - a charge-only run ([`charge_multi_source_bfs`]) that misses runs the
+//!   flood, stores the charges and parks the result matrix;
+//! - a real run whose key has a parked matrix takes it and replays;
+//! - a charge-only run whose key has any stored charges replays.
+//!
+//! The memo is bypassed while the message-event log is on
+//! ([`crate::events::enabled`]), since a replay emits no message events.
+//! [`CacheStats::flood_replays`] counts the replays.
+//!
 //! Set `MWC_NO_CACHE=1` (or use [`PhaseCache::disable_for_thread`] in
 //! tests, which is race-free under parallel test threads) to force every
-//! call site down the uncached path; results must be byte-identical either
-//! way — only the round accounting of repeated builds differs.
+//! call site down the uncached path, flood memo included; results must be
+//! byte-identical either way — only the round accounting of repeated tree
+//! builds differs.
+//!
+//! [`flood_engagement`]: crate::flood_engagement
+//! [`charge_multi_source_bfs`]: crate::charge_multi_source_bfs
 
+use crate::distmat::DistMatrix;
+use crate::engine::{NetStats, Network};
 use crate::ledger::Ledger;
+use crate::multibfs::MultiBfsSpec;
 use crate::tree::BfsTree;
+use mwc_graph::seq::Direction;
 use mwc_graph::{Graph, NodeId, Weight};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -35,6 +64,22 @@ type LatencyKey = (u64, u64, u64, u32);
 struct CachedTree {
     tree: Arc<BfsTree>,
     rounds: u64,
+}
+
+/// Key for memoized floods: the graph fingerprint, and a digest of the
+/// direction, budget, source rows and latency table.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub(crate) struct FloodKey {
+    graph: u64,
+    flood: u64,
+}
+
+/// A finished flood's charges, plus its result matrix while a charge-only
+/// run has it parked for the real run to come.
+struct FloodCharge {
+    rounds: u64,
+    stats: NetStats,
+    parked: Option<DistMatrix>,
 }
 
 /// Hit/miss counters for one cache scope — exposed so tests and bench
@@ -51,16 +96,22 @@ pub struct CacheStats {
     pub latency_misses: u64,
     /// Total rounds the tree hits avoided re-charging.
     pub rounds_saved: u64,
+    /// Floods replayed from the flood memo (charged in full, not re-run).
+    pub flood_replays: u64,
 }
 
 /// Memoizes per-run shared structures: the global BFS tree keyed by
-/// `(graph fingerprint, root)` and stretched latency tables keyed by
-/// `(graph fingerprint, h, ε_q, scale)`. See the module docs for the
-/// scoping and visibility rules.
+/// `(graph fingerprint, root)`, stretched latency tables keyed by
+/// `(graph fingerprint, h, ε_q, scale)`, and flood charges keyed by
+/// [`FloodKey`]. See the module docs for the scoping and visibility rules.
 #[derive(Default)]
 pub struct PhaseCache {
     trees: HashMap<(u64, NodeId), CachedTree>,
     latencies: HashMap<LatencyKey, Arc<Vec<Weight>>>,
+    floods: HashMap<FloodKey, FloodCharge>,
+    /// One link table per graph fingerprint: a replay into an empty
+    /// ledger needs it, and every flood on a graph shares it.
+    link_ends: HashMap<u64, Vec<(NodeId, NodeId)>>,
     stats: CacheStats,
 }
 
@@ -74,10 +125,6 @@ thread_local! {
 /// its reverse (orientation and edge direction are hashed), so `g` and
 /// `g.reversed()` never share cache entries.
 pub fn graph_fingerprint(g: &Graph) -> u64 {
-    fn mix(state: &mut u64, word: u64) {
-        *state ^= word;
-        mwc_rng::splitmix64(state);
-    }
     let mut state: u64 = 0x6d77_6363_6163_6865; // "mwccache"
     mix(&mut state, g.n() as u64);
     mix(&mut state, g.is_directed() as u64);
@@ -88,6 +135,15 @@ pub fn graph_fingerprint(g: &Graph) -> u64 {
         mix(&mut state, e.weight);
     }
     mwc_rng::splitmix64(&mut state)
+}
+
+/// Folds `word` into a running digest. The next state is the mixed
+/// output of [`mwc_rng::splitmix64`], not its counter: xoring words into
+/// a counter that only steps by a constant lets short runs of small
+/// words cancel (two latency tables of one graph collided that way).
+fn mix(state: &mut u64, word: u64) {
+    let mut counter = *state ^ word;
+    *state = mwc_rng::splitmix64(&mut counter);
 }
 
 /// True when caching is off for this call: either the `MWC_NO_CACHE`
@@ -215,6 +271,94 @@ impl PhaseCache {
         });
         table
     }
+
+    /// The flood memo's key for a `multi_source_bfs` flood, or `None` when
+    /// the memo is off: no active scope, or the message-event log is on.
+    pub(crate) fn flood_key(
+        g: &Graph,
+        sources: &[NodeId],
+        spec: &MultiBfsSpec<'_>,
+    ) -> Option<FloodKey> {
+        if !is_active() || crate::events::enabled() {
+            return None;
+        }
+        let mut state: u64 = 0x6d77_6366_6c6f_6f64; // "mwcflood"
+        mix(&mut state, (spec.direction == Direction::Reverse) as u64);
+        mix(&mut state, spec.max_dist);
+        mix(&mut state, sources.len() as u64);
+        for &s in sources {
+            mix(&mut state, s as u64);
+        }
+        // Only the first `m` entries reach the flood and its bound audit.
+        match spec.latency {
+            None => mix(&mut state, 0),
+            Some(l) => {
+                mix(&mut state, 1);
+                for &w in &l[..g.m()] {
+                    mix(&mut state, w);
+                }
+            }
+        }
+        Some(FloodKey {
+            graph: graph_fingerprint(g),
+            flood: mwc_rng::splitmix64(&mut state),
+        })
+    }
+
+    /// Replays the flood under `key` into `ledger` as phase `label`, when
+    /// the memo holds its charges and, if the result is `wanted`, a parked
+    /// matrix to take. Returns the flood's round count and the matrix (for
+    /// a wanted flood); `None` means the flood must run.
+    pub(crate) fn replay_flood(
+        key: FloodKey,
+        wanted: bool,
+        label: &str,
+        ledger: &mut Ledger,
+    ) -> Option<(u64, Option<DistMatrix>)> {
+        ACTIVE.with(|a| {
+            let mut slot = a.borrow_mut();
+            let cache = slot.as_mut()?;
+            let charge = cache.floods.get_mut(&key)?;
+            let mat = if wanted {
+                Some(charge.parked.take()?)
+            } else {
+                None
+            };
+            let link_ends = &cache.link_ends[&key.graph];
+            ledger.absorb_stats(label, charge.rounds, &charge.stats, link_ends);
+            cache.stats.flood_replays += 1;
+            Some((charge.rounds, mat))
+        })
+    }
+
+    /// Stores a finished flood's charges under `key` (the first run's
+    /// charges win), moving them out of `net`. A `wanted` result is handed
+    /// back; any other is parked for a later real run of the same flood.
+    pub(crate) fn store_flood(
+        key: FloodKey,
+        net: Network<()>,
+        mat: DistMatrix,
+        wanted: bool,
+    ) -> Option<DistMatrix> {
+        let rounds = net.round();
+        let (link_ends, stats) = net.into_charges();
+        let (parked, result) = if wanted {
+            (None, Some(mat))
+        } else {
+            (Some(mat), None)
+        };
+        ACTIVE.with(|a| {
+            if let Some(cache) = a.borrow_mut().as_mut() {
+                cache.link_ends.entry(key.graph).or_insert(link_ends);
+                cache.floods.entry(key).or_insert(FloodCharge {
+                    rounds,
+                    stats,
+                    parked,
+                });
+            }
+        });
+        result
+    }
 }
 
 /// Guard returned by [`PhaseCache::scope`]; uninstalls the cache it
@@ -234,7 +378,13 @@ impl Drop for CacheScope {
             // saw no cache traffic).
             if let Some(cache) = cache {
                 let s = cache.stats;
-                if s != CacheStats::default() {
+                // Replays are not a run-record field: a scope that only
+                // replayed floods reports nothing, as before the memo.
+                let reported = CacheStats {
+                    flood_replays: 0,
+                    ..s
+                };
+                if reported != CacheStats::default() {
                     mwc_trace::add_cache_stats(
                         s.tree_hits,
                         s.tree_misses,
@@ -358,6 +508,38 @@ mod tests {
         PhaseCache::bfs_tree(&g, 0, &mut ledger);
         PhaseCache::bfs_tree(&g, 0, &mut ledger);
         assert_eq!(ledger.rounds_saved, 0);
+    }
+
+    /// Every latency table over `{1, …, 4}` on a 5-edge graph gets its own
+    /// flood key: a digest that lets small words cancel would merge some.
+    #[test]
+    fn flood_keys_separate_every_small_latency_table() {
+        let g = Graph::from_edges(
+            4,
+            Orientation::Directed,
+            [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1), (0, 2, 1)],
+        )
+        .unwrap();
+        let _scope = PhaseCache::scope();
+        let mut keys = std::collections::HashSet::new();
+        for code in 0..4u64.pow(5) {
+            let lat: Vec<Weight> = (0..5).map(|i| 1 + code / 4u64.pow(i) % 4).collect();
+            let spec = MultiBfsSpec {
+                max_dist: 40,
+                direction: Direction::Forward,
+                latency: Some(&lat),
+            };
+            assert!(keys.insert(PhaseCache::flood_key(&g, &[0, 2], &spec).unwrap()));
+        }
+        let spec = MultiBfsSpec::default();
+        let reverse = MultiBfsSpec {
+            direction: Direction::Reverse,
+            ..spec
+        };
+        let key = |sources: &[NodeId], spec| PhaseCache::flood_key(&g, sources, spec).unwrap();
+        assert_ne!(key(&[0, 2], &spec), key(&[0, 2], &reverse));
+        assert_ne!(key(&[0, 2], &spec), key(&[2, 0], &spec));
+        assert_eq!(key(&[0, 2], &spec), key(&[0, 2], &spec));
     }
 
     #[test]

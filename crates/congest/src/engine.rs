@@ -474,6 +474,15 @@ impl<M> Network<M> {
         &self.link_ends
     }
 
+    /// A finished network's link table and stats, moved out rather than
+    /// cloned: what the flood memo keeps to replay the phase.
+    pub(crate) fn into_charges(mut self) -> (Vec<(NodeId, NodeId)>, NetStats) {
+        (
+            std::mem::take(&mut self.link_ends),
+            std::mem::take(&mut self.stats),
+        )
+    }
+
     /// The `k` most-loaded directed links as `((from, to), words)`,
     /// heaviest first; ties break toward the lower link index so the
     /// report is deterministic.

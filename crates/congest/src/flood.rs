@@ -22,8 +22,8 @@
 //! `crates/congest/tests/flood_spec_differential.rs`.
 //!
 //! [`flood_kernel`] and [`flood_engagement`] are a constant stamp and a
-//! counter for run records and the benchmark harness; there is one flood
-//! loop and nothing to select.
+//! counter of flood calls (memo replays included) for run records and the
+//! benchmark harness; there is one flood loop and nothing to select.
 
 use crate::engine::Network;
 use mwc_graph::seq::Direction;
@@ -58,14 +58,17 @@ pub fn flood_kernel() -> FloodKernel {
 static FLOODS: AtomicU64 = AtomicU64::new(0);
 
 /// Process-cumulative flood count as `(bitset, scalar)`: how many
-/// [`crate::multi_source_bfs`] / [`crate::source_detection`] calls ran.
-/// The second field is always 0 (there is no scalar path); the pair
-/// keeps the shape run records stamp as `floods_bitset`/`floods_scalar`.
+/// [`crate::multi_source_bfs`] / [`crate::charge_multi_source_bfs`] /
+/// [`crate::source_detection`] calls ran. A call the flood memo replays
+/// (see [`crate::PhaseCache`]) counts like one that runs its flood, so the
+/// tally is the same with the cache on or off. The second field is always
+/// 0 (there is no scalar path); the pair keeps the shape run records
+/// stamp as `floods_bitset`/`floods_scalar`.
 pub fn flood_engagement() -> (u64, u64) {
     (FLOODS.load(Ordering::Relaxed), 0)
 }
 
-/// Tallies one flood for [`flood_engagement`].
+/// Tallies one flood call, run or replayed, for [`flood_engagement`].
 pub(crate) fn note_flood() {
     FLOODS.fetch_add(1, Ordering::Relaxed);
 }
@@ -164,7 +167,9 @@ impl FloodPlan {
     }
 
     /// Largest hop latency in the plan (0 for a unit-latency flood). The
-    /// flood loop sizes its [`CalendarRing`] from it.
+    /// flood loop sizes its [`CalendarRing`] from it, capped by the
+    /// distance budget: a hop's latency never exceeds its distance
+    /// increment, so no hop within the budget arrives further ahead.
     pub fn max_latency(&self) -> u64 {
         self.max_latency
     }

@@ -7,7 +7,7 @@
 //! an end-to-end algorithm reports one total, with a per-phase breakdown
 //! for the benchmark tables.
 
-use crate::engine::Network;
+use crate::engine::{NetStats, Network};
 use crate::profile::CongestionProfile;
 use crate::shard::ShardProfile;
 use mwc_graph::NodeId;
@@ -117,22 +117,37 @@ impl Ledger {
     /// Panics if `net` was built over a different topology than earlier
     /// absorbed phases (the per-link tables would not line up).
     pub fn absorb<M>(&mut self, label: &str, net: &Network<M>) {
-        let stats = net.stats();
+        if let Some(id) = net.events_net() {
+            let stats = net.stats();
+            let (offset, rounds) = (self.rounds, net.round());
+            crate::events::emit_phase(id, label, offset, rounds, stats.words, stats.messages);
+        }
+        self.absorb_stats(label, net.round(), net.stats(), net.link_ends());
+    }
+
+    /// [`Ledger::absorb`] from a finished network's parts: its round
+    /// count, stats and link table. The flood memo replays a phase this
+    /// way, and only with the message-event log off, so no phase event is
+    /// emitted here.
+    pub(crate) fn absorb_stats(
+        &mut self,
+        label: &str,
+        rounds: u64,
+        stats: &NetStats,
+        link_ends: &[(NodeId, NodeId)],
+    ) {
         let offset = self.rounds;
-        self.rounds += net.round();
+        self.rounds += rounds;
         self.words += stats.words;
         self.messages += stats.messages;
-        mwc_trace::add_cost(net.round(), stats.words, stats.messages);
-        if let Some(id) = net.events_net() {
-            crate::events::emit_phase(id, label, offset, net.round(), stats.words, stats.messages);
-        }
+        mwc_trace::add_cost(rounds, stats.words, stats.messages);
         self.phases.push(Phase {
             label: label.to_owned(),
-            rounds: net.round(),
+            rounds,
             words: stats.words,
-            profile: CongestionProfile::capture(net),
+            profile: CongestionProfile::from_stats(stats, link_ends),
             shard: ShardProfile::capture(
-                net.link_ends(),
+                link_ends,
                 &stats.per_link_words,
                 &stats.per_link_queue_high,
             ),
@@ -140,13 +155,13 @@ impl Ledger {
         self.words_per_round
             .extend(stats.words_per_round.iter().map(|&(r, w)| (offset + r, w)));
         if self.link_ends.is_empty() {
-            self.link_ends = net.link_ends().to_vec();
+            self.link_ends = link_ends.to_vec();
             self.per_link_words = stats.per_link_words.clone();
             self.per_link_queue_high = stats.per_link_queue_high.clone();
         } else {
             assert_eq!(
                 self.link_ends.len(),
-                net.link_ends().len(),
+                link_ends.len(),
                 "ledger phases must share one topology"
             );
             for (acc, w) in self.per_link_words.iter_mut().zip(&stats.per_link_words) {

@@ -63,7 +63,10 @@ pub use engine::{hist_bucket, Delivery, NetStats, Network, RoundOutput, SendErro
 pub use events::EventCapture;
 pub use flood::{flood_engagement, flood_kernel, CalendarRing, FloodHop, FloodKernel, FloodPlan};
 pub use ledger::{Ledger, Phase};
-pub use multibfs::{multi_source_bfs, source_detection, Detection, DetectionLists, MultiBfsSpec};
+pub use multibfs::{
+    charge_multi_source_bfs, multi_source_bfs, source_detection, Detection, DetectionLists,
+    MultiBfsSpec,
+};
 pub use profile::{top_links, CongestionProfile, PROFILE_HOT_LINKS};
 pub use replay::{first_divergence, Divergence, EventLog, MsgEvent, PhaseEvent};
 pub use shard::{ShardPlan, ShardProfile, PROFILE_SHARDS};

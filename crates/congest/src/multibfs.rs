@@ -53,6 +53,7 @@
 //! row new to a node that falls behind the node's full top set is
 //! recorded and goes no further: it is *truncated on arrival*.
 
+use crate::cache::PhaseCache;
 use crate::distmat::{DistMatrix, INF};
 use crate::engine::Network;
 use crate::flood::{note_flood, validate_sources, BitFrontier, CalendarRing, FloodPlan, NodeSet};
@@ -170,7 +171,9 @@ fn flood<A: Admission>(
     let mut outbox: Vec<BitFrontier> = vec![BitFrontier::default(); n];
     let mut pending = NodeSet::new(n);
     let mut acting = NodeSet::new(n);
-    let mut ring: CalendarRing<Transit> = CalendarRing::new(plan.max_latency());
+    // A hop is sent only if `d + dist_add ≤ budget`, and its latency is at
+    // most `dist_add`, so no arrival lies more than `budget` rounds ahead.
+    let mut ring: CalendarRing<Transit> = CalendarRing::new(plan.max_latency().min(budget));
     for (row, &s) in sources.iter().enumerate() {
         state.seed(s, row as u32, &mut outbox[s]);
         if !outbox[s].is_empty() {
@@ -198,6 +201,7 @@ fn flood<A: Admission>(
                 if cand > budget {
                     continue;
                 }
+                debug_assert!(hop.latency <= budget, "latency beyond the budget");
                 links.push(hop.link);
                 let msg = (hop.link, hop.to, row, cand, v as u32);
                 if hop.latency == 0 {
@@ -236,6 +240,11 @@ fn flood<A: Admission>(
 /// distance table. Costs `O(max_dist + k)` rounds for unit latencies,
 /// charged to `ledger` under `label`.
 ///
+/// Inside a [`PhaseCache`] scope a flood identical to one already run in
+/// the scope may be replayed from the flood memo: the same span, ledger
+/// phase and bound audit, without re-running the flood (see the `cache`
+/// module docs).
+///
 /// # Panics
 ///
 /// Panics if a source id is out of range or repeated, if `spec.latency`
@@ -248,18 +257,64 @@ pub fn multi_source_bfs(
     label: &str,
     ledger: &mut Ledger,
 ) -> DistMatrix {
+    bfs(g, sources, spec, label, ledger, true).expect("a wanted flood returns its matrix")
+}
+
+/// Charges exactly what [`multi_source_bfs`] with the same arguments
+/// would, for a caller that does not need the distance table. Telling
+/// the flood memo so lets it park the table for a later real run of the
+/// same flood, or replay this run from an earlier one.
+///
+/// # Panics
+///
+/// As [`multi_source_bfs`].
+pub fn charge_multi_source_bfs(
+    g: &Graph,
+    sources: &[NodeId],
+    spec: &MultiBfsSpec<'_>,
+    label: &str,
+    ledger: &mut Ledger,
+) {
+    bfs(g, sources, spec, label, ledger, false);
+}
+
+/// [`multi_source_bfs`] through the flood memo; the table is returned
+/// only when `wanted`.
+fn bfs(
+    g: &Graph,
+    sources: &[NodeId],
+    spec: &MultiBfsSpec<'_>,
+    label: &str,
+    ledger: &mut Ledger,
+    wanted: bool,
+) -> Option<DistMatrix> {
     if let Some(l) = spec.latency {
         assert!(l.len() >= g.m(), "latency table must cover all edges");
     }
     validate_sources(g.n(), sources);
     let _span = mwc_trace::span_owned(|| format!("multibfs/{label}"));
     let n = g.n();
-    let mut mat = DistMatrix::new(n, sources.to_vec());
-    let mut net: Network<()> = Network::new_auto(g);
-    let plan = FloodPlan::build(g, &net, spec.direction, spec.latency);
-    flood(sources, spec.max_dist, &plan, &mut net, &mut mat);
-
-    ledger.absorb(label, &net);
+    let key = PhaseCache::flood_key(g, sources, spec);
+    let replayed = key.and_then(|key| PhaseCache::replay_flood(key, wanted, label, ledger));
+    let (rounds, mat) = match replayed {
+        Some(replayed) => {
+            note_flood();
+            replayed
+        }
+        None => {
+            let mut mat = DistMatrix::new(n, sources.to_vec());
+            let mut net: Network<()> = Network::new_auto(g);
+            let plan = FloodPlan::build(g, &net, spec.direction, spec.latency);
+            flood(sources, spec.max_dist, &plan, &mut net, &mut mat);
+            ledger.absorb(label, &net);
+            let rounds = net.round();
+            let mat = match key {
+                Some(key) => PhaseCache::store_flood(key, net, mat, wanted),
+                None => wanted.then_some(mat),
+            };
+            (rounds, mat)
+        }
+    };
     mwc_trace::check_bound(
         "congest/multibfs",
         mwc_trace::BoundInputs::n(n)
@@ -270,7 +325,7 @@ pub fn multi_source_bfs(
                 g.m(),
             ))
             .k(sources.len() as u64),
-        net.round(),
+        rounds,
         crate::bounds::multibfs,
     );
     mat

@@ -39,14 +39,22 @@ pub struct CongestionProfile {
 impl CongestionProfile {
     /// Captures the profile of a finished phase from its network.
     pub fn capture<M>(net: &Network<M>) -> CongestionProfile {
-        let stats: &NetStats = net.stats();
+        Self::from_stats(net.stats(), net.link_ends())
+    }
+
+    /// The profile of a finished phase from its network's stats and link
+    /// table (what [`CongestionProfile::capture`] reads).
+    pub(crate) fn from_stats(
+        stats: &NetStats,
+        link_ends: &[(NodeId, NodeId)],
+    ) -> CongestionProfile {
         CongestionProfile {
             messages: stats.messages,
             active_rounds: stats.active_rounds,
             max_words_in_round: stats.max_words_in_round,
             peak_round: stats.peak_round,
             queue_high_water: stats.queue_high_water,
-            hot_links: net.hot_links(PROFILE_HOT_LINKS),
+            hot_links: top_links(link_ends, &stats.per_link_words, PROFILE_HOT_LINKS),
             round_histogram: stats.round_histogram,
         }
     }

@@ -4,9 +4,11 @@
 //! sweep — unit-weight, weighted (plain and latency-stretched),
 //! zero-weight, heavy-tail latencies, directed graphs in both traversal
 //! directions — plus budget-filtered passes under both round-control
-//! rules, a latency far past the calendar ring's span, detection at the
-//! σ extremes and with no sources, and the girth algorithm's
-//! neighborhood shape, each flood is compared with the spec on:
+//! rules, budgets below the largest latency (the calendar ring is sized
+//! by the budget), a latency far past the calendar ring's span,
+//! detection at the σ extremes and with no sources, and the girth
+//! algorithm's neighborhood shape, each flood is compared with the spec
+//! on:
 //!
 //! - distances and predecessors (detection: lists, every admitted
 //!   entry's distance and predecessor),
@@ -21,8 +23,8 @@ mod common;
 
 use common::flood_spec::{run_flood, Rule, SpecOutcome};
 use mwc_congest::{
-    broadcast, multi_source_bfs, source_detection, BfsTree, EventLog, Ledger, MultiBfsSpec,
-    Network, RoundOutput, INF,
+    broadcast, multi_source_bfs, source_detection, BfsTree, EventLog, FloodPlan, Ledger,
+    MultiBfsSpec, Network, RoundOutput, INF,
 };
 use mwc_graph::generators::{connected_gnm, ring_with_chords, WeightRange};
 use mwc_graph::seq::Direction;
@@ -253,31 +255,7 @@ fn zero_weight_family_matches_spec() {
 #[test]
 fn heavy_tail_latency_family_matches_spec() {
     for seed in [4, 19] {
-        let base = connected_gnm(
-            36,
-            96,
-            Orientation::Directed,
-            WeightRange::uniform(0, 1),
-            seed,
-        );
-        // Mostly short (0 / 1 / 2), a thick tail of 37s, and rare
-        // 211-round outliers, keyed by edge index.
-        let edges: Vec<(usize, usize, Weight)> = base
-            .edges()
-            .iter()
-            .enumerate()
-            .map(|(i, e)| {
-                let w = match i % 9 {
-                    0 => 0,
-                    1..=3 => 1,
-                    4 | 5 => 2,
-                    6 | 7 => 37,
-                    _ => 211,
-                };
-                (e.u, e.v, w)
-            })
-            .collect();
-        let g = Graph::from_edges(base.n(), Orientation::Directed, edges).unwrap();
+        let g = heavy_tail_graph(seed);
         let lat = raw_weight_latency(&g);
         assert!(
             lat.contains(&0) && lat.contains(&1) && lat.contains(&211),
@@ -290,6 +268,63 @@ fn heavy_tail_latency_family_matches_spec() {
             &lat,
             "heavy-tail-reverse/connected_gnm",
         );
+    }
+}
+
+/// A directed graph whose edge weights are mostly short (0 / 1 / 2),
+/// with a thick tail of 37s and rare 211-round outliers, keyed by edge
+/// index.
+fn heavy_tail_graph(seed: u64) -> Graph {
+    let base = connected_gnm(
+        36,
+        96,
+        Orientation::Directed,
+        WeightRange::uniform(0, 1),
+        seed,
+    );
+    let edges: Vec<(usize, usize, Weight)> = base
+        .edges()
+        .iter()
+        .enumerate()
+        .map(|(i, e)| {
+            let w = match i % 9 {
+                0 => 0,
+                1..=3 => 1,
+                4 | 5 => 2,
+                6 | 7 => 37,
+                _ => 211,
+            };
+            (e.u, e.v, w)
+        })
+        .collect();
+    Graph::from_edges(base.n(), Orientation::Directed, edges).unwrap()
+}
+
+/// Budgets below the plan's largest latency: the calendar ring is sized
+/// by the budget, not by the latency table, and no hop the budget lets
+/// through may arrive beyond it. The 211-round edges are never crossed,
+/// and 37-round ones only close to a source.
+#[test]
+fn budget_below_the_largest_latency_matches_spec() {
+    for seed in [4, 19] {
+        let g = heavy_tail_graph(seed);
+        let lat = raw_weight_latency(&g);
+        let sources: Vec<NodeId> = (0..g.n()).step_by(3).collect();
+        for direction in [Direction::Forward, Direction::Reverse] {
+            let plan = FloodPlan::build(&g, &Network::<()>::new(&g), direction, Some(&lat));
+            for budget in [2, 40, 100] {
+                assert!(budget < plan.max_latency(), "the budget must cut the table");
+                let spec = MultiBfsSpec {
+                    max_dist: budget,
+                    direction,
+                    latency: Some(&lat),
+                };
+                let family = format!("short-budget/{direction:?}/budget={budget}");
+                check_bfs(&g, &sources, &spec, &family);
+                let lat = Some(lat.as_slice());
+                check_detection(&g, &sources, (budget, 3), direction, lat, &family);
+            }
+        }
     }
 }
 

@@ -23,7 +23,7 @@
 
 use crate::params::Params;
 use crate::pipeline::{skeleton_pipeline, Pipeline};
-use crate::scaling::{scaled_hop_sssp, EpsQ, ScaledSegments};
+use crate::scaling::{charge_scaled_hop_sssp, scaled_hop_sssp, EpsQ, ScaledSegments};
 use crate::util::simplify_path;
 use mwc_congest::{multi_source_bfs, DistMatrix, Ledger, MultiBfsSpec, PhaseCache, INF};
 use mwc_graph::seq::Direction;
@@ -295,7 +295,7 @@ pub fn k_source_approx_sssp(
         // Charge the reverse segment run from S (see k_source_bfs).
         if let Pipeline::Skeleton(parts) = &pipe {
             let rev = g.reversed();
-            let _ = scaled_hop_sssp(
+            charge_scaled_hop_sssp(
                 &rev,
                 &parts.samples,
                 h,

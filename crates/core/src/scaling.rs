@@ -19,7 +19,9 @@
 //!   and budget `B`, which is both cheaper and tighter.
 
 use crate::pipeline::Segments;
-use mwc_congest::{multi_source_bfs, DistMatrix, Ledger, MultiBfsSpec, PhaseCache, INF};
+use mwc_congest::{
+    charge_multi_source_bfs, multi_source_bfs, DistMatrix, Ledger, MultiBfsSpec, PhaseCache, INF,
+};
 use mwc_graph::seq::Direction;
 use mwc_graph::{Graph, NodeId, Weight};
 use std::sync::Arc;
@@ -153,24 +155,70 @@ pub(crate) fn exact_latency_table(g: &Graph) -> Arc<Vec<Weight>> {
     PhaseCache::latency_table(g, 0, 0, 0, || g.edges().iter().map(|e| e.weight).collect())
 }
 
-/// Number of stretched runs [`scaled_hop_sssp`] performs for this
-/// instance (the exact run plus one per scale) — recomputed locally for
-/// bound auditing, mirroring the loop below.
-pub(crate) fn scale_run_count(g: &Graph, h_hops: u64, eps: EpsQ) -> u64 {
-    let h = h_hops.max(1);
+/// The scale exponents `i` of the stretched runs after the exact one:
+/// from one below the first power of two above the budget (so the range
+/// boundary is safely covered) while `2^i ≤ 2·h·W`.
+fn scales(g: &Graph, h: u64, eps: EpsQ) -> std::ops::Range<u32> {
     let budget = scale_budget(h, eps);
     let max_dist = h.saturating_mul(g.max_weight().max(1));
     let mut i = 0u32;
     while (1u128 << i) <= budget as u128 {
         i += 1;
     }
-    let mut i = i.saturating_sub(1);
-    let mut runs = 1u64;
-    while (1u128 << i) <= 2 * max_dist as u128 {
-        runs += 1;
-        i += 1;
+    let start = i.saturating_sub(1);
+    let mut end = start;
+    while (1u128 << end) <= 2 * max_dist as u128 {
+        end += 1;
     }
-    runs
+    start..end
+}
+
+/// Number of stretched runs [`scaled_hop_sssp`] performs for this
+/// instance (the exact run plus one per scale) — computed without running
+/// them, for bound auditing.
+pub(crate) fn scale_run_count(g: &Graph, h_hops: u64, eps: EpsQ) -> u64 {
+    1 + scales(g, h_hops.max(1), eps).len() as u64
+}
+
+/// The floods behind [`scaled_hop_sssp`], in order: the exact run covering
+/// all `d ≤` [`scale_budget`], then one run per scale for `d` in
+/// `(budget, h·W]`. Each is handed to `run` with its spec, its phase label
+/// and its scale (`None` for the exact run).
+///
+/// # Panics
+///
+/// Panics if any edge weight is zero (scaling-based approximation assumes
+/// `w ≥ 1`, as is standard).
+fn for_each_scale_flood(
+    g: &Graph,
+    h_hops: u64,
+    eps: EpsQ,
+    label: &str,
+    mut run: impl FnMut(&MultiBfsSpec<'_>, &str, Option<u32>),
+) {
+    assert!(
+        g.edges().iter().all(|e| e.weight >= 1),
+        "scaled approximation requires weights ≥ 1"
+    );
+    fn spec(max_dist: Weight, latency: &[Weight]) -> MultiBfsSpec<'_> {
+        MultiBfsSpec {
+            max_dist,
+            direction: Direction::Forward,
+            latency: Some(latency),
+        }
+    }
+    let h = h_hops.max(1);
+    let budget = scale_budget(h, eps);
+    let lat = exact_latency_table(g);
+    run(&spec(budget, &lat), &format!("{label}: exact scale"), None);
+    for i in scales(g, h, eps) {
+        let lat = stretched_latency_table(g, h, eps, i);
+        run(
+            &spec(budget, &lat),
+            &format!("{label}: scale 2^{i}"),
+            Some(i),
+        );
+    }
 }
 
 /// Computes `(1+ε_q)`-approximate `h`-hop bounded distances from
@@ -190,62 +238,22 @@ pub(crate) fn scaled_hop_sssp(
     label: &str,
     ledger: &mut Ledger,
 ) -> ScaledSegments {
-    assert!(
-        g.edges().iter().all(|e| e.weight >= 1),
-        "scaled approximation requires weights ≥ 1"
-    );
     let n = g.n();
     let k = sources.len();
     let h = h_hops.max(1);
-    let budget = scale_budget(h, eps);
-    let max_dist = h.saturating_mul(g.max_weight().max(1));
-
     let mut runs: Vec<Run> = Vec::new();
+    for_each_scale_flood(g, h_hops, eps, label, |spec, label, scale| {
+        let mat = multi_source_bfs(g, sources, spec, label, ledger);
+        runs.push(Run { mat, scale });
+    });
 
-    // Exact run covering all d ≤ budget.
-    let lat_exact = exact_latency_table(g);
-    let spec = MultiBfsSpec {
-        max_dist: budget,
-        direction: Direction::Forward,
-        latency: Some(&lat_exact),
-    };
-    let mat = multi_source_bfs(g, sources, &spec, &format!("{label}: exact scale"), ledger);
-    runs.push(Run { mat, scale: None });
-
-    // Scaled runs for d in (budget, h·W].
-    let mut i = 0u32;
-    while (1u128 << i) <= budget as u128 {
-        i += 1;
-    }
-    // Start one scale lower so the range boundary is safely covered.
-    let mut i = i.saturating_sub(1);
-    while (1u128 << i) <= 2 * max_dist as u128 {
-        let lat = stretched_latency_table(g, h, eps, i);
-        let spec = MultiBfsSpec {
-            max_dist: budget,
-            direction: Direction::Forward,
-            latency: Some(&lat),
-        };
-        let mat = multi_source_bfs(g, sources, &spec, &format!("{label}: scale 2^{i}"), ledger);
-        runs.push(Run {
-            mat,
-            scale: Some(i),
-        });
-        i += 1;
-    }
-
-    // Fold: min estimate across runs. `choice` stores run indices as u8,
-    // which is sound only while the run count fits — `scale_run_count`
-    // grows as log₂(h·W), so 256 runs would need W ≈ 2^256; guard anyway
-    // so a future widening of Weight can't truncate silently.
-    debug_assert!(
-        runs.len() <= u8::MAX as usize + 1,
-        "{} stretched runs overflow the u8 choice index",
-        runs.len()
-    );
+    // Fold: min estimate across runs. `choice` stores run indices as u8;
+    // the run count grows as log₂(h·W), so 256 runs would need W ≈ 2^256,
+    // but a wider `Weight` must fail loudly rather than truncate.
     let mut est = vec![INF; k * n];
     let mut choice = vec![0u8; k * n];
     for (ri, run) in runs.iter().enumerate() {
+        let ri = u8::try_from(ri).expect("stretched run index overflows the u8 choice table");
         for row in 0..k {
             for v in 0..n {
                 let raw = run.mat.get_row(row, v);
@@ -259,7 +267,7 @@ pub(crate) fn scaled_hop_sssp(
                 let cell = &mut est[row * n + v];
                 if e < *cell {
                     *cell = e;
-                    choice[row * n + v] = ri as u8;
+                    choice[row * n + v] = ri;
                 }
             }
         }
@@ -271,6 +279,26 @@ pub(crate) fn scaled_hop_sssp(
         choice,
         runs,
     }
+}
+
+/// Charges exactly what [`scaled_hop_sssp`] with the same arguments would,
+/// for a caller that only pays for the runs (each goes through
+/// [`charge_multi_source_bfs`], so the flood memo may replay it).
+///
+/// # Panics
+///
+/// As [`scaled_hop_sssp`].
+pub(crate) fn charge_scaled_hop_sssp(
+    g: &Graph,
+    sources: &[NodeId],
+    h_hops: u64,
+    eps: EpsQ,
+    label: &str,
+    ledger: &mut Ledger,
+) {
+    for_each_scale_flood(g, h_hops, eps, label, |spec, label, _| {
+        charge_multi_source_bfs(g, sources, spec, label, ledger);
+    });
 }
 
 #[cfg(test)]
@@ -305,8 +333,9 @@ mod tests {
 
     #[test]
     fn scale_run_count_pins_the_actual_loop() {
-        // scale_run_count is hand-mirrored from scaled_hop_sssp's scale
-        // loop; this pins the two together across h, ε, and weight ranges.
+        // scale_run_count predicts scaled_hop_sssp's run count without
+        // running it; this pins the two together across h, ε, and weight
+        // ranges.
         let configs = [
             (8u64, 0.25, 1u64, 1u64, 0u64),
             (8, 0.25, 1, 30, 1),

@@ -1,9 +1,11 @@
 //! Differential test for the phase cache: every entry point must produce
 //! **byte-identical** results with and without the cache — the cache may
 //! only change *round accounting*, never distances, weights, or
-//! witnesses. The uncached runs here stand in for `MWC_NO_CACHE=1` (the
-//! env escape hatch reads through the same thread-local disable flag, set
-//! here via a guard so parallel tests don't race on the environment).
+//! witnesses. A flood the flood memo replays is charged in full, so it
+//! changes nothing at all. The uncached runs here stand in for
+//! `MWC_NO_CACHE=1` (the env escape hatch reads through the same
+//! thread-local disable flag, set here via a guard so parallel tests
+//! don't race on the environment).
 
 use mwc_congest::{Ledger, PhaseCache};
 use mwc_core::exact::exact_mwc;
@@ -70,6 +72,26 @@ fn assert_tree_cached_once(label: &str, ledger: &Ledger, fingerprints: usize) {
     assert!(replays > 0, "{label}: no cache-replay phase recorded");
 }
 
+/// Apart from BFS-tree builds, which a cache hit turns into zero-cost
+/// `cached: bfs tree` markers, every phase must match the uncached run's
+/// in order — label, totals, congestion and shard profile. Floods the
+/// flood memo replays are charged in full, so they leave no trace here.
+fn assert_phases_match_uncached(label: &str, cached: &Ledger, plain: &Ledger) {
+    let flood_phases = |ledger: &Ledger| -> Vec<String> {
+        ledger
+            .phases
+            .iter()
+            .filter(|p| p.label != "bfs tree" && !p.label.starts_with("cached: bfs tree"))
+            .map(|p| format!("{p:?}"))
+            .collect()
+    };
+    let (cached, plain) = (flood_phases(cached), flood_phases(plain));
+    assert_eq!(cached.len(), plain.len(), "{label}: phase count");
+    for (i, (c, p)) in cached.iter().zip(&plain).enumerate() {
+        assert_eq!(c, p, "{label}: phase {i}");
+    }
+}
+
 #[test]
 fn undirected_weighted_is_cache_invariant() {
     let g = connected_gnm(
@@ -93,23 +115,77 @@ fn undirected_weighted_is_cache_invariant() {
 
 #[test]
 fn directed_weighted_is_cache_invariant() {
-    let g = connected_gnm(
-        48,
-        120,
-        Orientation::Directed,
-        WeightRange::uniform(1, 12),
-        17,
-    );
-    let params = Params::new().with_seed(3).with_epsilon(0.25);
-    let (cached, _) = differential("approx_mwc_directed_weighted", || {
-        let out = approx_mwc_directed_weighted(&g, &params);
+    // The second instance (an `approx_quality` family graph) has an exact
+    // and a coarse-scale latency table that a weak flood-key digest once
+    // merged, replaying the wrong flood's charges.
+    let instances = [
         (
-            (out.weight, out.witness.map(|w| w.vertices().to_vec())),
-            out.ledger,
-        )
-    });
-    assert!(cached.rounds_saved > 0, "weighted run should hit the cache");
-    assert_tree_cached_once("approx_mwc_directed_weighted", &cached, 2);
+            connected_gnm(
+                48,
+                120,
+                Orientation::Directed,
+                WeightRange::uniform(1, 12),
+                17,
+            ),
+            3,
+        ),
+        (
+            connected_gnm(
+                32,
+                128,
+                Orientation::Directed,
+                WeightRange::uniform(1, 10),
+                204,
+            ),
+            2,
+        ),
+    ];
+    for (g, seed) in &instances {
+        let params = Params::new().with_seed(*seed).with_epsilon(0.25);
+        let (cached, plain) = differential("approx_mwc_directed_weighted", || {
+            let out = approx_mwc_directed_weighted(g, &params);
+            (
+                (out.weight, out.witness.map(|w| w.vertices().to_vec())),
+                out.ledger,
+            )
+        });
+        assert!(cached.rounds_saved > 0, "weighted run should hit the cache");
+        assert_tree_cached_once("approx_mwc_directed_weighted", &cached, 2);
+        assert_phases_match_uncached("approx_mwc_directed_weighted", &cached, &plain);
+    }
+}
+
+/// Theorem 1.2.D runs Algorithm 1 forward and on the reversed graph from
+/// the same samples, and each run also charges the other's segment
+/// floods ("reverse segments from S"). Under one scope the flood memo
+/// replays exactly one flood per charged reverse-segment phase: the
+/// forward run's charge-only floods are parked for the reverse run's real
+/// ones, and the reverse run's charge-only floods repeat the forward
+/// run's real ones.
+#[test]
+fn directed_weighted_replays_each_reverse_segment_flood() {
+    let g = connected_gnm(
+        256,
+        256,
+        Orientation::Directed,
+        WeightRange::uniform(1, 64),
+        21,
+    );
+    let params = Params::new().with_seed(21).with_epsilon(0.25);
+    let _scope = PhaseCache::scope();
+    let out = approx_mwc_directed_weighted(&g, &params);
+    let reverse_segments = out
+        .ledger
+        .phases
+        .iter()
+        .filter(|p| p.label.starts_with("reverse segments from S"))
+        .count() as u64;
+    assert!(
+        reverse_segments > 0,
+        "the solve must take the skeleton path"
+    );
+    let stats = PhaseCache::stats().expect("scope installed");
+    assert_eq!(stats.flood_replays, reverse_segments);
 }
 
 #[test]
@@ -129,7 +205,7 @@ fn girth_is_cache_invariant() {
 fn directed_two_approx_is_cache_invariant() {
     let g = connected_gnm(48, 120, Orientation::Directed, WeightRange::unit(), 23);
     let params = Params::new().with_seed(9);
-    let (cached, _) = differential("two_approx_directed_mwc", || {
+    let (cached, plain) = differential("two_approx_directed_mwc", || {
         let out = two_approx_directed_mwc(&g, &params);
         (
             (out.weight, out.witness.map(|w| w.vertices().to_vec())),
@@ -143,6 +219,7 @@ fn directed_two_approx_is_cache_invariant() {
         "second tree build should be cached"
     );
     assert_tree_cached_once("two_approx_directed_mwc", &cached, 2);
+    assert_phases_match_uncached("two_approx_directed_mwc", &cached, &plain);
 }
 
 #[test]
