@@ -5,7 +5,9 @@
 //! `results/bench/engine.json`.
 
 use mwc_bench::stopwatch::Suite;
-use mwc_congest::{broadcast, multi_source_bfs, BfsTree, Ledger, MultiBfsSpec, Network};
+use mwc_congest::{
+    broadcast, multi_source_bfs, BfsTree, Ledger, MultiBfsSpec, Network, RoundOutput,
+};
 use mwc_graph::generators::{connected_gnm, grid, WeightRange};
 use mwc_graph::{NodeId, Orientation};
 use std::hint::black_box;
@@ -19,8 +21,9 @@ fn bench_engine_steps(suite: &mut Suite) {
         }
         let mut seen = vec![false; g.n()];
         seen[0] = true;
-        while let Some(out) = net.step_fast() {
-            for d in out.deliveries {
+        let mut out = RoundOutput::default();
+        while net.step_bulk_into(&mut out) {
+            for d in out.deliveries.drain(..) {
                 if !seen[d.to] {
                     seen[d.to] = true;
                     for w in g.comm_neighbors(d.to) {

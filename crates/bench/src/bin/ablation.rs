@@ -42,6 +42,7 @@ fn overflow_count(ledger: &mwc_congest::Ledger) -> String {
 static ALLOC: mwc_trace::profile::CountingAlloc = mwc_trace::profile::CountingAlloc;
 
 fn main() {
+    report::init_cli(&["n"], false);
     report::init_profiling();
     let n: usize = report::arg(1, 512);
     let mut rec = report::RunRecorder::start("ablation");

@@ -91,6 +91,7 @@ fn families(
 static ALLOC: mwc_trace::profile::CountingAlloc = mwc_trace::profile::CountingAlloc;
 
 fn main() {
+    report::init_cli(&["n", "seeds"], false);
     report::init_profiling();
     let n: usize = report::arg(1, 96);
     let seeds: u64 = report::arg(2, 10);

@@ -39,6 +39,7 @@ fn aggregate(ledger: &Ledger) -> BTreeMap<String, u64> {
 static ALLOC: mwc_trace::profile::CountingAlloc = mwc_trace::profile::CountingAlloc;
 
 fn main() {
+    report::init_cli(&["directed|girth|uweighted|dweighted", "max_n"], false);
     report::init_profiling();
     let algo = report::arg_str(1, "directed");
     let max_n: usize = report::arg(2, 512);

@@ -21,8 +21,8 @@ use mwc_graph::Orientation;
 static ALLOC: mwc_trace::profile::CountingAlloc = mwc_trace::profile::CountingAlloc;
 
 fn main() {
+    report::init_cli(&["max_n"], false);
     report::init_profiling();
-    report::init_shards();
     let max_n: usize = report::arg(1, 1024);
     let params = Params::lean().with_seed(42);
     let mut rec = report::RunRecorder::start("table1_directed");

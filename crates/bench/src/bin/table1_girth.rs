@@ -20,9 +20,8 @@ use mwc_graph::Orientation;
 static ALLOC: mwc_trace::profile::CountingAlloc = mwc_trace::profile::CountingAlloc;
 
 fn main() {
+    report::init_cli(&["max_n"], true);
     report::init_profiling();
-    report::init_jobs();
-    report::init_shards();
     let max_n: usize = report::arg(1, 4096);
     let params = Params::lean().with_seed(4242);
     let mut rec = report::RunRecorder::start("table1_girth");

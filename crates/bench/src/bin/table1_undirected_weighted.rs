@@ -18,9 +18,8 @@ use mwc_graph::Orientation;
 static ALLOC: mwc_trace::profile::CountingAlloc = mwc_trace::profile::CountingAlloc;
 
 fn main() {
+    report::init_cli(&["max_n"], true);
     report::init_profiling();
-    report::init_jobs();
-    report::init_shards();
     let max_n: usize = report::arg(1, 512);
     let w_max = 8;
     let mut rec = report::RunRecorder::start("table1_undirected_weighted");

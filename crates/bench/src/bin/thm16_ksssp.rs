@@ -27,6 +27,7 @@ fn sources(n: usize, k: usize) -> Vec<NodeId> {
 static ALLOC: mwc_trace::profile::CountingAlloc = mwc_trace::profile::CountingAlloc;
 
 fn main() {
+    report::init_cli(&["max_n"], false);
     report::init_profiling();
     let max_n: usize = report::arg(1, 2048);
     let params = Params::lean().with_seed(1616);

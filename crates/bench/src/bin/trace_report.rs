@@ -32,7 +32,7 @@ use mwc_graph::{NodeId, Orientation};
 static ALLOC: mwc_trace::profile::CountingAlloc = mwc_trace::profile::CountingAlloc;
 
 fn main() {
-    report::init_shards();
+    report::init_cli(&["n"], false);
     report::init_profiling();
     let n: usize = report::arg(1, 96);
     let params = Params::lean().with_seed(42);

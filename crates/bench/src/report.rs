@@ -26,12 +26,19 @@ fn positional(idx: usize) -> Option<String> {
 }
 
 /// The `idx`-th positional CLI argument parsed as `T`, or `default` when
-/// absent or unparsable. `idx` is 1-based (0 is the binary name); `--`
-/// flags are skipped.
+/// absent. `idx` is 1-based (0 is the binary name); `--` flags are
+/// skipped.
+///
+/// # Panics
+///
+/// Panics if the argument does not parse; [`init_cli`] rejects such
+/// arguments with a usage error before a bin reads any.
 pub fn arg<T: FromStr>(idx: usize, default: T) -> T {
-    positional(idx)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
+    positional(idx).map_or(default, |s| {
+        s.parse()
+            .ok()
+            .unwrap_or_else(|| panic!("positional argument {idx} ('{s}') does not parse"))
+    })
 }
 
 /// The `idx`-th positional CLI argument as a string, or `default`.
@@ -39,50 +46,86 @@ pub fn arg_str(idx: usize, default: &str) -> String {
     positional(idx).unwrap_or_else(|| default.into())
 }
 
-/// Resolves the worker count for this bin and installs it process-wide:
-/// a `--jobs=N` flag wins over the `MWC_JOBS` environment variable
-/// (default 1 — parallelism is opt-in). Returns the effective count.
-/// Call once at bin startup, before any `mwc_par::ordered_map`.
+/// Checks a workload bin's command line before it does any work.
+/// `positionals` names the bin's positional arguments in order: each is
+/// an unsigned integer, except that a name written `a|b|c` accepts
+/// exactly one of those words. `jobs` says whether the bin takes
+/// `--jobs=N`, which is installed process-wide and wins over `MWC_JOBS`
+/// (the worker count is not a run-record parameter: `ordered_map` and
+/// trace grafting make records independent of it).
 ///
-/// The worker count is deliberately **not** a run-record parameter:
-/// `ordered_map` + trace grafting make records independent of it (pinned
-/// by the determinism-under-parallelism test), so records from different
-/// `--jobs` settings stay comparable.
-pub fn init_jobs() -> usize {
-    if let Some(flag) = std::env::args().find(|a| a.starts_with("--jobs=")) {
-        if let Ok(n) = flag["--jobs=".len()..].trim().parse::<usize>() {
-            mwc_par::set_jobs(n);
+/// Any other `--` flag, a `--jobs` value that is not a positive integer,
+/// a positional that does not parse, or one positional too many prints
+/// one usage line naming the bad argument and exits with status 2.
+pub fn init_cli(positionals: &[&str], jobs: bool) {
+    let args: Vec<String> = std::env::args().collect();
+    let bin = args.first().map_or("bench", |a| {
+        Path::new(a)
+            .file_name()
+            .and_then(|f| f.to_str())
+            .unwrap_or(a)
+    });
+    match check_cli(args.get(1..).unwrap_or(&[]), positionals, jobs) {
+        Ok(Some(n)) => mwc_par::set_jobs(n),
+        Ok(None) => {}
+        Err(bad) => {
+            let mut usage = format!("usage: {bin}");
+            for p in positionals {
+                usage.push_str(&format!(" [{p}]"));
+            }
+            if jobs {
+                usage.push_str(" [--jobs=N]");
+            }
+            eprintln!("{bin}: {bad}; {usage}");
+            std::process::exit(2);
         }
     }
-    mwc_par::jobs()
 }
 
-/// Resolves the engine shard count for this bin and installs it
-/// process-wide: a `--shards=N` flag wins over the `MWC_SHARDS`
-/// environment variable (default 1 — intra-simulation parallelism is
-/// opt-in, like `--jobs`). Returns the effective count. Call once at bin
-/// startup, before any network is built.
-///
-/// Unlike the worker count, the shard count **is** stamped on run records
-/// (the informational `shards` field) so sweeps are attributable — but it
-/// is never diffed: the sharded engine grafts per-shard work back in
-/// deterministic order, so every gated metric is byte-identical for any
-/// shard count (pinned by the shard differential suite).
-pub fn init_shards() -> usize {
-    if let Some(flag) = std::env::args().find(|a| a.starts_with("--shards=")) {
-        if let Ok(n) = flag["--shards=".len()..].trim().parse::<usize>() {
-            mwc_par::set_shards(n);
+/// [`init_cli`]'s check over the arguments after the binary name:
+/// `Ok(Some(n))` for a valid `--jobs=n`, `Ok(None)` without one, `Err`
+/// naming the first bad argument.
+fn check_cli(args: &[String], positionals: &[&str], jobs: bool) -> Result<Option<usize>, String> {
+    let mut n_jobs = None;
+    let mut next = positionals.iter();
+    for a in args {
+        if let Some(flag) = a.strip_prefix("--") {
+            match flag.strip_prefix("jobs=") {
+                Some(v) if jobs => match v.parse::<usize>() {
+                    Ok(n) if n > 0 => n_jobs = Some(n),
+                    _ => return Err(format!("bad argument '{a}' (N must be a positive integer)")),
+                },
+                _ => return Err(format!("unknown flag '{a}'")),
+            }
+            continue;
+        }
+        let Some(name) = next.next() else {
+            return Err(format!("unexpected argument '{a}'"));
+        };
+        let words = name.contains('|');
+        let ok = if words {
+            name.split('|').any(|w| w == a)
+        } else {
+            a.parse::<u64>().is_ok()
+        };
+        if !ok {
+            let want = if words {
+                format!("one of {name}")
+            } else {
+                format!("{name} must be an unsigned integer")
+            };
+            return Err(format!("bad argument '{a}' ({want})"));
         }
     }
-    mwc_par::shards()
+    Ok(n_jobs)
 }
 
 /// Enables wall-clock and allocation profiling on the calling thread and
 /// zeroes the process-wide peak-allocation high-water mark, so the run's
 /// spans accumulate wall-nanoseconds and (when the bin installed
 /// [`mwc_trace::profile::CountingAlloc`] as its `#[global_allocator]`)
-/// allocator traffic. Bench bins call this once at startup, right after
-/// [`init_jobs`]/[`init_shards`].
+/// allocator traffic. Bench bins call this once at startup, next to
+/// [`init_cli`].
 ///
 /// [`RunRecorder::start`] deliberately does **not** call this: profiling
 /// stamps nanosecond wall-clock into span nodes, which would break
@@ -185,11 +228,12 @@ impl RunRecorder {
     /// non-deterministic field (informational only; `trace_diff` never
     /// compares it, and determinism tests zero it before comparing) —
     /// and `shards`/`jobs`/`workers`/`peak_alloc_bytes` plus the flood
-    /// stamps (also informational: parallelism knobs, pool counters, the
+    /// stamps (also informational: the worker count, pool counters, the
     /// allocator high-water mark, and flood tallies never change a gated
-    /// metric). The flood stamps keep the v8 schema: `flood_kernel` is
-    /// always `"bitset"` and `floods_scalar` always 0, since there is one
-    /// flood loop; `floods_bitset` counts the run's floods.
+    /// metric; `shards` is always 1). The flood stamps keep the v8
+    /// schema: `flood_kernel` is always `"bitset"` and `floods_scalar`
+    /// always 0, since there is one flood loop; `floods_bitset` counts the
+    /// run's floods.
     pub fn into_record(self) -> RunRecord {
         self.into_record_with_trace().0
     }
@@ -214,7 +258,9 @@ impl RunRecorder {
         record.peak_alloc_bytes = mwc_trace::profile::peak_alloc_bytes();
         let w = mwc_par::worker_counters();
         record.workers = mwc_trace::WorkerTally {
-            tasks_executed: w.tasks_executed,
+            // Kept for the v8 schema: no pool task runs inside a
+            // simulation, so it is always 0.
+            tasks_executed: 0,
             items_grafted: w.items_grafted,
             idle_joins: w.idle_joins,
             busy_ms: w.busy_ns / 1_000_000,
@@ -296,6 +342,38 @@ mod tests {
     }
 
     #[test]
+    fn cli_check_accepts_declared_arguments() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(check_cli(&args(&[]), &["max_n"], false), Ok(None));
+        assert_eq!(check_cli(&args(&["1024"]), &["max_n"], false), Ok(None));
+        assert_eq!(
+            check_cli(&args(&["--jobs=4", "256"]), &["max_n"], true),
+            Ok(Some(4))
+        );
+        let algo = ["directed|girth", "max_n"];
+        assert_eq!(check_cli(&args(&["girth", "256"]), &algo, false), Ok(None));
+    }
+
+    #[test]
+    fn cli_check_names_the_bad_argument() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let bad = |a: &[&str], jobs| check_cli(&args(a), &["directed|girth", "max_n"], jobs);
+        for (a, jobs, named) in [
+            (&["girth", "1O24"][..], true, "'1O24'"),
+            (&["ring"][..], true, "'ring'"),
+            (&["girth", "-5"][..], true, "'-5'"),
+            (&["girth", "64", "3"][..], true, "'3'"),
+            (&["--jobs=x"][..], true, "'--jobs=x'"),
+            (&["--jobs=0"][..], true, "'--jobs=0'"),
+            (&["--jobs=4"][..], false, "'--jobs=4'"),
+            (&["--shards=2"][..], true, "'--shards=2'"),
+        ] {
+            let err = bad(a, jobs).expect_err("must be rejected");
+            assert!(err.contains(named), "{a:?}: {err}");
+        }
+    }
+
+    #[test]
     fn run_recorder_builds_deterministic_records() {
         let build = || {
             let mut rec = RunRecorder::start("probe");
@@ -309,7 +387,7 @@ mod tests {
                     .unwrap();
             let mut net: mwc_congest::Network<u8> = mwc_congest::Network::new(&g);
             net.send(0, 1, 1, 1).unwrap();
-            net.step();
+            while net.step_bulk_into(&mut mwc_congest::RoundOutput::default()) {}
             let mut ledger = Ledger::new();
             ledger.absorb("hop", &net);
             rec.congestion("hop", &ledger);

@@ -1,14 +1,12 @@
 //! Determinism under parallelism: the table bins must produce
-//! byte-identical stdout, run records, and OpenMetrics expositions
-//! across both parallelism axes — worker count (`MWC_JOBS`, sweep items
-//! fanned over threads) and engine shard count (`MWC_SHARDS`, one
-//! simulation split across threads) — with the informational fields
-//! (`wall_ms`, `shards`, `jobs`, the `workers` tally; `mwc_info_`
-//! samples in the exposition) normalized before comparison. This is the
-//! end-to-end guarantee behind `mwc_par::ordered_map` + trace
-//! capture-and-graft and the sharded engine's bucket/fork/graft round
-//! kernel: no thread schedule may leave a trace in any artifact the
-//! perf gate reads.
+//! byte-identical stdout, run records, and OpenMetrics expositions for
+//! any worker count (`MWC_JOBS`, sweep items fanned over threads), with
+//! the informational fields (`wall_ms`, `shards`, `jobs`, the `workers`
+//! tally; `mwc_info_` samples in the exposition) normalized before
+//! comparison. This is the end-to-end guarantee behind
+//! `mwc_par::ordered_map` + trace capture-and-graft: no thread schedule
+//! may leave a trace in any artifact the perf gate reads. The bins'
+//! start-up check of their command line is pinned here too.
 
 use std::path::{Path, PathBuf};
 
@@ -25,18 +23,17 @@ const INFORMATIONAL_FIELDS: &[&str] = &[
     "\"busy_ms\":",
     // Profile fields (v6): wall-clock is machine-dependent everywhere;
     // allocation attribution is deterministic only in the sequential
-    // unsharded config (spawned shard tasks run unprofiled, so per-span
-    // alloc shifts with the schedule) — which is exactly why trace_diff
-    // gates alloc only at jobs<=1 && shards<=1. Across this matrix all
-    // four are informational and normalized.
+    // config (sweep items on worker threads shift per-span alloc with
+    // the schedule) — which is exactly why trace_diff gates alloc only
+    // at jobs<=1. Across this matrix all four are informational and
+    // normalized.
     "\"wall_ns\":",
     "\"alloc_bytes\":",
     "\"alloc_count\":",
     "\"peak_alloc_bytes\":",
 ];
 
-/// Runs `bin` with `MWC_JOBS=jobs` and `MWC_SHARDS=shards` in a scratch
-/// cwd; returns stdout, the rendered run record with its informational
+/// Runs `bin` with `MWC_JOBS=jobs` in a scratch cwd; returns stdout, the rendered run record with its informational
 /// member lines normalized to zero, and the OpenMetrics exposition with
 /// its `mwc_info_`-prefixed sample lines dropped (same contract: those
 /// are the run-dependent samples).
@@ -45,7 +42,6 @@ fn run_bin(
     arg: &str,
     record: &str,
     jobs: &str,
-    shards: &str,
     scratch: &Path,
 ) -> (String, String, String) {
     let _ = std::fs::remove_dir_all(scratch);
@@ -53,16 +49,13 @@ fn run_bin(
     let out = std::process::Command::new(bin)
         .arg(arg)
         .env("MWC_JOBS", jobs)
-        .env("MWC_SHARDS", shards)
-        // Engage the sharded kernel even at test-sized active lists.
-        .env("MWC_SHARD_THRESHOLD", "0")
         .env("MWC_TRACE", "1")
         .current_dir(scratch)
         .output()
         .expect("bench bin runs");
     assert!(
         out.status.success(),
-        "MWC_JOBS={jobs} MWC_SHARDS={shards}: {}",
+        "MWC_JOBS={jobs}: {}",
         String::from_utf8_lossy(&out.stderr)
     );
     let rec = std::fs::read_to_string(scratch.join("results/run_records").join(record)).unwrap();
@@ -86,7 +79,7 @@ fn run_bin(
     let prom = std::fs::read_to_string(scratch.join("results/metrics.prom")).unwrap();
     // Drop the run-dependent `mwc_info_` samples AND every `mwc_alloc_`
     // line: the gated alloc counters (samples *and* their # TYPE/# HELP
-    // declarations) exist only in the sequential unsharded config, where
+    // declarations) exist only in the sequential config, where
     // allocation attribution is deterministic.
     let prom = prom
         .lines()
@@ -100,18 +93,11 @@ fn scratch(case: &str) -> PathBuf {
     std::env::temp_dir().join(format!("mwc-par-determinism-{case}"))
 }
 
-/// The full 2×2 matrix of jobs {1, 4} × shards {1, 4}: every cell must
-/// match the sequential corner byte for byte, including the cell where
-/// both axes are parallel at once.
+/// Jobs {1, 4}: the four-worker run must match the sequential one byte
+/// for byte.
 fn assert_parallelism_invariant(bin: &str, arg: &str, record: &str, case: &str) {
-    let (out_base, rec_base, prom_base) = run_bin(
-        bin,
-        arg,
-        record,
-        "1",
-        "1",
-        &scratch(&format!("{case}-j1-s1")),
-    );
+    let (out_base, rec_base, prom_base) =
+        run_bin(bin, arg, record, "1", &scratch(&format!("{case}-j1")));
     for field in [
         "\"wall_ms\": 0",
         "\"shards\": 0",
@@ -128,26 +114,20 @@ fn assert_parallelism_invariant(bin: &str, arg: &str, record: &str, case: &str) 
         prom_base.contains("mwc_rounds_total"),
         "{case}: exposition should carry gated samples"
     );
-    for (jobs, shards) in [("4", "1"), ("1", "4"), ("4", "4")] {
-        let dir = scratch(&format!("{case}-j{jobs}-s{shards}"));
-        let (out, rec, prom) = run_bin(bin, arg, record, jobs, shards, &dir);
-        assert_eq!(
-            out, out_base,
-            "{case}: stdout differs at MWC_JOBS={jobs} MWC_SHARDS={shards}"
-        );
-        assert_eq!(
-            rec, rec_base,
-            "{case}: run record differs (beyond informational fields) at MWC_JOBS={jobs} MWC_SHARDS={shards}"
-        );
-        assert_eq!(
-            prom, prom_base,
-            "{case}: metrics.prom differs (beyond mwc_info_ samples) at MWC_JOBS={jobs} MWC_SHARDS={shards}"
-        );
-    }
+    let (out, rec, prom) = run_bin(bin, arg, record, "4", &scratch(&format!("{case}-j4")));
+    assert_eq!(out, out_base, "{case}: stdout differs at MWC_JOBS=4");
+    assert_eq!(
+        rec, rec_base,
+        "{case}: run record differs (beyond informational fields) at MWC_JOBS=4"
+    );
+    assert_eq!(
+        prom, prom_base,
+        "{case}: metrics.prom differs (beyond mwc_info_ samples) at MWC_JOBS=4"
+    );
 }
 
 #[test]
-fn table1_girth_is_identical_across_worker_and_shard_counts() {
+fn table1_girth_is_identical_across_worker_counts() {
     assert_parallelism_invariant(
         env!("CARGO_BIN_EXE_table1_girth"),
         "512",
@@ -157,7 +137,7 @@ fn table1_girth_is_identical_across_worker_and_shard_counts() {
 }
 
 #[test]
-fn table1_undirected_weighted_is_identical_across_worker_and_shard_counts() {
+fn table1_undirected_weighted_is_identical_across_worker_counts() {
     assert_parallelism_invariant(
         env!("CARGO_BIN_EXE_table1_undirected_weighted"),
         "128",
@@ -188,26 +168,34 @@ fn jobs_flag_overrides_env_and_preserves_positional_args() {
 }
 
 #[test]
-fn shards_flag_overrides_env_and_is_stamped_on_the_record() {
-    // `--shards=2` must win over MWC_SHARDS=1, be stamped in the record's
-    // informational `shards` field, and leave the positional arg alone.
-    let dir = scratch("shards-flag");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_table1_girth"))
-        .args(["--shards=2", "256"])
-        .env("MWC_SHARDS", "1")
-        .current_dir(&dir)
-        .output()
-        .expect("bench bin runs");
-    assert!(out.status.success());
-    let rec = std::fs::read_to_string(dir.join("results/run_records/table1_girth.json")).unwrap();
-    assert!(
-        rec.contains("\"shards\": 2"),
-        "--shards must be stamped on the record: {rec}"
-    );
-    assert!(
-        rec.contains("\"max_n\": \"256\""),
-        "--shards must not consume the positional arg: {rec}"
-    );
+fn bad_command_lines_exit_2_and_write_no_record() {
+    // The removed `--shards` flag, a non-numeric `--jobs` and a malformed
+    // positional size are each refused at start-up with a usage line
+    // naming the argument, before any sweep runs.
+    for (case, args) in [
+        ("shards", &["--shards=2", "256"][..]),
+        ("jobs", &["--jobs=x", "256"][..]),
+        ("positional", &["1O24"][..]),
+    ] {
+        let dir = scratch(&format!("bad-{case}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_table1_girth"))
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("bench bin runs");
+        assert_eq!(out.status.code(), Some(2), "{case}: {args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let bad = args[0];
+        assert!(
+            stderr.contains(bad) && stderr.contains("usage: table1_girth"),
+            "{case}: usage error must name {bad}: {stderr}"
+        );
+        assert_eq!(stderr.lines().count(), 1, "{case}: one line: {stderr}");
+        assert!(
+            !dir.join("results").exists(),
+            "{case}: a refused run must write nothing"
+        );
+    }
 }

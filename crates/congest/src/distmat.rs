@@ -133,31 +133,6 @@ impl DistMatrix {
         p.reverse();
         Some(p)
     }
-
-    /// SplitMix64 digest over the full table — sources, every distance,
-    /// and every predecessor. Two tables digest equal iff a primitive
-    /// produced identical output (up to a hash collision), which lets
-    /// differential harnesses compare megabyte tables as one word (the
-    /// shard suite pins digests across `--shards` counts).
-    pub fn digest(&self) -> u64 {
-        fn mix(state: &mut u64, word: u64) {
-            *state ^= word;
-            mwc_rng::splitmix64(state);
-        }
-        let mut state: u64 = 0x6d77_6364_6973_746d; // "mwcdistm"
-        mix(&mut state, self.n as u64);
-        mix(&mut state, self.k() as u64);
-        for &s in &self.sources {
-            mix(&mut state, s as u64);
-        }
-        for &d in &self.dist {
-            mix(&mut state, d);
-        }
-        for &p in &self.pred {
-            mix(&mut state, p as u64);
-        }
-        mwc_rng::splitmix64(&mut state)
-    }
 }
 
 #[cfg(test)]
@@ -191,18 +166,6 @@ mod tests {
         assert_eq!(m.chain_to_source(0, 2), Some(vec![2, 1, 0]));
         assert_eq!(m.path_from_source(0, 2), Some(vec![0, 1, 2]));
         assert_eq!(m.chain_to_source(0, 3), None);
-    }
-
-    #[test]
-    fn digest_tracks_every_field() {
-        let mut a = DistMatrix::new(4, vec![0]);
-        let b = a.clone();
-        assert_eq!(a.digest(), b.digest());
-        a.set_row(0, 1, 5, Some(0));
-        assert_ne!(a.digest(), b.digest(), "distance change must show");
-        let mut c = DistMatrix::new(4, vec![0]);
-        c.set_row(0, 1, 5, Some(2));
-        assert_ne!(a.digest(), c.digest(), "predecessor change must show");
     }
 
     #[test]

@@ -69,8 +69,8 @@ pub fn hist_bucket(words: u64) -> usize {
 /// Aggregate traffic statistics of a [`Network`].
 ///
 /// `PartialEq` is derived so differential tests can assert that bulk
-/// advancement ([`Network::step_bulk`]) produces *bit-identical* stats to
-/// single-stepping.
+/// advancement ([`Network::step_bulk_into`]) produces *bit-identical*
+/// stats to single-stepping.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct NetStats {
     /// Total words transferred over all links.
@@ -81,17 +81,16 @@ pub struct NetStats {
     /// table); used by the lower-bound harness for cut accounting.
     pub per_link_words: Vec<u64>,
     /// High-water mark of each directed link's send-queue depth (parallel
-    /// to `per_link_words`). Updated at send time on the coordinator
-    /// thread, so it is deterministic for any shard count; the canonical
-    /// shard profile ([`crate::ShardProfile`]) folds it per shard.
+    /// to `per_link_words`). Updated at send time; the canonical shard
+    /// profile ([`crate::ShardProfile`]) folds it per reference shard.
     pub per_link_queue_high: Vec<u64>,
     /// When history is enabled ([`Network::enable_history`]): `(round,
     /// words transferred that round)` for every non-quiet round — the
     /// congestion timeline used by the scheduling ablations.
     pub words_per_round: Vec<(u64, u64)>,
     /// Rounds in which at least one word was transferred (quiet rounds
-    /// skipped by [`Network::step_fast`] still count toward `round()` but
-    /// not here).
+    /// skipped by [`Network::step_bulk_into`] still count toward `round()`
+    /// but not here).
     pub active_rounds: u64,
     /// The largest number of words any single round transferred — the peak
     /// of the congestion timeline, tracked even without history.
@@ -113,15 +112,14 @@ impl NetStats {
     /// sets. **Order-independent**: `a.merge(&b)` and `b.merge(&a)` give
     /// field-identical results (pinned by
     /// `netstats_merge_is_order_independent`), so capture-and-graft
-    /// fan-ins — per-shard fragments, per-item sweep stats — may combine
-    /// in completion order without leaking it into reports.
+    /// fan-ins — per-item sweep stats, per-phase ledger totals — may
+    /// combine in completion order without leaking it into reports.
     ///
     /// Counters (`words`, `messages`, `per_link_words`) add;
     /// `queue_high_water` takes the max — backpressure high-waters don't
     /// stack, the worst queue either side saw is the worst overall — and
     /// `per_link_queue_high` takes the elementwise max for the same
-    /// reason. The
-    /// congestion timeline is merge-joined by round, summing rounds both
+    /// reason. The congestion timeline is merge-joined by round, summing rounds both
     /// sides were active in. When **both** sides carry a timeline, the
     /// round-derived fields (`active_rounds`, `round_histogram`,
     /// `max_words_in_round`, `peak_round`) are recomputed from the merged
@@ -216,14 +214,12 @@ impl NetStats {
 /// A queued message. Endpoints are *not* stored: queues are per-link, so
 /// `from`/`to` are recovered from the link table at delivery time, keeping
 /// the struct (and the per-send copy) as small as the payload allows.
-/// `pub(crate)` so the sharded round kernel ([`crate::shard`]) can walk
-/// queue slices directly.
-pub(crate) struct InFlight<M> {
-    pub(crate) payload: M,
+struct InFlight<M> {
+    payload: M,
     /// Total words of the message (for the event log).
-    pub(crate) words: u64,
-    pub(crate) words_left: u64,
-    pub(crate) latency: u64,
+    words: u64,
+    words_left: u64,
+    latency: u64,
 }
 
 /// The CONGEST network simulator. See the crate docs for the model.
@@ -235,14 +231,15 @@ pub(crate) struct InFlight<M> {
 /// # Examples
 ///
 /// ```
-/// use mwc_congest::{Network};
+/// use mwc_congest::{Network, RoundOutput};
 /// use mwc_graph::{Graph, Orientation};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let g = Graph::from_edges(3, Orientation::Undirected, [(0, 1, 1), (1, 2, 1)])?;
 /// let mut net: Network<&'static str> = Network::new(&g);
 /// net.send(0, 1, "hello", 1)?;
-/// let out = net.step();
+/// let mut out = RoundOutput::default();
+/// net.step_into(&mut out);
 /// assert_eq!(out.deliveries.len(), 1);
 /// assert_eq!(out.deliveries[0].payload, "hello");
 /// assert_eq!(net.round(), 1);
@@ -280,7 +277,7 @@ pub struct Network<M> {
     history: bool,
     /// Sticky: set once any message longer than one word is enqueued.
     /// While false, every active link's head has exactly one word left, so
-    /// [`Network::step_bulk`] can skip its `O(active)` lookahead scan —
+    /// [`Network::step_bulk_into`] can skip its `O(active)` lookahead scan —
     /// one-word workloads (BFS floods, source detection) pay nothing for
     /// the bulk path.
     any_multiword: bool,
@@ -290,10 +287,6 @@ pub struct Network<M> {
     /// Sequence number in the message-event log, when logging is active
     /// (see [`crate::events`]); `None` keeps the logging path cost-free.
     events_net: Option<u64>,
-    /// Intra-simulation sharding state ([`Network::new_sharded`]); `None`
-    /// (the [`Network::new`] default) keeps every round on the sequential
-    /// path. Boxed so unsharded networks pay one pointer.
-    sharding: Option<Box<crate::shard::Sharding<M>>>,
 }
 
 /// Error returned by [`Network::send`] variants.
@@ -382,62 +375,7 @@ impl<M> Network<M> {
             any_multiword: false,
             scratch_active: Vec::new(),
             events_net: crate::events::next_net_id(),
-            sharding: None,
         }
-    }
-
-    /// [`Network::new`], sharded across [`mwc_par::shards`] engine shards
-    /// when more than one is configured (`--shards=N` / `MWC_SHARDS`).
-    /// This is the constructor the primitives use: sharding is an
-    /// execution strategy, never an observable — see
-    /// [`Network::new_sharded`].
-    pub fn new_auto(graph: &Graph) -> Self
-    where
-        M: Send,
-    {
-        let shards = mwc_par::shards();
-        if shards > 1 {
-            Self::new_sharded(graph, shards)
-        } else {
-            Self::new(graph)
-        }
-    }
-
-    /// [`Network::new`] with round transfers partitioned across `shards`
-    /// contiguous vertex ranges (degree-balanced; see
-    /// [`crate::ShardPlan`]), each stepped on its own worker thread with
-    /// cut-link traffic exchanged at the round barrier.
-    ///
-    /// Every observable — [`RoundOutput`] contents and order, every
-    /// [`NetStats`] field, the message-event log, transit FIFO
-    /// tie-breaking — is **byte-identical** to the unsharded engine for
-    /// any shard count, by construction: shards own disjoint link
-    /// ranges, and the coordinator grafts their completions back in
-    /// active-list order before anything order-sensitive happens (see
-    /// [`crate::shard`]). Rounds with fewer active links than
-    /// [`mwc_par::shard_threshold`] run sequentially; the threshold is
-    /// pure scheduling policy.
-    pub fn new_sharded(graph: &Graph, shards: usize) -> Self
-    where
-        M: Send,
-    {
-        let mut net = Self::new(graph);
-        let degrees: Vec<usize> = net.out_start.windows(2).map(|w| w[1] - w[0]).collect();
-        let plan = crate::shard::ShardPlan::new(&degrees, shards);
-        if plan.shards() > 1 {
-            net.sharding = Some(Box::new(crate::shard::Sharding::new(plan)));
-        }
-        net
-    }
-
-    /// The shard count this network was built with (1 when unsharded).
-    pub fn shards(&self) -> usize {
-        self.sharding.as_ref().map_or(1, |s| s.plan.shards())
-    }
-
-    /// The shard plan this network steps with; `None` when unsharded.
-    pub fn shard_plan(&self) -> Option<&crate::ShardPlan> {
-        self.sharding.as_ref().map(|s| &s.plan)
     }
 
     /// The network's sequence number in the message-event log, if logging
@@ -519,7 +457,7 @@ impl<M> Network<M> {
     }
 
     /// Enqueues a `words`-word message from `from` to its neighbor `to`.
-    /// Transfer begins on the next [`Network::step`]; delivery happens
+    /// Transfer begins on the next round; delivery happens
     /// after `words` rounds of link occupancy (FIFO behind earlier
     /// messages).
     ///
@@ -619,59 +557,11 @@ impl<M> Network<M> {
         next
     }
 
-    /// Completes a message whose last word left its link this round:
-    /// counts it, logs it, and either delivers it now (zero latency) or
-    /// parks it in transit until its latency expires. Shared by the
-    /// sequential transfer loop and the sharded graft so message
-    /// accounting, event emission, and transit sequence assignment have
-    /// exactly one code path.
-    fn finish_message(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        payload: M,
-        words: u64,
-        latency: u64,
-        out: &mut RoundOutput<M>,
-    ) {
-        let delivery = Delivery { from, to, payload };
-        if latency == 0 {
-            self.stats.messages += 1;
-            if let Some(net) = self.events_net {
-                crate::events::emit_msg(net, self.round, from, to, words);
-            }
-            out.deliveries.push(delivery);
-        } else {
-            let seq = self.transit_seq;
-            self.transit_seq += 1;
-            let slot = match self.transit_free.pop() {
-                Some(s) => {
-                    self.transit_msgs[s as usize] = Some((delivery, words));
-                    s
-                }
-                None => {
-                    self.transit_msgs.push(Some((delivery, words)));
-                    (self.transit_msgs.len() - 1) as u32
-                }
-            };
-            self.transit
-                .push(Reverse((self.round + latency, seq, slot)));
-        }
-    }
-
-    /// Advances the simulation by exactly one round and returns what the
-    /// nodes observe at its end.
-    pub fn step(&mut self) -> RoundOutput<M> {
-        let mut out = RoundOutput::default();
-        self.step_into(&mut out);
-        out
-    }
-
-    /// Allocation-free [`Network::step`]: clears `out` and fills it with
-    /// this round's deliveries and wakeups, reusing its backing buffers.
-    /// Driver loops that step many thousands of rounds should hold one
-    /// `RoundOutput` and call this (or [`Network::step_bulk_into`]) in a
-    /// loop.
+    /// Advances the simulation by exactly one round, clearing `out` and
+    /// filling it with what the nodes observe at the round's end (reusing
+    /// its backing buffers). Quiet rounds are stepped one by one too, so
+    /// tests that need exact idle rounds call this; driver loops call
+    /// [`Network::step_bulk_into`], which ends in it.
     pub fn step_into(&mut self, out: &mut RoundOutput<M>) {
         out.deliveries.clear();
         out.wakeups.clear();
@@ -693,49 +583,49 @@ impl<M> Network<M> {
         let mut still_active = std::mem::take(&mut self.scratch_active);
         still_active.clear();
         let active = std::mem::take(&mut self.active);
-        let engaged = self
-            .sharding
-            .as_ref()
-            .is_some_and(|sh| sh.engaged(active.len()));
-        if engaged {
-            // Sharded round: workers transfer words on disjoint link
-            // ranges; the coordinator grafts completions back in active
-            // order so everything order-sensitive below is bit-identical
-            // to the sequential loop. (The sharding state is taken out of
-            // `self` for the duration so the worker slices and the graft
-            // can borrow disjoint parts of the engine.)
-            let mut sh = self.sharding.take().expect("engaged sharding present");
-            sh.transfer_round(&active, &mut self.queues, &mut self.stats.per_link_words);
-            self.stats.words += transferred;
-            for c in sh.merged.drain(..) {
-                let (from, to) = self.link_ends[c.link as usize];
-                self.finish_message(from, to, c.payload, c.words, c.latency, out);
-            }
-            self.sharding = Some(sh);
-            for &l in &active {
-                if self.queues[l].is_empty() {
-                    self.active_flag[l] = false;
+        for &l in &active {
+            let q = &mut self.queues[l];
+            let head = q.front_mut().expect("active links have queued traffic");
+            head.words_left -= 1;
+            self.stats.words += 1;
+            self.stats.per_link_words[l] += 1;
+            if head.words_left == 0 {
+                // The last word left the link: deliver now (zero latency)
+                // or park the message in transit until its latency expires.
+                let msg = q.pop_front().expect("head exists");
+                let (from, to) = self.link_ends[l];
+                let delivery = Delivery {
+                    from,
+                    to,
+                    payload: msg.payload,
+                };
+                if msg.latency == 0 {
+                    self.stats.messages += 1;
+                    if let Some(net) = self.events_net {
+                        crate::events::emit_msg(net, self.round, from, to, msg.words);
+                    }
+                    out.deliveries.push(delivery);
                 } else {
-                    still_active.push(l);
+                    let seq = self.transit_seq;
+                    self.transit_seq += 1;
+                    let slot = match self.transit_free.pop() {
+                        Some(s) => {
+                            self.transit_msgs[s as usize] = Some((delivery, msg.words));
+                            s
+                        }
+                        None => {
+                            self.transit_msgs.push(Some((delivery, msg.words)));
+                            (self.transit_msgs.len() - 1) as u32
+                        }
+                    };
+                    self.transit
+                        .push(Reverse((self.round + msg.latency, seq, slot)));
                 }
             }
-        } else {
-            for &l in &active {
-                let q = &mut self.queues[l];
-                let head = q.front_mut().expect("active links have queued traffic");
-                head.words_left -= 1;
-                self.stats.words += 1;
-                self.stats.per_link_words[l] += 1;
-                if head.words_left == 0 {
-                    let msg = q.pop_front().expect("head exists");
-                    let (from, to) = self.link_ends[l];
-                    self.finish_message(from, to, msg.payload, msg.words, msg.latency, out);
-                }
-                if self.queues[l].is_empty() {
-                    self.active_flag[l] = false;
-                } else {
-                    still_active.push(l);
-                }
+            if self.queues[l].is_empty() {
+                self.active_flag[l] = false;
+            } else {
+                still_active.push(l);
             }
         }
         self.active = still_active;
@@ -768,33 +658,9 @@ impl<M> Network<M> {
         }
     }
 
-    /// Jumps over quiet rounds (when no link is transferring) straight to
-    /// the next event and performs that round; the round counter still
-    /// advances over the skipped rounds, so complexity accounting is
-    /// unchanged. Returns `None` when the network is idle.
-    pub fn step_fast(&mut self) -> Option<RoundOutput<M>> {
-        let mut out = RoundOutput::default();
-        self.step_fast_into(&mut out).then_some(out)
-    }
-
-    /// Allocation-free [`Network::step_fast`]: returns `false` (leaving
-    /// `out` cleared) when the network is idle.
-    pub fn step_fast_into(&mut self, out: &mut RoundOutput<M>) -> bool {
-        let Some(next) = self.next_event_round() else {
-            out.deliveries.clear();
-            out.wakeups.clear();
-            return false;
-        };
-        if next > self.round + 1 {
-            self.round = next - 1;
-        }
-        self.step_into(out);
-        true
-    }
-
     /// Charges round `round` of a flood without touching the queue
     /// machinery. `round` may jump ahead over quiet rounds, like
-    /// [`Network::step_fast_into`]. `links` each carry one one-word
+    /// [`Network::step_bulk_into`]. `links` each carry one one-word
     /// *transfer* this round, in send order; a link appears at most once
     /// (each directed link has one sender, which forwards at most one
     /// announcement per round). `delivered` are the links whose messages
@@ -803,7 +669,7 @@ impl<M> Network<M> {
     ///
     /// Records exactly what [`Network::send_on_link`] followed by
     /// [`Network::step_into`] (or, with no transfer, a
-    /// [`Network::step_fast_into`] landing on `round`) would: transfer
+    /// [`Network::step_bulk_into`] landing on `round`) would: transfer
     /// stats — words, per-link words, the active-round histogram,
     /// first-reach peak tracking, the optional history, queue high-waters
     /// at depth 1 — only when `links` is nonempty, while the message
@@ -938,29 +804,29 @@ impl<M> Network<M> {
         }
     }
 
-    /// [`Network::step_fast`] plus **bulk link transfer**: when no
-    /// delivery, transit expiry, or wakeup can fire before round `r + k`,
-    /// the engine advances every active link `k - 1` words in one pass —
-    /// updating `NetStats` (words, per-link words, histogram buckets, peak
-    /// round, `words_per_round` history) in closed form — and then executes
-    /// round `r + k` normally. Observable state after the call, including
-    /// all statistics, the ledger history and the message-event log, is
-    /// bit-identical to `k` calls of [`Network::step`]: during the skipped
-    /// rounds the active-link set cannot change (no head finishes, by the
-    /// choice of `k`), every round transfers exactly `active.len()` words,
-    /// and nothing is delivered, so there is no event to log and no
-    /// stats path that differs.
+    /// Advances to the next round in which something happens and performs
+    /// it; returns `false` (leaving `out` cleared) when the network is
+    /// idle. Quiet rounds — nothing transferring, only transit arrivals or
+    /// wakeups pending — are jumped over; the round counter still advances
+    /// over them, so complexity accounting is unchanged.
+    ///
+    /// On top of that, **bulk link transfer**: when no delivery, transit
+    /// expiry, or wakeup can fire before round `r + k`, the engine
+    /// advances every active link `k - 1` words in one pass — updating
+    /// `NetStats` (words, per-link words, histogram buckets, peak round,
+    /// `words_per_round` history) in closed form — and then executes round
+    /// `r + k` with [`Network::step_into`]. Observable state after the
+    /// call, including all statistics, the ledger history and the
+    /// message-event log, is bit-identical to `k` calls of
+    /// [`Network::step_into`]: during the skipped rounds the active-link
+    /// set cannot change (no head finishes, by the choice of `k`), every
+    /// round transfers exactly `active.len()` words, and nothing is
+    /// delivered, so there is no event to log and no stats path that
+    /// differs.
     ///
     /// The lookahead scan is `O(active)` and gated on the network ever
-    /// having carried a multi-word message; single-word workloads take the
-    /// plain [`Network::step_fast_into`] path unchanged.
-    pub fn step_bulk(&mut self) -> Option<RoundOutput<M>> {
-        let mut out = RoundOutput::default();
-        self.step_bulk_into(&mut out).then_some(out)
-    }
-
-    /// Allocation-free [`Network::step_bulk`]: returns `false` (leaving
-    /// `out` cleared) when the network is idle.
+    /// having carried a multi-word message; single-word workloads only
+    /// pay for the quiet-gap jump.
     pub fn step_bulk_into(&mut self, out: &mut RoundOutput<M>) -> bool {
         let Some(next) = self.next_event_round() else {
             out.deliveries.clear();
@@ -968,7 +834,7 @@ impl<M> Network<M> {
             return false;
         };
         if next > self.round + 1 {
-            // Quiet gap: nothing is transferring, jump like step_fast.
+            // Quiet gap: nothing is transferring; jump to the event.
             self.round = next - 1;
         } else if self.any_multiword && !self.active.is_empty() {
             // k = number of rounds until *any* observable event: the
@@ -1009,27 +875,10 @@ impl<M> Network<M> {
                     }
                 }
                 self.stats.words += skipped * per_round;
-                let engaged = self
-                    .sharding
-                    .as_ref()
-                    .is_some_and(|sh| sh.engaged(self.active.len()));
-                if engaged {
-                    let mut sh = self.sharding.take().expect("engaged sharding present");
-                    let active = std::mem::take(&mut self.active);
-                    sh.bulk_skip(
-                        &active,
-                        &mut self.queues,
-                        &mut self.stats.per_link_words,
-                        skipped,
-                    );
-                    self.active = active;
-                    self.sharding = Some(sh);
-                } else {
-                    for &l in &self.active {
-                        let head = self.queues[l].front_mut().expect("active");
-                        head.words_left -= skipped;
-                        self.stats.per_link_words[l] += skipped;
-                    }
+                for &l in &self.active {
+                    let head = self.queues[l].front_mut().expect("active");
+                    head.words_left -= skipped;
+                    self.stats.per_link_words[l] += skipped;
                 }
                 self.round += skipped;
             }
@@ -1059,11 +908,25 @@ mod tests {
         Graph::from_edges(3, Orientation::Undirected, [(0, 1, 1), (1, 2, 1)]).unwrap()
     }
 
+    /// One [`Network::step_into`] round, returning what the nodes observe.
+    fn step<M>(net: &mut Network<M>) -> RoundOutput<M> {
+        let mut out = RoundOutput::default();
+        net.step_into(&mut out);
+        out
+    }
+
+    /// One [`Network::step_bulk_into`] call; `None` once the network is
+    /// idle.
+    fn bulk<M>(net: &mut Network<M>) -> Option<RoundOutput<M>> {
+        let mut out = RoundOutput::default();
+        net.step_bulk_into(&mut out).then_some(out)
+    }
+
     #[test]
     fn single_word_takes_one_round() {
         let mut net: Network<u32> = Network::new(&path3());
         net.send(0, 1, 7, 1).unwrap();
-        let out = net.step();
+        let out = step(&mut net);
         assert_eq!(out.deliveries.len(), 1);
         assert_eq!(out.deliveries[0].from, 0);
         assert_eq!(out.deliveries[0].to, 1);
@@ -1076,9 +939,9 @@ mod tests {
     fn multi_word_message_occupies_link() {
         let mut net: Network<u32> = Network::new(&path3());
         net.send(0, 1, 1, 3).unwrap();
-        assert!(net.step().deliveries.is_empty());
-        assert!(net.step().deliveries.is_empty());
-        let out = net.step();
+        assert!(step(&mut net).deliveries.is_empty());
+        assert!(step(&mut net).deliveries.is_empty());
+        let out = step(&mut net);
         assert_eq!(out.deliveries.len(), 1);
         assert_eq!(net.round(), 3);
         assert_eq!(net.stats().words, 3);
@@ -1089,8 +952,8 @@ mod tests {
         let mut net: Network<u32> = Network::new(&path3());
         net.send(0, 1, 10, 1).unwrap();
         net.send(0, 1, 20, 1).unwrap();
-        assert_eq!(net.step().deliveries[0].payload, 10);
-        assert_eq!(net.step().deliveries[0].payload, 20);
+        assert_eq!(step(&mut net).deliveries[0].payload, 10);
+        assert_eq!(step(&mut net).deliveries[0].payload, 20);
         assert_eq!(net.round(), 2);
     }
 
@@ -1099,7 +962,7 @@ mod tests {
         let mut net: Network<u32> = Network::new(&path3());
         net.send(0, 1, 1, 1).unwrap();
         net.send(1, 0, 2, 1).unwrap();
-        let out = net.step();
+        let out = step(&mut net);
         assert_eq!(out.deliveries.len(), 2);
         assert_eq!(net.round(), 1);
     }
@@ -1111,7 +974,7 @@ mod tests {
         // Message against the edge orientation is fine: links are
         // bidirectional in CONGEST.
         net.send(1, 0, 5, 1).unwrap();
-        assert_eq!(net.step().deliveries.len(), 1);
+        assert_eq!(step(&mut net).deliveries.len(), 1);
     }
 
     #[test]
@@ -1132,7 +995,7 @@ mod tests {
         net.send_latency(0, 1, 2, 1, 3).unwrap();
         let mut arrivals = Vec::new();
         while !net.is_idle() {
-            let out = net.step();
+            let out = step(&mut net);
             for d in out.deliveries {
                 arrivals.push((net.round(), d.payload));
             }
@@ -1141,16 +1004,16 @@ mod tests {
     }
 
     #[test]
-    fn step_fast_skips_quiet_rounds_but_counts_them() {
+    fn step_bulk_skips_quiet_rounds_but_counts_them() {
         let mut net: Network<u32> = Network::new(&path3());
         net.send_latency(0, 1, 1, 1, 9).unwrap();
         // Word leaves at round 1; arrival at round 10.
-        let out = net.step();
+        let out = step(&mut net);
         assert!(out.deliveries.is_empty());
-        let out = net.step_fast().expect("pending arrival");
+        let out = bulk(&mut net).expect("pending arrival");
         assert_eq!(out.deliveries.len(), 1);
         assert_eq!(net.round(), 10);
-        assert!(net.step_fast().is_none());
+        assert!(bulk(&mut net).is_none());
     }
 
     #[test]
@@ -1159,10 +1022,10 @@ mod tests {
         net.schedule_wakeup(5, 2);
         net.schedule_wakeup(5, 0);
         net.schedule_wakeup(3, 1);
-        let out = net.step_fast().unwrap();
+        let out = bulk(&mut net).unwrap();
         assert_eq!(net.round(), 3);
         assert_eq!(out.wakeups, vec![1]);
-        let out = net.step_fast().unwrap();
+        let out = bulk(&mut net).unwrap();
         assert_eq!(net.round(), 5);
         let mut w = out.wakeups.clone();
         w.sort_unstable();
@@ -1175,7 +1038,7 @@ mod tests {
         net.send(0, 1, 1, 2).unwrap();
         net.send(2, 1, 1, 1).unwrap();
         while !net.is_idle() {
-            net.step();
+            step(&mut net);
         }
         assert_eq!(net.stats().words, 3);
         assert_eq!(net.stats().messages, 2);
@@ -1191,7 +1054,7 @@ mod tests {
         net.send(0, 1, 1, 2).unwrap();
         net.send(1, 2, 2, 1).unwrap();
         while !net.is_idle() {
-            net.step();
+            step(&mut net);
         }
         // Round 1: both links busy (2 words); round 2: only 0→1 (1 word).
         assert_eq!(net.stats().words_per_round, vec![(1, 2), (2, 1)]);
@@ -1204,10 +1067,10 @@ mod tests {
         // (tie), round 3 moves 1: the peak round must stay at 1.
         net.send(0, 1, 1, 2).unwrap();
         net.send(1, 2, 2, 2).unwrap();
-        net.step();
-        net.step();
+        step(&mut net);
+        step(&mut net);
         net.send(0, 1, 3, 1).unwrap();
-        net.step();
+        step(&mut net);
         assert_eq!(net.stats().max_words_in_round, 2);
         assert_eq!(net.stats().peak_round, 1);
     }
@@ -1219,7 +1082,7 @@ mod tests {
         net.send(0, 1, 7, 2).unwrap();
         net.send_latency(1, 2, 8, 1, 3).unwrap();
         while !net.is_idle() {
-            net.step();
+            step(&mut net);
         }
         let lines = cap.finish();
         assert_eq!(
@@ -1235,7 +1098,7 @@ mod tests {
     fn zero_word_send_is_clamped_to_one() {
         let mut net: Network<u32> = Network::new(&path3());
         net.send(0, 1, 1, 0).unwrap();
-        assert_eq!(net.step().deliveries.len(), 1);
+        assert_eq!(step(&mut net).deliveries.len(), 1);
     }
 
     /// Loads `net` with a mixed workload: multi-word, latency, and
@@ -1278,8 +1141,8 @@ mod tests {
         fast.enable_history();
         mixed_load(&mut slow);
         mixed_load(&mut fast);
-        let slow_log = drain(&mut slow, |n| (!n.is_idle()).then(|| n.step()));
-        let fast_log = drain(&mut fast, Network::step_bulk);
+        let slow_log = drain(&mut slow, |n| (!n.is_idle()).then(|| step(n)));
+        let fast_log = drain(&mut fast, bulk);
         assert_eq!(slow_log, fast_log);
         assert_eq!(slow.round(), fast.round());
         assert_eq!(slow.stats(), fast.stats());
@@ -1290,7 +1153,7 @@ mod tests {
         let mut net: Network<u32> = Network::new(&path3());
         net.send(0, 1, 7, 100).unwrap();
         let mut calls = 0;
-        while net.step_bulk().is_some() {
+        while bulk(&mut net).is_some() {
             calls += 1;
         }
         // One bulk call covers rounds 1..=100; the message arrives at 100.
@@ -1307,7 +1170,7 @@ mod tests {
         // Two links active for 4 rounds (bulk), then one for 2 more.
         net.send(0, 1, 1, 4).unwrap();
         net.send(1, 2, 2, 6).unwrap();
-        while net.step_bulk().is_some() {}
+        while bulk(&mut net).is_some() {}
         assert_eq!(net.stats().max_words_in_round, 2);
         assert_eq!(net.stats().peak_round, 1);
         assert_eq!(net.stats().words, 10);
@@ -1326,69 +1189,10 @@ mod tests {
             net.send_latency(1, 2, 2, 1, 3).unwrap();
             net.schedule_wakeup(7, 1);
         }
-        let slow_log = drain(&mut slow, |n| (!n.is_idle()).then(|| n.step()));
-        let fast_log = drain(&mut fast, Network::step_bulk);
+        let slow_log = drain(&mut slow, |n| (!n.is_idle()).then(|| step(n)));
+        let fast_log = drain(&mut fast, bulk);
         assert_eq!(slow_log, fast_log);
         assert_eq!(slow.stats(), fast.stats());
-    }
-
-    /// A sharded clone of `path3` with the engagement threshold forced to
-    /// 0 so even 2-link rounds take the parallel path.
-    fn sharded_path3(shards: usize) -> Network<u32> {
-        let mut net: Network<u32> = Network::new_sharded(&path3(), shards);
-        if let Some(sh) = net.sharding.as_mut() {
-            sh.force_threshold(0);
-        }
-        net
-    }
-
-    #[test]
-    fn sharded_round_is_bit_identical_to_sequential() {
-        let mut seq: Network<u32> = Network::new(&path3());
-        let mut par = sharded_path3(2);
-        assert_eq!(par.shards(), 2);
-        seq.enable_history();
-        par.enable_history();
-        mixed_load(&mut seq);
-        mixed_load(&mut par);
-        let seq_log = drain(&mut seq, |n| (!n.is_idle()).then(|| n.step()));
-        let par_log = drain(&mut par, |n| (!n.is_idle()).then(|| n.step()));
-        assert_eq!(seq_log, par_log);
-        assert_eq!(seq.round(), par.round());
-        assert_eq!(seq.stats(), par.stats());
-    }
-
-    #[test]
-    fn sharded_bulk_step_is_bit_identical_to_sequential_bulk() {
-        let mut seq: Network<u32> = Network::new(&path3());
-        let mut par = sharded_path3(3);
-        seq.enable_history();
-        par.enable_history();
-        mixed_load(&mut seq);
-        mixed_load(&mut par);
-        let seq_log = drain(&mut seq, Network::step_bulk);
-        let par_log = drain(&mut par, Network::step_bulk);
-        assert_eq!(seq_log, par_log);
-        assert_eq!(seq.stats(), par.stats());
-    }
-
-    #[test]
-    fn sharded_event_log_matches_sequential() {
-        let run = |shards: usize| {
-            let cap = crate::events::EventCapture::memory();
-            let mut net = if shards > 1 {
-                sharded_path3(shards)
-            } else {
-                Network::new(&path3())
-            };
-            mixed_load(&mut net);
-            while net.step_bulk().is_some() {}
-            cap.finish()
-        };
-        let baseline = run(1);
-        assert!(!baseline.is_empty());
-        assert_eq!(run(2), baseline);
-        assert_eq!(run(3), baseline);
     }
 
     #[test]
@@ -1487,7 +1291,7 @@ mod tests {
             for load in loads {
                 load(&mut net);
                 while !net.is_idle() {
-                    net.step();
+                    step(&mut net);
                 }
             }
             net.stats().clone()
@@ -1545,7 +1349,7 @@ mod tests {
 
     /// Runs `passes` through the engine: `send_on_link` each send, then
     /// `step_into` (a pass that sends, or an idle-charged one) or
-    /// `step_fast_into` (a pass that sends nothing), then drain.
+    /// `step_bulk_into` (a pass that sends nothing), then drain.
     fn engine_flood(g: &Graph, passes: &[Pass]) -> (u64, NetStats, Vec<String>) {
         let cap = crate::events::EventCapture::memory();
         let mut net: Network<()> = Network::new(g);
@@ -1558,10 +1362,10 @@ mod tests {
             if !batch.is_empty() || *idle {
                 net.step_into(&mut out);
             } else {
-                net.step_fast_into(&mut out);
+                net.step_bulk_into(&mut out);
             }
         }
-        while net.step_fast_into(&mut out) {}
+        while net.step_bulk_into(&mut out) {}
         (net.round(), net.stats().clone(), cap.finish())
     }
 
@@ -1620,16 +1424,16 @@ mod tests {
 
     #[test]
     fn bulk_step_event_log_matches_single_stepping() {
-        let run = |bulk: bool| {
+        let run = |bulked: bool| {
             let cap = crate::events::EventCapture::memory();
             let mut net: Network<u32> = Network::new(&path3());
             net.send(0, 1, 7, 6).unwrap();
             net.send_latency(1, 2, 8, 3, 2).unwrap();
-            if bulk {
-                while net.step_bulk().is_some() {}
+            if bulked {
+                while bulk(&mut net).is_some() {}
             } else {
                 while !net.is_idle() {
-                    net.step();
+                    step(&mut net);
                 }
             }
             cap.finish()

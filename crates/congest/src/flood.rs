@@ -16,7 +16,7 @@
 //! The loop bypasses the engine's per-message queues: each round's
 //! traffic is charged in one `Network::charge_flood_round` call that
 //! records exactly what `Network::send_on_link` plus
-//! `Network::step_into`/`Network::step_fast_into` would (pinned by the
+//! `Network::step_into`/`Network::step_bulk_into` would (pinned by the
 //! engine's unit tests). The flood semantics themselves are pinned
 //! against a small sequential specification by
 //! `crates/congest/tests/flood_spec_differential.rs`.
@@ -269,7 +269,7 @@ impl<T> CalendarRing<T> {
 
     /// The earliest pending arrival, or `None` when nothing is pending —
     /// the flood loop's quiet-round fast-forward (the engine's
-    /// `step_fast_into`). Scans at most one window, then the overflow.
+    /// `step_bulk_into`). Scans at most one window, then the overflow.
     pub fn next_arrival(&self) -> Option<u64> {
         if self.len == 0 {
             return None;

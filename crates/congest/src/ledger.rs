@@ -51,7 +51,7 @@ impl Phase {
 /// # Examples
 ///
 /// ```
-/// use mwc_congest::{Ledger, Network};
+/// use mwc_congest::{Ledger, Network, RoundOutput};
 /// use mwc_graph::{Graph, Orientation};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -59,7 +59,7 @@ impl Phase {
 /// let mut ledger = Ledger::new();
 /// let mut net: Network<u8> = Network::new(&g);
 /// net.send(0, 1, 42, 1)?;
-/// net.step();
+/// net.step_into(&mut RoundOutput::default());
 /// ledger.absorb("hello", &net);
 /// assert_eq!(ledger.rounds, 1);
 /// assert_eq!(ledger.phases.len(), 1);
@@ -243,7 +243,6 @@ impl Ledger {
     /// The whole-run [`ShardProfile`]: the accumulated per-link counters
     /// (words summed, queue highs maxed across phases) folded over the
     /// canonical [`PROFILE_SHARDS`](crate::PROFILE_SHARDS)-way partition.
-    /// Deterministic for any execution shard count.
     pub fn shard_profile(&self) -> ShardProfile {
         ShardProfile::capture(
             &self.link_ends,
@@ -333,6 +332,11 @@ mod tests {
     use super::*;
     use mwc_graph::{Graph, Orientation};
 
+    /// One [`Network::step_into`] round.
+    fn step(net: &mut Network<u8>) {
+        net.step_into(&mut crate::RoundOutput::default());
+    }
+
     fn edge() -> Graph {
         Graph::from_edges(2, Orientation::Undirected, [(0, 1, 1)]).unwrap()
     }
@@ -345,7 +349,7 @@ mod tests {
             let mut net: Network<u8> = Network::new(&g);
             net.send(0, 1, i, 2).unwrap();
             while !net.is_idle() {
-                net.step();
+                step(&mut net);
             }
             ledger.absorb("phase", &net);
         }
@@ -363,7 +367,7 @@ mod tests {
             let mut net: Network<u8> = Network::new(&g);
             net.send(1, 0, 0, 5).unwrap();
             while !net.is_idle() {
-                net.step();
+                step(&mut net);
             }
             ledger.absorb("phase", &net);
         }
@@ -377,7 +381,7 @@ mod tests {
         let mut ledger = Ledger::new();
         let mut net: Network<u8> = Network::new(&g);
         net.send(0, 1, 1, 1).unwrap();
-        net.step();
+        step(&mut net);
         ledger.absorb("hello phase", &net);
         let text = format!("{ledger}");
         assert!(text.contains("total: 1 rounds"));
@@ -393,9 +397,9 @@ mod tests {
             net.enable_history();
             net.send(0, 1, 7, 1).unwrap();
             net.send(1, 0, 8, 1).unwrap();
-            net.step(); // both link directions busy: 2 words
+            step(&mut net); // both link directions busy: 2 words
             net.send(0, 1, 9, 1).unwrap();
-            net.step(); // 1 word
+            step(&mut net); // 1 word
             ledger.absorb("phase", &net);
         }
         // Each phase ran 2 rounds; the second phase's history must shift
@@ -406,7 +410,7 @@ mod tests {
         let mut net: Network<u8> = Network::new(&g);
         net.enable_history();
         net.send(0, 1, 9, 1).unwrap();
-        net.step();
+        step(&mut net);
         other.absorb("sub", &net);
         ledger.merge(&other);
         assert_eq!(ledger.words_per_round().last(), Some(&(5, 1)));
@@ -418,7 +422,7 @@ mod tests {
         let mut ledger = Ledger::new();
         let mut net: Network<u8> = Network::new(&g);
         net.send(0, 1, 1, 1).unwrap();
-        net.step();
+        step(&mut net);
         ledger.absorb("quiet", &net);
         assert!(ledger.words_per_round().is_empty());
     }
@@ -430,19 +434,19 @@ mod tests {
         // Phase 1: 1 round, 1 word — peak 1 at local round 1.
         let mut net: Network<u8> = Network::new(&g);
         net.send(0, 1, 1, 1).unwrap();
-        net.step();
+        step(&mut net);
         ledger.absorb("light", &net);
         // Phase 2: local round 1 moves 2 words — new global peak at 1+1=2.
         let mut net: Network<u8> = Network::new(&g);
         net.send(0, 1, 1, 1).unwrap();
         net.send(1, 2, 2, 1).unwrap();
-        net.step();
+        step(&mut net);
         ledger.absorb("heavy", &net);
         // Phase 3: ties the peak (2 words) — must NOT displace it.
         let mut net: Network<u8> = Network::new(&g);
         net.send(0, 1, 1, 1).unwrap();
         net.send(1, 2, 2, 1).unwrap();
-        net.step();
+        step(&mut net);
         ledger.absorb("tie", &net);
         let s = ledger.congestion_summary("all");
         assert_eq!(s.rounds, 3);
@@ -460,12 +464,12 @@ mod tests {
         let mut ledger = Ledger::new();
         let mut net: Network<u8> = Network::new(&g);
         net.send(0, 1, 1, 1).unwrap();
-        net.step();
+        step(&mut net);
         ledger.absorb("p1", &net);
         let mut net: Network<u8> = Network::new(&g);
         net.send(1, 0, 2, 2).unwrap();
-        net.step();
-        net.step();
+        step(&mut net);
+        step(&mut net);
         ledger.absorb("p2", &net);
         let lines = cap.finish();
         assert_eq!(
@@ -488,14 +492,14 @@ mod tests {
         net.send(0, 1, 1, 1).unwrap();
         net.send(0, 1, 2, 1).unwrap();
         while !net.is_idle() {
-            net.step();
+            step(&mut net);
         }
         ledger.absorb("deep", &net);
         // Phase 2: one message → queue high 1, two more words on 1->0.
         let mut net: Network<u8> = Network::new(&g);
         net.send(1, 0, 3, 2).unwrap();
         while !net.is_idle() {
-            net.step();
+            step(&mut net);
         }
         ledger.absorb("shallow", &net);
         let p = ledger.shard_profile();
@@ -516,7 +520,7 @@ mod tests {
         let mut b = Ledger::new();
         let mut net: Network<u8> = Network::new(&g);
         net.send(0, 1, 0, 1).unwrap();
-        net.step();
+        step(&mut net);
         a.absorb("a", &net);
         b.absorb("b", &net);
         a.merge(&b);

@@ -303,7 +303,7 @@ fn bfs(
         }
         None => {
             let mut mat = DistMatrix::new(n, sources.to_vec());
-            let mut net: Network<()> = Network::new_auto(g);
+            let mut net: Network<()> = Network::new(g);
             let plan = FloodPlan::build(g, &net, spec.direction, spec.latency);
             flood(sources, spec.max_dist, &plan, &mut net, &mut mat);
             ledger.absorb(label, &net);
@@ -714,7 +714,7 @@ fn detect(
     validate_sources(g.n(), sources);
     let _span = mwc_trace::span_owned(|| format!("detect/{label}"));
     let n = g.n();
-    let mut net: Network<()> = Network::new_auto(g);
+    let mut net: Network<()> = Network::new(g);
     let plan = FloodPlan::build(g, &net, direction, latency);
 
     // Sort sources so "source row" order matches id order (consistent

@@ -106,6 +106,11 @@ mod tests {
     use super::*;
     use mwc_graph::{Graph, Orientation};
 
+    /// One [`Network::step_into`] round.
+    fn step(net: &mut Network<u8>) {
+        net.step_into(&mut crate::RoundOutput::default());
+    }
+
     #[test]
     fn capture_reads_engine_metrics() {
         let g = Graph::from_edges(3, Orientation::Undirected, [(0, 1, 1), (1, 2, 1)]).unwrap();
@@ -114,7 +119,7 @@ mod tests {
         net.send(0, 1, 2, 1).unwrap();
         net.send(1, 2, 3, 1).unwrap();
         while !net.is_idle() {
-            net.step();
+            step(&mut net);
         }
         let p = CongestionProfile::capture(&net);
         assert_eq!(p.messages, 3);

@@ -89,12 +89,11 @@ pub trait NodeProgram {
 pub fn run_programs<P, F>(g: &Graph, mut make: F, max_rounds: u64, ledger: &mut Ledger) -> Vec<P>
 where
     P: NodeProgram,
-    P::Msg: Send,
     F: FnMut(NodeId) -> P,
 {
     let _span = mwc_trace::span("program/run");
     let n = g.n();
-    let mut net: Network<P::Msg> = Network::new_auto(g);
+    let mut net: Network<P::Msg> = Network::new(g);
     let ctxs: Vec<NodeCtx> = (0..n)
         .map(|v| NodeCtx {
             id: v,

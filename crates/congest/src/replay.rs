@@ -366,6 +366,11 @@ mod tests {
     use crate::{Ledger, Network};
     use mwc_graph::{Graph, Orientation};
 
+    /// One [`Network::step_into`] round.
+    fn step(net: &mut Network<u8>) {
+        net.step_into(&mut crate::RoundOutput::default());
+    }
+
     fn path3() -> Graph {
         Graph::from_edges(3, Orientation::Undirected, [(0, 1, 1), (1, 2, 1)]).unwrap()
     }
@@ -378,7 +383,7 @@ mod tests {
             net.send(0, 1, 1, 1).unwrap();
             net.send(1, 2, 2, 2).unwrap();
             while !net.is_idle() {
-                net.step();
+                step(&mut net);
             }
             ledger.absorb("phase-a", &net);
             let mut net: Network<u8> = Network::new(&g);
@@ -387,7 +392,7 @@ mod tests {
                 net.send(1, 0, 4, 1).unwrap();
             }
             while !net.is_idle() {
-                net.step();
+                step(&mut net);
             }
             ledger.absorb("phase-b", &net);
         })

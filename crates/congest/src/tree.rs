@@ -39,7 +39,7 @@ impl BfsTree {
     pub fn build(g: &Graph, root: NodeId, ledger: &mut Ledger) -> BfsTree {
         let _span = mwc_trace::span("tree/build");
         let n = g.n();
-        let mut net: Network<u64> = Network::new_auto(g);
+        let mut net: Network<u64> = Network::new(g);
         let mut parent: Vec<Option<NodeId>> = vec![None; n];
         let mut depth = vec![usize::MAX; n];
         depth[root] = 0;
@@ -96,7 +96,7 @@ impl BfsTree {
 ///
 /// Returns the items in a deterministic (engine-arrival) order together
 /// with their origins; conceptually every node now holds this list.
-pub fn broadcast<T: Send>(
+pub fn broadcast<T>(
     g: &Graph,
     tree: &BfsTree,
     items: Vec<(NodeId, T)>,
@@ -106,7 +106,7 @@ pub fn broadcast<T: Send>(
     let _span = mwc_trace::span("tree/broadcast");
     let n = g.n();
     // Upcast: every node forwards items toward the root.
-    let mut net: Network<(NodeId, T)> = Network::new_auto(g);
+    let mut net: Network<(NodeId, T)> = Network::new(g);
     let mut collected: Vec<(NodeId, T)> = Vec::with_capacity(items.len());
     for (origin, item) in items {
         match tree.parent[origin] {
@@ -137,7 +137,7 @@ pub fn broadcast<T: Send>(
     // closed form instead of stepping the engine per message: O(links +
     // rounds) instead of O(items · links) work, pinned against an
     // engine-stepped downcast by the broadcast differential test.
-    let mut net: Network<(NodeId, T)> = Network::new_auto(g);
+    let mut net: Network<(NodeId, T)> = Network::new(g);
     // Tree links in BFS order (depth ascending, siblings in `children[]`
     // order) — the order the engine's active list settles into, which
     // pins the event-log order.
@@ -175,7 +175,7 @@ pub fn convergecast<T, F>(
     ledger: &mut Ledger,
 ) -> T
 where
-    T: Copy + Send,
+    T: Copy,
     F: Fn(T, T) -> T,
 {
     let _span = mwc_trace::span("tree/convergecast");
@@ -183,7 +183,7 @@ where
     assert_eq!(values.len(), n, "one value per node");
     let mut pending: Vec<usize> = (0..n).map(|v| tree.children[v].len()).collect();
     let mut acc: Vec<T> = values;
-    let mut net: Network<T> = Network::new_auto(g);
+    let mut net: Network<T> = Network::new(g);
     // Leaves start immediately; internal nodes send once all children
     // reported.
     for v in 0..n {
@@ -212,7 +212,7 @@ where
 
     // Flood the result down so every node knows it (the paper requires
     // every node to know the final MWC weight).
-    let mut net: Network<T> = Network::new_auto(g);
+    let mut net: Network<T> = Network::new(g);
     for &c in &tree.children[tree.root] {
         net.send(tree.root, c, result, 1)
             .expect("tree edges are links");

@@ -1,8 +1,9 @@
 //! Differential test for bulk round advancement: on the three graph
 //! families the bound audits sweep (G(n,m), grid, ring-with-chords), an
-//! identical delivery-driven workload runs once per advancement strategy —
-//! plain [`Network::step`], [`Network::step_fast`], and
-//! [`Network::step_bulk`] — and everything observable must match exactly:
+//! identical delivery-driven workload runs once single-stepped with
+//! [`Network::step_into`] and once advanced with
+//! [`Network::step_bulk_into`], and everything observable must match
+//! exactly:
 //! the full [`NetStats`] (including the `words_per_round` ledger history
 //! and `queue_high_water`), the `MWC_TRACE_EVENTS` event log, and the
 //! final round counter.
@@ -14,24 +15,14 @@ use mwc_graph::{Graph, Orientation};
 /// Payload: `(token, hops_left)`.
 type Msg = (u32, u32);
 
-/// How one run advances the network by one (or, for bulk, many) rounds.
-/// Returns `false` when the network is drained.
-type Advance = fn(&mut Network<Msg>, &mut RoundOutput<Msg>) -> bool;
-
-fn advance_step(net: &mut Network<Msg>, out: &mut RoundOutput<Msg>) -> bool {
+/// One [`Network::step_into`] round; `false` once the network is
+/// drained.
+fn single_step(net: &mut Network<Msg>, out: &mut RoundOutput<Msg>) -> bool {
     if net.is_idle() {
         return false;
     }
     net.step_into(out);
     true
-}
-
-fn advance_step_fast(net: &mut Network<Msg>, out: &mut RoundOutput<Msg>) -> bool {
-    net.step_fast_into(out)
-}
-
-fn advance_step_bulk(net: &mut Network<Msg>, out: &mut RoundOutput<Msg>) -> bool {
-    net.step_bulk_into(out)
 }
 
 /// Runs a deterministic multi-wave workload on `g`: every node seeds a
@@ -41,7 +32,10 @@ fn advance_step_bulk(net: &mut Network<Msg>, out: &mut RoundOutput<Msg>) -> bool
 /// This exercises all the regimes bulk advancement must cross: long
 /// multi-word transfers (skippable runs), 1-word rounds (no skip),
 /// latency gaps (transit boundary), and wakeup rounds (wakeup boundary).
-fn run_workload(g: &Graph, advance: Advance) -> (NetStats, Vec<String>, u64) {
+fn run_workload(
+    g: &Graph,
+    advance: fn(&mut Network<Msg>, &mut RoundOutput<Msg>) -> bool,
+) -> (NetStats, Vec<String>, u64) {
     let cap = EventCapture::memory();
     let mut net: Network<Msg> = Network::new(g);
     net.enable_history();
@@ -80,22 +74,11 @@ fn run_workload(g: &Graph, advance: Advance) -> (NetStats, Vec<String>, u64) {
 }
 
 fn assert_strategies_agree(g: &Graph, family: &str) {
-    let baseline = run_workload(g, advance_step);
-    for (name, advance) in [
-        ("step_fast", advance_step_fast as Advance),
-        ("step_bulk", advance_step_bulk as Advance),
-    ] {
-        let got = run_workload(g, advance);
-        assert_eq!(got.0, baseline.0, "{family}: NetStats diverge under {name}");
-        assert_eq!(
-            got.1, baseline.1,
-            "{family}: event log diverges under {name}"
-        );
-        assert_eq!(
-            got.2, baseline.2,
-            "{family}: final round diverges under {name}"
-        );
-    }
+    let baseline = run_workload(g, single_step);
+    let bulk = run_workload(g, Network::step_bulk_into);
+    assert_eq!(bulk.0, baseline.0, "{family}: NetStats diverge");
+    assert_eq!(bulk.1, baseline.1, "{family}: event log diverges");
+    assert_eq!(bulk.2, baseline.2, "{family}: final round diverges");
 }
 
 #[test]
@@ -135,14 +118,12 @@ fn queue_high_water_survives_bulk_advancement() {
         net.send(4, 5, (99, 0), 16).expect("linked");
         net.send(8, 7, (98, 0), 16).expect("linked");
     };
+    let mut out = RoundOutput::default();
     let mut single: Network<Msg> = Network::new(&g);
     load(&mut single);
-    while !single.is_idle() {
-        single.step();
-    }
+    while single_step(&mut single, &mut out) {}
     let mut bulk: Network<Msg> = Network::new(&g);
     load(&mut bulk);
-    let mut out = RoundOutput::default();
     while bulk.step_bulk_into(&mut out) {}
     assert_eq!(single.stats().queue_high_water, 6);
     assert_eq!(

@@ -5,7 +5,9 @@
 //! Runs on `mwc_rng::proptest_lite`; new failures persist their case
 //! seed under `proplite-regressions/`.
 
-use mwc_congest::{broadcast, multi_source_bfs, BfsTree, Ledger, MultiBfsSpec, Network, ShardPlan};
+use mwc_congest::{
+    broadcast, multi_source_bfs, BfsTree, Ledger, MultiBfsSpec, Network, RoundOutput,
+};
 use mwc_graph::generators::{connected_gnm, WeightRange};
 use mwc_graph::seq::{bfs, Direction, HOP_INF};
 use mwc_graph::{Graph, NodeId, Orientation};
@@ -38,9 +40,9 @@ fn directed_with_pairs(n: usize, m: usize, isolated: usize, seed: u64) -> Graph 
 
 /// Checks `g`'s engine link table against a reference built from
 /// [`Graph::comm_neighbors`]: the same `(from, to)` table in the same
-/// link-id order, the same `link_id` answer for every ordered node pair
-/// (`None` off-link), and the same shard degrees under `new_sharded`.
-fn check_link_table(g: &Graph, shards: usize) -> plite::TestCaseResult {
+/// link-id order, and the same `link_id` answer for every ordered node
+/// pair (`None` off-link).
+fn check_link_table(g: &Graph) -> plite::TestCaseResult {
     let n = g.n();
     let reference: Vec<(NodeId, NodeId)> = (0..n)
         .flat_map(|u| g.comm_neighbors(u).into_iter().map(move |v| (u, v)))
@@ -52,12 +54,6 @@ fn check_link_table(g: &Graph, shards: usize) -> plite::TestCaseResult {
             let want = reference.iter().position(|&e| e == (u, v));
             prop_assert_eq!(net.link_id(u, v), want, "link_id({}, {})", u, v);
         }
-    }
-    let sharded: Network<()> = Network::new_sharded(g, shards);
-    let want = ShardPlan::for_graph(g, shards);
-    match sharded.shard_plan() {
-        Some(plan) => prop_assert_eq!(plan, &want),
-        None => prop_assert_eq!(want.shards(), 1),
     }
     Ok(())
 }
@@ -74,8 +70,9 @@ prop_tests! {
             net.send(0, 1, i, w).unwrap();
         }
         let mut received = Vec::new();
-        while let Some(out) = net.step_fast() {
-            for d in out.deliveries {
+        let mut out = RoundOutput::default();
+        while net.step_bulk_into(&mut out) {
+            for d in out.deliveries.drain(..) {
                 received.push((net.round(), d.payload));
             }
         }
@@ -101,8 +98,9 @@ prop_tests! {
             net.send_latency(0, 1, i, 1, lat).unwrap();
         }
         let mut arrivals = Vec::new();
-        while let Some(out) = net.step_fast() {
-            for d in out.deliveries {
+        let mut out = RoundOutput::default();
+        while net.step_bulk_into(&mut out) {
+            for d in out.deliveries.drain(..) {
                 arrivals.push((net.round(), d.payload));
             }
         }
@@ -154,17 +152,17 @@ prop_tests! {
 
     /// The flat link table matches the adjacency-list reference on
     /// random undirected graphs.
-    fn link_table_matches_reference_undirected(seed in 0u64..5000, n in 1usize..30, extra in 0usize..60, shards in 1usize..6) {
+    fn link_table_matches_reference_undirected(seed in 0u64..5000, n in 1usize..30, extra in 0usize..60) {
         let g = connected_gnm(n, extra, Orientation::Undirected, WeightRange::unit(), seed);
-        check_link_table(&g, shards)?;
+        check_link_table(&g)?;
     }
 
     /// The same on directed graphs with antiparallel pairs (one link per
     /// direction, not two) and edgeless trailing nodes (empty slices at
     /// the end of the offset table).
-    fn link_table_matches_reference_directed(seed in 0u64..5000, n in 1usize..30, m in 0usize..80, isolated in 0usize..4, shards in 1usize..6) {
+    fn link_table_matches_reference_directed(seed in 0u64..5000, n in 1usize..30, m in 0usize..80, isolated in 0usize..4) {
         let g = directed_with_pairs(n, m, isolated.min(n), seed);
-        check_link_table(&g, shards)?;
+        check_link_table(&g)?;
     }
 
     /// Word accounting is conserved across a full BFS: words recorded by

@@ -482,7 +482,7 @@ fn short_cycles_restricted_bfs(
     };
     let window = max_stretch + 1;
     let mut future: Vec<Vec<(NodeId, NodeId, u32, BfsMsg)>> = vec![Vec::new(); window];
-    let mut bfs_net: Network<()> = Network::new_auto(g); // round accounting only
+    let mut bfs_net: Network<()> = Network::new(g); // round accounting only
 
     // Traversal-edge CSR: link ids and stretches resolved once, so the
     // phase loop's send and arrival-scheduling paths do no adjacency or

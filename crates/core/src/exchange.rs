@@ -29,7 +29,7 @@ pub(crate) fn charge_neighbor_exchange(
     label: &str,
     ledger: &mut Ledger,
 ) {
-    let mut net: Network<()> = Network::new_auto(g);
+    let mut net: Network<()> = Network::new(g);
     run_exchange(&mut net, words);
     ledger.absorb(label, &net);
 }

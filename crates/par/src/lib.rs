@@ -19,14 +19,10 @@
 //! 3. `1` (sequential; parallelism is strictly opt-in so default runs stay
 //!    byte-for-byte comparable to the pre-pool codebase by construction).
 //!
-//! Two axes of parallelism share this crate. `ordered_map` parallelizes
-//! **across** independent work items (sweep configs). [`fork_join`] is the
-//! round-barrier primitive for parallelism **inside** one simulation: the
-//! CONGEST engine splits a round's link work into per-shard tasks, forks
-//! one thread per shard, and the scope join is the barrier at which the
-//! coordinator grafts shard results back in deterministic order. Shard
-//! count resolves like the worker count ([`set_shards`] → `MWC_SHARDS` →
-//! 1) so `--jobs` and `--shards` compose without interfering.
+//! Parallelism runs only **across** independent work items (sweep
+//! configs, oracle sources). One simulation always runs on one thread:
+//! the CONGEST engine steps every round sequentially, and [`shards`] is
+//! the constant 1 that run stamps record.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -56,87 +52,32 @@ pub fn jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Process-wide override set by [`set_shards`]; `0` = unset.
-static SHARDS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Stored as `threshold + 1` so `0` can mean "unset" while a threshold of
-/// `0` (always shard) stays expressible for tests.
-static SHARD_THRESHOLD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Active-link count below which the engine's sharded round path is not
-/// worth a fork-join: per-link work is a few nanoseconds, so a round has
-/// to carry thousands of busy links before spawning threads wins.
-/// Sharding never changes output (the differential suite pins this), so
-/// the threshold is pure scheduling policy.
-pub const DEFAULT_SHARD_THRESHOLD: usize = 4096;
-
-/// Overrides the engine shard count for the whole process (clamped to
-/// ≥ 1). Bench bins call this when given a `--shards=N` flag; it wins
-/// over `MWC_SHARDS`.
-pub fn set_shards(n: usize) {
-    SHARDS_OVERRIDE.store(n.max(1), Ordering::Relaxed);
-}
-
-/// The effective engine shard count: [`set_shards`] override, else
-/// `MWC_SHARDS`, else 1 (unsharded; like jobs, intra-simulation
-/// parallelism is strictly opt-in).
+/// The engine shard count stamped on run records: always 1, since one
+/// simulation runs on one thread. Kept so the stamps keep their
+/// `shards` field until the record schema drops it.
 pub fn shards() -> usize {
-    let o = SHARDS_OVERRIDE.load(Ordering::Relaxed);
-    if o > 0 {
-        return o;
-    }
-    std::env::var("MWC_SHARDS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(1)
+    1
 }
 
-/// Overrides the sharding engagement threshold (see
-/// [`DEFAULT_SHARD_THRESHOLD`]). `0` means "always engage" — the
-/// differential tests use that to force tiny graphs through the sharded
-/// path.
-pub fn set_shard_threshold(n: usize) {
-    SHARD_THRESHOLD_OVERRIDE.store(n + 1, Ordering::Relaxed);
-}
-
-/// The effective sharding engagement threshold:
-/// [`set_shard_threshold`] override, else `MWC_SHARD_THRESHOLD`, else
-/// [`DEFAULT_SHARD_THRESHOLD`].
-pub fn shard_threshold() -> usize {
-    let o = SHARD_THRESHOLD_OVERRIDE.load(Ordering::Relaxed);
-    if o > 0 {
-        return o - 1;
-    }
-    std::env::var("MWC_SHARD_THRESHOLD")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(DEFAULT_SHARD_THRESHOLD)
-}
-
-/// Fork-join tasks executed (every task body run by [`fork_join`]).
-static TASKS_EXECUTED: AtomicU64 = AtomicU64::new(0);
 /// Items mapped by [`ordered_map_jobs`] and joined back in input order.
 static ITEMS_GRAFTED: AtomicU64 = AtomicU64::new(0);
-/// Pool entry points that stayed inline (≤ 1 task/item or 1 worker) and
+/// Pool entry points that stayed inline (≤ 1 item or 1 worker) and
 /// therefore spawned no thread.
 static IDLE_JOINS: AtomicU64 = AtomicU64::new(0);
 /// Coordinator wall-time spent inside pool entry points, nanoseconds.
 /// Machine-dependent — informational only, like a run record's `wall_ms`.
 static BUSY_NS: AtomicU64 = AtomicU64::new(0);
 
-/// A snapshot of the process-wide runtime counters. The three count
+/// A snapshot of the process-wide runtime counters. The two count
 /// fields are exact tallies of work the pool performed; `busy_ns` is
 /// host wall-clock and must never enter a gated artifact.
 ///
-/// All of these depend on how a run was scheduled (`--jobs`, `--shards`,
-/// the engagement threshold), so the whole snapshot is **informational**:
+/// All of these depend on how a run was scheduled (`--jobs`), so the
+/// whole snapshot is **informational**:
 /// run records stamp it the way they stamp `wall_ms` — never diffed,
 /// normalized to zero in byte-comparisons.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkerCounters {
-    /// Task bodies executed by [`fork_join`] (engine shard tasks).
-    pub tasks_executed: u64,
     /// Items mapped and joined in input order by [`ordered_map`].
     pub items_grafted: u64,
     /// Entry points that ran inline without spawning any worker.
@@ -151,7 +92,6 @@ pub struct WorkerCounters {
 /// sees only its own run.
 pub fn worker_counters() -> WorkerCounters {
     WorkerCounters {
-        tasks_executed: TASKS_EXECUTED.load(Ordering::Relaxed),
         items_grafted: ITEMS_GRAFTED.load(Ordering::Relaxed),
         idle_joins: IDLE_JOINS.load(Ordering::Relaxed),
         busy_ns: BUSY_NS.load(Ordering::Relaxed),
@@ -160,59 +100,9 @@ pub fn worker_counters() -> WorkerCounters {
 
 /// Zeroes the process-wide [`WorkerCounters`].
 pub fn reset_worker_counters() {
-    TASKS_EXECUTED.store(0, Ordering::Relaxed);
     ITEMS_GRAFTED.store(0, Ordering::Relaxed);
     IDLE_JOINS.store(0, Ordering::Relaxed);
     BUSY_NS.store(0, Ordering::Relaxed);
-}
-
-/// Runs every task on its own thread and returns only when all of them
-/// finished — the round barrier for barrier-synchronized shard stepping.
-/// Task 0 runs on the calling thread (the common `len() == 1` case pays
-/// for no spawn at all); the scope join is the barrier.
-///
-/// Determinism is the caller's job: tasks must own disjoint state (the
-/// engine hands each shard its own queue/stats slices) and the caller
-/// merges anything order-sensitive after the join, in task order — the
-/// same capture-and-graft discipline as [`ordered_map`].
-///
-/// A panic in any task propagates to the caller after the scope joins.
-pub fn fork_join<T, F>(tasks: Vec<T>, f: F)
-where
-    T: Send,
-    F: Fn(T) + Sync,
-{
-    let started = Instant::now();
-    let count = tasks.len() as u64;
-    let mut iter = tasks.into_iter();
-    let Some(first) = iter.next() else {
-        return;
-    };
-    TASKS_EXECUTED.fetch_add(count, Ordering::Relaxed);
-    if count == 1 {
-        IDLE_JOINS.fetch_add(1, Ordering::Relaxed);
-    }
-    let f = &f;
-    // Busy-time of the *spawned* task bodies. The inline task runs on the
-    // calling thread under whatever span is open there, so the caller's
-    // interval marks already cover it; spawned workers run where no span
-    // is open and their wall-time would otherwise vanish from profiles.
-    // Folding the sum back via `add_span_wall` charges it to the span
-    // that forked them (a no-op unless the caller thread is profiling).
-    let spawned_ns = AtomicU64::new(0);
-    let spawned_ns = &spawned_ns;
-    std::thread::scope(|s| {
-        for t in iter {
-            s.spawn(move || {
-                let t0 = Instant::now();
-                f(t);
-                spawned_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            });
-        }
-        f(first);
-    });
-    mwc_trace::add_span_wall(spawned_ns.load(Ordering::Relaxed));
-    BUSY_NS.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
 }
 
 /// Maps `f` over `items` on [`jobs`] worker threads, returning results in
@@ -351,101 +241,17 @@ mod tests {
     }
 
     #[test]
-    fn fork_join_runs_every_task_to_completion() {
-        use std::sync::atomic::AtomicU64;
-        let hits: Vec<AtomicU64> = (0..7).map(|_| AtomicU64::new(0)).collect();
-        let tasks: Vec<usize> = (0..7).collect();
-        fork_join(tasks, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        // The call returning IS the barrier: every task ran exactly once.
-        for (i, h) in hits.iter().enumerate() {
-            assert_eq!(h.load(Ordering::Relaxed), 1, "task {i}");
-        }
-    }
-
-    #[test]
-    fn fork_join_handles_empty_and_single() {
-        fork_join(Vec::<u8>::new(), |_| panic!("no tasks to run"));
-        let ran = AtomicUsize::new(0);
-        fork_join(vec![5usize], |x| {
-            ran.fetch_add(x, Ordering::Relaxed);
-        });
-        assert_eq!(ran.load(Ordering::Relaxed), 5);
-    }
-
-    #[test]
-    fn fork_join_task_panic_propagates() {
-        let caught = std::panic::catch_unwind(|| {
-            fork_join(vec![1, 2, 3], |x| assert_ne!(x, 2, "boom"));
-        });
-        assert!(caught.is_err());
-    }
-
-    #[test]
-    fn shard_threshold_override_expresses_zero() {
-        // Not run in parallel with other threshold readers: overrides are
-        // process-wide, so this test owns the knob for its duration.
-        assert_eq!(shard_threshold(), DEFAULT_SHARD_THRESHOLD);
-        set_shard_threshold(0);
-        assert_eq!(shard_threshold(), 0);
-        set_shard_threshold(128);
-        assert_eq!(shard_threshold(), 128);
-        SHARD_THRESHOLD_OVERRIDE.store(0, Ordering::Relaxed);
-    }
-
-    #[test]
     fn worker_counters_tally_pool_work() {
         // Counters are process-global and other tests run concurrently,
         // so assert on deltas with ≥, never on absolute values.
         let before = worker_counters();
         let got = ordered_map_jobs((0..9u64).collect(), 3, |x| x + 1);
         assert_eq!(got.len(), 9);
-        fork_join(vec![0usize, 1, 2], |_| {});
-        fork_join(vec![7usize], |_| {});
         let _ = ordered_map_jobs(vec![1u8], 8, |x| x);
         let after = worker_counters();
         assert!(after.items_grafted >= before.items_grafted + 10);
-        assert!(after.tasks_executed >= before.tasks_executed + 4);
-        // The singleton fork_join and the singleton map both stay inline.
-        assert!(after.idle_joins >= before.idle_joins + 2);
-    }
-
-    #[test]
-    fn fork_join_folds_spawned_wall_into_open_span() {
-        let session = mwc_trace::TraceSession::memory();
-        mwc_trace::profile::set_thread_profiling(true);
-        {
-            let _g = mwc_trace::span("fork");
-            fork_join(vec![0usize, 1, 2], |_| {
-                std::thread::sleep(std::time::Duration::from_millis(2));
-            });
-        }
-        mwc_trace::profile::set_thread_profiling(false);
-        let data = session.finish();
-        let fork = &data.roots[0];
-        assert_eq!(fork.label, "fork");
-        // Two spawned tasks slept ≥ 2 ms each; their busy-time must land
-        // on the span that forked them (the inline task's time arrives
-        // via the caller's interval marks on top of this floor).
-        assert!(
-            fork.wall_ns >= 4_000_000,
-            "spawned wall not folded: {} ns",
-            fork.wall_ns
-        );
-    }
-
-    #[test]
-    fn fork_join_without_profiling_leaves_spans_zeroed() {
-        let session = mwc_trace::TraceSession::memory();
-        {
-            let _g = mwc_trace::span("fork");
-            fork_join(vec![0usize, 1], |_| {
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            });
-        }
-        let data = session.finish();
-        assert_eq!(data.roots[0].wall_ns, 0);
+        // The singleton map stays inline.
+        assert!(after.idle_joins > before.idle_joins);
     }
 
     #[test]

@@ -82,8 +82,7 @@ pub struct SpanNode {
     /// of `rounds` — an audit trail of what reuse saved.
     pub rounds_saved: u64,
     /// Host wall-nanoseconds attributed to this span while it was
-    /// innermost (plus any `mwc-par` worker busy-time folded in via
-    /// [`add_span_wall`]). Zero unless
+    /// innermost. Zero unless
     /// [`profile::set_thread_profiling`] enabled profiling; always
     /// machine-dependent, never in the JSONL events or the manifest.
     pub wall_ns: u64,
@@ -424,12 +423,6 @@ impl Collector {
         }
     }
 
-    fn add_wall(&mut self, ns: u64) {
-        if let Some(top) = self.stack.last_mut() {
-            top.wall_ns += ns;
-        }
-    }
-
     fn add_cache_tally(&mut self, tally: CacheTally) {
         let line = Json::obj([
             ("ev", Json::str("cache")),
@@ -622,19 +615,6 @@ pub fn add_cost(rounds: u64, words: u64, messages: u64) {
 /// disabled or no span is open.
 pub fn add_saved(rounds: u64) {
     with_collector(|c| c.add_saved(rounds));
-}
-
-/// Folds externally measured wall-nanoseconds into the innermost open
-/// span. Called by `mwc-par` after a fork-join to charge the busy-time of
-/// its *spawned* workers to the span that spawned them (the caller-thread
-/// task is already covered by the interval marks). A no-op when tracing
-/// or thread profiling is disabled, or no span is open — so the disabled
-/// path stays free and untraced builds never link profiling state.
-pub fn add_span_wall(ns: u64) {
-    if !profile::thread_profiling_enabled() {
-        return;
-    }
-    with_collector(|c| c.add_wall(ns));
 }
 
 /// Reports one closed phase-cache scope's hit/miss counters to the
@@ -1020,27 +1000,12 @@ mod tests {
         {
             let _o = span("outer");
             profile::note_alloc(512);
-            add_span_wall(1234);
         }
         let data = session.finish();
         let outer = &data.roots[0];
         assert_eq!(outer.wall_ns, 0);
         assert_eq!(outer.alloc_bytes, 0);
         assert_eq!(outer.alloc_count, 0);
-    }
-
-    #[test]
-    fn add_span_wall_folds_into_innermost_span() {
-        profile::set_thread_profiling(true);
-        let session = TraceSession::memory();
-        {
-            let _o = span("spawner");
-            add_span_wall(5_000);
-            add_span_wall(2_000);
-        }
-        let data = session.finish();
-        profile::set_thread_profiling(false);
-        assert!(data.roots[0].wall_ns >= 7_000);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!
 //! - **Gated** metrics (round/word/message counts, cache effectiveness,
 //!   shard profiles) use the plain `mwc_` prefix and are byte-identical
-//!   for any `--jobs`/`--shards` setting.
+//!   for any `--jobs` setting.
 //! - **Informational** metrics (wall-clock, worker counters, the
 //!   jobs/shards knobs themselves) use the `mwc_info_` prefix. Tests that
 //!   byte-compare expositions strip sample lines starting `mwc_info_`;

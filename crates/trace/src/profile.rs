@@ -7,8 +7,7 @@
 //! - **Wall time**: when profiling is enabled on a thread, the collector
 //!   charges the wall-nanoseconds elapsed between span boundaries to the
 //!   innermost open span, exactly the attribution model `Ledger::absorb`
-//!   uses for rounds. [`crate::add_span_wall`] additionally folds
-//!   `mwc-par` worker busy-time into the span that spawned a fork-join.
+//!   uses for rounds.
 //! - **Allocations**: [`CountingAlloc`] is a zero-dependency
 //!   [`GlobalAlloc`](std::alloc::GlobalAlloc) wrapper the bench bins
 //!   install with `#[global_allocator]`. It counts bytes/allocations into
@@ -26,7 +25,7 @@
 //!
 //! Determinism note: wall-nanoseconds are machine-dependent and always
 //! informational. Allocation counts are deterministic in the default
-//! `jobs=1, shards=1` configuration (single-threaded, same binary ⇒ same
+//! `jobs=1` configuration (single-threaded, same binary ⇒ same
 //! allocation sequence) and are gated by `trace_diff` there; any parallel
 //! configuration moves allocations onto worker threads, so the counts
 //! become schedule-dependent and drop to informational.
