@@ -22,7 +22,7 @@ use mwc_lowerbounds::{directed_gadget, Disjointness};
 static ALLOC: mwc_trace::profile::CountingAlloc = mwc_trace::profile::CountingAlloc;
 
 fn main() {
-    report::init_cli(&["max_q"], false);
+    report::init_cli(&["max_q"], &[]);
     report::init_profiling();
     let max_q: usize = report::arg(1, 48);
     let mut rec = report::RunRecorder::start("detection_rounds");

@@ -4,29 +4,27 @@
 //! Subcommands:
 //!
 //! - `report [records_dir]` (default `results/run_records`): parses every
-//!   run record, renders the combined OpenMetrics exposition as
-//!   `results/metrics.prom` (validated before it lands), and prints a
-//!   per-bin shard-imbalance, cache-hit-rate, and flood-kernel-engagement
-//!   report (also saved as `results/metrics_report.txt`).
-//! - `check <prom_file>`: validates an existing exposition with the
-//!   in-tree OpenMetrics checker; exit 1 when it does not parse.
+//!   run record and prints a per-bin shard-imbalance, cache-hit-rate,
+//!   profile and flood-count report (also saved as
+//!   `results/metrics_report.txt`).
 //! - `check-trace <trace.json>`: structurally validates a Chrome Trace
 //!   Event Format export (`results/trace.perfetto.json`) with the
 //!   in-tree checker — balanced B/E nesting per track, monotone
 //!   timestamps; exit 1 when it does not validate.
 //! - `append-trajectory <records_dir> <trajectory.json>`: appends one
 //!   entry per record — bin, rounds, words, `rounds_saved`, `wall_ms`,
-//!   `peak_alloc_bytes`, `shards`, `jobs` — to the
-//!   `mwc-bench-trajectory/v2` append-log, so every gated run extends
-//!   the commit-over-commit perf trajectory. A missing or pre-v2 file is
-//!   replaced by a fresh log.
+//!   `peak_alloc_bytes`, `jobs` — to the `mwc-bench-trajectory/v2`
+//!   append-log, so every gated run extends the commit-over-commit perf
+//!   trajectory. A missing file starts a fresh log; an existing file that
+//!   is not a v2 log is refused (exit 2) and left untouched.
 //!
 //! Exit codes: `0` ok, `1` validation failure, `2` usage/configuration
-//! error (no records, unreadable files).
+//! error (bad command line, no records, unreadable files, a trajectory
+//! file of another schema).
 
 use mwc_bench::report;
 use mwc_bench::report::Json;
-use mwc_trace::{validate_openmetrics, MetricsRegistry, RunRecord};
+use mwc_trace::RunRecord;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -80,18 +78,6 @@ fn hit_rate(hits: u64, misses: u64) -> String {
 
 fn cmd_report(records_dir: &str) {
     let records = load_records(records_dir);
-
-    let mut registry = MetricsRegistry::new();
-    for r in records.values() {
-        registry.add(r);
-    }
-    let exposition = registry.render();
-    if let Err(e) = validate_openmetrics(&exposition) {
-        eprintln!("mwc_metrics: rendered exposition is invalid: {e}");
-        std::process::exit(1);
-    }
-    report::save_artifact("metrics.prom", &exposition);
-
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -132,20 +118,9 @@ fn cmd_report(records_dir: &str) {
             "  profile: alloc {} B / {} allocs, peak {} B, worker util {} (busy {} ms / wall {} ms x {} job(s))",
             r.alloc_bytes, r.alloc_count, r.peak_alloc_bytes, util, r.workers.busy_ms, r.wall_ms, jobs
         );
-        // Flood tallies: how many flood primitives this run executed
-        // (the scalar count is 0 since the scalar path was removed).
-        // Informational, like the `flood_kernel` stamp; pre-v8 records
-        // read as 0/0.
-        let knob = if r.flood_kernel.is_empty() {
-            "-"
-        } else {
-            r.flood_kernel.as_str()
-        };
-        let _ = writeln!(
-            out,
-            "  floods: {} bitset / {} scalar (kernel knob {knob})",
-            r.floods_bitset, r.floods_scalar
-        );
+        // How many flood primitives this run executed, memo replays
+        // included. Informational, like wall_ms.
+        let _ = writeln!(out, "  floods: {}", r.floods);
         let worst = r
             .congestion
             .iter()
@@ -187,39 +162,35 @@ fn cmd_check_trace(trace_file: &str) {
     }
 }
 
-fn cmd_check(prom_file: &str) {
-    let text = std::fs::read_to_string(prom_file).unwrap_or_else(|e| {
-        eprintln!("mwc_metrics: cannot read {prom_file}: {e}");
-        std::process::exit(2);
-    });
-    match validate_openmetrics(&text) {
-        Ok(()) => println!("mwc_metrics: {prom_file} is valid OpenMetrics"),
-        Err(e) => {
-            eprintln!("mwc_metrics: {prom_file} is invalid: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
 /// Schema tag of the trajectory append-log.
 const TRAJECTORY_SCHEMA: &str = "mwc-bench-trajectory/v2";
 
 fn cmd_append_trajectory(records_dir: &str, trajectory_path: &str) {
     let records = load_records(records_dir);
 
-    // Carry existing v2 runs forward; anything else (missing file, the
-    // old v1 diff-pairs shape) starts a fresh log.
+    // Carry existing v2 runs forward; a missing file starts a fresh log.
+    // Any other file is refused, not overwritten: the committed log is
+    // the only record of past runs.
     let mut runs: Vec<Json> = match std::fs::read_to_string(trajectory_path) {
-        Ok(text) => match Json::parse(&text) {
-            Ok(v) if v.get("schema").and_then(Json::as_str) == Some(TRAJECTORY_SCHEMA) => {
-                match v.get("runs") {
-                    Some(Json::Arr(runs)) => runs.clone(),
-                    _ => Vec::new(),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+        Err(e) => {
+            eprintln!("mwc_metrics: cannot read {trajectory_path}: {e}");
+            std::process::exit(2);
+        }
+        Ok(text) => {
+            let v = Json::parse(&text).ok();
+            let v = v.filter(|v| v.get("schema").and_then(Json::as_str) == Some(TRAJECTORY_SCHEMA));
+            match v.as_ref().and_then(|v| v.get("runs")) {
+                Some(Json::Arr(runs)) => runs.clone(),
+                _ => {
+                    eprintln!(
+                        "mwc_metrics: {trajectory_path} is not a {TRAJECTORY_SCHEMA} log; \
+                         refusing to overwrite it"
+                    );
+                    std::process::exit(2);
                 }
             }
-            _ => Vec::new(),
-        },
-        Err(_) => Vec::new(),
+        }
     };
 
     for r in records.values() {
@@ -233,7 +204,6 @@ fn cmd_append_trajectory(records_dir: &str, trajectory_path: &str) {
             // beside wall_ms so memory regressions are visible in the
             // same commit-over-commit log as time regressions.
             ("peak_alloc_bytes", Json::U64(r.peak_alloc_bytes)),
-            ("shards", Json::U64(r.shards)),
             ("jobs", Json::U64(r.jobs)),
         ]));
     }
@@ -257,10 +227,12 @@ fn cmd_append_trajectory(records_dir: &str, trajectory_path: &str) {
     );
 }
 
+/// The subcommand word set, the first positional of every command line.
+const SUBCOMMANDS: &str = "report|check-trace|append-trajectory";
+
 fn usage() -> ! {
     eprintln!(
         "usage: mwc_metrics report [records_dir]\n\
-         \x20      mwc_metrics check <metrics.prom>\n\
          \x20      mwc_metrics check-trace <trace.perfetto.json>\n\
          \x20      mwc_metrics append-trajectory <records_dir> <trajectory.json>"
     );
@@ -271,17 +243,12 @@ fn main() {
     let cmd = report::arg_str(1, "");
     match cmd.as_str() {
         "report" => {
+            report::init_cli(&[SUBCOMMANDS, "records_dir:path"], &[]);
             let dir = report::arg_str(2, &format!("results/{}", report::RUN_RECORD_DIR));
             cmd_report(&dir);
         }
-        "check" => {
-            let file = report::arg_str(2, "");
-            if file.is_empty() {
-                usage();
-            }
-            cmd_check(&file);
-        }
         "check-trace" => {
+            report::init_cli(&[SUBCOMMANDS, "trace_file:path"], &[]);
             let file = report::arg_str(2, "");
             if file.is_empty() {
                 usage();
@@ -289,6 +256,7 @@ fn main() {
             cmd_check_trace(&file);
         }
         "append-trajectory" => {
+            report::init_cli(&[SUBCOMMANDS, "records_dir:path", "trajectory:path"], &[]);
             let dir = report::arg_str(2, "");
             let traj = report::arg_str(3, "");
             if dir.is_empty() || traj.is_empty() {

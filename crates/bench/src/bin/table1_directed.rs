@@ -21,7 +21,7 @@ use mwc_graph::Orientation;
 static ALLOC: mwc_trace::profile::CountingAlloc = mwc_trace::profile::CountingAlloc;
 
 fn main() {
-    report::init_cli(&["max_n"], false);
+    report::init_cli(&["max_n"], &[]);
     report::init_profiling();
     let max_n: usize = report::arg(1, 1024);
     let params = Params::lean().with_seed(42);

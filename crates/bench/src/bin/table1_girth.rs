@@ -20,7 +20,7 @@ use mwc_graph::Orientation;
 static ALLOC: mwc_trace::profile::CountingAlloc = mwc_trace::profile::CountingAlloc;
 
 fn main() {
-    report::init_cli(&["max_n"], true);
+    report::init_cli(&["max_n"], &["--jobs=N"]);
     report::init_profiling();
     let max_n: usize = report::arg(1, 4096);
     let params = Params::lean().with_seed(4242);

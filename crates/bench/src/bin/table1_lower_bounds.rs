@@ -29,7 +29,7 @@ fn word_bits(n: usize, w: u64) -> u64 {
 static ALLOC: mwc_trace::profile::CountingAlloc = mwc_trace::profile::CountingAlloc;
 
 fn main() {
-    report::init_cli(&["max_q"], false);
+    report::init_cli(&["max_q"], &[]);
     report::init_profiling();
     let max_q: usize = report::arg(1, 48);
     let mut rec = report::RunRecorder::start("table1_lower_bounds");

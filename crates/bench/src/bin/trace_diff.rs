@@ -21,13 +21,14 @@
 //! - `trace_diff_report.txt` — the human report printed to stdout,
 //! - `trace_diff_report.json` — machine-readable per-pair entries,
 //! - `triage.json` — the ranked span triage (written on every run, empty
-//!   ranking when nothing moved),
-//! - `BENCH_trajectory.json` — per-record baseline vs fresh totals, the
-//!   commit-over-commit round-complexity trajectory.
+//!   ranking when nothing moved).
+//!
+//! The commit-over-commit trajectory is `mwc_metrics append-trajectory`'s
+//! append-log: base totals live in the baselines, fresh ones in the log.
 //!
 //! Exit codes: `0` no regressions, `1` at least one regression, `2`
 //! configuration error (unpaired or unparsable records — refresh the
-//! baselines, see `docs/observability.md`).
+//! baselines, see `docs/observability.md` — or a bad command line).
 //!
 //! Usage: `trace_diff [fresh_dir] [base_dir] [rel_tolerance]`
 //! (defaults `results/run_records`, `results/baselines`, `0`).
@@ -37,6 +38,8 @@
 //!   `perf_gate.sh --bin`, where other baselines have no fresh record),
 //! - `--top=K` — triage ranking depth (default 5),
 //! - `--verbose` — print the triage section even without a regression.
+//!
+//! An unknown flag or a value that does not parse is a usage error.
 
 use mwc_bench::report;
 use mwc_bench::report::Json;
@@ -75,25 +78,6 @@ fn incomparable(name: &str, why: String) -> RunDiff {
     }
 }
 
-fn totals_json(r: &RunRecord) -> Json {
-    Json::obj([
-        ("rounds", Json::U64(r.rounds)),
-        ("words", Json::U64(r.words)),
-        ("messages", Json::U64(r.messages)),
-        ("rounds_saved", Json::U64(r.rounds_saved)),
-        // Informational only (never gated): the wall-clock/allocation
-        // trajectory and the parallelism knobs the record was produced
-        // under. `alloc_*` IS gated in the default config, but the
-        // trajectory keeps it here too so sweeps stay attributable.
-        ("wall_ms", Json::U64(r.wall_ms)),
-        ("alloc_bytes", Json::U64(r.alloc_bytes)),
-        ("alloc_count", Json::U64(r.alloc_count)),
-        ("peak_alloc_bytes", Json::U64(r.peak_alloc_bytes)),
-        ("shards", Json::U64(r.shards)),
-        ("jobs", Json::U64(r.jobs)),
-    ])
-}
-
 /// Relative `peak_alloc` change beyond which a pair is tagged `NOTABLE`.
 /// The tag only draws the eye: the peak depends on allocator timing, so
 /// it is never gated.
@@ -111,8 +95,8 @@ fn peak_alloc_change(base: &RunRecord, fresh: &RunRecord) -> Option<(f64, bool)>
 }
 
 /// One human-report line for the informational fields — printed, never
-/// gated, so the reader sees the wall-clock/allocation/parallelism
-/// context instead of the report silently dropping it.
+/// gated, so the reader sees the wall-clock/allocation/jobs context
+/// instead of the report silently dropping it.
 fn info_line(base: &RunRecord, fresh: &RunRecord) -> String {
     let peak_change = match peak_alloc_change(base, fresh) {
         Some((rel, notable)) => {
@@ -122,15 +106,13 @@ fn info_line(base: &RunRecord, fresh: &RunRecord) -> String {
         None => String::new(),
     };
     format!(
-        "{:<16} wall_ms {} -> {}, peak_alloc {} -> {}{peak_change}, shards {} -> {}, \
+        "{:<16} wall_ms {} -> {}, peak_alloc {} -> {}{peak_change}, \
          jobs {} -> {} (informational, never gated)\n",
         "info",
         base.wall_ms,
         fresh.wall_ms,
         base.peak_alloc_bytes,
         fresh.peak_alloc_bytes,
-        base.shards,
-        fresh.shards,
         base.jobs,
         fresh.jobs
     )
@@ -149,35 +131,6 @@ fn peak_alloc_json(name: &str, base: &RunRecord, fresh: &RunRecord) -> Json {
         ),
         ("notable", Json::Bool(change.is_some_and(|(_, n)| n))),
     ])
-}
-
-/// `--verbose` / `--top=K` / `--only=NAME`. Flags are filtered out of
-/// [`report::arg`]'s positional view by construction, so they never shift
-/// `[fresh_dir] [base_dir] [rel_tolerance]`.
-struct Flags {
-    verbose: bool,
-    top: usize,
-    only: Option<String>,
-}
-
-fn parse_flags() -> Flags {
-    let mut f = Flags {
-        verbose: false,
-        top: 5,
-        only: None,
-    };
-    for a in std::env::args().skip(1) {
-        if a == "--verbose" {
-            f.verbose = true;
-        } else if let Some(v) = a.strip_prefix("--top=") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                f.top = n.max(1);
-            }
-        } else if let Some(v) = a.strip_prefix("--only=") {
-            f.only = Some(v.trim().to_owned());
-        }
-    }
-    f
 }
 
 fn triage_entry_json(record: &str, e: &TriageEntry) -> Json {
@@ -200,10 +153,16 @@ fn bisect_hint(name: &str) -> String {
 }
 
 fn main() {
+    report::init_cli(
+        &["fresh_dir:path", "base_dir:path", "rel_tolerance:number"],
+        &["--only=NAME", "--top=N", "--verbose"],
+    );
     let fresh_dir = report::arg_str(1, &format!("results/{}", report::RUN_RECORD_DIR));
     let base_dir = report::arg_str(2, "results/baselines");
     let rel: f64 = report::arg(3, 0.0);
-    let flags = parse_flags();
+    let verbose = report::flag("verbose").is_some();
+    let top: usize = report::flag("top").map_or(5, |k| k.parse().expect("checked by init_cli"));
+    let only = report::flag("only");
     let cfg = if rel > 0.0 {
         DiffConfig::uniform_rel(rel)
     } else {
@@ -216,7 +175,7 @@ fn main() {
     let mut names: Vec<String> = names.into_iter().cloned().collect();
     names.sort();
     names.dedup();
-    if let Some(only) = &flags.only {
+    if let Some(only) = &only {
         names.retain(|n| n == only);
         if names.is_empty() {
             eprintln!("trace_diff: --only={only} matches no record in {fresh_dir} or {base_dir}");
@@ -229,7 +188,6 @@ fn main() {
     }
 
     let mut diffs: Vec<RunDiff> = Vec::new();
-    let mut trajectory: Vec<Json> = Vec::new();
     let mut info_lines: BTreeMap<String, String> = BTreeMap::new();
     let mut pairs: Vec<(String, RunRecord, RunRecord)> = Vec::new();
     for name in &names {
@@ -247,11 +205,6 @@ fn main() {
             ),
             (Some(b), Some(f)) => match (RunRecord::parse(b), RunRecord::parse(f)) {
                 (Ok(b), Ok(f)) => {
-                    trajectory.push(Json::obj([
-                        ("name", Json::str(name)),
-                        ("base", totals_json(&b)),
-                        ("fresh", totals_json(&f)),
-                    ]));
                     info_lines.insert(name.clone(), info_line(&b, &f));
                     let d = diff_records(&b, &f, &cfg);
                     pairs.push((name.clone(), b, f));
@@ -283,7 +236,7 @@ fn main() {
             .then_with(|| a.0.cmp(&b.0))
             .then_with(|| a.1.path.cmp(&b.1.path))
     });
-    triage.truncate(flags.top);
+    triage.truncate(top);
 
     let mut human = String::new();
     for d in &diffs {
@@ -297,7 +250,7 @@ fn main() {
         "trace_diff: {} record pair(s), {regressions} regression(s), {config_errors} config error(s)\n",
         names.len()
     ));
-    if !triage.is_empty() && (regressions > 0 || flags.verbose) {
+    if !triage.is_empty() && (regressions > 0 || verbose) {
         human.push_str(&format!(
             "\n== triage: top {} span path(s) by |delta| contribution ==\n",
             triage.len()
@@ -354,7 +307,7 @@ fn main() {
         &Json::obj([
             ("schema", Json::str("mwc-triage/v1")),
             ("regressed", Json::Bool(regressions > 0)),
-            ("top", Json::U64(flags.top as u64)),
+            ("top", Json::U64(top as u64)),
             (
                 "entries",
                 Json::Arr(
@@ -379,13 +332,6 @@ fn main() {
                     None => Json::Null,
                 },
             ),
-        ]),
-    );
-    report::save_json(
-        "BENCH_trajectory.json",
-        &Json::obj([
-            ("schema", Json::str("mwc-bench-trajectory/v1")),
-            ("records", Json::Arr(trajectory)),
         ]),
     );
 
@@ -423,7 +369,7 @@ mod tests {
         let line = info_line(&peak(1000), &peak(1101));
         assert!(line.contains("(+10.1 %, NOTABLE)"), "{line}");
         let line = info_line(&peak(0), &peak(500));
-        assert!(line.contains("peak_alloc 0 -> 500, shards"), "{line}");
+        assert!(line.contains("peak_alloc 0 -> 500, jobs"), "{line}");
 
         let json = peak_alloc_json("r", &peak(1000), &peak(850));
         assert_eq!(json.get("notable"), Some(&Json::Bool(true)));

@@ -32,7 +32,7 @@ use mwc_graph::{NodeId, Orientation};
 static ALLOC: mwc_trace::profile::CountingAlloc = mwc_trace::profile::CountingAlloc;
 
 fn main() {
-    report::init_cli(&["n"], false);
+    report::init_cli(&["n"], &[]);
     report::init_profiling();
     let n: usize = report::arg(1, 96);
     let params = Params::lean().with_seed(42);
@@ -106,7 +106,6 @@ fn main() {
 
     report::save_json("trace_manifest.json", &data.to_manifest());
     report::save_chrome_trace(&data, "trace_report");
-    report::save_metrics_exposition(&record);
     report::save_artifact(
         &format!("{}/trace_report.json", report::RUN_RECORD_DIR),
         &record.render(),

@@ -67,7 +67,7 @@ fn flood_with_delays(g: &mwc_graph::Graph, sources: &[NodeId], delays: &[u64], h
 static ALLOC: mwc_trace::profile::CountingAlloc = mwc_trace::profile::CountingAlloc;
 
 fn main() {
-    report::init_cli(&["side"], false);
+    report::init_cli(&["side"], &[]);
     report::init_profiling();
     let side: usize = report::arg(1, 24);
     let mut rec = report::RunRecorder::start("traffic_profile");

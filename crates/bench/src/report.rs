@@ -46,18 +46,23 @@ pub fn arg_str(idx: usize, default: &str) -> String {
     positional(idx).unwrap_or_else(|| default.into())
 }
 
-/// Checks a workload bin's command line before it does any work.
-/// `positionals` names the bin's positional arguments in order: each is
-/// an unsigned integer, except that a name written `a|b|c` accepts
-/// exactly one of those words. `jobs` says whether the bin takes
-/// `--jobs=N`, which is installed process-wide and wins over `MWC_JOBS`
-/// (the worker count is not a run-record parameter: `ordered_map` and
-/// trace grafting make records independent of it).
+/// Checks a bin's command line before it does any work.
 ///
-/// Any other `--` flag, a `--jobs` value that is not a positive integer,
-/// a positional that does not parse, or one positional too many prints
-/// one usage line naming the bad argument and exits with status 2.
-pub fn init_cli(positionals: &[&str], jobs: bool) {
+/// `positionals` names the bin's positional arguments in order. A plain
+/// name is an unsigned integer, a name written `a|b|c` accepts exactly
+/// one of those words, and a name ending in `:path` or `:number` takes
+/// any text or any number. `flags` names the bin's `--` flags: `--name`
+/// is a switch, `--name=N` takes a positive integer, and any other
+/// `--name=VALUE` takes non-empty text. A declared `--jobs=N` is
+/// installed process-wide and wins over `MWC_JOBS` (the worker count is
+/// not a run-record parameter: `ordered_map` and trace grafting make
+/// records independent of it). Bins read the values afterwards with
+/// [`arg`], [`arg_str`] and [`flag`].
+///
+/// An undeclared `--` flag, a flag value of the wrong kind, a positional
+/// that does not parse, or one positional too many prints one usage line
+/// naming the bad argument and exits with status 2.
+pub fn init_cli(positionals: &[&str], flags: &[&str]) {
     let args: Vec<String> = std::env::args().collect();
     let bin = args.first().map_or("bench", |a| {
         Path::new(a)
@@ -65,16 +70,17 @@ pub fn init_cli(positionals: &[&str], jobs: bool) {
             .and_then(|f| f.to_str())
             .unwrap_or(a)
     });
-    match check_cli(args.get(1..).unwrap_or(&[]), positionals, jobs) {
+    match check_cli(args.get(1..).unwrap_or(&[]), positionals, flags) {
         Ok(Some(n)) => mwc_par::set_jobs(n),
         Ok(None) => {}
         Err(bad) => {
             let mut usage = format!("usage: {bin}");
             for p in positionals {
-                usage.push_str(&format!(" [{p}]"));
+                let name = p.split_once(':').map_or(*p, |(name, _)| name);
+                usage.push_str(&format!(" [{name}]"));
             }
-            if jobs {
-                usage.push_str(" [--jobs=N]");
+            for f in flags {
+                usage.push_str(&format!(" [{f}]"));
             }
             eprintln!("{bin}: {bad}; {usage}");
             std::process::exit(2);
@@ -82,38 +88,72 @@ pub fn init_cli(positionals: &[&str], jobs: bool) {
     }
 }
 
+/// The value of the last `--name=VALUE` on the command line (`""` for a
+/// bare `--name`), or `None` when the flag is absent. [`init_cli`] has
+/// already checked its kind.
+pub fn flag(name: &str) -> Option<String> {
+    std::env::args()
+        .skip(1)
+        .filter_map(|a| {
+            let given = a.strip_prefix("--")?;
+            match given.split_once('=') {
+                Some((n, v)) if n == name => Some(v.to_owned()),
+                None if given == name => Some(String::new()),
+                _ => None,
+            }
+        })
+        .next_back()
+}
+
 /// [`init_cli`]'s check over the arguments after the binary name:
 /// `Ok(Some(n))` for a valid `--jobs=n`, `Ok(None)` without one, `Err`
 /// naming the first bad argument.
-fn check_cli(args: &[String], positionals: &[&str], jobs: bool) -> Result<Option<usize>, String> {
+fn check_cli(
+    args: &[String],
+    positionals: &[&str],
+    flags: &[&str],
+) -> Result<Option<usize>, String> {
     let mut n_jobs = None;
     let mut next = positionals.iter();
     for a in args {
-        if let Some(flag) = a.strip_prefix("--") {
-            match flag.strip_prefix("jobs=") {
-                Some(v) if jobs => match v.parse::<usize>() {
-                    Ok(n) if n > 0 => n_jobs = Some(n),
+        if let Some(given) = a.strip_prefix("--") {
+            let (name, value) = given
+                .split_once('=')
+                .map_or((given, None), |(n, v)| (n, Some(v)));
+            let spec = flags
+                .iter()
+                .find(|f| f[2..].split('=').next() == Some(name))
+                .ok_or_else(|| format!("unknown flag '{a}'"))?;
+            match (spec.split_once('=').map(|(_, kind)| kind), value) {
+                (None, None) => {}
+                (Some("N"), Some(v)) => match v.parse::<usize>() {
+                    Ok(n) if n > 0 => {
+                        if name == "jobs" {
+                            n_jobs = Some(n);
+                        }
+                    }
                     _ => return Err(format!("bad argument '{a}' (N must be a positive integer)")),
                 },
-                _ => return Err(format!("unknown flag '{a}'")),
+                (Some(_), Some(v)) if !v.is_empty() => {}
+                _ => return Err(format!("bad argument '{a}' (expected {spec})")),
             }
             continue;
         }
-        let Some(name) = next.next() else {
+        let Some(spec) = next.next() else {
             return Err(format!("unexpected argument '{a}'"));
         };
-        let words = name.contains('|');
-        let ok = if words {
-            name.split('|').any(|w| w == a)
-        } else {
-            a.parse::<u64>().is_ok()
+        let (ok, want) = match spec.split_once(':') {
+            Some((_, "path")) => (true, String::new()),
+            Some((name, _)) => (a.parse::<f64>().is_ok(), format!("{name} must be a number")),
+            None if spec.contains('|') => {
+                (spec.split('|').any(|w| w == a), format!("one of {spec}"))
+            }
+            None => (
+                a.parse::<u64>().is_ok(),
+                format!("{spec} must be an unsigned integer"),
+            ),
         };
         if !ok {
-            let want = if words {
-                format!("one of {name}")
-            } else {
-                format!("{name} must be an unsigned integer")
-            };
             return Err(format!("bad argument '{a}' ({want})"));
         }
     }
@@ -187,7 +227,7 @@ pub struct RunRecorder {
     session: TraceSession,
     congestion: Vec<mwc_trace::CongestionSummary>,
     started: std::time::Instant,
-    floods_at_start: (u64, u64),
+    floods_at_start: u64,
 }
 
 impl RunRecorder {
@@ -195,7 +235,7 @@ impl RunRecorder {
     /// wall-clock stopwatch, zeroes the process-wide `mwc-par` worker
     /// counters so the record's `workers` tally covers exactly this run,
     /// and snapshots the process-cumulative flood count so the record's
-    /// `floods_bitset` delta does too.
+    /// `floods` delta does too.
     /// `name` is by convention the binary name — the baseline pairing key.
     pub fn start(name: &str) -> RunRecorder {
         mwc_par::reset_worker_counters();
@@ -205,7 +245,7 @@ impl RunRecorder {
             session: TraceSession::memory(),
             congestion: Vec::new(),
             started: std::time::Instant::now(),
-            floods_at_start: mwc_congest::flood_engagement(),
+            floods_at_start: mwc_congest::flood_engagement().0,
         }
     }
 
@@ -227,13 +267,9 @@ impl RunRecorder {
     /// wall-clock since [`RunRecorder::start`] — the one intentionally
     /// non-deterministic field (informational only; `trace_diff` never
     /// compares it, and determinism tests zero it before comparing) —
-    /// and `shards`/`jobs`/`workers`/`peak_alloc_bytes` plus the flood
-    /// stamps (also informational: the worker count, pool counters, the
-    /// allocator high-water mark, and flood tallies never change a gated
-    /// metric; `shards` is always 1). The flood stamps keep the v8
-    /// schema: `flood_kernel` is always `"bitset"` and `floods_scalar`
-    /// always 0, since there is one flood loop; `floods_bitset` counts the
-    /// run's floods.
+    /// and `jobs`/`floods`/`workers`/`peak_alloc_bytes` (also
+    /// informational: the worker count, flood tally, pool counters and
+    /// allocator high-water mark never change a gated metric).
     pub fn into_record(self) -> RunRecord {
         self.into_record_with_trace().0
     }
@@ -249,18 +285,13 @@ impl RunRecorder {
             record.push_congestion(c);
         }
         record.wall_ms = self.started.elapsed().as_millis() as u64;
-        record.shards = mwc_par::shards() as u64;
         record.jobs = mwc_par::jobs() as u64;
-        record.flood_kernel = mwc_congest::flood_kernel().name().to_owned();
-        let (bitset, scalar) = mwc_congest::flood_engagement();
-        record.floods_bitset = bitset.saturating_sub(self.floods_at_start.0);
-        record.floods_scalar = scalar.saturating_sub(self.floods_at_start.1);
+        record.floods = mwc_congest::flood_engagement()
+            .0
+            .saturating_sub(self.floods_at_start);
         record.peak_alloc_bytes = mwc_trace::profile::peak_alloc_bytes();
         let w = mwc_par::worker_counters();
         record.workers = mwc_trace::WorkerTally {
-            // Kept for the v8 schema: no pool task runs inside a
-            // simulation, so it is always 0.
-            tasks_executed: 0,
             items_grafted: w.items_grafted,
             idle_joins: w.idle_joins,
             busy_ms: w.busy_ns / 1_000_000,
@@ -268,23 +299,19 @@ impl RunRecorder {
         (record, data)
     }
 
-    /// Finishes the trace and writes
-    /// `results/run_records/<name>.json` plus the OpenMetrics exposition
-    /// of the same record as `results/metrics.prom` (validated before it
-    /// lands — an unparsable exposition is a bug, not an artifact). When
-    /// the `MWC_TRACE_EXPORT` environment variable is set (non-empty,
-    /// not `0`), also writes the run's Chrome Trace Event Format export
-    /// to `results/trace.perfetto.json` via [`save_chrome_trace`].
+    /// Finishes the trace and writes `results/run_records/<name>.json`.
+    /// When the `MWC_TRACE_EXPORT` environment variable is set
+    /// (non-empty, not `0`), also writes the run's Chrome Trace Event
+    /// Format export to `results/trace.perfetto.json` via
+    /// [`save_chrome_trace`].
     ///
     /// # Panics
     ///
-    /// Panics on I/O errors, like [`save_artifact`], or when the rendered
-    /// exposition fails [`mwc_trace::validate_openmetrics`].
+    /// Panics on I/O errors, like [`save_artifact`].
     pub fn finish(self) -> PathBuf {
         let relpath = format!("{RUN_RECORD_DIR}/{}.json", self.name);
         let name = self.name.clone();
         let (record, data) = self.into_record_with_trace();
-        save_metrics_exposition(&record);
         if trace_export_requested() {
             save_chrome_trace(&data, &name);
         }
@@ -301,7 +328,7 @@ pub fn trace_export_requested() -> bool {
 /// Renders `data` as Chrome Trace Event Format JSON and writes it to
 /// `results/trace.perfetto.json` — load it in Perfetto (ui.perfetto.dev)
 /// or `chrome://tracing`. The export is validated structurally before it
-/// lands, like the OpenMetrics exposition.
+/// lands.
 ///
 /// # Panics
 ///
@@ -311,23 +338,6 @@ pub fn save_chrome_trace(data: &mwc_trace::TraceData, label: &str) -> PathBuf {
     let trace = mwc_trace::chrome_trace(data, label);
     mwc_trace::validate_chrome_trace(&trace.render_pretty()).expect("chrome trace validates");
     save_json("trace.perfetto.json", &trace)
-}
-
-/// Renders `record` as an OpenMetrics exposition and writes it to
-/// `results/metrics.prom`, validating it first (an unparsable exposition
-/// is a bug, not an artifact). Shared by [`RunRecorder::finish`] and the
-/// bins that build their [`RunRecord`] directly.
-///
-/// # Panics
-///
-/// Panics on I/O errors, like [`save_artifact`], or when the rendered
-/// exposition fails [`mwc_trace::validate_openmetrics`].
-pub fn save_metrics_exposition(record: &RunRecord) -> PathBuf {
-    let mut registry = mwc_trace::MetricsRegistry::new();
-    registry.add(record);
-    let exposition = registry.render();
-    mwc_trace::validate_openmetrics(&exposition).expect("exposition validates");
-    save_artifact("metrics.prom", &exposition)
 }
 
 #[cfg(test)]
@@ -341,34 +351,62 @@ mod tests {
         assert_eq!(arg_str(91, "fallback"), "fallback");
     }
 
+    fn args(a: &[&str]) -> Vec<String> {
+        a.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// `trace_diff`'s command line.
+    const DIFF_POS: &[&str] = &["fresh_dir:path", "base_dir:path", "rel_tolerance:number"];
+    const DIFF_FLAGS: &[&str] = &["--only=NAME", "--top=N", "--verbose"];
+
     #[test]
     fn cli_check_accepts_declared_arguments() {
-        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(check_cli(&args(&[]), &["max_n"], false), Ok(None));
-        assert_eq!(check_cli(&args(&["1024"]), &["max_n"], false), Ok(None));
+        let jobs: &[&str] = &["--jobs=N"];
+        assert_eq!(check_cli(&args(&[]), &["max_n"], &[]), Ok(None));
+        assert_eq!(check_cli(&args(&["1024"]), &["max_n"], &[]), Ok(None));
         assert_eq!(
-            check_cli(&args(&["--jobs=4", "256"]), &["max_n"], true),
+            check_cli(&args(&["--jobs=4", "256"]), &["max_n"], jobs),
             Ok(Some(4))
         );
         let algo = ["directed|girth", "max_n"];
-        assert_eq!(check_cli(&args(&["girth", "256"]), &algo, false), Ok(None));
+        assert_eq!(check_cli(&args(&["girth", "256"]), &algo, &[]), Ok(None));
+        for a in [
+            &["fresh", "results/baselines", "0.05"][..],
+            &[
+                "--only=table1_girth",
+                "fresh",
+                "base",
+                "--top=3",
+                "--verbose",
+            ][..],
+            &[][..],
+        ] {
+            assert_eq!(check_cli(&args(a), DIFF_POS, DIFF_FLAGS), Ok(None), "{a:?}");
+        }
     }
 
     #[test]
     fn cli_check_names_the_bad_argument() {
-        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let bad = |a: &[&str], jobs| check_cli(&args(a), &["directed|girth", "max_n"], jobs);
-        for (a, jobs, named) in [
-            (&["girth", "1O24"][..], true, "'1O24'"),
-            (&["ring"][..], true, "'ring'"),
-            (&["girth", "-5"][..], true, "'-5'"),
-            (&["girth", "64", "3"][..], true, "'3'"),
-            (&["--jobs=x"][..], true, "'--jobs=x'"),
-            (&["--jobs=0"][..], true, "'--jobs=0'"),
-            (&["--jobs=4"][..], false, "'--jobs=4'"),
-            (&["--shards=2"][..], true, "'--shards=2'"),
+        let algo: &[&str] = &["directed|girth", "max_n"];
+        let jobs: &[&str] = &["--jobs=N"];
+        for (a, positionals, flags, named) in [
+            (&["girth", "1O24"][..], algo, jobs, "'1O24'"),
+            (&["ring"][..], algo, jobs, "'ring'"),
+            (&["girth", "-5"][..], algo, jobs, "'-5'"),
+            (&["girth", "64", "3"][..], algo, jobs, "'3'"),
+            (&["--jobs=x"][..], algo, jobs, "'--jobs=x'"),
+            (&["--jobs=0"][..], algo, jobs, "'--jobs=0'"),
+            (&["--jobs=4"][..], algo, &[][..], "'--jobs=4'"),
+            (&["--shards=2"][..], algo, jobs, "'--shards=2'"),
+            (&["--bogus"][..], DIFF_POS, DIFF_FLAGS, "'--bogus'"),
+            (&["--top=x"][..], DIFF_POS, DIFF_FLAGS, "'--top=x'"),
+            (&["--top"][..], DIFF_POS, DIFF_FLAGS, "'--top'"),
+            (&["--only="][..], DIFF_POS, DIFF_FLAGS, "'--only='"),
+            (&["--verbose=1"][..], DIFF_POS, DIFF_FLAGS, "'--verbose=1'"),
+            (&["a", "b", "tight"][..], DIFF_POS, DIFF_FLAGS, "'tight'"),
+            (&["a", "b", "0", "c"][..], DIFF_POS, DIFF_FLAGS, "'c'"),
         ] {
-            let err = bad(a, jobs).expect_err("must be rejected");
+            let err = check_cli(&args(a), positionals, flags).expect_err("must be rejected");
             assert!(err.contains(named), "{a:?}: {err}");
         }
     }

@@ -2,7 +2,9 @@
 //! record files on disk and asserts its exit codes and culprit reporting —
 //! identical records pass (exit 0), an injected +1-round regression fails
 //! with a span-level human-readable report (exit 1), unpaired records are
-//! configuration errors (exit 2).
+//! configuration errors (exit 2). Also pins the `mwc_metrics` trajectory
+//! append-log against being overwritten, and both utility bins' refusal of
+//! bad command lines.
 
 use mwc_bench::report::RunRecorder;
 use mwc_trace::RunRecord;
@@ -59,10 +61,12 @@ fn identical_records_pass_the_gate() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(0), "{stdout}");
     assert!(stdout.contains("no deltas"), "{stdout}");
-    // The trajectory artifact is emitted on every run.
-    let traj = std::fs::read_to_string(root.join("results/BENCH_trajectory.json")).unwrap();
-    assert!(traj.contains("mwc-bench-trajectory/v1"), "{traj}");
-    assert!(traj.contains("\"probe\""), "{traj}");
+    // No trajectory artifact: the append-log under the same path belongs
+    // to `mwc_metrics append-trajectory`, and trace_diff must not touch it.
+    assert!(
+        !root.join("results/BENCH_trajectory.json").exists(),
+        "trace_diff wrote a trajectory snapshot"
+    );
 }
 
 #[test]
@@ -103,4 +107,81 @@ fn unpaired_records_are_config_errors() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(2), "{stdout}");
     assert!(stdout.contains("INCOMPARABLE"), "{stdout}");
+}
+
+/// Runs `bin` with `args` from `cwd`.
+fn run(bin: &str, args: &[&str], cwd: &Path) -> Output {
+    std::process::Command::new(bin)
+        .args(args)
+        .current_dir(cwd)
+        .output()
+        .expect("bin runs")
+}
+
+#[test]
+fn append_trajectory_refuses_a_log_of_another_schema() {
+    let (root, records, _) = scratch_dirs("trajectory");
+    write_record(&records, &sample_record());
+    let log = root.join("BENCH_trajectory.json");
+    let (records, log_path) = (records.to_str().unwrap(), log.to_str().unwrap());
+    let bin = env!("CARGO_BIN_EXE_mwc_metrics");
+
+    // A file at that path that is not a v2 log is left byte-for-byte as
+    // it was.
+    for other in [
+        "{\n  \"schema\": \"mwc-bench-trajectory/v1\",\n  \"records\": []\n}\n",
+        "{\n  \"schema\": \"mwc-bench-trajectory/v2\"\n}\n",
+        "not json\n",
+    ] {
+        std::fs::write(&log, other).unwrap();
+        let out = run(bin, &["append-trajectory", records, log_path], &root);
+        assert_eq!(out.status.code(), Some(2), "{other:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("refusing to overwrite"), "{stderr}");
+        assert_eq!(std::fs::read_to_string(&log).unwrap(), other);
+    }
+
+    // A missing log starts fresh; a v2 log is appended to.
+    std::fs::remove_file(&log).unwrap();
+    for runs in [1, 2] {
+        let out = run(bin, &["append-trajectory", records, log_path], &root);
+        assert_eq!(out.status.code(), Some(0), "{out:?}");
+        let log = std::fs::read_to_string(&log).unwrap();
+        assert!(log.contains("mwc-bench-trajectory/v2"), "{log}");
+        assert_eq!(log.matches("\"bin\": \"probe\"").count(), runs, "{log}");
+        assert!(!log.contains("\"shards\""), "{log}");
+    }
+}
+
+#[test]
+fn utility_bins_refuse_bad_command_lines() {
+    let (root, fresh, base) = scratch_dirs("cli");
+    write_record(&fresh, &sample_record());
+    write_record(&base, &sample_record());
+    let (fresh, base) = (fresh.to_str().unwrap(), base.to_str().unwrap());
+    let diff = env!("CARGO_BIN_EXE_trace_diff");
+    let metrics = env!("CARGO_BIN_EXE_mwc_metrics");
+    for (bin, name, args, bad) in [
+        (diff, "trace_diff", &[fresh, base, "--bogus"][..], "--bogus"),
+        (diff, "trace_diff", &[fresh, base, "--top=x"][..], "--top=x"),
+        (diff, "trace_diff", &[fresh, base, "tight"][..], "tight"),
+        (
+            metrics,
+            "mwc_metrics",
+            &["report", fresh, "--bogus"][..],
+            "--bogus",
+        ),
+    ] {
+        let out = run(bin, args, &root);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("'{bad}'")) && stderr.contains(&format!("usage: {name}")),
+            "{args:?}: {stderr}"
+        );
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: refused before any work");
+    }
+    // The refused runs wrote no report.
+    assert!(!root.join("results").exists());
 }

@@ -21,9 +21,10 @@
 //! against a small sequential specification by
 //! `crates/congest/tests/flood_spec_differential.rs`.
 //!
-//! [`flood_kernel`] and [`flood_engagement`] are a constant stamp and a
-//! counter of flood calls (memo replays included) for run records and the
-//! benchmark harness; there is one flood loop and nothing to select.
+//! [`flood_engagement`] counts flood calls (memo replays included) for
+//! run records and the benchmark harness. [`flood_kernel`] is a constant
+//! stamp kept for the benchmark harness only; there is one flood loop and
+//! nothing to select.
 
 use crate::engine::Network;
 use mwc_graph::seq::Direction;
@@ -31,8 +32,9 @@ use mwc_graph::{Graph, NodeId, Weight};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// The flood implementation a run executed under, as stamped on run
-/// records. There is one: the bit-parallel loop.
+/// The flood implementation a run executed under. There is one: the
+/// bit-parallel loop. Its only user is the benchmark harness under
+/// `perfbench/`, whose result stamp still names it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FloodKernel {
     /// Bit-parallel loop (u64 frontier words, direct delivery, rounds
@@ -50,6 +52,7 @@ impl FloodKernel {
 }
 
 /// The flood implementation every flood runs: [`FloodKernel::Bitset`].
+/// Its only caller is the benchmark harness under `perfbench/`.
 pub fn flood_kernel() -> FloodKernel {
     FloodKernel::Bitset
 }
@@ -61,9 +64,10 @@ static FLOODS: AtomicU64 = AtomicU64::new(0);
 /// [`crate::multi_source_bfs`] / [`crate::charge_multi_source_bfs`] /
 /// [`crate::source_detection`] calls ran. A call the flood memo replays
 /// (see [`crate::PhaseCache`]) counts like one that runs its flood, so the
-/// tally is the same with the cache on or off. The second field is always
-/// 0 (there is no scalar path); the pair keeps the shape run records
-/// stamp as `floods_bitset`/`floods_scalar`.
+/// tally is the same with the cache on or off. Run records stamp the
+/// first field as `floods`. The second field is always 0 (there is no
+/// second flood loop); the pair shape is kept for the benchmark harness
+/// under `perfbench/`, which reads both.
 pub fn flood_engagement() -> (u64, u64) {
     (FLOODS.load(Ordering::Relaxed), 0)
 }

@@ -15,44 +15,21 @@
 //!
 //! # Pruning
 //!
-//! The two Dijkstra oracles share one upper bound `bound` on the answer,
-//! lowered after every finished item. A per-source search stops before
+//! The two Dijkstra oracles keep the weight of the best cycle so far as
+//! an upper bound `bound` on the answer. A per-source search stops before
 //! settling a node farther than `bound`, and a per-edge search stops at
 //! `y` or beyond `bound − w(e)`: past that, no candidate can reach
 //! `bound`. The cutoff is strict, so a candidate *equal* to the bound —
-//! the winner and every tie with it — still settles the same nodes with
-//! the same parents as an unpruned search, and returns the same witness.
-//!
-//! # Parallelism and determinism
-//!
-//! The Dijkstra oracles' per-source / per-edge outer loops run through
-//! [`mwc_par::ordered_map`] (worker count from `MWC_JOBS` / `--jobs`,
-//! default 1). The returned cycle is **identical for every worker
-//! count**: each oracle updates its running best only on *strict*
-//! improvement, so the sequential winner is the first item (in iteration
-//! order) attaining the global minimum — and merging per-item results in
-//! input order with the same strict rule reproduces exactly that item. A
-//! worker reading a stale (larger) bound only prunes less. [`girth_exact`]
-//! is sequential: its pruning bound shrinks from one source to the next.
+//! every tie with the best so far — still settles the same nodes with
+//! the same parents as an unpruned search. The best is replaced only on
+//! *strict* improvement, so each oracle returns the first item (in
+//! iteration order) attaining the minimum, exactly as an unpruned scan.
 
 use crate::graph::{Graph, NodeId, Weight};
 use crate::seq::paths::{
     bfs, dijkstra_bounded, extract_path, Direction, HopDistTree, HOP_INF, INF,
 };
 use crate::witness::CycleWitness;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Merges per-item oracle results in input order: keeps the earlier item
-/// on ties, exactly like the sequential strict-improvement loop.
-fn first_min(results: impl IntoIterator<Item = Option<Mwc>>) -> Option<Mwc> {
-    results
-        .into_iter()
-        .flatten()
-        .fold(None, |acc: Option<Mwc>, m| match acc {
-            Some(b) if b.weight <= m.weight => Some(b),
-            _ => Some(m),
-        })
-}
 
 /// A minimum weight cycle: its weight and a witness vertex sequence.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -88,14 +65,12 @@ pub fn mwc_directed_exact(g: &Graph) -> Option<Mwc> {
         g.is_directed(),
         "mwc_directed_exact requires a directed graph"
     );
-    // Every candidate from source `v` is `d(v, u) + w ≥ d(v, u)`, so nodes
-    // farther than the best cycle so far cannot yield a better one.
-    let bound = AtomicU64::new(INF);
-    let per_source = mwc_par::ordered_map((0..g.n()).collect(), |v| {
-        let t = dijkstra_bounded(g, v, Direction::Forward, None, None, || {
-            bound.load(Ordering::Relaxed)
-        });
-        let mut best: Option<Mwc> = None;
+    let mut best: Option<Mwc> = None;
+    for v in 0..g.n() {
+        // Every candidate from source `v` is `d(v, u) + w ≥ d(v, u)`, so
+        // nodes farther than the best cycle so far cannot yield a better one.
+        let bound = best.as_ref().map_or(INF, |b| b.weight);
+        let t = dijkstra_bounded(g, v, Direction::Forward, None, None, bound);
         for a in g.in_adj(v) {
             let u = a.to;
             if t.dist[u] == INF {
@@ -111,12 +86,7 @@ pub fn mwc_directed_exact(g: &Graph) -> Option<Mwc> {
                 });
             }
         }
-        if let Some(b) = &best {
-            bound.fetch_min(b.weight, Ordering::Relaxed);
-        }
-        best
-    });
-    let best = first_min(per_source);
+    }
     debug_assert!(best
         .as_ref()
         .is_none_or(|b| b.witness.validate(g) == Ok(b.weight)));
@@ -134,37 +104,30 @@ pub fn mwc_undirected_exact(g: &Graph) -> Option<Mwc> {
         !g.is_directed(),
         "mwc_undirected_exact requires an undirected graph"
     );
-    // Shared upper bound for pruning across workers. The skip must be
-    // *strict* (`>`), not the sequential loop's `>=`: every candidate
-    // satisfies `cand ≥ e.weight`, so `e.weight > bound ≥ final MWC`
-    // proves the edge cannot win — whereas `e.weight == bound` could
-    // still tie via a zero-weight path, and pruning it would change
-    // which edge index wins the tie. The same holds for the search cutoff
-    // `bound − w(e)`. The bound only shrinks, so a stale read merely
-    // prunes less; the winning candidate is never skipped.
-    let bound = AtomicU64::new(INF);
-    let per_edge = mwc_par::ordered_map((0..g.edges().len()).collect(), |eid| {
-        let e = &g.edges()[eid];
-        if e.weight > bound.load(Ordering::Relaxed) {
-            return None;
+    let mut best: Option<Mwc> = None;
+    for (eid, e) in g.edges().iter().enumerate() {
+        // Every candidate satisfies `cand ≥ e.weight`, so an edge heavier
+        // than the best so far cannot win.
+        let bound = best.as_ref().map_or(INF, |b| b.weight);
+        if e.weight > bound {
+            continue;
         }
-        let t = dijkstra_bounded(g, e.u, Direction::Forward, Some(eid), Some(e.v), || {
-            bound.load(Ordering::Relaxed).saturating_sub(e.weight)
-        });
+        let cutoff = bound.saturating_sub(e.weight);
+        let t = dijkstra_bounded(g, e.u, Direction::Forward, Some(eid), Some(e.v), cutoff);
         if t.dist[e.v] == INF {
-            return None;
+            continue;
         }
         let cand = e.weight + t.dist[e.v];
-        bound.fetch_min(cand, Ordering::Relaxed);
-        let path =
-            extract_path(&t.parent, e.u, e.v).expect("e.v is reachable so the parent chain exists");
-        // path = x … y; closing edge (y, x) is e itself.
-        Some(Mwc {
-            weight: cand,
-            witness: CycleWitness::new(path),
-        })
-    });
-    let best = first_min(per_edge);
+        if best.as_ref().is_none_or(|b| cand < b.weight) {
+            let path = extract_path(&t.parent, e.u, e.v)
+                .expect("e.v is reachable so the parent chain exists");
+            // path = x … y; closing edge (y, x) is e itself.
+            best = Some(Mwc {
+                weight: cand,
+                witness: CycleWitness::new(path),
+            });
+        }
+    }
     debug_assert!(best
         .as_ref()
         .is_none_or(|b| b.witness.validate(g) == Ok(b.weight)));
@@ -457,41 +420,6 @@ mod tests {
         assert_eq!(mwc_exact(&d).unwrap().weight, 6);
         let u = ring_with_chords(6, 0, Orientation::Undirected, WeightRange::uniform(2, 2), 0);
         assert_eq!(mwc_exact(&u).unwrap().weight, 12);
-    }
-
-    #[test]
-    fn oracles_are_identical_for_any_worker_count() {
-        // Tie-heavy instances (tiny weight range) so tie-breaking — the
-        // part a naive parallel merge gets wrong — is actually exercised.
-        // Compares full `Mwc` values, i.e. witnesses too, not just weights.
-        let d = connected_gnm(
-            40,
-            90,
-            Orientation::Directed,
-            WeightRange::uniform(1, 3),
-            11,
-        );
-        let u = connected_gnm(
-            40,
-            70,
-            Orientation::Undirected,
-            WeightRange::uniform(1, 3),
-            12,
-        );
-        let un = connected_gnm(40, 70, Orientation::Undirected, WeightRange::unit(), 13);
-        mwc_par::set_jobs(1);
-        let base = (
-            mwc_directed_exact(&d),
-            mwc_undirected_exact(&u),
-            girth_exact(&un),
-        );
-        for jobs in [2, 4, 8] {
-            mwc_par::set_jobs(jobs);
-            assert_eq!(mwc_directed_exact(&d), base.0, "directed, jobs={jobs}");
-            assert_eq!(mwc_undirected_exact(&u), base.1, "undirected, jobs={jobs}");
-            assert_eq!(girth_exact(&un), base.2, "girth, jobs={jobs}");
-        }
-        mwc_par::set_jobs(1);
     }
 
     prop_tests! {

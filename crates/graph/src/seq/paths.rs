@@ -89,28 +89,27 @@ pub fn bfs(g: &Graph, src: NodeId, dir: Direction) -> HopDistTree {
 /// Dijkstra's algorithm from `src`, following edges in `dir`. Weights are
 /// non-negative by the [`Graph`] invariant.
 pub fn dijkstra(g: &Graph, src: NodeId, dir: Direction) -> DistTree {
-    dijkstra_bounded(g, src, dir, None, None, || INF)
+    dijkstra_bounded(g, src, dir, None, None, INF)
 }
 
 /// The one Dijkstra core behind [`dijkstra`] and the MWC oracles.
 ///
 /// - `skip_edge` is ignored in both directions (per-edge deletion).
 /// - The search stops once `target` is settled.
-/// - It stops before settling a node farther than `cutoff()`. The cutoff
-///   is re-read at every step, so it may shrink while the search runs.
+/// - It stops before settling a node farther than `cutoff`.
 ///
 /// Nodes left unsettled read [`INF`] with no parent. Settling runs in the
 /// same `(distance, node)` order as the full search, and the cutoff test
-/// is strict, so every settled node — everything within the smallest
-/// cutoff seen, and the target — gets exactly the distance and parent the
-/// full search would give it.
+/// is strict, so every settled node — everything within the cutoff, and
+/// the target — gets exactly the distance and parent the full search
+/// would give it.
 pub(crate) fn dijkstra_bounded(
     g: &Graph,
     src: NodeId,
     dir: Direction,
     skip_edge: Option<EdgeId>,
     target: Option<NodeId>,
-    cutoff: impl Fn() -> Weight,
+    cutoff: Weight,
 ) -> DistTree {
     let mut dist = vec![INF; g.n()];
     let mut parent = vec![None; g.n()];
@@ -118,7 +117,7 @@ pub(crate) fn dijkstra_bounded(
     dist[src] = 0;
     heap.push(Reverse((0, src)));
     while let Some(&Reverse((d, u))) = heap.peek() {
-        if d > cutoff() {
+        if d > cutoff {
             break;
         }
         heap.pop();
@@ -300,7 +299,7 @@ mod tests {
     fn skipping_edge_reroutes() {
         let g = weighted_diamond();
         let cheap_edge = g.edge_id(2, 3).unwrap();
-        let t = dijkstra_bounded(&g, 0, Direction::Forward, Some(cheap_edge), None, || INF);
+        let t = dijkstra_bounded(&g, 0, Direction::Forward, Some(cheap_edge), None, INF);
         assert_eq!(t.dist[3], 4); // forced through 0 → 1 → 3
     }
 
@@ -315,19 +314,19 @@ mod tests {
         let full = dijkstra(&g, 0, Direction::Forward);
         // The cutoff is strict: distance 1 still settles, with the full
         // search's parents; 3 and 4 lie beyond it and read unreachable.
-        let t = dijkstra_bounded(&g, 0, Direction::Forward, None, None, || 1);
+        let t = dijkstra_bounded(&g, 0, Direction::Forward, None, None, 1);
         assert_eq!(t.dist, vec![0, 1, 1, INF, INF]);
         assert_eq!(t.parent[..3], full.parent[..3]);
         assert_eq!(t.parent[3..], [None, None]);
         // A zero cutoff still settles the zero-weight edge.
-        let z = dijkstra_bounded(&g, 1, Direction::Forward, None, None, || 0);
+        let z = dijkstra_bounded(&g, 1, Direction::Forward, None, None, 0);
         assert_eq!(z.dist, vec![INF, 0, 0, INF, INF]);
     }
 
     #[test]
     fn bounded_search_stops_at_the_target() {
         let g = weighted_diamond();
-        let t = dijkstra_bounded(&g, 0, Direction::Forward, None, Some(2), || INF);
+        let t = dijkstra_bounded(&g, 0, Direction::Forward, None, Some(2), INF);
         // Node 1 was reached but not settled when 2 was, so it reads
         // unreachable like node 3.
         assert_eq!(t.dist, vec![0, INF, 1, INF]);

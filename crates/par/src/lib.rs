@@ -20,9 +20,8 @@
 //!    byte-for-byte comparable to the pre-pool codebase by construction).
 //!
 //! Parallelism runs only **across** independent work items (sweep
-//! configs, oracle sources). One simulation always runs on one thread:
-//! the CONGEST engine steps every round sequentially, and [`shards`] is
-//! the constant 1 that run stamps record.
+//! configs). One simulation always runs on one thread: the CONGEST
+//! engine steps every round sequentially.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -52,9 +51,9 @@ pub fn jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// The engine shard count stamped on run records: always 1, since one
-/// simulation runs on one thread. Kept so the stamps keep their
-/// `shards` field until the record schema drops it.
+/// The engine shard count: always 1, since one simulation runs on one
+/// thread. Its only caller is the benchmark harness under `perfbench/`,
+/// whose result stamp still carries a `shards` field.
 pub fn shards() -> usize {
     1
 }

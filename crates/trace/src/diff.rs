@@ -59,9 +59,8 @@ pub struct DiffConfig {
     /// Tolerance on audit `max_ratio` margins.
     pub ratio: Tolerance,
     /// Tolerance on allocation counters (`alloc_bytes` / `alloc_count`).
-    /// Only consulted when the alloc gate applies — both records ran the
-    /// default `jobs ≤ 1, shards ≤ 1` configuration and the baseline
-    /// carries nonzero alloc data.
+    /// Only consulted when the alloc gate applies — both records ran
+    /// with `jobs ≤ 1` and the baseline carries nonzero alloc data.
     pub allocs: Tolerance,
 }
 
@@ -409,26 +408,15 @@ pub fn diff_records(base: &RunRecord, fresh: &RunRecord, cfg: &DiffConfig) -> Ru
     );
 
     // Allocation counters are deterministic only when both runs executed
-    // the default single-threaded configuration (`jobs ≤ 1, shards ≤ 1`
-    // covers 0 = not recorded and 1 = explicit default): any parallel
-    // schedule moves allocations onto worker threads and the counts
-    // become schedule noise. They are also skipped against baselines
-    // with no alloc data (pre-v6, or recorded without the counting
-    // allocator) — a zero-vs-nonzero diff there would gate on
-    // instrumentation coverage, not on performance — and when the two
-    // records ran different flood kernels: the kernels must agree on
-    // every simulated-cost metric, but their host allocation profiles
-    // legitimately differ (the whole point of the bitset kernel), so a
-    // cross-kernel pair compares like a cross-jobs pair. An empty stamp
-    // (pre-v7 record) matches anything, keeping the alloc gate armed
-    // for default-vs-default runs against older baselines. `wall_ns`
-    // and `peak_alloc_bytes` are never compared (`wall_ms` convention).
-    let same_kernel = base.flood_kernel.is_empty()
-        || fresh.flood_kernel.is_empty()
-        || base.flood_kernel == fresh.flood_kernel;
-    let default_config = base.shards <= 1 && fresh.shards <= 1 && base.jobs <= 1 && fresh.jobs <= 1;
+    // single-threaded (`jobs ≤ 1` covers 0 = not recorded and 1 =
+    // explicit default): a parallel sweep moves allocations onto worker
+    // threads and the counts become schedule noise. They are also
+    // skipped against baselines with no alloc data (recorded without the
+    // counting allocator) — a zero-vs-nonzero diff there would gate on
+    // instrumentation coverage, not on performance. `wall_ns` and
+    // `peak_alloc_bytes` are never compared (`wall_ms` convention).
     let gate_allocs =
-        default_config && same_kernel && (base.alloc_bytes > 0 || base.alloc_count > 0);
+        base.jobs <= 1 && fresh.jobs <= 1 && (base.alloc_bytes > 0 || base.alloc_count > 0);
     if gate_allocs {
         d.metric(
             "total",
@@ -450,7 +438,7 @@ pub fn diff_records(base: &RunRecord, fresh: &RunRecord, cfg: &DiffConfig) -> Ru
 
     // Cache effectiveness (deterministic, gated). Hits share
     // `rounds_saved`'s inverted polarity; misses are plain cost counters.
-    // `wall_ms`, `shards`, `jobs`, and `workers` are informational and
+    // `wall_ms`, `jobs`, `floods`, and `workers` are informational and
     // deliberately never compared.
     let (bc, fc) = (&base.cache, &fresh.cache);
     d.saved_metric("cache", "", "tree_hits", bc.tree_hits, fc.tree_hits);
@@ -782,11 +770,8 @@ mod tests {
             messages: 50,
             rounds_saved: 12,
             wall_ms: 0,
-            shards: 0,
             jobs: 0,
-            flood_kernel: String::new(),
-            floods_bitset: 0,
-            floods_scalar: 0,
+            floods: 0,
             alloc_bytes: 10_000,
             alloc_count: 40,
             peak_alloc_bytes: 5_000,
@@ -1014,16 +999,13 @@ mod tests {
     fn informational_fields_are_never_compared() {
         let mut fresh = record();
         fresh.wall_ms = 991;
-        fresh.shards = 8;
         fresh.jobs = 4;
         fresh.workers = WorkerTally {
-            tasks_executed: 1000,
             items_grafted: 500,
             idle_joins: 3,
             busy_ms: 77,
         };
-        fresh.floods_bitset = 12;
-        fresh.floods_scalar = 3;
+        fresh.floods = 12;
         let d = diff_records(&record(), &fresh, &DiffConfig::default());
         assert!(!d.has_regression(), "{}", d.render());
         assert!(d.entries.is_empty(), "{}", d.render());
@@ -1046,84 +1028,29 @@ mod tests {
 
     #[test]
     fn alloc_is_informational_in_parallel_configs() {
-        // Same alloc regression, but one side ran sharded/jobs>1: the
+        // Same alloc regression, but one side ran a parallel sweep: the
         // counts are schedule noise there and must not gate.
-        for (shards, jobs) in [(4, 1), (1, 4), (0, 2), (8, 8)] {
-            let mut fresh = record();
-            fresh.alloc_bytes += 500;
-            fresh.spans[1].alloc_bytes += 500;
-            fresh.shards = shards;
-            fresh.jobs = jobs;
-            let d = diff_records(&record(), &fresh, &DiffConfig::default());
-            if shards <= 1 && jobs <= 1 {
-                assert!(d.has_regression());
-            } else {
-                assert!(
-                    !d.has_regression(),
-                    "shards={shards} jobs={jobs}: {}",
-                    d.render()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn alloc_is_informational_across_kernels() {
-        // Same alloc regression, but the two records ran different flood
-        // kernels: allocation profiles legitimately differ between
-        // kernels, so the pair compares like a cross-jobs pair. An empty
-        // stamp (pre-v7 baseline) matches anything and keeps the gate
-        // armed; every simulated-cost metric still gates regardless.
-        for (base_k, fresh_k, should_gate) in [
-            ("bitset", "scalar", false),
-            ("scalar", "bitset", false),
-            ("", "bitset", true),
-            ("bitset", "", true),
-            ("bitset", "bitset", true),
-            ("scalar", "scalar", true),
-        ] {
+        for (base_jobs, fresh_jobs) in [(0, 1), (1, 1), (1, 4), (2, 0), (8, 8)] {
             let mut base = record();
-            base.flood_kernel = base_k.to_owned();
+            base.jobs = base_jobs;
             let mut fresh = record();
-            fresh.flood_kernel = fresh_k.to_owned();
             fresh.alloc_bytes += 500;
             fresh.spans[1].alloc_bytes += 500;
+            fresh.jobs = fresh_jobs;
             let d = diff_records(&base, &fresh, &DiffConfig::default());
             assert_eq!(
                 d.has_regression(),
-                should_gate,
-                "base={base_k:?} fresh={fresh_k:?}: {}",
+                base_jobs <= 1 && fresh_jobs <= 1,
+                "jobs {base_jobs} -> {fresh_jobs}: {}",
                 d.render()
             );
         }
-        // A rounds regression still gates across kernels — only the host
-        // alloc metrics become informational.
-        let mut base = record();
-        base.flood_kernel = "bitset".to_owned();
-        let mut fresh = record();
-        fresh.flood_kernel = "scalar".to_owned();
-        fresh.rounds += 1;
-        let d = diff_records(&base, &fresh, &DiffConfig::default());
-        assert!(d.has_regression(), "{}", d.render());
-        // Engagement tallies are informational, not kernel identity: two
-        // same-kernel records with wildly different tallies (e.g. an old
-        // record whose floods fell back to the scalar path) still arm the
-        // alloc gate.
-        let mut base = record();
-        base.flood_kernel = "bitset".to_owned();
-        base.floods_bitset = 40;
-        let mut fresh = record();
-        fresh.flood_kernel = "bitset".to_owned();
-        fresh.floods_scalar = 40;
-        fresh.alloc_bytes += 500;
-        let d = diff_records(&base, &fresh, &DiffConfig::default());
-        assert!(d.has_regression(), "{}", d.render());
     }
 
     #[test]
     fn alloc_is_skipped_against_baselines_without_alloc_data() {
-        // Pre-v6 baseline (or no counting allocator): alloc fields parse
-        // as 0; a fresh profiled record must diff clean against it.
+        // A baseline recorded without the counting allocator carries 0
+        // alloc data; a fresh profiled record must diff clean against it.
         let mut base = record();
         base.alloc_bytes = 0;
         base.alloc_count = 0;

@@ -40,7 +40,6 @@ pub mod audit;
 pub mod diff;
 pub mod export;
 pub mod json;
-pub mod metrics;
 pub mod profile;
 pub mod record;
 
@@ -55,10 +54,9 @@ pub use diff::{
     diff_records, triage_spans, DiffConfig, DiffEntry, DiffStatus, RunDiff, Tolerance, TriageEntry,
 };
 pub use export::{chrome_trace, validate_chrome_trace, TraceSummary};
-pub use metrics::{validate_openmetrics, MetricsRegistry};
 pub use record::{
     audit_margins, AuditMargin, CacheTally, CongestionSummary, RunRecord, SpanMetrics, WorkerTally,
-    RUN_RECORD_SCHEMA, RUN_RECORD_SCHEMA_V1,
+    RUN_RECORD_SCHEMA,
 };
 
 /// One closed span: a node of the trace tree.

@@ -20,7 +20,7 @@
 //! enable profiling keep byte-identical traces, and the JSONL event
 //! stream / `trace_manifest.json` never carry profile data at all (the
 //! golden event tests and the CI manifest byte-diff stay untouched).
-//! Profile samples surface only through `mwc-run-record/v6` records and
+//! Profile samples surface only through run records ([`crate::RunRecord`]) and
 //! the Chrome trace export ([`crate::export`]).
 //!
 //! Determinism note: wall-nanoseconds are machine-dependent and always

@@ -18,69 +18,10 @@ use crate::json::Json;
 use crate::{SpanNode, TraceData};
 use std::collections::BTreeMap;
 
-/// Schema tag every record carries; bump on any breaking field change.
-/// v8 added `floods_bitset` / `floods_scalar` (per-run flood tallies,
-/// from when floods could run a bitset or a scalar kernel; the scalar
-/// kernel has since been removed, so fresh records carry 0 there.
-/// **Informational only** like `flood_kernel`, so `diff_records` never
-/// compares the tallies; both 0 when not recorded);
-/// v7 added `flood_kernel` (the flood inner-loop implementation the run
-/// executed with — now always `"bitset"`, older records may say
-/// `"scalar"` — **informational only** like `shards`, so `diff_records`
-/// never compares it; empty when not recorded);
-/// v6 added the span-profiler fields: per-record and per-span
-/// `alloc_bytes` / `alloc_count` (**conditionally gated** — deterministic
-/// and diffed only when both records ran the default `jobs ≤ 1, shards ≤
-/// 1` configuration and the baseline carries nonzero alloc data;
-/// informational otherwise), per-span `wall_ns` and the record-level
-/// `peak_alloc_bytes` (**informational only**, the `wall_ms` convention);
-/// v5 added the gated `cache` hit/miss object, the gated per-congestion
-/// `shard_words` / `shard_imbalance_milli` canonical shard-load fields,
-/// and the **informational** `jobs` count plus `workers` runtime-counter
-/// object (schedule-dependent, never diffed — the `wall_ms` convention);
-/// v4 added `shards` (engine shard count, **informational only** like
-/// `wall_ms` — sharding is byte-invisible, so the field is never diffed);
-/// v3 added `wall_ms` (host wall-clock, informational only — never
-/// diffed, see `crate::diff`); v2 added `rounds_saved` (phase-cache
-/// credit) at the record, span, and congestion levels.
-pub const RUN_RECORD_SCHEMA: &str = "mwc-run-record/v8";
-
-/// The v7 schema tag. v7 records (no `floods_bitset` / `floods_scalar`
-/// engagement tallies) still parse — the fields default to 0 — so a
-/// refresh can diff against pre-engagement baselines instead of
-/// declaring them incomparable.
-pub const RUN_RECORD_SCHEMA_V7: &str = "mwc-run-record/v7";
-
-/// The v6 schema tag. v6 records (no `flood_kernel`) still parse — the
-/// field defaults to empty — so a refresh can diff against pre-kernel
-/// baselines instead of declaring them incomparable.
-pub const RUN_RECORD_SCHEMA_V6: &str = "mwc-run-record/v6";
-
-/// The v5 schema tag. v5 records (no wall/alloc profile fields) still
-/// parse — the fields default to zero — so a refresh can diff against
-/// pre-profiler baselines instead of declaring them incomparable.
-pub const RUN_RECORD_SCHEMA_V5: &str = "mwc-run-record/v5";
-
-/// The v4 schema tag. v4 records (no `cache` / shard-load / `jobs` /
-/// `workers` fields) still parse — the fields default to zero/empty — so
-/// a refresh can diff against pre-metrics baselines instead of declaring
-/// them incomparable.
-pub const RUN_RECORD_SCHEMA_V4: &str = "mwc-run-record/v4";
-
-/// The v3 schema tag. v3 records (no `shards`) still parse — the field
-/// defaults to 0 — so a refresh can diff against pre-sharding baselines
-/// instead of declaring them incomparable.
-pub const RUN_RECORD_SCHEMA_V3: &str = "mwc-run-record/v3";
-
-/// The v2 schema tag. v2 records (no `wall_ms`) still parse — the field
-/// defaults to 0 — so a refresh can diff against pre-wall-clock baselines
-/// instead of declaring them incomparable.
-pub const RUN_RECORD_SCHEMA_V2: &str = "mwc-run-record/v2";
-
-/// The v1 schema tag. v1 records (no `rounds_saved`) still parse — the
-/// field defaults to 0 — so a refresh can diff against pre-cache
-/// baselines instead of declaring them incomparable.
-pub const RUN_RECORD_SCHEMA_V1: &str = "mwc-run-record/v1";
+/// Schema tag every record carries. Only this schema parses: a change
+/// to the fields bumps the tag and converts the committed baselines in
+/// the same change, so no reader has to accept older shapes.
+pub const RUN_RECORD_SCHEMA: &str = "mwc-run-record/v9";
 
 /// Separator between nested span labels in a [`SpanMetrics::path`].
 /// Labels themselves use `/`, so nesting uses a distinct token.
@@ -146,10 +87,6 @@ impl CacheTally {
 /// convention.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkerTally {
-    /// Fork-join task bodies run inside a simulation. Always 0 from the
-    /// bench recorder, since every simulation runs on one thread; kept
-    /// for the v8 schema.
-    pub tasks_executed: u64,
     /// Sweep items mapped and joined in input order.
     pub items_grafted: u64,
     /// Pool entry points that ran inline without spawning a worker.
@@ -162,7 +99,6 @@ impl WorkerTally {
     /// Renders as a JSON object (insertion-ordered keys).
     pub fn to_json(&self) -> Json {
         Json::obj([
-            ("tasks_executed", Json::U64(self.tasks_executed)),
             ("items_grafted", Json::U64(self.items_grafted)),
             ("idle_joins", Json::U64(self.idle_joins)),
             ("busy_ms", Json::U64(self.busy_ms)),
@@ -171,7 +107,6 @@ impl WorkerTally {
 
     fn from_json(v: &Json) -> Result<WorkerTally, String> {
         Ok(WorkerTally {
-            tasks_executed: u64_field(v, "tasks_executed")?,
             items_grafted: u64_field(v, "items_grafted")?,
             idle_joins: u64_field(v, "idle_joins")?,
             busy_ms: u64_field(v, "busy_ms")?,
@@ -197,13 +132,12 @@ pub struct SpanMetrics {
     /// Summed self wall-nanoseconds (profiled; see `crate::profile`).
     /// **Informational only** — wall time is machine-dependent, so
     /// `diff_records` never compares it (the `wall_ms` convention). 0
-    /// when profiling was off or the record predates v6.
+    /// when profiling was off.
     pub wall_ns: u64,
     /// Summed self heap bytes allocated (profiled). **Conditionally
     /// gated**: deterministic — and diffed — only when both records ran
-    /// the default `jobs ≤ 1, shards ≤ 1` configuration (parallel
-    /// schedules move allocations to worker threads). 0 when profiling
-    /// was off or the record predates v6.
+    /// with `jobs ≤ 1` (parallel sweeps move allocations to worker
+    /// threads). 0 when profiling was off.
     pub alloc_bytes: u64,
     /// Summed self heap allocations (profiled). Gated like
     /// [`SpanMetrics::alloc_bytes`].
@@ -238,12 +172,12 @@ pub struct CongestionSummary {
     /// ties toward the lower `(from, to)` — deterministic by construction.
     pub hot_links: Vec<(u64, u64, u64)>,
     /// Imbalance ratio max/mean of [`CongestionSummary::shard_words`] in
-    /// integer milli-units (1000 = balanced); 0 when no words moved or
-    /// the record predates v5. Deterministic (computed over the canonical
-    /// reference partition, not the execution shard count) and gated.
+    /// integer milli-units (1000 = balanced); 0 when no words moved.
+    /// Deterministic (computed over the canonical reference partition)
+    /// and gated.
     pub shard_imbalance_milli: u64,
     /// Words moved per canonical reference shard (see `ShardProfile` in
-    /// `mwc-congest`). Empty in pre-v5 records. Deterministic and gated.
+    /// `mwc-congest`). Deterministic and gated.
     pub shard_words: Vec<u64>,
 }
 
@@ -327,40 +261,22 @@ pub struct RunRecord {
     /// it — it exists so `BENCH_trajectory.json` shows a speed trajectory
     /// next to the gated round/word metrics. 0 when not measured.
     pub wall_ms: u64,
-    /// Engine shard count the run executed with: 1 from the bench
-    /// recorder, since the engine runs every round on one thread; older
-    /// records may say more. **Informational only**, like `wall_ms`, so
-    /// `diff_records` never compares it. 0 when not recorded (pre-v4
-    /// baselines).
-    pub shards: u64,
     /// Worker count the run executed with (`--jobs` / `MWC_JOBS`).
-    /// **Informational only**, like `shards`: the jobs count is pure
+    /// **Informational only**, like `wall_ms`: the jobs count is pure
     /// scheduling and never moves a gated metric. 0 when not recorded
-    /// (pre-v5 baselines and records built outside the bench recorder).
+    /// (records built outside the bench recorder).
     pub jobs: u64,
-    /// Flood-kernel name the run executed with: `"bitset"` (records from
-    /// before the scalar kernel was removed may say `"scalar"`).
-    /// **Informational only**, like `shards`: `diff_records` never
-    /// compares it. Empty when not recorded (pre-v7 baselines and
-    /// records built outside the bench recorder).
-    pub flood_kernel: String,
     /// Floods this run executed — one `multi_source_bfs` /
-    /// `source_detection` call each. **Informational only**, like
-    /// `flood_kernel`. 0 when not recorded (pre-v8 baselines and records
-    /// built outside the bench recorder).
-    pub floods_bitset: u64,
-    /// Floods this run dispatched to the scalar engine-stepped kernel,
-    /// which has since been removed: 0 in fresh records, kept so the v8
-    /// schema and older records stay readable. Informational, like
-    /// [`RunRecord::floods_bitset`].
-    pub floods_scalar: u64,
+    /// `charge_multi_source_bfs` / `source_detection` call each, memo
+    /// replays included. **Informational only**, like `wall_ms`. 0 when
+    /// not recorded (records built outside the bench recorder).
+    pub floods: u64,
     /// Total heap bytes allocated across all root spans (profiled; see
     /// `crate::profile`). **Conditionally gated**: `diff_records`
-    /// compares alloc metrics only when both records ran the default
-    /// `jobs ≤ 1, shards ≤ 1` configuration — where the single-threaded
-    /// allocation sequence is deterministic per binary — and the
-    /// baseline carries nonzero alloc data (pre-v6 baselines parse as
-    /// 0). 0 when profiling was off.
+    /// compares alloc metrics only when both records ran with
+    /// `jobs ≤ 1` — where the single-threaded allocation sequence is
+    /// deterministic per binary — and the baseline carries nonzero alloc
+    /// data. 0 when profiling was off.
     pub alloc_bytes: u64,
     /// Total heap allocations across all root spans (profiled). Gated
     /// like [`RunRecord::alloc_bytes`].
@@ -427,14 +343,10 @@ impl RunRecord {
             messages: data.roots.iter().map(SpanNode::total_messages).sum(),
             rounds_saved: data.roots.iter().map(SpanNode::total_rounds_saved).sum(),
             wall_ms: 0,
-            shards: 0,
             jobs: 0,
-            // The kernel choice and its engagement tallies are
-            // process-global runtime config, not trace state; only the
-            // bench recorder stamps them (the `shards` convention).
-            flood_kernel: String::new(),
-            floods_bitset: 0,
-            floods_scalar: 0,
+            // The flood tally is a process-global counter, not trace
+            // state; only the bench recorder stamps it (like `jobs`).
+            floods: 0,
             alloc_bytes: data.roots.iter().map(SpanNode::total_alloc_bytes).sum(),
             alloc_count: data.roots.iter().map(SpanNode::total_alloc_count).sum(),
             // The peak is process-global allocator state, not trace
@@ -444,7 +356,7 @@ impl RunRecord {
             // Worker counters are process-global and schedule-dependent;
             // only the bench recorder stamps them (in-process records
             // built straight from a trace must stay byte-identical across
-            // shard/jobs configurations).
+            // jobs configurations).
             workers: WorkerTally::default(),
             spans: by_path.into_values().collect(),
             congestion: Vec::new(),
@@ -476,11 +388,8 @@ impl RunRecord {
             ("messages", Json::U64(self.messages)),
             ("rounds_saved", Json::U64(self.rounds_saved)),
             ("wall_ms", Json::U64(self.wall_ms)),
-            ("shards", Json::U64(self.shards)),
             ("jobs", Json::U64(self.jobs)),
-            ("flood_kernel", Json::str(&self.flood_kernel)),
-            ("floods_bitset", Json::U64(self.floods_bitset)),
-            ("floods_scalar", Json::U64(self.floods_scalar)),
+            ("floods", Json::U64(self.floods)),
             ("alloc_bytes", Json::U64(self.alloc_bytes)),
             ("alloc_count", Json::U64(self.alloc_count)),
             ("peak_alloc_bytes", Json::U64(self.peak_alloc_bytes)),
@@ -584,21 +493,9 @@ impl RunRecord {
     /// A description of the malformed or schema-mismatched field.
     pub fn from_json(v: &Json) -> Result<RunRecord, String> {
         let schema = str_field(v, "schema")?;
-        if schema != RUN_RECORD_SCHEMA
-            && schema != RUN_RECORD_SCHEMA_V7
-            && schema != RUN_RECORD_SCHEMA_V6
-            && schema != RUN_RECORD_SCHEMA_V5
-            && schema != RUN_RECORD_SCHEMA_V4
-            && schema != RUN_RECORD_SCHEMA_V3
-            && schema != RUN_RECORD_SCHEMA_V2
-            && schema != RUN_RECORD_SCHEMA_V1
-        {
+        if schema != RUN_RECORD_SCHEMA {
             return Err(format!(
-                "schema mismatch: got {schema:?}, expected {RUN_RECORD_SCHEMA:?} \
-                 (or {RUN_RECORD_SCHEMA_V7:?} / {RUN_RECORD_SCHEMA_V6:?} / \
-                 {RUN_RECORD_SCHEMA_V5:?} / {RUN_RECORD_SCHEMA_V4:?} / \
-                 {RUN_RECORD_SCHEMA_V3:?} / {RUN_RECORD_SCHEMA_V2:?} / \
-                 {RUN_RECORD_SCHEMA_V1:?})"
+                "schema mismatch: got {schema:?}, expected {RUN_RECORD_SCHEMA:?}"
             ));
         }
         let params = match v.get("params") {
@@ -621,10 +518,10 @@ impl RunRecord {
                     rounds: u64_field(s, "rounds")?,
                     words: u64_field(s, "words")?,
                     messages: u64_field(s, "messages")?,
-                    rounds_saved: u64_field_or_zero(s, "rounds_saved"),
-                    wall_ns: u64_field_or_zero(s, "wall_ns"),
-                    alloc_bytes: u64_field_or_zero(s, "alloc_bytes"),
-                    alloc_count: u64_field_or_zero(s, "alloc_count"),
+                    rounds_saved: u64_field(s, "rounds_saved")?,
+                    wall_ns: u64_field(s, "wall_ns")?,
+                    alloc_bytes: u64_field(s, "alloc_bytes")?,
+                    alloc_count: u64_field(s, "alloc_count")?,
                 })
             })
             .collect::<Result<Vec<_>, String>>()?;
@@ -645,26 +542,21 @@ impl RunRecord {
                         }
                     })
                     .collect::<Result<Vec<_>, String>>()?;
-                // Post-v4 fields: absent in older baselines, zero/empty
-                // default so they stay parseable.
-                let shard_words = match c.get("shard_words").and_then(Json::as_arr) {
-                    Some(arr) => arr
-                        .iter()
-                        .map(|w| w.as_u64().ok_or("bad shard_words entry"))
-                        .collect::<Result<Vec<_>, _>>()?,
-                    None => Vec::new(),
-                };
+                let shard_words = arr_field(c, "shard_words")?
+                    .iter()
+                    .map(|w| w.as_u64().ok_or("bad shard_words entry"))
+                    .collect::<Result<Vec<_>, _>>()?;
                 Ok(CongestionSummary {
                     label: str_field(c, "label")?,
                     rounds: u64_field(c, "rounds")?,
                     words: u64_field(c, "words")?,
                     messages: u64_field(c, "messages")?,
-                    rounds_saved: u64_field_or_zero(c, "rounds_saved"),
+                    rounds_saved: u64_field(c, "rounds_saved")?,
                     active_rounds: u64_field(c, "active_rounds")?,
                     max_words_in_round: u64_field(c, "max_words_in_round")?,
                     peak_round: u64_field(c, "peak_round")?,
                     queue_high_water: u64_field(c, "queue_high_water")?,
-                    shard_imbalance_milli: u64_field_or_zero(c, "shard_imbalance_milli"),
+                    shard_imbalance_milli: u64_field(c, "shard_imbalance_milli")?,
                     shard_words,
                     hot_links,
                 })
@@ -680,26 +572,15 @@ impl RunRecord {
             rounds: u64_field(v, "rounds")?,
             words: u64_field(v, "words")?,
             messages: u64_field(v, "messages")?,
-            rounds_saved: u64_field_or_zero(v, "rounds_saved"),
-            wall_ms: u64_field_or_zero(v, "wall_ms"),
-            shards: u64_field_or_zero(v, "shards"),
-            jobs: u64_field_or_zero(v, "jobs"),
-            flood_kernel: str_field_or_empty(v, "flood_kernel"),
-            floods_bitset: u64_field_or_zero(v, "floods_bitset"),
-            floods_scalar: u64_field_or_zero(v, "floods_scalar"),
-            alloc_bytes: u64_field_or_zero(v, "alloc_bytes"),
-            alloc_count: u64_field_or_zero(v, "alloc_count"),
-            peak_alloc_bytes: u64_field_or_zero(v, "peak_alloc_bytes"),
-            cache: v
-                .get("cache")
-                .map(CacheTally::from_json)
-                .transpose()?
-                .unwrap_or_default(),
-            workers: v
-                .get("workers")
-                .map(WorkerTally::from_json)
-                .transpose()?
-                .unwrap_or_default(),
+            rounds_saved: u64_field(v, "rounds_saved")?,
+            wall_ms: u64_field(v, "wall_ms")?,
+            jobs: u64_field(v, "jobs")?,
+            floods: u64_field(v, "floods")?,
+            alloc_bytes: u64_field(v, "alloc_bytes")?,
+            alloc_count: u64_field(v, "alloc_count")?,
+            peak_alloc_bytes: u64_field(v, "peak_alloc_bytes")?,
+            cache: CacheTally::from_json(field(v, "cache")?)?,
+            workers: WorkerTally::from_json(field(v, "workers")?)?,
             spans,
             congestion,
             audit_margins,
@@ -720,19 +601,8 @@ fn u64_field(v: &Json, key: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("missing u64 field {key:?}"))
 }
 
-/// Like [`u64_field`] but defaults to 0 when the key is absent — for
-/// fields introduced after v1 so older baselines keep parsing.
-fn u64_field_or_zero(v: &Json, key: &str) -> u64 {
-    v.get(key).and_then(Json::as_u64).unwrap_or(0)
-}
-
-/// Like [`str_field`] but defaults to empty when the key is absent —
-/// the string analogue of [`u64_field_or_zero`] for post-v6 fields.
-fn str_field_or_empty(v: &Json, key: &str) -> String {
-    v.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_owned)
-        .unwrap_or_default()
+fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, String> {
+    v.get(key).ok_or_else(|| format!("missing field {key:?}"))
 }
 
 fn f64_field(v: &Json, key: &str) -> Result<f64, String> {
@@ -816,284 +686,43 @@ mod tests {
 
     #[test]
     fn schema_mismatch_is_rejected() {
-        let text = sample_record().render().replace("/v8", "/v99");
-        let err = RunRecord::parse(&text).unwrap_err();
-        assert!(err.contains("schema mismatch"), "{err}");
-    }
-
-    /// Drops every member whose key is in `strip` from a rendered record
-    /// — including multi-line object/array values (`"cache": {...}`,
-    /// `"shard_words": [...]`) — fixing up trailing commas so the surgery
-    /// stays valid JSON.
-    fn strip_fields(text: &str, strip: &[&str]) -> String {
-        let mut kept: Vec<String> = Vec::new();
-        let mut skip_depth = 0i32;
-        for line in text.lines() {
-            let t = line.trim_start();
-            if skip_depth > 0 {
-                // Inside a stripped object/array value: track nesting
-                // until its closing bracket at depth 0.
-                skip_depth += t.matches(['{', '[']).count() as i32;
-                skip_depth -= t.matches(['}', ']']).count() as i32;
-                if skip_depth == 0 && !t.ends_with(',') {
-                    if let Some(prev) = kept.last_mut() {
-                        if prev.ends_with(',') {
-                            prev.pop();
-                        }
-                    }
-                }
-                continue;
-            }
-            if strip.iter().any(|k| t.starts_with(&format!("\"{k}\""))) {
-                let opens = t.matches(['{', '[']).count() as i32;
-                let closes = t.matches(['}', ']']).count() as i32;
-                if opens > closes {
-                    skip_depth = opens - closes;
-                } else if !t.ends_with(',') {
-                    // Last member of its object: un-comma the previous
-                    // line so the surgery stays valid JSON.
-                    if let Some(prev) = kept.last_mut() {
-                        if prev.ends_with(',') {
-                            prev.pop();
-                        }
-                    }
-                }
-                continue;
-            }
-            kept.push(line.to_owned());
+        for other in ["/v99", "/v8"] {
+            let text = sample_record().render().replace("/v9", other);
+            let err = RunRecord::parse(&text).unwrap_err();
+            assert!(err.contains("schema mismatch"), "{other}: {err}");
         }
-        kept.join("\n")
     }
 
     #[test]
-    fn v1_records_parse_with_zero_rounds_saved() {
-        // A committed pre-cache baseline: v1 tag, no rounds_saved or
-        // wall_ms fields anywhere. It must still parse (defaulting to 0)
-        // so a refresh can diff against it.
-        let mut rec = sample_record();
-        rec.rounds_saved = 0;
-        for s in &mut rec.spans {
-            s.rounds_saved = 0;
+    fn every_field_is_required() {
+        // No field has a default: a record missing any member (here one
+        // top-level count, one object and one per-span count) is rejected
+        // by name rather than read as zero.
+        let text = sample_record().render();
+        for (member, key) in [
+            ("\"floods\": 0,\n", "floods"),
+            ("\"peak_alloc_bytes\": 0,\n", "peak_alloc_bytes"),
+            ("\"wall_ns\": 0,\n", "wall_ns"),
+        ] {
+            assert!(text.contains(member), "{key} rendered");
+            let cut = text.replacen(member, "", 1);
+            let err = RunRecord::parse(&cut).unwrap_err();
+            assert!(err.contains(&format!("{key:?}")), "{key}: {err}");
         }
-        for c in &mut rec.congestion {
-            c.rounds_saved = 0;
-            c.shard_imbalance_milli = 0;
-            c.shard_words = Vec::new();
-        }
-        let v1_text = strip_fields(
-            &rec.render().replace("/v8", "/v1"),
-            &[
-                "rounds_saved",
-                "wall_ms",
-                "shards",
-                "jobs",
-                "cache",
-                "workers",
-                "shard_imbalance_milli",
-                "shard_words",
-                "wall_ns",
-                "alloc_bytes",
-                "alloc_count",
-                "peak_alloc_bytes",
-                "flood_kernel",
-                "floods_bitset",
-                "floods_scalar",
-            ],
-        );
-        let back = RunRecord::parse(&v1_text).unwrap();
-        assert_eq!(back.rounds_saved, 0);
-        assert_eq!(back.wall_ms, 0);
-        assert_eq!(back.spans, rec.spans);
-        assert_eq!(back.congestion, rec.congestion);
     }
 
     #[test]
-    fn v2_records_parse_with_zero_wall_ms() {
-        // A committed pre-wall-clock baseline: v2 tag, no wall_ms field.
-        let rec = sample_record();
-        let v2_text = strip_fields(
-            &rec.render().replace("/v8", "/v2"),
-            &[
-                "wall_ms",
-                "shards",
-                "jobs",
-                "cache",
-                "workers",
-                "shard_imbalance_milli",
-                "shard_words",
-                "wall_ns",
-                "alloc_bytes",
-                "alloc_count",
-                "peak_alloc_bytes",
-                "flood_kernel",
-                "floods_bitset",
-                "floods_scalar",
-            ],
-        );
-        let back = RunRecord::parse(&v2_text).unwrap();
-        assert_eq!(back.wall_ms, 0);
-        assert_eq!(back.spans, rec.spans);
-        assert_eq!(back.rounds, rec.rounds);
-    }
-
-    #[test]
-    fn v3_records_parse_with_zero_shards() {
-        // A committed pre-sharding baseline: v3 tag, no shards field.
-        let rec = sample_record();
-        let v3_text = strip_fields(
-            &rec.render().replace("/v8", "/v3"),
-            &[
-                "shards",
-                "jobs",
-                "cache",
-                "workers",
-                "shard_imbalance_milli",
-                "shard_words",
-                "wall_ns",
-                "alloc_bytes",
-                "alloc_count",
-                "peak_alloc_bytes",
-                "flood_kernel",
-                "floods_bitset",
-                "floods_scalar",
-            ],
-        );
-        let back = RunRecord::parse(&v3_text).unwrap();
-        assert_eq!(back.shards, 0);
-        assert_eq!(back.spans, rec.spans);
-        assert_eq!(back.rounds, rec.rounds);
-    }
-
-    #[test]
-    fn v4_records_parse_with_zero_metrics_fields() {
-        // A committed pre-metrics baseline: v4 tag, none of the v5 cache
-        // / shard-load / jobs / workers fields.
-        let rec = sample_record();
-        let v4_text = strip_fields(
-            &rec.render().replace("/v8", "/v4"),
-            &[
-                "jobs",
-                "cache",
-                "workers",
-                "shard_imbalance_milli",
-                "shard_words",
-                "wall_ns",
-                "alloc_bytes",
-                "alloc_count",
-                "peak_alloc_bytes",
-                "flood_kernel",
-                "floods_bitset",
-                "floods_scalar",
-            ],
-        );
-        let back = RunRecord::parse(&v4_text).unwrap();
-        assert_eq!(back.jobs, 0);
-        assert_eq!(back.cache, CacheTally::default());
-        assert_eq!(back.workers, WorkerTally::default());
-        assert!(back.congestion.iter().all(|c| c.shard_words.is_empty()));
-        assert!(back.congestion.iter().all(|c| c.shard_imbalance_milli == 0));
-        assert_eq!(back.spans, rec.spans);
-        assert_eq!(back.rounds, rec.rounds);
-    }
-
-    #[test]
-    fn v5_records_parse_with_zero_profile_fields() {
-        // A committed pre-profiler baseline: v5 tag, no wall/alloc
-        // fields anywhere.
-        let rec = sample_record();
-        let v5_text = strip_fields(
-            &rec.render().replace("/v8", "/v5"),
-            &[
-                "wall_ns",
-                "alloc_bytes",
-                "alloc_count",
-                "peak_alloc_bytes",
-                "flood_kernel",
-                "floods_bitset",
-                "floods_scalar",
-            ],
-        );
-        let back = RunRecord::parse(&v5_text).unwrap();
-        assert_eq!(back.alloc_bytes, 0);
-        assert_eq!(back.alloc_count, 0);
-        assert_eq!(back.peak_alloc_bytes, 0);
-        assert!(back.spans.iter().all(|s| s.wall_ns == 0));
-        assert!(back.spans.iter().all(|s| s.alloc_bytes == 0));
-        assert_eq!(back.spans.len(), rec.spans.len());
-        assert_eq!(back.rounds, rec.rounds);
-        assert_eq!(back.cache, rec.cache);
-    }
-
-    #[test]
-    fn v6_records_parse_with_empty_flood_kernel() {
-        // A committed pre-kernel baseline: v6 tag, no flood_kernel field
-        // (and so none of the v8 engagement tallies either).
-        let rec = sample_record();
-        let v6_text = strip_fields(
-            &rec.render().replace("/v8", "/v6"),
-            &["flood_kernel", "floods_bitset", "floods_scalar"],
-        );
-        let back = RunRecord::parse(&v6_text).unwrap();
-        assert_eq!(back.flood_kernel, "");
-        assert_eq!(back.floods_bitset, 0);
-        assert_eq!(back.spans, rec.spans);
-        assert_eq!(back.rounds, rec.rounds);
-        assert_eq!(back.cache, rec.cache);
-    }
-
-    #[test]
-    fn v7_records_parse_with_zero_engagement_tallies() {
-        // A committed pre-engagement baseline: v7 tag, flood_kernel
-        // present but no floods_bitset / floods_scalar fields.
+    fn floods_round_trip_but_never_gate() {
         let mut rec = sample_record();
-        rec.flood_kernel = "bitset".to_owned();
-        let v7_text = strip_fields(
-            &rec.render().replace("/v8", "/v7"),
-            &["floods_bitset", "floods_scalar"],
-        );
-        let back = RunRecord::parse(&v7_text).unwrap();
-        assert_eq!(back.flood_kernel, "bitset");
-        assert_eq!(back.floods_bitset, 0);
-        assert_eq!(back.floods_scalar, 0);
-        assert_eq!(back.spans, rec.spans);
-        assert_eq!(back.rounds, rec.rounds);
-        assert_eq!(back.cache, rec.cache);
-    }
-
-    #[test]
-    fn flood_engagement_round_trips_but_never_gates() {
-        let mut rec = sample_record();
-        rec.floods_bitset = 37;
-        rec.floods_scalar = 2;
+        rec.floods = 37;
         let back = RunRecord::parse(&rec.render()).unwrap();
-        assert_eq!(back.floods_bitset, 37);
-        assert_eq!(back.floods_scalar, 2);
-        // A run full of bitset engagement diffs clean against an
-        // unstamped (or differently-engaged) baseline: which kernel ran
-        // is byte-invisible in every gated metric, so the tallies are
-        // informational like flood_kernel itself.
+        assert_eq!(back.floods, 37);
+        // A run full of floods diffs clean against an unstamped baseline:
+        // the tally is informational, like `wall_ms`.
         let base = sample_record();
         let diff = crate::diff_records(&base, &rec, &crate::DiffConfig::default());
         assert_eq!(diff.regression_count(), 0);
-        assert!(diff
-            .entries
-            .iter()
-            .all(|e| e.metric != "floods_bitset" && e.metric != "floods_scalar"));
-    }
-
-    #[test]
-    fn flood_kernel_round_trips_but_never_gates() {
-        let mut rec = sample_record();
-        rec.flood_kernel = "bitset".to_owned();
-        let back = RunRecord::parse(&rec.render()).unwrap();
-        assert_eq!(back.flood_kernel, "bitset");
-        // A bitset-kernel run diffs clean against a scalar (or unstamped)
-        // baseline: the kernel is byte-invisible in every gated metric,
-        // and the name itself is informational.
-        let base = sample_record();
-        let diff = crate::diff_records(&base, &rec, &crate::DiffConfig::default());
-        assert_eq!(diff.regression_count(), 0);
-        assert!(diff.entries.iter().all(|e| e.metric != "flood_kernel"));
+        assert!(diff.entries.iter().all(|e| e.metric != "floods"));
     }
 
     #[test]
@@ -1138,7 +767,6 @@ mod tests {
         let mut rec = sample_record();
         rec.jobs = 8;
         rec.workers = WorkerTally {
-            tasks_executed: 42,
             items_grafted: 17,
             idle_joins: 3,
             busy_ms: 999,
@@ -1169,21 +797,6 @@ mod tests {
         };
         let back = RunRecord::parse(&rec.render()).unwrap();
         assert_eq!(back.cache, rec.cache);
-    }
-
-    #[test]
-    fn shards_round_trips_but_never_gates() {
-        let mut rec = sample_record();
-        rec.shards = 4;
-        let back = RunRecord::parse(&rec.render()).unwrap();
-        assert_eq!(back.shards, 4);
-        // A sharded run diffs clean against an unsharded baseline:
-        // sharding is byte-invisible in every gated metric, and the
-        // count itself is informational.
-        let base = sample_record();
-        let diff = crate::diff_records(&base, &rec, &crate::DiffConfig::default());
-        assert_eq!(diff.regression_count(), 0);
-        assert!(diff.entries.iter().all(|e| e.metric != "shards"));
     }
 
     #[test]

@@ -108,9 +108,8 @@ if [ "$RAN_ANY" = 0 ]; then
 fi
 
 # Diff fresh records against the committed baselines FIRST, so a refresh
-# still produces a meaningful BENCH_trajectory.json (base = old committed
-# baselines, fresh = this run). Reports land in $WORK/results/
-# (trace_diff_report.{txt,json}, triage.json, BENCH_trajectory.json).
+# still reports what moved against the old baselines. Reports land in
+# $WORK/results/ (trace_diff_report.{txt,json}, triage.json).
 DIFF_STATUS=0
 cargo run --manifest-path "$REPO/Cargo.toml" --release --offline \
   -p mwc-bench --bin trace_diff -- ${ONLY:+--only="$ONLY_RECORD"} \
@@ -118,12 +117,10 @@ cargo run --manifest-path "$REPO/Cargo.toml" --release --offline \
   || DIFF_STATUS=$?
 
 # Aggregate the gated run's observability artifacts: the per-bin
-# shard-imbalance/cache-hit/profile report, the combined OpenMetrics
-# exposition (validated by the in-tree checker), the Chrome trace export
+# shard-imbalance/cache-hit/profile report, the Chrome trace export
 # (validated by the in-tree structural checker), and one appended entry
 # per bin in the committed perf-trajectory log.
 run mwc_metrics report results/run_records
-run mwc_metrics check results/metrics.prom
 run mwc_metrics check-trace results/trace.perfetto.json
 cargo run --manifest-path "$REPO/Cargo.toml" --release --offline \
   -p mwc-bench --bin mwc_metrics append-trajectory results/run_records \
