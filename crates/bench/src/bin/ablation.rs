@@ -16,7 +16,8 @@
 //!    `√n`-neighborhood part vs both, on workloads that favor each —
 //!    showing why the paper needs both to reach `(2 − 1/g)`.
 //!
-//! Usage: `ablation [n]` (default 512).
+//! Usage: `ablation [n]` (default 512, at least 3: below that the
+//! workloads hold no cycle).
 
 use mwc_bench::{report, Table};
 use mwc_core::{approx_girth_parts, exact_mwc, two_approx_directed_mwc, Params};
@@ -42,7 +43,7 @@ fn overflow_count(ledger: &mwc_congest::Ledger) -> String {
 static ALLOC: mwc_trace::profile::CountingAlloc = mwc_trace::profile::CountingAlloc;
 
 fn main() {
-    report::init_cli(&["n"], &[]);
+    report::init_cli(&["n>=3"], &[]);
     report::init_profiling();
     let n: usize = report::arg(1, 512);
     let mut rec = report::RunRecorder::start("ablation");

@@ -7,7 +7,9 @@
 //! The summary reports the worst and mean observed ratio per algorithm —
 //! typically far below the bound, since the witnesses are real cycles.
 //!
-//! Usage: `approx_quality [n]` (default 96) `[seeds]` (default 10).
+//! Usage: `approx_quality [n]` (default 96, at least 6: the directed
+//! weighted families run at `n/2` and plant a 3-cycle) `[seeds]`
+//! (default 10).
 
 use mwc_bench::{report, Table};
 use mwc_core::{
@@ -91,7 +93,7 @@ fn families(
 static ALLOC: mwc_trace::profile::CountingAlloc = mwc_trace::profile::CountingAlloc;
 
 fn main() {
-    report::init_cli(&["n", "seeds"], &[]);
+    report::init_cli(&["n>=6", "seeds"], &[]);
     report::init_profiling();
     let n: usize = report::arg(1, 96);
     let seeds: u64 = report::arg(2, 10);

@@ -3,8 +3,8 @@
 //! regression.
 //!
 //! Pairs `<name>.json` files between the fresh and baseline directories,
-//! parses each pair as a [`RunRecord`], and diffs with per-metric
-//! tolerances ([`diff_records`]). Improvements never fail; structural
+//! parses each pair as a [`RunRecord`], and diffs it exactly
+//! ([`diff_records`]). Improvements never fail; structural
 //! drift (spans appearing/disappearing, baselines without fresh records
 //! or vice versa) fails loudly so the gate cannot rot silently.
 //!
@@ -16,12 +16,12 @@
 //! (`scripts/perf_gate.sh --bin <name>`) and to bisect it at message
 //! level (`mwc_replay bisect` over two `MWC_TRACE_EVENTS` captures).
 //!
-//! Artifacts (all under `results/`):
+//! Artifacts (both under `results/`):
 //!
 //! - `trace_diff_report.txt` — the human report printed to stdout,
-//! - `trace_diff_report.json` — machine-readable per-pair entries,
-//! - `triage.json` — the ranked span triage (written on every run, empty
-//!   ranking when nothing moved).
+//! - `trace_diff_report.json` (`mwc-trace-diff/v2`) — machine-readable
+//!   per-pair entries plus a `triage` member holding the ranked span
+//!   triage (filled on every run, empty ranking when nothing moved).
 //!
 //! The commit-over-commit trajectory is `mwc_metrics append-trajectory`'s
 //! append-log: base totals live in the baselines, fresh ones in the log.
@@ -30,8 +30,8 @@
 //! configuration error (unpaired or unparsable records — refresh the
 //! baselines, see `docs/observability.md` — or a bad command line).
 //!
-//! Usage: `trace_diff [fresh_dir] [base_dir] [rel_tolerance]`
-//! (defaults `results/run_records`, `results/baselines`, `0`).
+//! Usage: `trace_diff [fresh_dir] [base_dir]`
+//! (defaults `results/run_records`, `results/baselines`).
 //! Flags (never shift the positionals):
 //!
 //! - `--only=NAME` — restrict pairing to one record name (for
@@ -43,7 +43,7 @@
 
 use mwc_bench::report;
 use mwc_bench::report::Json;
-use mwc_trace::{diff_records, triage_spans, DiffConfig, RunDiff, RunRecord, TriageEntry};
+use mwc_trace::{diff_records, triage_spans, RunDiff, RunRecord, TriageEntry};
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -154,20 +154,14 @@ fn bisect_hint(name: &str) -> String {
 
 fn main() {
     report::init_cli(
-        &["fresh_dir:path", "base_dir:path", "rel_tolerance:number"],
+        &["fresh_dir:path", "base_dir:path"],
         &["--only=NAME", "--top=N", "--verbose"],
     );
     let fresh_dir = report::arg_str(1, &format!("results/{}", report::RUN_RECORD_DIR));
     let base_dir = report::arg_str(2, "results/baselines");
-    let rel: f64 = report::arg(3, 0.0);
     let verbose = report::flag("verbose").is_some();
     let top: usize = report::flag("top").map_or(5, |k| k.parse().expect("checked by init_cli"));
     let only = report::flag("only");
-    let cfg = if rel > 0.0 {
-        DiffConfig::uniform_rel(rel)
-    } else {
-        DiffConfig::default()
-    };
 
     let fresh = load_dir(Path::new(&fresh_dir));
     let base = load_dir(Path::new(&base_dir));
@@ -206,7 +200,7 @@ fn main() {
             (Some(b), Some(f)) => match (RunRecord::parse(b), RunRecord::parse(f)) {
                 (Ok(b), Ok(f)) => {
                     info_lines.insert(name.clone(), info_line(&b, &f));
-                    let d = diff_records(&b, &f, &cfg);
+                    let d = diff_records(&b, &f);
                     pairs.push((name.clone(), b, f));
                     d
                 }
@@ -279,11 +273,38 @@ fn main() {
     }
     print!("{human}");
     report::save_artifact("trace_diff_report.txt", &human);
+    let triage_json = Json::obj([
+        ("regressed", Json::Bool(regressions > 0)),
+        ("top", Json::U64(top as u64)),
+        (
+            "entries",
+            Json::Arr(
+                triage
+                    .iter()
+                    .map(|(n, e)| triage_entry_json(n, e))
+                    .collect(),
+            ),
+        ),
+        (
+            "worst",
+            match triage.first() {
+                Some((name, e)) => Json::obj([
+                    ("record", Json::str(name)),
+                    ("path", Json::str(&e.path)),
+                    (
+                        "rerun",
+                        Json::Str(format!("scripts/perf_gate.sh --bin {name}")),
+                    ),
+                    ("bisect", Json::Str(bisect_hint(name))),
+                ]),
+                None => Json::Null,
+            },
+        ),
+    ]);
     report::save_json(
         "trace_diff_report.json",
         &Json::obj([
-            ("schema", Json::str("mwc-trace-diff/v1")),
-            ("tolerance_rel", Json::F64(rel)),
+            ("schema", Json::str("mwc-trace-diff/v2")),
             ("regressions", Json::U64(regressions as u64)),
             ("config_errors", Json::U64(config_errors as u64)),
             (
@@ -299,39 +320,7 @@ fn main() {
                         .collect(),
                 ),
             ),
-        ]),
-    );
-    let worst = triage.first();
-    report::save_json(
-        "triage.json",
-        &Json::obj([
-            ("schema", Json::str("mwc-triage/v1")),
-            ("regressed", Json::Bool(regressions > 0)),
-            ("top", Json::U64(top as u64)),
-            (
-                "entries",
-                Json::Arr(
-                    triage
-                        .iter()
-                        .map(|(n, e)| triage_entry_json(n, e))
-                        .collect(),
-                ),
-            ),
-            (
-                "worst",
-                match worst {
-                    Some((name, e)) => Json::obj([
-                        ("record", Json::str(name)),
-                        ("path", Json::str(&e.path)),
-                        (
-                            "rerun",
-                            Json::Str(format!("scripts/perf_gate.sh --bin {name}")),
-                        ),
-                        ("bisect", Json::Str(bisect_hint(name))),
-                    ]),
-                    None => Json::Null,
-                },
-            ),
+            ("triage", triage_json),
         ]),
     );
 

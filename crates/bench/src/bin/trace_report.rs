@@ -5,15 +5,18 @@
 //! k-source BFS) on small seeded graphs inside a [`RunRecorder`]'s
 //! in-memory trace session, then renders:
 //!
-//! 1. an indented text flamegraph of simulated rounds per span,
-//! 2. a table of every bound audit (measured vs. theoretical rounds),
-//! 3. `results/trace_manifest.json` — the machine-readable span forest.
+//! 1. an indented text flamegraph of simulated rounds per span and
+//! 2. a table of every bound audit (measured vs. theoretical rounds)
 //!
-//! Everything is seeded and no wall-clock data enters the trace, so two
-//! runs produce a **byte-identical** manifest; CI diffs them to guard the
-//! determinism contract.
+//! on stdout, and writes its run record and the Chrome trace export.
 //!
-//! Usage: `trace_report [n]` (default 96).
+//! Everything is seeded and no wall-clock data enters the flamegraph or
+//! the audit table, so two runs print **byte-identical** stdout;
+//! `export_determinism.rs` compares them to guard the determinism
+//! contract.
+//!
+//! Usage: `trace_report [n]` (default 96, at least 8: the k-source BFS
+//! takes every `n/8`-th node as a source).
 
 use mwc_bench::report::{self, RunRecorder};
 use mwc_bench::Table;
@@ -26,13 +29,13 @@ use mwc_graph::seq::Direction;
 use mwc_graph::{NodeId, Orientation};
 
 /// Count allocator traffic so spans carry `alloc_bytes`/`alloc_count` —
-/// the manifest and flamegraph ignore them (byte-determinism contract),
-/// but the run record and the Chrome trace export surface them.
+/// the flamegraph ignores them, but the run record and the Chrome trace
+/// export surface them.
 #[global_allocator]
 static ALLOC: mwc_trace::profile::CountingAlloc = mwc_trace::profile::CountingAlloc;
 
 fn main() {
-    report::init_cli(&["n"], &[]);
+    report::init_cli(&["n>=8"], &[]);
     report::init_profiling();
     let n: usize = report::arg(1, 96);
     let params = Params::lean().with_seed(42);
@@ -104,7 +107,6 @@ fn main() {
     println!();
     t.print();
 
-    report::save_json("trace_manifest.json", &data.to_manifest());
     report::save_chrome_trace(&data, "trace_report");
     report::save_artifact(
         &format!("{}/trace_report.json", report::RUN_RECORD_DIR),

@@ -6,7 +6,7 @@
 //! exactly one code path — and all JSON goes through
 //! [`mwc_trace::json::Json`], the workspace's single deterministic
 //! escaper/formatter (byte-identical output across same-seed runs is a CI
-//! guarantee for `trace_manifest.json`).
+//! guarantee for the run records).
 
 pub use mwc_trace::json::Json;
 
@@ -49,9 +49,10 @@ pub fn arg_str(idx: usize, default: &str) -> String {
 /// Checks a bin's command line before it does any work.
 ///
 /// `positionals` names the bin's positional arguments in order. A plain
-/// name is an unsigned integer, a name written `a|b|c` accepts exactly
-/// one of those words, and a name ending in `:path` or `:number` takes
-/// any text or any number. `flags` names the bin's `--` flags: `--name`
+/// name is an unsigned integer, a name written `name>=N` an integer of at
+/// least `N` (the smallest size the bin's generators accept), a name
+/// written `a|b|c` accepts exactly one of those words, and a name ending
+/// in `:path` takes any text. `flags` names the bin's `--` flags: `--name`
 /// is a switch, `--name=N` takes a positive integer, and any other
 /// `--name=VALUE` takes non-empty text. A declared `--jobs=N` is
 /// installed process-wide and wins over `MWC_JOBS` (the worker count is
@@ -60,8 +61,9 @@ pub fn arg_str(idx: usize, default: &str) -> String {
 /// [`arg`], [`arg_str`] and [`flag`].
 ///
 /// An undeclared `--` flag, a flag value of the wrong kind, a positional
-/// that does not parse, or one positional too many prints one usage line
-/// naming the bad argument and exits with status 2.
+/// that does not parse or is below its minimum, or one positional too
+/// many prints one usage line naming the bad argument and exits with
+/// status 2.
 pub fn init_cli(positionals: &[&str], flags: &[&str]) {
     let args: Vec<String> = std::env::args().collect();
     let bin = args.first().map_or("bench", |a| {
@@ -142,16 +144,21 @@ fn check_cli(
         let Some(spec) = next.next() else {
             return Err(format!("unexpected argument '{a}'"));
         };
-        let (ok, want) = match spec.split_once(':') {
-            Some((_, "path")) => (true, String::new()),
-            Some((name, _)) => (a.parse::<f64>().is_ok(), format!("{name} must be a number")),
-            None if spec.contains('|') => {
-                (spec.split('|').any(|w| w == a), format!("one of {spec}"))
-            }
-            None => (
-                a.parse::<u64>().is_ok(),
-                format!("{spec} must be an unsigned integer"),
-            ),
+        let (ok, want) = if spec.ends_with(":path") {
+            (true, String::new())
+        } else if spec.contains('|') {
+            (spec.split('|').any(|w| w == a), format!("one of {spec}"))
+        } else {
+            let (name, min) = match spec.split_once(">=") {
+                Some((name, min)) => (name, min.parse().expect("a spec minimum is an integer")),
+                None => (*spec, 0),
+            };
+            let want = if min == 0 {
+                format!("{name} must be an unsigned integer")
+            } else {
+                format!("{name} must be an integer >= {min}")
+            };
+            (a.parse::<u64>().is_ok_and(|v| v >= min), want)
         };
         if !ok {
             return Err(format!("bad argument '{a}' ({want})"));
@@ -356,7 +363,7 @@ mod tests {
     }
 
     /// `trace_diff`'s command line.
-    const DIFF_POS: &[&str] = &["fresh_dir:path", "base_dir:path", "rel_tolerance:number"];
+    const DIFF_POS: &[&str] = &["fresh_dir:path", "base_dir:path"];
     const DIFF_FLAGS: &[&str] = &["--only=NAME", "--top=N", "--verbose"];
 
     #[test]
@@ -370,8 +377,14 @@ mod tests {
         );
         let algo = ["directed|girth", "max_n"];
         assert_eq!(check_cli(&args(&["girth", "256"]), &algo, &[]), Ok(None));
+        assert_eq!(check_cli(&args(&["8"]), &["n>=8"], &[]), Ok(None));
+        assert_eq!(check_cli(&args(&["96"]), &["n>=8"], &[]), Ok(None));
+        assert_eq!(
+            check_cli(&args(&["6", "0"]), &["n>=6", "seeds"], &[]),
+            Ok(None)
+        );
         for a in [
-            &["fresh", "results/baselines", "0.05"][..],
+            &["fresh", "results/baselines"][..],
             &[
                 "--only=table1_girth",
                 "fresh",
@@ -403,8 +416,12 @@ mod tests {
             (&["--top"][..], DIFF_POS, DIFF_FLAGS, "'--top'"),
             (&["--only="][..], DIFF_POS, DIFF_FLAGS, "'--only='"),
             (&["--verbose=1"][..], DIFF_POS, DIFF_FLAGS, "'--verbose=1'"),
-            (&["a", "b", "tight"][..], DIFF_POS, DIFF_FLAGS, "'tight'"),
-            (&["a", "b", "0", "c"][..], DIFF_POS, DIFF_FLAGS, "'c'"),
+            (&["a", "b", "0.05"][..], DIFF_POS, DIFF_FLAGS, "'0.05'"),
+            (&["7"][..], &["n>=8"][..], &[][..], "'7'"),
+            (&["0"][..], &["n>=8"][..], &[][..], "'0'"),
+            (&["2"][..], &["n>=3"][..], &[][..], "'2'"),
+            (&["5", "3"][..], &["n>=6", "seeds"][..], &[][..], "'5'"),
+            (&["-8"][..], &["n>=8"][..], &[][..], "'-8'"),
         ] {
             let err = check_cli(&args(a), positionals, flags).expect_err("must be rejected");
             assert!(err.contains(named), "{a:?}: {err}");

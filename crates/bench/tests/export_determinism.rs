@@ -10,10 +10,13 @@
 //!    `wall_ns`/`wall_ms`/`peak_alloc_bytes` zeroed (same alloc
 //!    determinism pin), and its span-level wall/alloc totals reconcile
 //!    with the export's per-event args.
-//! 3. `trace_diff` triage: an injected per-span regression makes the gate
-//!    exit nonzero with that span ranked first in `results/triage.json`,
-//!    complete with the `perf_gate.sh --bin` rerun and `mwc_replay
-//!    bisect` hints; `--verbose` prints the ranking even on success;
+//! 3. `trace_report`'s stdout — the span flamegraph and every bound-audit
+//!    row — is byte-identical across processes.
+//! 4. `trace_diff` triage: an injected per-span regression makes the gate
+//!    exit nonzero with that span ranked first in the `triage` member of
+//!    `results/trace_diff_report.json`, complete with the
+//!    `perf_gate.sh --bin` rerun and `mwc_replay bisect` hints;
+//!    `--verbose` prints the ranking even on success;
 //!    `--only` restricts pairing so single-bin gating sees no spurious
 //!    unpaired-baseline errors.
 
@@ -28,9 +31,9 @@ fn scratch(case: &str) -> PathBuf {
     dir
 }
 
-/// Runs `trace_report` in a scratch cwd; returns the Chrome trace export
-/// and the rendered run record.
-fn run_trace_report(case: &str) -> (String, String) {
+/// Runs `trace_report` in a scratch cwd; returns the Chrome trace export,
+/// the rendered run record and stdout.
+fn run_trace_report(case: &str) -> (String, String, String) {
     let dir = scratch(case);
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_trace_report"))
         .arg("96")
@@ -45,7 +48,7 @@ fn run_trace_report(case: &str) -> (String, String) {
     let trace = std::fs::read_to_string(dir.join("results/trace.perfetto.json")).unwrap();
     let record =
         std::fs::read_to_string(dir.join("results/run_records/trace_report.json")).unwrap();
-    (trace, record)
+    (trace, record, String::from_utf8(out.stdout).unwrap())
 }
 
 /// Drops the wall-clock track (pid 2 — timestamps are host wall-clock)
@@ -128,8 +131,8 @@ fn sum_arg(text: &str, arg: &str) -> u64 {
 
 #[test]
 fn chrome_export_and_v6_record_are_deterministic_across_processes() {
-    let (trace_a, rec_a) = run_trace_report("run-a");
-    let (trace_b, rec_b) = run_trace_report("run-b");
+    let (trace_a, rec_a, stdout_a) = run_trace_report("run-a");
+    let (trace_b, rec_b, stdout_b) = run_trace_report("run-b");
 
     let summary = validate_chrome_trace(&trace_a).expect("export validates");
     assert!(summary.spans > 0, "export should carry spans");
@@ -149,6 +152,12 @@ fn chrome_export_and_v6_record_are_deterministic_across_processes() {
         normalize_record(&rec_b),
         "v6 record differs across processes beyond wall/peak fields — \
          allocation profiling lost determinism"
+    );
+    assert!(stdout_a.contains("== span flamegraph"), "{stdout_a}");
+    assert!(stdout_a.contains("bound audits"), "{stdout_a}");
+    assert_eq!(
+        stdout_a, stdout_b,
+        "flamegraph or audit table differs across processes"
     );
 
     // The record really is v6 with live profile data.
@@ -185,13 +194,13 @@ fn probe_record(extra: u64) -> String {
 
 /// Writes `base`/`fresh` record dirs under a scratch cwd and runs
 /// `trace_diff` there with `extra_args`; returns (exit code, stdout,
-/// triage.json text).
+/// the report's `triage` member).
 fn run_trace_diff(
     dir: &Path,
     base: &[(&str, &str)],
     fresh: &[(&str, &str)],
     extra_args: &[&str],
-) -> (i32, String, String) {
+) -> (i32, String, Json) {
     for (sub, records) in [("base", base), ("fresh", fresh)] {
         let d = dir.join(sub);
         std::fs::create_dir_all(&d).unwrap();
@@ -206,18 +215,21 @@ fn run_trace_diff(
         .current_dir(dir)
         .output()
         .expect("trace_diff runs");
-    let triage = std::fs::read_to_string(dir.join("results/triage.json")).unwrap_or_default();
+    let report = std::fs::read_to_string(dir.join("results/trace_diff_report.json"))
+        .ok()
+        .and_then(|text| Json::parse(&text).ok());
+    let triage = report.and_then(|doc| doc.get("triage").cloned());
     (
         out.status.code().expect("exit code"),
         String::from_utf8_lossy(&out.stdout).into_owned(),
-        triage,
+        triage.unwrap_or(Json::Null),
     )
 }
 
 #[test]
 fn injected_span_regression_is_ranked_first_in_triage() {
     let dir = scratch("triage-regression");
-    let (code, stdout, triage) = run_trace_diff(
+    let (code, stdout, doc) = run_trace_diff(
         &dir,
         &[("probe", &probe_record(0))],
         &[("probe", &probe_record(20))],
@@ -231,11 +243,6 @@ fn injected_span_regression_is_ranked_first_in_triage() {
     assert!(stdout.contains("scripts/perf_gate.sh --bin probe"));
     assert!(stdout.contains("mwc_replay -- bisect"));
 
-    let doc = Json::parse(&triage).expect("triage.json parses");
-    assert_eq!(
-        doc.get("schema").and_then(Json::as_str),
-        Some("mwc-triage/v1")
-    );
     assert_eq!(doc.get("regressed"), Some(&Json::Bool(true)));
     let Some(Json::Arr(entries)) = doc.get("entries") else {
         panic!("triage entries missing")
@@ -258,7 +265,8 @@ fn injected_span_regression_is_ranked_first_in_triage() {
 #[test]
 fn verbose_prints_triage_even_without_regression() {
     // Fresh is an *improvement*: the gate passes, but the movement still
-    // ranks — visible only with --verbose, while triage.json always lands.
+    // ranks — visible only with --verbose, while the report's triage
+    // member is always filled.
     let dir = scratch("triage-verbose");
     let (code, stdout, triage) = run_trace_diff(
         &dir,
@@ -281,16 +289,15 @@ fn verbose_prints_triage_even_without_regression() {
         !stdout.contains("== triage"),
         "no triage section without --verbose on success:\n{stdout}"
     );
-    // The artifact is written either way, with the same ranking.
+    // The member is filled either way, with the same ranking.
     assert_eq!(triage, triage_quiet);
-    let doc = Json::parse(&triage_quiet).unwrap();
-    assert_eq!(doc.get("regressed"), Some(&Json::Bool(false)));
-    let Some(Json::Arr(entries)) = doc.get("entries") else {
+    assert_eq!(triage_quiet.get("regressed"), Some(&Json::Bool(false)));
+    let Some(Json::Arr(entries)) = triage_quiet.get("entries") else {
         panic!("triage entries missing")
     };
     assert!(
         !entries.is_empty(),
-        "improvement still ranks in triage.json"
+        "improvement still ranks in the report's triage member"
     );
 }
 

@@ -39,7 +39,6 @@ fn run_bin(bin: &str, arg: &str, record: &str, jobs: &str, scratch: &Path) -> (S
     let out = std::process::Command::new(bin)
         .arg(arg)
         .env("MWC_JOBS", jobs)
-        .env("MWC_TRACE", "1")
         .current_dir(scratch)
         .output()
         .expect("bench bin runs");
@@ -139,18 +138,27 @@ fn jobs_flag_overrides_env_and_preserves_positional_args() {
 
 #[test]
 fn bad_command_lines_exit_2_and_write_no_record() {
-    // The removed `--shards` flag, a non-numeric `--jobs` and a malformed
-    // positional size are each refused at start-up with a usage line
+    // The removed `--shards` flag, a non-numeric `--jobs`, a malformed
+    // positional size and a size below the smallest one a bin's
+    // generators accept are each refused at start-up with a usage line
     // naming the argument, before any sweep runs.
-    for (case, args) in [
-        ("shards", &["--shards=2", "256"][..]),
-        ("jobs", &["--jobs=x", "256"][..]),
-        ("positional", &["1O24"][..]),
+    let girth = (env!("CARGO_BIN_EXE_table1_girth"), "table1_girth");
+    let report = (env!("CARGO_BIN_EXE_trace_report"), "trace_report");
+    let ablation = (env!("CARGO_BIN_EXE_ablation"), "ablation");
+    let quality = (env!("CARGO_BIN_EXE_approx_quality"), "approx_quality");
+    for (case, (bin, name), args) in [
+        ("shards", girth, &["--shards=2", "256"][..]),
+        ("jobs", girth, &["--jobs=x", "256"][..]),
+        ("positional", girth, &["1O24"][..]),
+        ("report-7", report, &["7"][..]),
+        ("report-0", report, &["0"][..]),
+        ("ablation-2", ablation, &["2"][..]),
+        ("quality-5", quality, &["5", "3"][..]),
     ] {
         let dir = scratch(&format!("bad-{case}"));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_table1_girth"))
+        let out = std::process::Command::new(bin)
             .args(args)
             .current_dir(&dir)
             .output()
@@ -159,7 +167,7 @@ fn bad_command_lines_exit_2_and_write_no_record() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         let bad = args[0];
         assert!(
-            stderr.contains(bad) && stderr.contains("usage: table1_girth"),
+            stderr.contains(&format!("'{bad}'")) && stderr.contains(&format!("usage: {name}")),
             "{case}: usage error must name {bad}: {stderr}"
         );
         assert_eq!(stderr.lines().count(), 1, "{case}: one line: {stderr}");

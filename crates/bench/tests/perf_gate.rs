@@ -96,6 +96,7 @@ fn injected_one_round_regression_fails_with_culprit_span() {
     // Machine-readable report carries the same verdict.
     let json = std::fs::read_to_string(root.join("results/trace_diff_report.json")).unwrap();
     assert!(json.contains("\"status\": \"REGRESSED\""), "{json}");
+    assert!(json.contains("\"schema\": \"mwc-trace-diff/v2\""), "{json}");
 }
 
 #[test]
@@ -164,7 +165,7 @@ fn utility_bins_refuse_bad_command_lines() {
     for (bin, name, args, bad) in [
         (diff, "trace_diff", &[fresh, base, "--bogus"][..], "--bogus"),
         (diff, "trace_diff", &[fresh, base, "--top=x"][..], "--top=x"),
-        (diff, "trace_diff", &[fresh, base, "tight"][..], "tight"),
+        (diff, "trace_diff", &[fresh, base, "0.05"][..], "0.05"),
         (
             metrics,
             "mwc_metrics",

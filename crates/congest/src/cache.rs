@@ -38,9 +38,8 @@
 //! ([`crate::events::enabled`]), since a replay emits no message events.
 //! [`CacheStats::flood_replays`] counts the replays.
 //!
-//! Set `MWC_NO_CACHE=1` (or use [`PhaseCache::disable_for_thread`] in
-//! tests, which is race-free under parallel test threads) to force every
-//! call site down the uncached path, flood memo included; results must be
+//! [`PhaseCache::disable_for_thread`] forces every call site on the
+//! thread down the uncached path, flood memo included; results must be
 //! byte-identical either way — only the round accounting of repeated tree
 //! builds differs.
 //!
@@ -146,14 +145,10 @@ fn mix(state: &mut u64, word: u64) {
     *state = mwc_rng::splitmix64(&mut counter);
 }
 
-/// True when caching is off for this call: either the `MWC_NO_CACHE`
-/// environment variable is set (to anything but `0`/empty) or a
+/// True when caching is off for this call: a
 /// [`PhaseCache::disable_for_thread`] guard is live on this thread.
 pub fn cache_disabled() -> bool {
-    if DISABLED.with(Cell::get) {
-        return true;
-    }
-    std::env::var_os("MWC_NO_CACHE").is_some_and(|v| !v.is_empty() && v != "0")
+    DISABLED.with(Cell::get)
 }
 
 fn is_active() -> bool {
@@ -181,8 +176,8 @@ impl PhaseCache {
         })
     }
 
-    /// Disables caching on this thread until the guard drops. Unlike
-    /// mutating `MWC_NO_CACHE`, this is safe under parallel test threads.
+    /// Disables caching on this thread until the guard drops; other
+    /// threads keep their caches, so parallel tests do not interfere.
     pub fn disable_for_thread() -> CacheDisableGuard {
         let prev = DISABLED.with(|d| d.replace(true));
         CacheDisableGuard { prev }

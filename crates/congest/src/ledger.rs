@@ -234,7 +234,7 @@ impl Ledger {
 
     /// The `k` most-loaded directed links across all absorbed phases, as
     /// `((from, to), words)` heaviest first. The order is a total order —
-    /// load descending, then `(from, to)` ascending — so manifests and
+    /// load descending, then `(from, to)` ascending — so run records and
     /// diffs can never flake on ties (see [`crate::top_links`]).
     pub fn hot_links(&self, k: usize) -> Vec<((NodeId, NodeId), u64)> {
         crate::profile::top_links(&self.link_ends, &self.per_link_words, k)

@@ -2,10 +2,8 @@
 //! **byte-identical** results with and without the cache — the cache may
 //! only change *round accounting*, never distances, weights, or
 //! witnesses. A flood the flood memo replays is charged in full, so it
-//! changes nothing at all. The uncached runs here stand in for
-//! `MWC_NO_CACHE=1` (the env escape hatch reads through the same
-//! thread-local disable flag, set here via a guard so parallel tests
-//! don't race on the environment).
+//! changes nothing at all. The uncached runs disable the cache through
+//! its per-thread guard, so parallel tests do not interfere.
 
 use mwc_congest::{Ledger, PhaseCache};
 use mwc_core::exact::exact_mwc;

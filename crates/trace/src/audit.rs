@@ -4,16 +4,13 @@
 //! of the instance parameters `(n, D, h, k, ε)` and reports the rounds it
 //! actually used. The auditor computes the measured-vs-bound ratio, records
 //! it into the active trace (if any), and — in debug builds — fails an
-//! assertion when the measurement exceeds the bound by more than the
-//! `MWC_TRACE_BOUND_FACTOR` slack factor (default `1.0`).
+//! assertion when the measurement exceeds the bound.
 //!
 //! The closures encode *concrete* envelopes: the paper's asymptotic bounds
 //! with explicit constants calibrated against the simulator (see
 //! `docs/observability.md` for the full table). A regression that blows a
 //! constant — an extra BFS sweep, a dropped pipeline — therefore fails every
 //! debug test run, not just a dedicated benchmark.
-
-use crate::json::Json;
 
 /// The instance parameters a round bound may depend on.
 ///
@@ -69,7 +66,7 @@ impl BoundInputs {
 }
 
 /// One recorded audit: an algorithm's measured rounds against its bound.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AuditRecord {
     /// Registered algorithm name, e.g. `"congest/multibfs"`.
     pub algorithm: String,
@@ -83,58 +80,15 @@ pub struct AuditRecord {
     pub inputs: BoundInputs,
 }
 
-impl AuditRecord {
-    pub(crate) fn to_json(&self) -> Json {
-        Json::obj([
-            ("algorithm", Json::str(&self.algorithm)),
-            ("measured_rounds", Json::U64(self.measured_rounds)),
-            ("bound_rounds", Json::F64(self.bound_rounds)),
-            ("ratio", Json::F64(self.ratio)),
-            ("n", Json::U64(self.inputs.n as u64)),
-            ("diameter", Json::U64(self.inputs.diameter)),
-            ("h", Json::U64(self.inputs.h)),
-            ("k", Json::U64(self.inputs.k)),
-            ("eps", Json::F64(self.inputs.eps)),
-        ])
-    }
-
-    pub(crate) fn to_event_json(&self) -> Json {
-        match self.to_json() {
-            Json::Obj(mut pairs) => {
-                pairs.insert(0, ("ev".to_owned(), Json::str("audit")));
-                Json::Obj(pairs)
-            }
-            other => other,
-        }
-    }
-}
-
-/// The configured slack factor from `MWC_TRACE_BOUND_FACTOR` (default 1.0).
-///
-/// Read once per process; set it to a large value to disarm the debug
-/// assertion when deliberately running outside an algorithm's parameter
-/// regime.
-pub fn bound_factor() -> f64 {
-    use std::sync::OnceLock;
-    static FACTOR: OnceLock<f64> = OnceLock::new();
-    *FACTOR.get_or_init(|| {
-        std::env::var("MWC_TRACE_BOUND_FACTOR")
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .filter(|f| f.is_finite() && *f > 0.0)
-            .unwrap_or(1.0)
-    })
-}
-
 /// Audits a finished run against its registered bound.
 ///
 /// Evaluates `bound` on `inputs`, records the [`AuditRecord`] into the
 /// active trace, and returns it. In debug builds, asserts
-/// `measured ≤ bound × MWC_TRACE_BOUND_FACTOR`.
+/// `measured ≤ bound` (the bound clamped to ≥ 1).
 ///
 /// # Panics
 ///
-/// Debug builds panic when the measurement exceeds the slacked bound —
+/// Debug builds panic when the measurement exceeds the bound —
 /// that is the point: every debug test run doubles as a regression check
 /// on the paper's round bounds.
 pub fn check_bound(
@@ -153,11 +107,10 @@ pub fn check_bound(
         inputs,
     };
     crate::record_audit(record.clone());
-    let factor = bound_factor();
     debug_assert!(
-        measured_rounds as f64 <= bound_rounds.max(1.0) * factor,
+        measured_rounds as f64 <= bound_rounds.max(1.0),
         "bound audit failed for {algorithm}: measured {measured_rounds} rounds > \
-         {bound_rounds:.0} × factor {factor} on {inputs:?}"
+         {bound_rounds:.0} on {inputs:?}"
     );
     record
 }
@@ -177,7 +130,6 @@ mod tests {
         let data = session.finish();
         assert_eq!(data.orphan_audits.len(), 1);
         assert_eq!(data.all_audits().len(), 1);
-        assert!(data.events[0].contains("\"ev\":\"audit\""));
     }
 
     #[test]

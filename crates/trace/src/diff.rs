@@ -2,21 +2,20 @@
 //! gate's core.
 //!
 //! [`diff_records`] compares a fresh record against a committed baseline
-//! span-by-span, congestion-summary-by-summary, and audit-by-audit, under
-//! per-metric tolerances ([`DiffConfig`]). The result is both
-//! machine-readable ([`RunDiff::to_json`]) and human-readable
-//! ([`RunDiff::render`] names the culprit span and metric); `trace_diff`
-//! exits nonzero iff [`RunDiff::has_regression`].
+//! span-by-span, congestion-summary-by-summary, and audit-by-audit,
+//! exactly: same-seed runs are byte-deterministic, so any delta is a real
+//! change. The result is both machine-readable ([`RunDiff::to_json`]) and
+//! human-readable ([`RunDiff::render`] names the culprit span and
+//! metric); `trace_diff` exits nonzero iff [`RunDiff::has_regression`].
 //!
 //! Semantics:
 //!
 //! - Two records are **incomparable** when their names, schemas, or
 //!   parameters differ — that is a configuration error, not a perf
 //!   verdict, and gets its own exit code.
-//! - A *regression* is a metric exceeding baseline by more than the
-//!   tolerance, a span/summary/audit that disappeared, or a new one that
-//!   appeared (structure drift silently invalidates the comparison, so it
-//!   fails loudly).
+//! - A *regression* is a metric exceeding baseline, a span/summary/audit
+//!   that disappeared, or a new one that appeared (structure drift
+//!   silently invalidates the comparison, so it fails loudly).
 //! - *Improvements* (metric below baseline) are reported but never fail
 //!   the gate; refresh the baseline to lock them in.
 
@@ -25,66 +24,16 @@ use crate::record::RunRecord;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Tolerance for one metric family: a fresh value `f` against baseline
-/// `b` regresses when `f > b + max(abs, b·rel)`.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct Tolerance {
-    /// Allowed relative increase (0.05 = +5%).
-    pub rel: f64,
-    /// Allowed absolute increase.
-    pub abs: f64,
-}
-
-impl Tolerance {
-    /// A tolerance allowing a relative increase only.
-    pub fn rel(rel: f64) -> Tolerance {
-        Tolerance { rel, abs: 0.0 }
-    }
-
-    fn allows(&self, base: f64, fresh: f64) -> bool {
-        fresh <= base + self.abs.max(base.abs() * self.rel)
-    }
-}
-
-/// Per-metric tolerances. The default is **zero tolerance everywhere**:
-/// same-seed runs are byte-deterministic, so any delta is a real change.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct DiffConfig {
-    /// Tolerance on round counts (totals, spans, congestion summaries).
-    pub rounds: Tolerance,
-    /// Tolerance on word counts.
-    pub words: Tolerance,
-    /// Tolerance on message counts.
-    pub messages: Tolerance,
-    /// Tolerance on audit `max_ratio` margins.
-    pub ratio: Tolerance,
-    /// Tolerance on allocation counters (`alloc_bytes` / `alloc_count`).
-    /// Only consulted when the alloc gate applies — both records ran
-    /// with `jobs ≤ 1` and the baseline carries nonzero alloc data.
-    pub allocs: Tolerance,
-}
-
-impl DiffConfig {
-    /// A uniform relative tolerance across all metric families.
-    pub fn uniform_rel(rel: f64) -> DiffConfig {
-        DiffConfig {
-            rounds: Tolerance::rel(rel),
-            words: Tolerance::rel(rel),
-            messages: Tolerance::rel(rel),
-            ratio: Tolerance::rel(rel),
-            allocs: Tolerance::rel(rel),
-        }
-    }
-}
-
 /// What happened to one compared metric or structural key.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DiffStatus {
-    /// Fresh exceeds baseline beyond tolerance.
+    /// Fresh exceeds baseline (or, for a cache-effectiveness counter,
+    /// collapsed to zero).
     Regressed,
-    /// Fresh is below baseline (within no tolerance — strictly better).
+    /// Fresh is strictly better than baseline.
     Improved,
-    /// Fresh changed within tolerance (only emitted when tolerance > 0).
+    /// A cache-effectiveness counter fell but stayed nonzero: reported,
+    /// never failing the gate.
     WithinTolerance,
     /// Key present in the baseline but missing from the fresh record.
     Removed,
@@ -213,7 +162,7 @@ impl RunDiff {
             return out;
         }
         if self.entries.is_empty() {
-            let _ = writeln!(out, "no deltas (records identical under tolerances)");
+            let _ = writeln!(out, "no deltas (records identical)");
             return out;
         }
         for e in &self.entries {
@@ -245,30 +194,27 @@ impl RunDiff {
     }
 }
 
-struct Differ<'c> {
-    cfg: &'c DiffConfig,
+struct Differ {
     entries: Vec<DiffEntry>,
 }
 
-impl Differ<'_> {
+impl Differ {
+    /// A cost metric: any increase regresses, any decrease improves.
     fn metric(
         &mut self,
         section: &'static str,
         key: &str,
         metric: &'static str,
-        tol: Tolerance,
         base: f64,
         fresh: f64,
     ) {
         if base == fresh {
             return;
         }
-        let status = if !tol.allows(base, fresh) {
+        let status = if fresh > base {
             DiffStatus::Regressed
-        } else if fresh < base {
-            DiffStatus::Improved
         } else {
-            DiffStatus::WithinTolerance
+            DiffStatus::Improved
         };
         self.entries.push(DiffEntry {
             section,
@@ -337,35 +283,14 @@ impl Differ<'_> {
         base: (u64, u64, u64),
         fresh: (u64, u64, u64),
     ) {
-        self.metric(
-            section,
-            key,
-            "rounds",
-            self.cfg.rounds,
-            base.0 as f64,
-            fresh.0 as f64,
-        );
-        self.metric(
-            section,
-            key,
-            "words",
-            self.cfg.words,
-            base.1 as f64,
-            fresh.1 as f64,
-        );
-        self.metric(
-            section,
-            key,
-            "messages",
-            self.cfg.messages,
-            base.2 as f64,
-            fresh.2 as f64,
-        );
+        self.metric(section, key, "rounds", base.0 as f64, fresh.0 as f64);
+        self.metric(section, key, "words", base.1 as f64, fresh.1 as f64);
+        self.metric(section, key, "messages", base.2 as f64, fresh.2 as f64);
     }
 }
 
 /// Compares `fresh` against `base`. See the module docs for semantics.
-pub fn diff_records(base: &RunRecord, fresh: &RunRecord, cfg: &DiffConfig) -> RunDiff {
+pub fn diff_records(base: &RunRecord, fresh: &RunRecord) -> RunDiff {
     if base.name != fresh.name {
         return RunDiff {
             name: format!("{} vs {}", base.name, fresh.name),
@@ -389,7 +314,6 @@ pub fn diff_records(base: &RunRecord, fresh: &RunRecord, cfg: &DiffConfig) -> Ru
     }
 
     let mut d = Differ {
-        cfg,
         entries: Vec::new(),
     };
 
@@ -422,7 +346,6 @@ pub fn diff_records(base: &RunRecord, fresh: &RunRecord, cfg: &DiffConfig) -> Ru
             "total",
             "",
             "alloc_bytes",
-            cfg.allocs,
             base.alloc_bytes as f64,
             fresh.alloc_bytes as f64,
         );
@@ -430,7 +353,6 @@ pub fn diff_records(base: &RunRecord, fresh: &RunRecord, cfg: &DiffConfig) -> Ru
             "total",
             "",
             "alloc_count",
-            cfg.allocs,
             base.alloc_count as f64,
             fresh.alloc_count as f64,
         );
@@ -446,7 +368,6 @@ pub fn diff_records(base: &RunRecord, fresh: &RunRecord, cfg: &DiffConfig) -> Ru
         "cache",
         "",
         "tree_misses",
-        cfg.rounds,
         bc.tree_misses as f64,
         fc.tree_misses as f64,
     );
@@ -461,7 +382,6 @@ pub fn diff_records(base: &RunRecord, fresh: &RunRecord, cfg: &DiffConfig) -> Ru
         "cache",
         "",
         "latency_misses",
-        cfg.rounds,
         bc.latency_misses as f64,
         fc.latency_misses as f64,
     );
@@ -491,7 +411,6 @@ pub fn diff_records(base: &RunRecord, fresh: &RunRecord, cfg: &DiffConfig) -> Ru
                         "span",
                         path,
                         "alloc_bytes",
-                        cfg.allocs,
                         b.alloc_bytes as f64,
                         f.alloc_bytes as f64,
                     );
@@ -499,19 +418,11 @@ pub fn diff_records(base: &RunRecord, fresh: &RunRecord, cfg: &DiffConfig) -> Ru
                         "span",
                         path,
                         "alloc_count",
-                        cfg.allocs,
                         b.alloc_count as f64,
                         f.alloc_count as f64,
                     );
                 }
-                d.metric(
-                    "span",
-                    path,
-                    "count",
-                    Tolerance::default(),
-                    b.count as f64,
-                    f.count as f64,
-                );
+                d.metric("span", path, "count", b.count as f64, f.count as f64);
             }
             None => d.structural("span", path, DiffStatus::Removed, b.rounds as f64),
         }
@@ -553,7 +464,6 @@ pub fn diff_records(base: &RunRecord, fresh: &RunRecord, cfg: &DiffConfig) -> Ru
                     "congestion",
                     label,
                     "max_words_in_round",
-                    cfg.words,
                     b.max_words_in_round as f64,
                     f.max_words_in_round as f64,
                 );
@@ -561,7 +471,6 @@ pub fn diff_records(base: &RunRecord, fresh: &RunRecord, cfg: &DiffConfig) -> Ru
                     "congestion",
                     label,
                     "queue_high_water",
-                    cfg.words,
                     b.queue_high_water as f64,
                     f.queue_high_water as f64,
                 );
@@ -569,7 +478,6 @@ pub fn diff_records(base: &RunRecord, fresh: &RunRecord, cfg: &DiffConfig) -> Ru
                     "congestion",
                     label,
                     "shard_imbalance_milli",
-                    cfg.words,
                     b.shard_imbalance_milli as f64,
                     f.shard_imbalance_milli as f64,
                 );
@@ -595,7 +503,6 @@ pub fn diff_records(base: &RunRecord, fresh: &RunRecord, cfg: &DiffConfig) -> Ru
                             "congestion",
                             &format!("{label}[shard {i}]"),
                             "shard_words",
-                            cfg.words,
                             bw as f64,
                             fw as f64,
                         );
@@ -625,27 +532,12 @@ pub fn diff_records(base: &RunRecord, fresh: &RunRecord, cfg: &DiffConfig) -> Ru
     for (alg, b) in &base_aud {
         match fresh_aud.get(alg) {
             Some(f) => {
-                d.metric(
-                    "audit",
-                    alg,
-                    "max_ratio",
-                    cfg.ratio,
-                    b.max_ratio,
-                    f.max_ratio,
-                );
-                d.metric(
-                    "audit",
-                    alg,
-                    "count",
-                    Tolerance::default(),
-                    b.count as f64,
-                    f.count as f64,
-                );
+                d.metric("audit", alg, "max_ratio", b.max_ratio, f.max_ratio);
+                d.metric("audit", alg, "count", b.count as f64, f.count as f64);
                 d.metric(
                     "audit",
                     alg,
                     "total_measured",
-                    cfg.rounds,
                     b.total_measured as f64,
                     f.total_measured as f64,
                 );
@@ -667,7 +559,8 @@ pub fn diff_records(base: &RunRecord, fresh: &RunRecord, cfg: &DiffConfig) -> Ru
 }
 
 /// One span path's contribution to the divergence between two records —
-/// the unit `trace_diff --top` ranks and `results/triage.json` stores.
+/// the unit `trace_diff --top` ranks and its report's `triage` member
+/// stores.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TriageEntry {
     /// The span path ([`crate::record::PATH_SEP`]-joined).
@@ -833,7 +726,7 @@ mod tests {
 
     #[test]
     fn identical_records_have_no_deltas() {
-        let d = diff_records(&record(), &record(), &DiffConfig::default());
+        let d = diff_records(&record(), &record());
         assert!(!d.has_regression());
         assert!(d.entries.is_empty());
         assert!(d.render().contains("no deltas"));
@@ -844,7 +737,7 @@ mod tests {
         let mut fresh = record();
         fresh.spans[1].rounds += 1;
         fresh.rounds += 1;
-        let d = diff_records(&record(), &fresh, &DiffConfig::default());
+        let d = diff_records(&record(), &fresh);
         assert!(d.has_regression());
         assert_eq!(d.regression_count(), 2); // total + span
         let report = d.render();
@@ -854,22 +747,11 @@ mod tests {
     }
 
     #[test]
-    fn tolerance_downgrades_small_drift() {
-        let mut fresh = record();
-        fresh.rounds = 102; // +2%
-        let d = diff_records(&record(), &fresh, &DiffConfig::uniform_rel(0.05));
-        assert!(!d.has_regression());
-        assert_eq!(d.entries[0].status, DiffStatus::WithinTolerance);
-        let d = diff_records(&record(), &fresh, &DiffConfig::uniform_rel(0.01));
-        assert!(d.has_regression());
-    }
-
-    #[test]
     fn improvements_do_not_fail_the_gate() {
         let mut fresh = record();
         fresh.rounds = 90;
         fresh.spans[0].rounds = 50;
-        let d = diff_records(&record(), &fresh, &DiffConfig::default());
+        let d = diff_records(&record(), &fresh);
         assert!(!d.has_regression());
         assert!(d.entries.iter().all(|e| e.status == DiffStatus::Improved));
     }
@@ -878,7 +760,7 @@ mod tests {
     fn structure_drift_fails_loudly() {
         let mut fresh = record();
         fresh.spans.pop();
-        let d = diff_records(&record(), &fresh, &DiffConfig::default());
+        let d = diff_records(&record(), &fresh);
         assert!(d.has_regression());
         assert!(d.render().contains("REMOVED"), "{}", d.render());
 
@@ -891,7 +773,7 @@ mod tests {
             messages: 1,
             ..SpanMetrics::default()
         });
-        let d = diff_records(&record(), &fresh, &DiffConfig::default());
+        let d = diff_records(&record(), &fresh);
         assert!(d.has_regression());
         assert!(d.render().contains("ADDED"), "{}", d.render());
     }
@@ -900,7 +782,7 @@ mod tests {
     fn param_mismatch_is_incomparable_not_a_pass() {
         let mut fresh = record();
         fresh.params[0].1 = "128".into();
-        let d = diff_records(&record(), &fresh, &DiffConfig::default());
+        let d = diff_records(&record(), &fresh);
         assert!(d.has_regression());
         assert!(d.incomparable.is_some());
         assert!(d.render().contains("INCOMPARABLE"));
@@ -912,7 +794,7 @@ mod tests {
         fresh.rounds_saved = 0;
         fresh.spans[0].rounds_saved = 0;
         fresh.congestion[0].rounds_saved = 0;
-        let d = diff_records(&record(), &fresh, &DiffConfig::default());
+        let d = diff_records(&record(), &fresh);
         assert!(d.has_regression(), "{}", d.render());
         assert_eq!(d.regression_count(), 3); // total + span "a" + congestion
         assert!(d
@@ -925,7 +807,7 @@ mod tests {
     fn rounds_saved_increase_is_an_improvement() {
         let mut fresh = record();
         fresh.rounds_saved = 20;
-        let d = diff_records(&record(), &fresh, &DiffConfig::default());
+        let d = diff_records(&record(), &fresh);
         assert!(!d.has_regression(), "{}", d.render());
         assert_eq!(d.entries[0].metric, "rounds_saved");
         assert_eq!(d.entries[0].status, DiffStatus::Improved);
@@ -935,7 +817,7 @@ mod tests {
     fn rounds_saved_partial_decrease_passes() {
         let mut fresh = record();
         fresh.rounds_saved = 5;
-        let d = diff_records(&record(), &fresh, &DiffConfig::default());
+        let d = diff_records(&record(), &fresh);
         assert!(!d.has_regression(), "{}", d.render());
         assert_eq!(d.entries[0].status, DiffStatus::WithinTolerance);
     }
@@ -944,7 +826,7 @@ mod tests {
     fn cache_hit_collapse_regresses() {
         let mut fresh = record();
         fresh.cache.tree_hits = 0;
-        let d = diff_records(&record(), &fresh, &DiffConfig::default());
+        let d = diff_records(&record(), &fresh);
         assert!(d.has_regression(), "{}", d.render());
         assert_eq!(d.entries.len(), 1);
         assert_eq!(d.entries[0].section, "cache");
@@ -956,7 +838,7 @@ mod tests {
     fn cache_hit_increase_is_an_improvement() {
         let mut fresh = record();
         fresh.cache.latency_hits += 4;
-        let d = diff_records(&record(), &fresh, &DiffConfig::default());
+        let d = diff_records(&record(), &fresh);
         assert!(!d.has_regression(), "{}", d.render());
         assert_eq!(d.entries[0].metric, "latency_hits");
         assert_eq!(d.entries[0].status, DiffStatus::Improved);
@@ -966,7 +848,7 @@ mod tests {
     fn cache_miss_increase_regresses() {
         let mut fresh = record();
         fresh.cache.tree_misses += 5;
-        let d = diff_records(&record(), &fresh, &DiffConfig::default());
+        let d = diff_records(&record(), &fresh);
         assert!(d.has_regression(), "{}", d.render());
         assert_eq!(d.entries[0].metric, "tree_misses");
         assert_eq!(d.entries[0].status, DiffStatus::Regressed);
@@ -977,7 +859,7 @@ mod tests {
         let mut fresh = record();
         fresh.congestion[0].shard_imbalance_milli = 1400;
         fresh.congestion[0].shard_words[2] = 260;
-        let d = diff_records(&record(), &fresh, &DiffConfig::default());
+        let d = diff_records(&record(), &fresh);
         assert!(d.has_regression(), "{}", d.render());
         assert_eq!(d.regression_count(), 2);
         let report = d.render();
@@ -989,7 +871,7 @@ mod tests {
     fn shard_count_drift_is_structural() {
         let mut fresh = record();
         fresh.congestion[0].shard_words.pop();
-        let d = diff_records(&record(), &fresh, &DiffConfig::default());
+        let d = diff_records(&record(), &fresh);
         assert!(d.has_regression(), "{}", d.render());
         assert!(d.render().contains("REMOVED"), "{}", d.render());
         assert!(d.render().contains("shard_count"), "{}", d.render());
@@ -1006,7 +888,7 @@ mod tests {
             busy_ms: 77,
         };
         fresh.floods = 12;
-        let d = diff_records(&record(), &fresh, &DiffConfig::default());
+        let d = diff_records(&record(), &fresh);
         assert!(!d.has_regression(), "{}", d.render());
         assert!(d.entries.is_empty(), "{}", d.render());
     }
@@ -1016,7 +898,7 @@ mod tests {
         let mut fresh = record();
         fresh.alloc_bytes += 500;
         fresh.spans[1].alloc_bytes += 500;
-        let d = diff_records(&record(), &fresh, &DiffConfig::default());
+        let d = diff_records(&record(), &fresh);
         assert!(d.has_regression(), "{}", d.render());
         assert_eq!(d.regression_count(), 2); // total + span "a > b"
         assert!(d
@@ -1037,7 +919,7 @@ mod tests {
             fresh.alloc_bytes += 500;
             fresh.spans[1].alloc_bytes += 500;
             fresh.jobs = fresh_jobs;
-            let d = diff_records(&base, &fresh, &DiffConfig::default());
+            let d = diff_records(&base, &fresh);
             assert_eq!(
                 d.has_regression(),
                 base_jobs <= 1 && fresh_jobs <= 1,
@@ -1058,7 +940,7 @@ mod tests {
             s.alloc_bytes = 0;
             s.alloc_count = 0;
         }
-        let d = diff_records(&base, &record(), &DiffConfig::default());
+        let d = diff_records(&base, &record());
         assert!(!d.has_regression(), "{}", d.render());
         assert!(d.entries.is_empty(), "{}", d.render());
     }
@@ -1068,7 +950,7 @@ mod tests {
         let mut fresh = record();
         fresh.peak_alloc_bytes = 999_999;
         fresh.spans[0].wall_ns = 123_456_789;
-        let d = diff_records(&record(), &fresh, &DiffConfig::default());
+        let d = diff_records(&record(), &fresh);
         assert!(!d.has_regression(), "{}", d.render());
         assert!(d.entries.is_empty(), "{}", d.render());
     }
@@ -1143,7 +1025,7 @@ mod tests {
     fn audit_margin_drift_is_flagged() {
         let mut fresh = record();
         fresh.audit_margins[0].max_ratio = 0.9;
-        let d = diff_records(&record(), &fresh, &DiffConfig::default());
+        let d = diff_records(&record(), &fresh);
         assert!(d.has_regression());
         assert!(d.render().contains("core/x"));
         assert!(d.to_json().render().contains("max_ratio"));

@@ -17,9 +17,8 @@
 //!
 //! Everything here is strictly opt-in and thread-local
 //! ([`set_thread_profiling`]): unit tests and library consumers that never
-//! enable profiling keep byte-identical traces, and the JSONL event
-//! stream / `trace_manifest.json` never carry profile data at all (the
-//! golden event tests and the CI manifest byte-diff stay untouched).
+//! enable profiling keep byte-identical traces, and the flamegraph
+//! ([`crate::TraceData::flamegraph`]) never carries profile data at all.
 //! Profile samples surface only through run records ([`crate::RunRecord`]) and
 //! the Chrome trace export ([`crate::export`]).
 //!

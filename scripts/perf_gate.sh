@@ -23,12 +23,15 @@
 # The bins run in a scratch directory (target/perf_gate) so the committed
 # full-size artifacts under results/ are never clobbered by the smaller
 # gate-size runs; only results/baselines/ and the
-# results/BENCH_trajectory.json append-log live in the repo.
+# results/BENCH_trajectory.json append-log live in the repo. A run is
+# appended to the log only when its diff passed or it is a refresh, so
+# the log never holds a regressed or misconfigured run.
 #
 # Every gated run also exports results/trace.perfetto.json (the
 # trace_report fixture's Chrome Trace Event Format profile — load it in
-# ui.perfetto.dev) and results/triage.json (the ranked span triage from
-# trace_diff); both are validated/structured artifacts, uploaded by CI.
+# ui.perfetto.dev), checked by `mwc_metrics check-trace` and uploaded by
+# CI, and results/trace_diff_report.json, whose `triage` member ranks the
+# span paths that moved.
 #
 # The sizes below are the gate contract: records are only comparable when
 # name AND parameters match, so changing a size here requires a baseline
@@ -109,35 +112,32 @@ fi
 
 # Diff fresh records against the committed baselines FIRST, so a refresh
 # still reports what moved against the old baselines. Reports land in
-# $WORK/results/ (trace_diff_report.{txt,json}, triage.json).
+# $WORK/results/ (trace_diff_report.{txt,json}).
 DIFF_STATUS=0
 cargo run --manifest-path "$REPO/Cargo.toml" --release --offline \
   -p mwc-bench --bin trace_diff -- ${ONLY:+--only="$ONLY_RECORD"} \
   results/run_records "$REPO/results/baselines" \
   || DIFF_STATUS=$?
 
+# Configuration errors (exit 2: unpaired or unparsable records) abort
+# every mode before anything is aggregated or logged.
+if [ "$DIFF_STATUS" -ge 2 ]; then
+  echo "perf_gate: trace_diff configuration error ($DIFF_STATUS)" >&2
+  exit "$DIFF_STATUS"
+fi
+
 # Aggregate the gated run's observability artifacts: the per-bin
-# shard-imbalance/cache-hit/profile report, the Chrome trace export
-# (validated by the in-tree structural checker), and one appended entry
-# per bin in the committed perf-trajectory log.
+# shard-imbalance/cache-hit/profile report and the Chrome trace export
+# (validated by the in-tree structural checker).
 run mwc_metrics report results/run_records
 run mwc_metrics check-trace results/trace.perfetto.json
-cargo run --manifest-path "$REPO/Cargo.toml" --release --offline \
-  -p mwc-bench --bin mwc_metrics append-trajectory results/run_records \
-  "$REPO/results/BENCH_trajectory.json" > /dev/null
 
 if [ "$REFRESH" = 1 ]; then
   # Refreshing: regressions against the old baselines are being accepted
-  # deliberately; only configuration errors (exit 2) still abort.
-  if [ "$DIFF_STATUS" -ge 2 ]; then
-    echo "perf_gate: trace_diff configuration error ($DIFF_STATUS)" >&2
-    exit "$DIFF_STATUS"
-  fi
-
-  # The weighted benches must show the phase cache working: a refreshed
-  # baseline with rounds_saved == 0 everywhere means the cache silently
-  # stopped firing, and committing it would let the gate rot. In --bin
-  # mode only the bins that actually ran are checked.
+  # deliberately. The weighted benches must still show the phase cache
+  # working: a refreshed baseline with rounds_saved == 0 everywhere means
+  # the cache silently stopped firing, and committing it would let the
+  # gate rot. In --bin mode only the bins that actually ran are checked.
   for rec in table1_undirected_weighted table1_girth phase_breakdown_directed; do
     if [ ! -f "results/run_records/$rec.json" ]; then
       continue
@@ -148,12 +148,21 @@ if [ "$REFRESH" = 1 ]; then
       exit 1
     fi
   done
+elif [ "$DIFF_STATUS" != 0 ]; then
+  echo "perf_gate: regression — this run is not appended to" \
+       "results/BENCH_trajectory.json" >&2
+  exit "$DIFF_STATUS"
+fi
 
+# One appended entry per bin in the committed perf-trajectory log.
+cargo run --manifest-path "$REPO/Cargo.toml" --release --offline \
+  -p mwc-bench --bin mwc_metrics append-trajectory results/run_records \
+  "$REPO/results/BENCH_trajectory.json" > /dev/null
+
+if [ "$REFRESH" = 1 ]; then
   # The trajectory is NOT copied: it is an append-log that
   # `mwc_metrics append-trajectory` already extended above.
   mkdir -p "$REPO/results/baselines"
   cp results/run_records/*.json "$REPO/results/baselines/"
   echo "baselines refreshed from $WORK/results/run_records/"
-else
-  exit "$DIFF_STATUS"
 fi
