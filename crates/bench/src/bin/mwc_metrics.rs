@@ -4,8 +4,8 @@
 //! Subcommands:
 //!
 //! - `report [records_dir]` (default `results/run_records`): parses every
-//!   run record and prints a per-bin shard-imbalance, cache-hit-rate,
-//!   profile and flood-count report (also saved as
+//!   run record and prints a per-bin totals, cache-hit-rate, profile
+//!   and flood-count report (also saved as
 //!   `results/metrics_report.txt`).
 //! - `check-trace <trace.json>`: structurally validates a Chrome Trace
 //!   Event Format export (`results/trace.perfetto.json`) with the
@@ -102,43 +102,20 @@ fn cmd_report(records_dir: &str) {
             hit_rate(c.latency_hits, c.latency_misses),
         );
         // Host-side profile context: allocator traffic, the peak
-        // high-water mark, and worker utilization (pool busy-time over
-        // wall-clock × workers). All informational, like wall_ms.
-        let jobs = r.jobs.max(1);
-        let util = if r.wall_ms == 0 {
-            "-".into()
-        } else {
-            format!(
-                "{:.1}%",
-                100.0 * r.workers.busy_ms as f64 / (r.wall_ms * jobs) as f64
-            )
-        };
+        // high-water mark, wall-clock and worker count. All
+        // informational, like wall_ms.
         let _ = writeln!(
             out,
-            "  profile: alloc {} B / {} allocs, peak {} B, worker util {} (busy {} ms / wall {} ms x {} job(s))",
-            r.alloc_bytes, r.alloc_count, r.peak_alloc_bytes, util, r.workers.busy_ms, r.wall_ms, jobs
+            "  profile: alloc {} B / {} allocs, peak {} B, wall {} ms x {} job(s)",
+            r.alloc_bytes,
+            r.alloc_count,
+            r.peak_alloc_bytes,
+            r.wall_ms,
+            r.jobs.max(1)
         );
         // How many flood primitives this run executed, memo replays
         // included. Informational, like wall_ms.
         let _ = writeln!(out, "  floods: {}", r.floods);
-        let worst = r
-            .congestion
-            .iter()
-            .max_by_key(|c| (c.shard_imbalance_milli, std::cmp::Reverse(&c.label)));
-        match worst {
-            Some(w) if w.shard_imbalance_milli > 0 => {
-                let _ = writeln!(
-                    out,
-                    "  shard imbalance: max {} milli (label {:?}) over {} label(s)",
-                    w.shard_imbalance_milli,
-                    w.label,
-                    r.congestion.len()
-                );
-            }
-            _ => {
-                let _ = writeln!(out, "  shard imbalance: no shard profile recorded");
-            }
-        }
     }
     print!("{out}");
     report::save_artifact("metrics_report.txt", &out);

@@ -10,11 +10,13 @@
 //!
 //! On regression (or always with `--verbose`) the report ends with a
 //! **triage** section: the top-K span paths across all record pairs,
-//! ranked by their |delta| contribution to the regressed totals (rounds,
-//! words, and — for baselines that carry allocation data — bytes), plus
-//! the ready-to-run commands to reproduce the worst offender
-//! (`scripts/perf_gate.sh --bin <name>`) and to bisect it at message
-//! level (`mwc_replay bisect` over two `MWC_TRACE_EVENTS` captures).
+//! ranked by their |delta| contribution to the baseline totals (rounds,
+//! words, and — where the gate compares allocations — bytes). On
+//! regression it adds the ready-to-run commands to reproduce the worst
+//! offender (`scripts/perf_gate.sh --bin <name>`) and to bisect it at
+//! message level (`mwc_replay bisect` over two `MWC_TRACE_EVENTS`
+//! captures). The worst offender is the highest-ranked span of a record
+//! that regressed: improvements rank too, but never get the hints.
 //!
 //! Artifacts (both under `results/`):
 //!
@@ -230,6 +232,19 @@ fn main() {
             .then_with(|| a.0.cmp(&b.0))
             .then_with(|| a.1.path.cmp(&b.1.path))
     });
+    // The offender the hints name: the highest-ranked span of a record
+    // whose diff regressed (an improvement elsewhere may rank above it),
+    // else the first regressed record with no span named.
+    let regressed: Vec<&str> = diffs
+        .iter()
+        .filter(|d| d.regression_count() > 0)
+        .map(|d| d.name.as_str())
+        .collect();
+    let worst: Option<(String, Option<String>)> = triage
+        .iter()
+        .find(|(name, _)| regressed.contains(&name.as_str()))
+        .map(|(name, e)| (name.clone(), Some(e.path.clone())))
+        .or_else(|| regressed.first().map(|name| (name.to_string(), None)));
     triage.truncate(top);
 
     let mut human = String::new();
@@ -262,14 +277,14 @@ fn main() {
                 e.alloc_delta
             ));
         }
-        if let Some((worst, _)) = triage.first() {
-            human.push_str(&format!("  rerun:  scripts/perf_gate.sh --bin {worst}\n"));
-            human.push_str(&format!(
-                "  bisect: capture MWC_TRACE_EVENTS=results/{worst}.base.events.jsonl (baseline \
-                 commit) and results/{worst}.fresh.events.jsonl (this tree), then:\n"
-            ));
-            human.push_str(&format!("          {}\n", bisect_hint(worst)));
-        }
+    }
+    if let Some((worst, _)) = &worst {
+        human.push_str(&format!("  rerun:  scripts/perf_gate.sh --bin {worst}\n"));
+        human.push_str(&format!(
+            "  bisect: capture MWC_TRACE_EVENTS=results/{worst}.base.events.jsonl (baseline \
+             commit) and results/{worst}.fresh.events.jsonl (this tree), then:\n"
+        ));
+        human.push_str(&format!("          {}\n", bisect_hint(worst)));
     }
     print!("{human}");
     report::save_artifact("trace_diff_report.txt", &human);
@@ -287,10 +302,10 @@ fn main() {
         ),
         (
             "worst",
-            match triage.first() {
-                Some((name, e)) => Json::obj([
+            match &worst {
+                Some((name, path)) => Json::obj([
                     ("record", Json::str(name)),
-                    ("path", Json::str(&e.path)),
+                    ("path", path.as_deref().map_or(Json::Null, Json::str)),
                     (
                         "rerun",
                         Json::Str(format!("scripts/perf_gate.sh --bin {name}")),

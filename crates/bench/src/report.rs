@@ -239,13 +239,10 @@ pub struct RunRecorder {
 
 impl RunRecorder {
     /// Starts recording: opens an in-memory trace session and the
-    /// wall-clock stopwatch, zeroes the process-wide `mwc-par` worker
-    /// counters so the record's `workers` tally covers exactly this run,
-    /// and snapshots the process-cumulative flood count so the record's
-    /// `floods` delta does too.
+    /// wall-clock stopwatch, and snapshots the process-cumulative flood
+    /// count so the record's `floods` delta covers exactly this run.
     /// `name` is by convention the binary name — the baseline pairing key.
     pub fn start(name: &str) -> RunRecorder {
-        mwc_par::reset_worker_counters();
         RunRecorder {
             name: name.to_owned(),
             params: Vec::new(),
@@ -274,9 +271,9 @@ impl RunRecorder {
     /// wall-clock since [`RunRecorder::start`] — the one intentionally
     /// non-deterministic field (informational only; `trace_diff` never
     /// compares it, and determinism tests zero it before comparing) —
-    /// and `jobs`/`floods`/`workers`/`peak_alloc_bytes` (also
-    /// informational: the worker count, flood tally, pool counters and
-    /// allocator high-water mark never change a gated metric).
+    /// and `jobs`/`floods`/`peak_alloc_bytes` (also informational: the
+    /// worker count, flood tally and allocator high-water mark never
+    /// change a gated metric).
     pub fn into_record(self) -> RunRecord {
         self.into_record_with_trace().0
     }
@@ -297,12 +294,6 @@ impl RunRecorder {
             .0
             .saturating_sub(self.floods_at_start);
         record.peak_alloc_bytes = mwc_trace::profile::peak_alloc_bytes();
-        let w = mwc_par::worker_counters();
-        record.workers = mwc_trace::WorkerTally {
-            items_grafted: w.items_grafted,
-            idle_joins: w.idle_joins,
-            busy_ms: w.busy_ns / 1_000_000,
-        };
         (record, data)
     }
 
@@ -447,12 +438,9 @@ mod tests {
             ledger.absorb("hop", &net);
             rec.congestion("hop", &ledger);
             let mut record = rec.into_record();
-            // wall_ms and the worker tally are the intentionally
-            // machine-dependent fields (the counters are process-global,
-            // so concurrent tests can bump them mid-build).
+            // wall_ms is the intentionally machine-dependent field.
             assert!(record.render().contains("\"wall_ms\""));
             record.wall_ms = 0;
-            record.workers = Default::default();
             record
         };
         let (a, b) = (build(), build());

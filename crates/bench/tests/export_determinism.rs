@@ -15,7 +15,8 @@
 //! 4. `trace_diff` triage: an injected per-span regression makes the gate
 //!    exit nonzero with that span ranked first in the `triage` member of
 //!    `results/trace_diff_report.json`, complete with the
-//!    `perf_gate.sh --bin` rerun and `mwc_replay bisect` hints;
+//!    `perf_gate.sh --bin` rerun and `mwc_replay bisect` hints, which
+//!    name a regressed record even when an improvement ranks higher;
 //!    `--verbose` prints the ranking even on success;
 //!    `--only` restricts pairing so single-bin gating sees no spurious
 //!    unpaired-baseline errors.
@@ -179,6 +180,11 @@ fn chrome_export_and_v6_record_are_deterministic_across_processes() {
 /// Builds a rendered run record whose `alg > hot` span carries
 /// `40 + extra` simulated rounds.
 fn probe_record(extra: u64) -> String {
+    named_record("probe", extra)
+}
+
+/// [`probe_record`] under another record name.
+fn named_record(name: &str, extra: u64) -> String {
     let session = TraceSession::memory();
     {
         let _a = mwc_trace::span("alg");
@@ -189,7 +195,7 @@ fn probe_record(extra: u64) -> String {
         }
     }
     let data = session.finish();
-    RunRecord::from_trace("probe", Vec::<(String, String)>::new(), &data).render()
+    RunRecord::from_trace(name, Vec::<(String, String)>::new(), &data).render()
 }
 
 /// Writes `base`/`fresh` record dirs under a scratch cwd and runs
@@ -260,6 +266,51 @@ fn injected_span_regression_is_ranked_first_in_triage() {
         .and_then(Json::as_str)
         .unwrap()
         .contains("mwc_replay -- bisect"));
+}
+
+#[test]
+fn hints_name_the_regressed_record_not_a_larger_improvement() {
+    // `probe` regresses by 20 rounds; `calmer` improves by 100, which
+    // outranks it in the movement ranking but must not get the hints.
+    let dir = scratch("triage-mixed");
+    let (code, stdout, doc) = run_trace_diff(
+        &dir,
+        &[
+            ("probe", &probe_record(0)),
+            ("calmer", &named_record("calmer", 100)),
+        ],
+        &[
+            ("probe", &probe_record(20)),
+            ("calmer", &named_record("calmer", 0)),
+        ],
+        &[],
+    );
+    assert_eq!(code, 1, "the probe regression fails the gate:\n{stdout}");
+    let Some(Json::Arr(entries)) = doc.get("entries") else {
+        panic!("triage entries missing")
+    };
+    let first = entries.first().expect("ranking is non-empty");
+    assert_eq!(first.get("record").and_then(Json::as_str), Some("calmer"));
+    let worst = doc.get("worst").expect("worst offender present");
+    assert_eq!(worst.get("record").and_then(Json::as_str), Some("probe"));
+    assert_eq!(worst.get("path").and_then(Json::as_str), Some("alg > hot"));
+    assert!(
+        stdout.contains("rerun:  scripts/perf_gate.sh --bin probe"),
+        "{stdout}"
+    );
+    assert!(!stdout.contains("--bin calmer"), "{stdout}");
+
+    // Nothing regressed: no offender, no hints.
+    let dir = scratch("triage-improved");
+    let (code, stdout, doc) = run_trace_diff(
+        &dir,
+        &[("calmer", &named_record("calmer", 100))],
+        &[("calmer", &named_record("calmer", 0))],
+        &["--verbose"],
+    );
+    assert_eq!(code, 0);
+    assert_eq!(doc.get("worst"), Some(&Json::Null));
+    assert!(!stdout.contains("rerun:"), "{stdout}");
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Determinism under parallelism: the table bins must produce
 //! byte-identical stdout and run records for any worker count
 //! (`MWC_JOBS`, sweep items fanned over threads), with the informational
-//! fields (`wall_ms`, `jobs`, the `workers` tally) normalized before
+//! fields (`wall_ms`, `jobs` and the profile fields) normalized before
 //! comparison. This is the end-to-end guarantee behind
 //! `mwc_par::ordered_map` + trace capture-and-graft: no thread schedule
 //! may leave a trace in any artifact the perf gate reads. The bins'
@@ -15,9 +15,6 @@ use std::path::{Path, PathBuf};
 const INFORMATIONAL_FIELDS: &[&str] = &[
     "\"wall_ms\":",
     "\"jobs\":",
-    "\"items_grafted\":",
-    "\"idle_joins\":",
-    "\"busy_ms\":",
     // Profile fields (v6): wall-clock is machine-dependent everywhere;
     // allocation attribution is deterministic only in the sequential
     // config (sweep items on worker threads shift per-span alloc with
@@ -76,12 +73,7 @@ fn scratch(case: &str) -> PathBuf {
 /// for byte.
 fn assert_parallelism_invariant(bin: &str, arg: &str, record: &str, case: &str) {
     let (out_base, rec_base) = run_bin(bin, arg, record, "1", &scratch(&format!("{case}-j1")));
-    for field in [
-        "\"wall_ms\": 0",
-        "\"jobs\": 0",
-        "\"items_grafted\": 0",
-        "\"peak_alloc_bytes\": 0",
-    ] {
+    for field in ["\"wall_ms\": 0", "\"jobs\": 0", "\"peak_alloc_bytes\": 0"] {
         assert!(
             rec_base.contains(field),
             "{case}: record should carry a (normalized) {field} member"

@@ -80,10 +80,6 @@ pub struct NetStats {
     /// Words transferred per directed link (parallel to the engine's link
     /// table); used by the lower-bound harness for cut accounting.
     pub per_link_words: Vec<u64>,
-    /// High-water mark of each directed link's send-queue depth (parallel
-    /// to `per_link_words`). Updated at send time; the canonical shard
-    /// profile ([`crate::ShardProfile`]) folds it per reference shard.
-    pub per_link_queue_high: Vec<u64>,
     /// When history is enabled ([`Network::enable_history`]): `(round,
     /// words transferred that round)` for every non-quiet round — the
     /// congestion timeline used by the scheduling ablations.
@@ -105,110 +101,6 @@ pub struct NetStats {
     /// Histogram of per-round delivered words over power-of-two buckets
     /// (see [`hist_bucket`]); always on — one increment per active round.
     pub round_histogram: [u64; HIST_BUCKETS],
-}
-
-impl NetStats {
-    /// Folds `other` into `self` as if one network had recorded both stat
-    /// sets. **Order-independent**: `a.merge(&b)` and `b.merge(&a)` give
-    /// field-identical results (pinned by
-    /// `netstats_merge_is_order_independent`), so capture-and-graft
-    /// fan-ins — per-item sweep stats, per-phase ledger totals — may
-    /// combine in completion order without leaking it into reports.
-    ///
-    /// Counters (`words`, `messages`, `per_link_words`) add;
-    /// `queue_high_water` takes the max — backpressure high-waters don't
-    /// stack, the worst queue either side saw is the worst overall — and
-    /// `per_link_queue_high` takes the elementwise max for the same
-    /// reason. The congestion timeline is merge-joined by round, summing rounds both
-    /// sides were active in. When **both** sides carry a timeline, the
-    /// round-derived fields (`active_rounds`, `round_histogram`,
-    /// `max_words_in_round`, `peak_round`) are recomputed from the merged
-    /// timeline — the only overlap-exact answer, and the fix for the
-    /// order-dependent folds a naive merge inherits (a round active on
-    /// both sides is one round, not two, and two half-peaks can sum into
-    /// a new global peak). Without both timelines overlaps are invisible,
-    /// so those fields fold conservatively: counts add, and the peak
-    /// keeps the larger max, ties breaking toward the earlier round.
-    pub fn merge(&mut self, other: &NetStats) {
-        self.words += other.words;
-        self.messages += other.messages;
-        if self.per_link_words.len() < other.per_link_words.len() {
-            self.per_link_words.resize(other.per_link_words.len(), 0);
-        }
-        for (acc, w) in self.per_link_words.iter_mut().zip(&other.per_link_words) {
-            *acc += w;
-        }
-        if self.per_link_queue_high.len() < other.per_link_queue_high.len() {
-            self.per_link_queue_high
-                .resize(other.per_link_queue_high.len(), 0);
-        }
-        for (acc, q) in self
-            .per_link_queue_high
-            .iter_mut()
-            .zip(&other.per_link_queue_high)
-        {
-            *acc = (*acc).max(*q);
-        }
-        self.queue_high_water = self.queue_high_water.max(other.queue_high_water);
-
-        let both_timelines = !self.words_per_round.is_empty() && !other.words_per_round.is_empty();
-        let (a, b) = (&self.words_per_round, &other.words_per_round);
-        let mut merged = Vec::with_capacity(a.len() + b.len());
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() || j < b.len() {
-            merged.push(match (a.get(i).copied(), b.get(j).copied()) {
-                (Some((ra, wa)), Some((rb, _))) if ra < rb => {
-                    i += 1;
-                    (ra, wa)
-                }
-                (Some((ra, _)), Some((rb, wb))) if rb < ra => {
-                    j += 1;
-                    (rb, wb)
-                }
-                (Some((ra, wa)), Some((_, wb))) => {
-                    i += 1;
-                    j += 1;
-                    (ra, wa + wb)
-                }
-                (Some((ra, wa)), None) => {
-                    i += 1;
-                    (ra, wa)
-                }
-                (None, Some((rb, wb))) => {
-                    j += 1;
-                    (rb, wb)
-                }
-                (None, None) => unreachable!("loop guard"),
-            });
-        }
-        if both_timelines {
-            self.active_rounds = merged.len() as u64;
-            self.round_histogram = [0; HIST_BUCKETS];
-            self.max_words_in_round = 0;
-            self.peak_round = 0;
-            for &(r, w) in &merged {
-                self.round_histogram[hist_bucket(w)] += 1;
-                if w > self.max_words_in_round {
-                    self.max_words_in_round = w;
-                    self.peak_round = r;
-                }
-            }
-        } else {
-            self.active_rounds += other.active_rounds;
-            for (acc, c) in self.round_histogram.iter_mut().zip(&other.round_histogram) {
-                *acc += c;
-            }
-            let other_peaks = other.max_words_in_round > self.max_words_in_round
-                || (other.max_words_in_round == self.max_words_in_round
-                    && other.max_words_in_round > 0
-                    && other.peak_round < self.peak_round);
-            if other_peaks {
-                self.max_words_in_round = other.max_words_in_round;
-                self.peak_round = other.peak_round;
-            }
-        }
-        self.words_per_round = merged;
-    }
 }
 
 /// A queued message. Endpoints are *not* stored: queues are per-link, so
@@ -368,7 +260,6 @@ impl<M> Network<M> {
             wakeups: BinaryHeap::new(),
             stats: NetStats {
                 per_link_words: vec![0; m],
-                per_link_queue_high: vec![0; m],
                 ..NetStats::default()
             },
             history: false,
@@ -519,11 +410,6 @@ impl<M> Network<M> {
         if depth > self.stats.queue_high_water {
             self.stats.queue_high_water = depth;
         }
-        // A queue's depth peaks immediately after a push, so send time is
-        // the only point the per-link high-water can move.
-        if depth > self.stats.per_link_queue_high[l] {
-            self.stats.per_link_queue_high[l] = depth;
-        }
         if !self.active_flag[l] {
             self.active_flag[l] = true;
             self.active.push(l);
@@ -671,8 +557,8 @@ impl<M> Network<M> {
     /// [`Network::step_into`] (or, with no transfer, a
     /// [`Network::step_bulk_into`] landing on `round`) would: transfer
     /// stats — words, per-link words, the active-round histogram,
-    /// first-reach peak tracking, the optional history, queue high-waters
-    /// at depth 1 — only when `links` is nonempty, while the message
+    /// first-reach peak tracking, the optional history, the queue
+    /// high-water at depth 1 — only when `links` is nonempty, while the message
     /// count and the event log follow `delivered`. An empty charge at
     /// `round() + 1` is an idle `step_into`: the round advances and
     /// nothing is recorded.
@@ -700,11 +586,7 @@ impl<M> Network<M> {
                 self.stats.queue_high_water = 1;
             }
             for &l in links {
-                let l = l as usize;
-                if self.stats.per_link_queue_high[l] < 1 {
-                    self.stats.per_link_queue_high[l] = 1;
-                }
-                self.stats.per_link_words[l] += 1;
+                self.stats.per_link_words[l as usize] += 1;
             }
         }
         self.stats.messages += delivered.len() as u64;
@@ -730,9 +612,8 @@ impl<M> Network<M> {
     /// `children[]` order) — exactly the order the engine-stepped loop's
     /// active list settles into, so the event log comes out in the same
     /// order. Reproduces what per-message [`Network::send`] +
-    /// [`Network::step_bulk_into`] would record, stat for stat: depth-1
-    /// queues peak at `m` (the root enqueues everything up front), deeper
-    /// queues at 1 (pop and re-push in the same round), every per-round
+    /// [`Network::step_bulk_into`] would record, stat for stat: the queue
+    /// high-water `m` (the root enqueues everything up front), every per-round
     /// transfer count, the first-reach peak round, the optional history,
     /// and one message event per delivery. A no-op when `m == 0` or
     /// `links` is empty, matching an engine run with nothing to send.
@@ -744,17 +625,12 @@ impl<M> Network<M> {
         let w = w.max(1);
         let height = links.iter().map(|&(_, d)| d).max().expect("nonempty") as u64;
         debug_assert!(links.windows(2).all(|p| p[0].1 <= p[1].1), "BFS order");
-        // Per-link totals and queue high-waters, plus nodes-per-depth for
-        // the per-round transfer counts below.
+        // Per-link totals, plus nodes-per-depth for the per-round transfer
+        // counts below.
         let mut cnt = vec![0u64; height as usize + 1];
         for &(l, d) in links {
-            let l = l as usize;
             cnt[d as usize] += 1;
-            self.stats.per_link_words[l] += m * w;
-            let peak = if d == 1 { m } else { 1 };
-            if self.stats.per_link_queue_high[l] < peak {
-                self.stats.per_link_queue_high[l] = peak;
-            }
+            self.stats.per_link_words[l as usize] += m * w;
         }
         if self.stats.queue_high_water < m {
             self.stats.queue_high_water = m;
@@ -1193,125 +1069,6 @@ mod tests {
         let fast_log = drain(&mut fast, bulk);
         assert_eq!(slow_log, fast_log);
         assert_eq!(slow.stats(), fast.stats());
-    }
-
-    #[test]
-    fn netstats_merge_is_order_independent() {
-        // Two fragments with overlapping histories: both active in round
-        // 2, disjoint elsewhere, different queue high-waters.
-        let a = NetStats {
-            words: 7,
-            messages: 2,
-            per_link_words: vec![3, 4],
-            per_link_queue_high: vec![2, 1],
-            words_per_round: vec![(1, 3), (2, 4)],
-            active_rounds: 2,
-            max_words_in_round: 4,
-            peak_round: 2,
-            queue_high_water: 3,
-            round_histogram: {
-                let mut h = [0; HIST_BUCKETS];
-                h[hist_bucket(3)] += 1;
-                h[hist_bucket(4)] += 1;
-                h
-            },
-        };
-        let b = NetStats {
-            words: 9,
-            messages: 1,
-            per_link_words: vec![0, 5, 4],
-            per_link_queue_high: vec![1, 3, 2],
-            words_per_round: vec![(2, 5), (4, 4)],
-            active_rounds: 2,
-            max_words_in_round: 5,
-            peak_round: 2,
-            queue_high_water: 2,
-            round_histogram: {
-                let mut h = [0; HIST_BUCKETS];
-                h[hist_bucket(5)] += 1;
-                h[hist_bucket(4)] += 1;
-                h
-            },
-        };
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        // The regression this pins: a naive fold gives a different
-        // histogram (and active-round count) depending on merge order
-        // once activity overlaps. The merged timeline is the truth.
-        assert_eq!(ab, ba);
-        assert_eq!(ab.words, 16);
-        assert_eq!(ab.messages, 3);
-        assert_eq!(ab.per_link_words, vec![3, 9, 4]);
-        assert_eq!(ab.per_link_queue_high, vec![2, 3, 2]);
-        assert_eq!(ab.words_per_round, vec![(1, 3), (2, 9), (4, 4)]);
-        assert_eq!(ab.active_rounds, 3);
-        // Round 2 carried 4 + 5 = 9 words — a peak neither side saw.
-        assert_eq!(ab.max_words_in_round, 9);
-        assert_eq!(ab.peak_round, 2);
-        assert_eq!(ab.queue_high_water, 3);
-        let mut expect_hist = [0u64; HIST_BUCKETS];
-        expect_hist[hist_bucket(3)] += 1;
-        expect_hist[hist_bucket(9)] += 1;
-        expect_hist[hist_bucket(4)] += 1;
-        assert_eq!(ab.round_histogram, expect_hist);
-    }
-
-    #[test]
-    fn netstats_merge_without_history_breaks_peak_ties_early() {
-        let frag = |max: u64, peak: u64| NetStats {
-            max_words_in_round: max,
-            peak_round: peak,
-            ..NetStats::default()
-        };
-        let mut ab = frag(4, 9);
-        ab.merge(&frag(4, 3));
-        let mut ba = frag(4, 3);
-        ba.merge(&frag(4, 9));
-        assert_eq!(ab, ba);
-        assert_eq!(ab.peak_round, 3);
-        // Zero-max fragments must not drag the peak to round 0.
-        let mut z = frag(4, 9);
-        z.merge(&frag(0, 0));
-        assert_eq!((z.max_words_in_round, z.peak_round), (4, 9));
-        let mut z = frag(0, 0);
-        z.merge(&frag(4, 9));
-        assert_eq!((z.max_words_in_round, z.peak_round), (4, 9));
-    }
-
-    #[test]
-    fn netstats_merge_matches_one_network_recording_both_phases() {
-        // Ground truth: one network runs workload A then workload B.
-        // Merge of two separate same-topology runs must agree on every
-        // additive field (timelines differ by round offsets, so compare
-        // the offset-free fields).
-        let run = |loads: &[fn(&mut Network<u32>)]| {
-            let mut net: Network<u32> = Network::new(&path3());
-            for load in loads {
-                load(&mut net);
-                while !net.is_idle() {
-                    step(&mut net);
-                }
-            }
-            net.stats().clone()
-        };
-        fn load_a(net: &mut Network<u32>) {
-            net.send(0, 1, 1, 3).unwrap();
-            net.send(2, 1, 2, 1).unwrap();
-        }
-        fn load_b(net: &mut Network<u32>) {
-            net.send(1, 0, 3, 2).unwrap();
-        }
-        let combined = run(&[load_a, load_b]);
-        let mut merged = run(&[load_a]);
-        merged.merge(&run(&[load_b]));
-        assert_eq!(merged.words, combined.words);
-        assert_eq!(merged.messages, combined.messages);
-        assert_eq!(merged.per_link_words, combined.per_link_words);
-        assert_eq!(merged.active_rounds, combined.active_rounds);
-        assert_eq!(merged.queue_high_water, combined.queue_high_water);
-        assert_eq!(merged.round_histogram, combined.round_histogram);
     }
 
     /// One flood pass for [`flood_charge_matches_engine_stepping`]: the

@@ -9,7 +9,6 @@
 
 use crate::engine::{NetStats, Network};
 use crate::profile::CongestionProfile;
-use crate::shard::ShardProfile;
 use mwc_graph::NodeId;
 use std::fmt;
 
@@ -25,15 +24,11 @@ pub struct Phase {
     /// How the phase's traffic was shaped (peak load, backpressure, hot
     /// links); empty-default for synthetic phases that never ran a network.
     pub profile: CongestionProfile,
-    /// How the phase's per-link load folds over the canonical
-    /// [`PROFILE_SHARDS`](crate::PROFILE_SHARDS)-way partition;
-    /// empty-default for synthetic phases.
-    pub shard: ShardProfile,
 }
 
 impl Phase {
-    /// A phase with the given totals and empty congestion/shard profiles
-    /// — for synthetic entries (e.g. accounting markers) not backed by a
+    /// A phase with the given totals and an empty congestion profile —
+    /// for synthetic entries (e.g. accounting markers) not backed by a
     /// simulated network.
     pub fn synthetic(label: impl Into<String>, rounds: u64, words: u64) -> Phase {
         Phase {
@@ -41,7 +36,6 @@ impl Phase {
             rounds,
             words,
             profile: CongestionProfile::default(),
-            shard: ShardProfile::default(),
         }
     }
 }
@@ -82,10 +76,6 @@ pub struct Ledger {
     pub phases: Vec<Phase>,
     link_ends: Vec<(NodeId, NodeId)>,
     per_link_words: Vec<u64>,
-    /// Elementwise max of each phase's per-link queue high-water — depth
-    /// peaks don't stack across phases (each phase runs its own network),
-    /// so the worst any phase saw is the worst overall.
-    per_link_queue_high: Vec<u64>,
     /// Concatenated congestion timeline: `(global round, words)` across all
     /// absorbed phases, with each phase's rounds offset so the timeline is
     /// monotone. Only populated for phases whose network had
@@ -146,18 +136,12 @@ impl Ledger {
             rounds,
             words: stats.words,
             profile: CongestionProfile::from_stats(stats, link_ends),
-            shard: ShardProfile::capture(
-                link_ends,
-                &stats.per_link_words,
-                &stats.per_link_queue_high,
-            ),
         });
         self.words_per_round
             .extend(stats.words_per_round.iter().map(|&(r, w)| (offset + r, w)));
         if self.link_ends.is_empty() {
             self.link_ends = link_ends.to_vec();
             self.per_link_words = stats.per_link_words.clone();
-            self.per_link_queue_high = stats.per_link_queue_high.clone();
         } else {
             assert_eq!(
                 self.link_ends.len(),
@@ -166,13 +150,6 @@ impl Ledger {
             );
             for (acc, w) in self.per_link_words.iter_mut().zip(&stats.per_link_words) {
                 *acc += w;
-            }
-            for (acc, q) in self
-                .per_link_queue_high
-                .iter_mut()
-                .zip(&stats.per_link_queue_high)
-            {
-                *acc = (*acc).max(*q);
             }
         }
     }
@@ -192,18 +169,10 @@ impl Ledger {
         if self.link_ends.is_empty() {
             self.link_ends = other.link_ends.clone();
             self.per_link_words = other.per_link_words.clone();
-            self.per_link_queue_high = other.per_link_queue_high.clone();
         } else if !other.link_ends.is_empty() {
             assert_eq!(self.link_ends.len(), other.link_ends.len());
             for (acc, w) in self.per_link_words.iter_mut().zip(&other.per_link_words) {
                 *acc += w;
-            }
-            for (acc, q) in self
-                .per_link_queue_high
-                .iter_mut()
-                .zip(&other.per_link_queue_high)
-            {
-                *acc = (*acc).max(*q);
             }
         }
     }
@@ -240,23 +209,11 @@ impl Ledger {
         crate::profile::top_links(&self.link_ends, &self.per_link_words, k)
     }
 
-    /// The whole-run [`ShardProfile`]: the accumulated per-link counters
-    /// (words summed, queue highs maxed across phases) folded over the
-    /// canonical [`PROFILE_SHARDS`](crate::PROFILE_SHARDS)-way partition.
-    pub fn shard_profile(&self) -> ShardProfile {
-        ShardProfile::capture(
-            &self.link_ends,
-            &self.per_link_words,
-            &self.per_link_queue_high,
-        )
-    }
-
     /// Aggregates the ledger into the [`CongestionSummary`] a
     /// [`RunRecord`](mwc_trace::RunRecord) carries: totals, the global
     /// peak round (phase offsets applied, earliest peak wins ties), queue
-    /// high-water, the top [`crate::PROFILE_HOT_LINKS`] hot links, and
-    /// the canonical per-shard word loads with their derived imbalance
-    /// ratio.
+    /// high-water (the max over phases) and the top
+    /// [`crate::PROFILE_HOT_LINKS`] hot links.
     pub fn congestion_summary(&self, label: &str) -> mwc_trace::CongestionSummary {
         let mut active_rounds = 0;
         let mut max_words_in_round = 0;
@@ -272,7 +229,6 @@ impl Ledger {
             queue_high_water = queue_high_water.max(p.profile.queue_high_water);
             offset += p.rounds;
         }
-        let shard = self.shard_profile();
         mwc_trace::CongestionSummary {
             label: label.to_owned(),
             rounds: self.rounds,
@@ -288,8 +244,6 @@ impl Ledger {
                 .into_iter()
                 .map(|((f, t), w)| (f as u64, t as u64, w))
                 .collect(),
-            shard_imbalance_milli: shard.imbalance_milli(),
-            shard_words: shard.words,
         }
     }
 
@@ -484,7 +438,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_profile_aggregates_words_and_maxes_queue_highs() {
+    fn congestion_summary_maxes_queue_highs_and_sums_link_words() {
         let g = edge();
         let mut ledger = Ledger::new();
         // Phase 1: two messages queued on the same link → queue high 2.
@@ -495,22 +449,21 @@ mod tests {
             step(&mut net);
         }
         ledger.absorb("deep", &net);
-        // Phase 2: one message → queue high 1, two more words on 1->0.
+        // Phase 2: one two-word message → queue high 1, two more words
+        // on the same link.
         let mut net: Network<u8> = Network::new(&g);
-        net.send(1, 0, 3, 2).unwrap();
+        net.send(0, 1, 3, 2).unwrap();
         while !net.is_idle() {
             step(&mut net);
         }
         ledger.absorb("shallow", &net);
-        let p = ledger.shard_profile();
-        assert_eq!(p.words.iter().sum::<u64>(), 4);
-        // Queue highs take the max across phases, not the sum.
-        assert_eq!(p.queue_high.iter().max(), Some(&2));
-        assert_eq!(ledger.phases[0].shard.queue_high.iter().max(), Some(&2));
-        assert_eq!(ledger.phases[1].shard.queue_high.iter().max(), Some(&1));
+        assert_eq!(ledger.phases[0].profile.queue_high_water, 2);
+        assert_eq!(ledger.phases[1].profile.queue_high_water, 1);
         let s = ledger.congestion_summary("all");
-        assert_eq!(s.shard_words.iter().sum::<u64>(), 4);
-        assert_eq!(s.shard_imbalance_milli, p.imbalance_milli());
+        // Queue high-waters take the max across phases, not the sum 3.
+        assert_eq!(s.queue_high_water, 2);
+        // Per-link words add up across phases.
+        assert_eq!(s.hot_links, vec![(0, 1, 4)]);
     }
 
     #[test]

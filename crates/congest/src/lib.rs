@@ -52,7 +52,6 @@ mod multibfs;
 mod profile;
 pub mod program;
 pub mod replay;
-mod shard;
 mod tree;
 
 pub use cache::{
@@ -69,5 +68,4 @@ pub use multibfs::{
 };
 pub use profile::{top_links, CongestionProfile, PROFILE_HOT_LINKS};
 pub use replay::{first_divergence, Divergence, EventLog, MsgEvent, PhaseEvent};
-pub use shard::{ShardPlan, ShardProfile, PROFILE_SHARDS};
 pub use tree::{broadcast, convergecast, convergecast_min, BfsTree};

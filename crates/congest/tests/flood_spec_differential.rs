@@ -463,7 +463,7 @@ fn latency_beyond_the_ring_span_matches_spec_and_dijkstra() {
 }
 
 /// Every observable of a broadcast: totals, the phase journal (each
-/// phase's congestion and shard profile), words per link, the congestion
+/// phase's congestion profile), words per link, the congestion
 /// summary, the event log, and the collected items in order.
 #[derive(Debug, PartialEq)]
 struct BroadcastRun {

@@ -72,7 +72,7 @@ fn assert_tree_cached_once(label: &str, ledger: &Ledger, fingerprints: usize) {
 
 /// Apart from BFS-tree builds, which a cache hit turns into zero-cost
 /// `cached: bfs tree` markers, every phase must match the uncached run's
-/// in order — label, totals, congestion and shard profile. Floods the
+/// in order — label, totals and congestion profile. Floods the
 /// flood memo replays are charged in full, so they leave no trace here.
 fn assert_phases_match_uncached(label: &str, cached: &Ledger, plain: &Ledger) {
     let flood_phases = |ledger: &Ledger| -> Vec<String> {

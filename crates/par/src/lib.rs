@@ -19,13 +19,13 @@
 //! 3. `1` (sequential; parallelism is strictly opt-in so default runs stay
 //!    byte-for-byte comparable to the pre-pool codebase by construction).
 //!
-//! Parallelism runs only **across** independent work items (sweep
-//! configs). One simulation always runs on one thread: the CONGEST
-//! engine steps every round sequentially.
+//! Parallelism runs only **across** independent work items: the size
+//! sweeps of `table1_girth` and `table1_undirected_weighted`, whose
+//! largest sizes are the critical path. One simulation always runs on one
+//! thread: the CONGEST engine steps every round sequentially.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// Process-wide override set by [`set_jobs`]; `0` = unset.
 static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -58,52 +58,6 @@ pub fn shards() -> usize {
     1
 }
 
-/// Items mapped by [`ordered_map_jobs`] and joined back in input order.
-static ITEMS_GRAFTED: AtomicU64 = AtomicU64::new(0);
-/// Pool entry points that stayed inline (≤ 1 item or 1 worker) and
-/// therefore spawned no thread.
-static IDLE_JOINS: AtomicU64 = AtomicU64::new(0);
-/// Coordinator wall-time spent inside pool entry points, nanoseconds.
-/// Machine-dependent — informational only, like a run record's `wall_ms`.
-static BUSY_NS: AtomicU64 = AtomicU64::new(0);
-
-/// A snapshot of the process-wide runtime counters. The two count
-/// fields are exact tallies of work the pool performed; `busy_ns` is
-/// host wall-clock and must never enter a gated artifact.
-///
-/// All of these depend on how a run was scheduled (`--jobs`), so the
-/// whole snapshot is **informational**:
-/// run records stamp it the way they stamp `wall_ms` — never diffed,
-/// normalized to zero in byte-comparisons.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WorkerCounters {
-    /// Items mapped and joined in input order by [`ordered_map`].
-    pub items_grafted: u64,
-    /// Entry points that ran inline without spawning any worker.
-    pub idle_joins: u64,
-    /// Coordinator wall-time inside the pool, nanoseconds (informational).
-    pub busy_ns: u64,
-}
-
-/// Reads the process-wide [`WorkerCounters`]. Counters accumulate from
-/// process start (or the last [`reset_worker_counters`]); bench bins
-/// reset at `RunRecorder::start` and snapshot at `finish` so each record
-/// sees only its own run.
-pub fn worker_counters() -> WorkerCounters {
-    WorkerCounters {
-        items_grafted: ITEMS_GRAFTED.load(Ordering::Relaxed),
-        idle_joins: IDLE_JOINS.load(Ordering::Relaxed),
-        busy_ns: BUSY_NS.load(Ordering::Relaxed),
-    }
-}
-
-/// Zeroes the process-wide [`WorkerCounters`].
-pub fn reset_worker_counters() {
-    ITEMS_GRAFTED.store(0, Ordering::Relaxed);
-    IDLE_JOINS.store(0, Ordering::Relaxed);
-    BUSY_NS.store(0, Ordering::Relaxed);
-}
-
 /// Maps `f` over `items` on [`jobs`] worker threads, returning results in
 /// input order. With one worker (or ≤ 1 item) this is exactly
 /// `items.into_iter().map(f).collect()` on the calling thread — no pool,
@@ -130,15 +84,8 @@ where
 {
     let n = items.len();
     if jobs <= 1 || n <= 1 {
-        let started = Instant::now();
-        ITEMS_GRAFTED.fetch_add(n as u64, Ordering::Relaxed);
-        IDLE_JOINS.fetch_add(1, Ordering::Relaxed);
-        let out = items.into_iter().map(f).collect();
-        BUSY_NS.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        return out;
+        return items.into_iter().map(f).collect();
     }
-    let started = Instant::now();
-    ITEMS_GRAFTED.fetch_add(n as u64, Ordering::Relaxed);
     // Item and result slots are lock-per-slot: each index is claimed by
     // exactly one worker (the fetch_add hands out every index once), so
     // locks never contend — they exist to make the slot vectors Sync.
@@ -170,16 +117,14 @@ where
             });
         }
     });
-    let out = results
+    results
         .into_iter()
         .map(|m| {
             m.into_inner()
                 .expect("result lock")
                 .expect("worker filled every claimed slot")
         })
-        .collect();
-    BUSY_NS.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    out
+        .collect()
 }
 
 #[cfg(test)]
@@ -237,20 +182,6 @@ mod tests {
         let items: Vec<String> = (0..10).map(|i| format!("s{i}")).collect();
         let got = ordered_map_jobs(items, 3, |s| s.len());
         assert_eq!(got, vec![2; 10]);
-    }
-
-    #[test]
-    fn worker_counters_tally_pool_work() {
-        // Counters are process-global and other tests run concurrently,
-        // so assert on deltas with ≥, never on absolute values.
-        let before = worker_counters();
-        let got = ordered_map_jobs((0..9u64).collect(), 3, |x| x + 1);
-        assert_eq!(got.len(), 9);
-        let _ = ordered_map_jobs(vec![1u8], 8, |x| x);
-        let after = worker_counters();
-        assert!(after.items_grafted >= before.items_grafted + 10);
-        // The singleton map stays inline.
-        assert!(after.idle_joins > before.idle_joins);
     }
 
     #[test]

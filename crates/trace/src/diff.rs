@@ -289,6 +289,19 @@ impl Differ {
     }
 }
 
+/// Whether allocation counters are compared between `base` and `fresh`.
+/// They are deterministic only when both runs executed single-threaded
+/// (`jobs ≤ 1` covers 0 = not recorded and 1 = explicit default): a
+/// parallel sweep moves allocations onto worker threads and the counts
+/// become schedule noise. They are also skipped against baselines with
+/// no alloc data (recorded without the counting allocator) — a
+/// zero-vs-nonzero diff there would gate on instrumentation coverage,
+/// not on performance. `wall_ns` and `peak_alloc_bytes` are never
+/// compared (`wall_ms` convention).
+fn allocs_comparable(base: &RunRecord, fresh: &RunRecord) -> bool {
+    base.jobs <= 1 && fresh.jobs <= 1 && (base.alloc_bytes > 0 || base.alloc_count > 0)
+}
+
 /// Compares `fresh` against `base`. See the module docs for semantics.
 pub fn diff_records(base: &RunRecord, fresh: &RunRecord) -> RunDiff {
     if base.name != fresh.name {
@@ -331,16 +344,7 @@ pub fn diff_records(base: &RunRecord, fresh: &RunRecord) -> RunDiff {
         fresh.rounds_saved,
     );
 
-    // Allocation counters are deterministic only when both runs executed
-    // single-threaded (`jobs ≤ 1` covers 0 = not recorded and 1 =
-    // explicit default): a parallel sweep moves allocations onto worker
-    // threads and the counts become schedule noise. They are also
-    // skipped against baselines with no alloc data (recorded without the
-    // counting allocator) — a zero-vs-nonzero diff there would gate on
-    // instrumentation coverage, not on performance. `wall_ns` and
-    // `peak_alloc_bytes` are never compared (`wall_ms` convention).
-    let gate_allocs =
-        base.jobs <= 1 && fresh.jobs <= 1 && (base.alloc_bytes > 0 || base.alloc_count > 0);
+    let gate_allocs = allocs_comparable(base, fresh);
     if gate_allocs {
         d.metric(
             "total",
@@ -360,8 +364,8 @@ pub fn diff_records(base: &RunRecord, fresh: &RunRecord) -> RunDiff {
 
     // Cache effectiveness (deterministic, gated). Hits share
     // `rounds_saved`'s inverted polarity; misses are plain cost counters.
-    // `wall_ms`, `jobs`, `floods`, and `workers` are informational and
-    // deliberately never compared.
+    // `wall_ms`, `jobs` and `floods` are informational and deliberately
+    // never compared.
     let (bc, fc) = (&base.cache, &fresh.cache);
     d.saved_metric("cache", "", "tree_hits", bc.tree_hits, fc.tree_hits);
     d.metric(
@@ -474,40 +478,6 @@ pub fn diff_records(base: &RunRecord, fresh: &RunRecord) -> RunDiff {
                     b.queue_high_water as f64,
                     f.queue_high_water as f64,
                 );
-                d.metric(
-                    "congestion",
-                    label,
-                    "shard_imbalance_milli",
-                    b.shard_imbalance_milli as f64,
-                    f.shard_imbalance_milli as f64,
-                );
-                // The reference partition has a fixed shard count, so a
-                // length change is structure drift, not a metric move.
-                if b.shard_words.len() != f.shard_words.len() {
-                    let status = if f.shard_words.len() < b.shard_words.len() {
-                        DiffStatus::Removed
-                    } else {
-                        DiffStatus::Added
-                    };
-                    d.entries.push(DiffEntry {
-                        section: "congestion",
-                        key: format!("{label} shard_words"),
-                        metric: "shard_count",
-                        base: b.shard_words.len() as f64,
-                        fresh: f.shard_words.len() as f64,
-                        status,
-                    });
-                } else {
-                    for (i, (&bw, &fw)) in b.shard_words.iter().zip(&f.shard_words).enumerate() {
-                        d.metric(
-                            "congestion",
-                            &format!("{label}[shard {i}]"),
-                            "shard_words",
-                            bw as f64,
-                            fw as f64,
-                        );
-                    }
-                }
             }
             None => d.structural("congestion", label, DiffStatus::Removed, b.rounds as f64),
         }
@@ -566,7 +536,7 @@ pub struct TriageEntry {
     /// The span path ([`crate::record::PATH_SEP`]-joined).
     pub path: String,
     /// Ranking score in integer milli-units: for each metric (rounds,
-    /// words, and allocated bytes when the baseline has alloc data), the
+    /// words, and allocated bytes when the gate compares allocations), the
     /// span's |delta| as a fraction of the *baseline record total*,
     /// summed and scaled by 1000. 1000 ≈ "this span alone moved one
     /// whole metric by the entire baseline total". Integer so ranking is
@@ -595,13 +565,13 @@ impl TriageEntry {
 
 /// Ranks every span path by its |delta| contribution between `base` and
 /// `fresh` (union of paths; a path missing on one side counts as zero).
-/// Alloc deltas contribute to the score only when the baseline record
-/// carries nonzero alloc data, mirroring the diff gate. Paths with no
-/// movement are omitted. Sorted by score descending, ties by path — so
-/// the first entry is the worst offender `trace_diff` points its
-/// `mwc_replay bisect` hint at.
+/// Alloc deltas contribute to the score only when [`diff_records`] would
+/// compare allocations (see `allocs_comparable`). Paths with no movement
+/// are omitted. Sorted by score descending, ties by path; improvements
+/// rank alongside regressions, so callers that want an offender pick it
+/// from a record whose diff regressed.
 pub fn triage_spans(base: &RunRecord, fresh: &RunRecord) -> Vec<TriageEntry> {
-    let score_allocs = base.alloc_bytes > 0;
+    let score_allocs = allocs_comparable(base, fresh);
     let mut paths: Vec<&str> = base
         .spans
         .iter()
@@ -652,7 +622,7 @@ pub fn triage_spans(base: &RunRecord, fresh: &RunRecord) -> Vec<TriageEntry> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{CacheTally, CongestionSummary, SpanMetrics, WorkerTally};
+    use crate::record::{CacheTally, CongestionSummary, SpanMetrics};
 
     fn record() -> RunRecord {
         RunRecord {
@@ -675,7 +645,6 @@ mod tests {
                 latency_misses: 2,
                 rounds_saved: 12,
             },
-            workers: WorkerTally::default(),
             spans: vec![
                 SpanMetrics {
                     path: "a".into(),
@@ -710,8 +679,6 @@ mod tests {
                 max_words_in_round: 12,
                 peak_round: 7,
                 queue_high_water: 3,
-                shard_imbalance_milli: 1200,
-                shard_words: vec![300, 250, 250, 200],
                 hot_links: vec![(0, 1, 99)],
             }],
             audit_margins: vec![crate::record::AuditMargin {
@@ -855,38 +822,10 @@ mod tests {
     }
 
     #[test]
-    fn shard_imbalance_and_word_drift_regress_with_culprit_shard() {
-        let mut fresh = record();
-        fresh.congestion[0].shard_imbalance_milli = 1400;
-        fresh.congestion[0].shard_words[2] = 260;
-        let d = diff_records(&record(), &fresh);
-        assert!(d.has_regression(), "{}", d.render());
-        assert_eq!(d.regression_count(), 2);
-        let report = d.render();
-        assert!(report.contains("shard_imbalance_milli"), "{report}");
-        assert!(report.contains("main[shard 2] shard_words"), "{report}");
-    }
-
-    #[test]
-    fn shard_count_drift_is_structural() {
-        let mut fresh = record();
-        fresh.congestion[0].shard_words.pop();
-        let d = diff_records(&record(), &fresh);
-        assert!(d.has_regression(), "{}", d.render());
-        assert!(d.render().contains("REMOVED"), "{}", d.render());
-        assert!(d.render().contains("shard_count"), "{}", d.render());
-    }
-
-    #[test]
     fn informational_fields_are_never_compared() {
         let mut fresh = record();
         fresh.wall_ms = 991;
         fresh.jobs = 4;
-        fresh.workers = WorkerTally {
-            items_grafted: 500,
-            idle_joins: 3,
-            busy_ms: 77,
-        };
         fresh.floods = 12;
         let d = diff_records(&record(), &fresh);
         assert!(!d.has_regression(), "{}", d.render());
@@ -980,12 +919,20 @@ mod tests {
         assert_eq!(entries[0].score_milli, 500);
         assert_eq!(entries[0].alloc_delta, 5_000);
 
-        // Zero-alloc baseline: the same byte movement scores nothing and
-        // produces no entry (no other metric moved).
+        // A parallel run on either side: allocations are schedule noise
+        // the gate ignores, so the same movement scores nothing.
+        let mut parallel = fresh.clone();
+        parallel.jobs = 4;
+        assert!(triage_spans(&record(), &parallel).is_empty());
+
+        // Baseline without alloc data: the same byte movement scores
+        // nothing and produces no entry (no other metric moved).
         let mut base = record();
         base.alloc_bytes = 0;
+        base.alloc_count = 0;
         for s in &mut base.spans {
             s.alloc_bytes = 0;
+            s.alloc_count = 0;
         }
         let mut fresh = base.clone();
         fresh.spans[0].alloc_bytes = 5_000;

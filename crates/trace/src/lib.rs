@@ -49,7 +49,7 @@ pub use audit::{check_bound, AuditRecord, BoundInputs};
 pub use diff::{diff_records, triage_spans, DiffEntry, DiffStatus, RunDiff, TriageEntry};
 pub use export::{chrome_trace, validate_chrome_trace, TraceSummary};
 pub use record::{
-    audit_margins, AuditMargin, CacheTally, CongestionSummary, RunRecord, SpanMetrics, WorkerTally,
+    audit_margins, AuditMargin, CacheTally, CongestionSummary, RunRecord, SpanMetrics,
     RUN_RECORD_SCHEMA,
 };
 

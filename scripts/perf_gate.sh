@@ -127,7 +127,7 @@ if [ "$DIFF_STATUS" -ge 2 ]; then
 fi
 
 # Aggregate the gated run's observability artifacts: the per-bin
-# shard-imbalance/cache-hit/profile report and the Chrome trace export
+# totals/cache-hit/profile/flood report and the Chrome trace export
 # (validated by the in-tree structural checker).
 run mwc_metrics report results/run_records
 run mwc_metrics check-trace results/trace.perfetto.json
