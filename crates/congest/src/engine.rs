@@ -1,8 +1,11 @@
 //! The round-synchronous CONGEST network engine.
 //!
-//! The engine is the "hardware" of this reproduction: it is the only
-//! channel through which node-local states may exchange information, and
-//! its round counter is the complexity measure every experiment reports.
+//! The engine is the "hardware" of this reproduction: node-local states
+//! exchange information only over its links, and its round counter is the
+//! complexity measure every experiment reports. Schedules the crate runs
+//! outside the queue machinery (floods, the broadcast's upcast and
+//! downcast) charge their rounds here with exactly the stats stepping
+//! would record.
 //!
 //! # Model (paper §1.1)
 //!
@@ -544,21 +547,23 @@ impl<M> Network<M> {
         }
     }
 
-    /// Charges round `round` of a flood without touching the queue
-    /// machinery. `round` may jump ahead over quiet rounds, like
-    /// [`Network::step_bulk_into`]. `links` each carry one one-word
-    /// *transfer* this round, in send order; a link appears at most once
-    /// (each directed link has one sender, which forwards at most one
-    /// announcement per round). `delivered` are the links whose messages
-    /// *arrive* this round, in delivery order: this round's zero-latency
-    /// sends first, then earlier sends whose latency expires now.
+    /// Charges round `round` of a schedule run outside the queue machinery
+    /// (the flood loop and the tree broadcast's upcast). `round` may jump
+    /// ahead over quiet rounds, like [`Network::step_bulk_into`]. `links`
+    /// each carry one word this round, in the engine's active-list order;
+    /// a link appears at most once. `delivered` are the links whose
+    /// `words`-word messages *arrive* this round, in delivery order: for
+    /// a flood, this round's zero-latency sends first, then earlier sends
+    /// whose latency expires now. `queue_depth` is the deepest per-link
+    /// queue the sends behind this round's transfers built (1 for a flood,
+    /// which forwards at most one announcement per link per round).
     ///
     /// Records exactly what [`Network::send_on_link`] followed by
     /// [`Network::step_into`] (or, with no transfer, a
     /// [`Network::step_bulk_into`] landing on `round`) would: transfer
     /// stats — words, per-link words, the active-round histogram,
     /// first-reach peak tracking, the optional history, the queue
-    /// high-water at depth 1 — only when `links` is nonempty, while the message
+    /// high-water — only when `links` is nonempty, while the message
     /// count and the event log follow `delivered`. An empty charge at
     /// `round() + 1` is an idle `step_into`: the round advances and
     /// nothing is recorded.
@@ -567,8 +572,10 @@ impl<M> Network<M> {
         round: u64,
         links: &[u32],
         delivered: impl ExactSizeIterator<Item = u32>,
+        words: u64,
+        queue_depth: u64,
     ) {
-        debug_assert!(round > self.round, "flood rounds advance monotonically");
+        debug_assert!(round > self.round, "charged rounds advance monotonically");
         self.round = round;
         let transferred = links.len() as u64;
         if transferred > 0 {
@@ -582,8 +589,8 @@ impl<M> Network<M> {
                 self.stats.words_per_round.push((self.round, transferred));
             }
             self.stats.words += transferred;
-            if self.stats.queue_high_water < 1 {
-                self.stats.queue_high_water = 1;
+            if self.stats.queue_high_water < queue_depth {
+                self.stats.queue_high_water = queue_depth;
             }
             for &l in links {
                 self.stats.per_link_words[l as usize] += 1;
@@ -593,7 +600,7 @@ impl<M> Network<M> {
         if let Some(net) = self.events_net {
             for l in delivered {
                 let (from, to) = self.link_ends[l as usize];
-                crate::events::emit_msg(net, self.round, from, to, 1);
+                crate::events::emit_msg(net, self.round, from, to, words);
             }
         }
     }
@@ -1153,10 +1160,10 @@ mod tests {
                 continue;
             };
             delivered.extend(arrivals.remove(&round).unwrap_or_default());
-            net.charge_flood_round(round, &links, delivered.into_iter());
+            net.charge_flood_round(round, &links, delivered.into_iter(), 1, 1);
         }
         while let Some((r, delivered)) = arrivals.pop_first() {
-            net.charge_flood_round(r, &[], delivered.into_iter());
+            net.charge_flood_round(r, &[], delivered.into_iter(), 1, 1);
         }
         (net.round(), net.stats().clone(), cap.finish())
     }

@@ -199,7 +199,8 @@ const RING_SPAN_MAX: u64 = 1 << 16;
 #[derive(Clone, Debug)]
 pub struct CalendarRing<T> {
     /// `buckets[a % span]` holds the pending round-`a` arrivals in push
-    /// order, tagged with `a` to assert the window invariant.
+    /// order, tagged with `a` to assert the window invariant; `span =
+    /// buckets.len() = min(max_latency + 1, 65 536)`.
     buckets: Vec<Vec<(u64, T)>>,
     /// Arrivals at or beyond `next + span`, by round, each in push order.
     far: BTreeMap<u64, Vec<T>>,
@@ -215,13 +216,30 @@ impl<T> CalendarRing<T> {
     /// latencies up to `max_latency` (capped at a fixed span; larger
     /// latencies are still accepted).
     pub fn new(max_latency: u64) -> CalendarRing<T> {
-        let span = max_latency.saturating_add(1).min(RING_SPAN_MAX) as usize;
-        CalendarRing {
-            buckets: (0..span).map(|_| Vec::new()).collect(),
+        let mut ring = CalendarRing {
+            buckets: Vec::new(),
             far: BTreeMap::new(),
             next: 1,
             len: 0,
-        }
+        };
+        ring.reset(max_latency);
+        ring
+    }
+
+    /// Makes an empty ring what [`CalendarRing::new`] with `max_latency`
+    /// builds, keeping the capacity of the buckets the new span still
+    /// uses: the flood loop resets one ring per flood instead of growing a
+    /// fresh one. Buckets past the new span are dropped, so a ring holds
+    /// no more buckets than its last flood needed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an arrival is still pending.
+    pub fn reset(&mut self, max_latency: u64) {
+        assert!(self.is_empty(), "reset of a ring with pending arrivals");
+        let span = max_latency.saturating_add(1).min(RING_SPAN_MAX) as usize;
+        self.buckets.resize_with(span, Vec::new);
+        self.next = 1;
     }
 
     fn span(&self) -> u64 {
@@ -376,6 +394,13 @@ impl NodeSet {
             words: vec![0; n.div_ceil(64)],
             len: 0,
         }
+    }
+
+    /// Makes an empty set a set over nodes `0..n`, keeping its capacity.
+    pub(crate) fn reset(&mut self, n: usize) {
+        debug_assert!(self.is_empty(), "reset of a nonempty node set");
+        // Every word is zero, so truncating or zero-extending is exact.
+        self.words.resize(n.div_ceil(64), 0);
     }
 
     /// Adds `v` (idempotent).

@@ -3,9 +3,12 @@
 //!
 //! # What "round-faithful" means
 //!
-//! Node-local states may only exchange information through a [`Network`],
-//! which enforces the CONGEST bandwidth constraint — one Θ(log n + log W)-bit
-//! word per link direction per round — and counts rounds. Algorithm phases
+//! Node-local states may only exchange information over the links of a
+//! [`Network`], which enforces the CONGEST bandwidth constraint — one
+//! Θ(log n + log W)-bit word per link direction per round — and counts
+//! rounds. The floods and the tree broadcast run the engine's schedule
+//! directly and charge each round through the network's accounting,
+//! recording exactly what stepping the engine would. Algorithm phases
 //! accumulate their costs in a [`Ledger`], whose totals are what the
 //! benchmark tables report.
 //!
@@ -53,6 +56,7 @@ mod profile;
 pub mod program;
 pub mod replay;
 mod tree;
+mod workspace;
 
 pub use cache::{
     cache_disabled, graph_fingerprint, CacheDisableGuard, CacheScope, CacheStats, PhaseCache,

@@ -44,6 +44,10 @@
 //! so every pop is fresh), parks latency-delayed sends in a
 //! [`CalendarRing`], and charges each round's traffic in one
 //! `Network::charge_flood_round` call instead of stepping the engine.
+//! These buffers, with the node sets and send/delivery vectors, are
+//! reused across floods, not allocated per flood: they live in the
+//! thread's workspace (the `workspace` module), and a finished flood
+//! leaves them empty.
 //!
 //! Receivers keep what they admit in flat state allocated once. BFS
 //! fills a node-major [`DistMatrix`]. Detection keeps a sparse
@@ -58,6 +62,7 @@ use crate::distmat::{DistMatrix, INF};
 use crate::engine::Network;
 use crate::flood::{note_flood, validate_sources, BitFrontier, CalendarRing, FloodPlan, NodeSet};
 use crate::ledger::Ledger;
+use crate::workspace;
 use mwc_graph::seq::Direction;
 use mwc_graph::{Graph, NodeId, Weight};
 
@@ -156,9 +161,65 @@ impl Admission for DistMatrix {
 /// that carried it and everything delivery needs.
 type Transit = (u32, u32, u32, Weight, u32);
 
+/// The flood loop's buffers, kept in the thread's
+/// [`Workspace`](crate::workspace::Workspace) between floods. A finished
+/// flood leaves every outbox, node set and ring bucket empty, so the next
+/// flood only resizes them.
+pub(crate) struct FloodBuffers {
+    /// Per-node fresh announcements; entries past the current `n` are
+    /// spares from a larger graph (empty).
+    outbox: Vec<BitFrontier>,
+    /// Nodes holding a fresh announcement for the next pass.
+    pending: NodeSet,
+    /// The nodes acting in the current pass.
+    acting: NodeSet,
+    /// Latency-delayed sends by arrival round.
+    ring: CalendarRing<Transit>,
+    /// One pass's charged links, in send order.
+    links: Vec<u32>,
+    /// One round's deliveries: latency-0 sends, then the ring's expiries.
+    deliv: Vec<Transit>,
+}
+
+impl Default for FloodBuffers {
+    fn default() -> Self {
+        FloodBuffers {
+            outbox: Vec::new(),
+            pending: NodeSet::new(0),
+            acting: NodeSet::new(0),
+            ring: CalendarRing::new(0),
+            links: Vec::new(),
+            deliv: Vec::new(),
+        }
+    }
+}
+
+impl FloodBuffers {
+    /// Sizes the buffers for an `n`-node flood whose arrivals lie at most
+    /// `max_latency` rounds ahead.
+    fn prepare(&mut self, n: usize, max_latency: u64) {
+        if self.outbox.len() < n {
+            self.outbox.resize_with(n, BitFrontier::default);
+        }
+        self.pending.reset(n);
+        self.acting.reset(n);
+        self.ring.reset(max_latency);
+    }
+
+    /// `true` when nothing of a flood is left behind: what lets the next
+    /// flood skip a clearing pass.
+    fn is_clear(&self) -> bool {
+        self.outbox.iter().all(BitFrontier::is_empty)
+            && self.pending.is_empty()
+            && self.acting.is_empty()
+            && self.ring.is_empty()
+    }
+}
+
 /// The flood loop behind both primitives: seeds `sources` (row `i` is
 /// `sources[i]`), then runs rounds by the module docs' five rules until
-/// nothing is left to send or deliver, charging each round to `net`.
+/// nothing is left to send or deliver, charging each round to `net`. Its
+/// buffers come from the thread's workspace and go back there.
 fn flood<A: Admission>(
     sources: &[NodeId],
     budget: Weight,
@@ -167,13 +228,18 @@ fn flood<A: Admission>(
     state: &mut A,
 ) {
     note_flood();
-    let n = net.n();
-    let mut outbox: Vec<BitFrontier> = vec![BitFrontier::default(); n];
-    let mut pending = NodeSet::new(n);
-    let mut acting = NodeSet::new(n);
+    let mut ws = workspace::take();
     // A hop is sent only if `d + dist_add ≤ budget`, and its latency is at
     // most `dist_add`, so no arrival lies more than `budget` rounds ahead.
-    let mut ring: CalendarRing<Transit> = CalendarRing::new(plan.max_latency().min(budget));
+    ws.flood.prepare(net.n(), plan.max_latency().min(budget));
+    let FloodBuffers {
+        outbox,
+        pending,
+        acting,
+        ring,
+        links,
+        deliv,
+    } = &mut ws.flood;
     for (row, &s) in sources.iter().enumerate() {
         state.seed(s, row as u32, &mut outbox[s]);
         if !outbox[s].is_empty() {
@@ -181,16 +247,12 @@ fn flood<A: Admission>(
         }
     }
 
-    // One pass's traffic: the links charged, in send order, and the
-    // round's deliveries — latency-0 sends, then the ring's expiries.
-    let mut links: Vec<u32> = Vec::new();
-    let mut deliv: Vec<Transit> = Vec::new();
     loop {
         links.clear();
         deliv.clear();
         let send_round = net.round() + 1;
         let mut popped = false;
-        std::mem::swap(&mut acting, &mut pending);
+        std::mem::swap(acting, pending);
         for v in acting.drain() {
             let Some((d, row)) = outbox[v].pop_min() else {
                 continue; // detection evicted everything it held
@@ -225,15 +287,20 @@ fn flood<A: Admission>(
                 None => break,
             }
         };
-        ring.drain_round_into(round, &mut deliv);
-        net.charge_flood_round(round, &links, deliv.iter().map(|m| m.0));
-        for &(_, to, row, cand, from) in &deliv {
+        ring.drain_round_into(round, deliv);
+        net.charge_flood_round(round, links, deliv.iter().map(|m| m.0), 1, 1);
+        for &(_, to, row, cand, from) in deliv.iter() {
             let v = to as usize;
             if state.admit(v, row, cand, from as usize, &mut outbox[v]) {
                 pending.insert(v);
             }
         }
     }
+    debug_assert!(
+        ws.flood.is_clear(),
+        "a finished flood leaves its buffers empty"
+    );
+    workspace::put_back(ws);
 }
 
 /// Runs a pipelined `h`-bounded search from `sources` and returns the

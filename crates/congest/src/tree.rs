@@ -5,11 +5,28 @@
 //! - broadcasting `M` words to all nodes costs `O(M + D)` rounds;
 //! - a convergecast of an associative operation costs `O(D)` rounds.
 //!
-//! All three are *simulated* (the data really flows through the engine), so
-//! their measured round counts are the ones charged to algorithms.
+//! All three are simulated message by message, so their measured round
+//! counts are the ones charged to algorithms. [`BfsTree::build`] and
+//! [`convergecast`] step the engine. The [`broadcast`] phases run the
+//! engine's schedule directly and record exactly what stepping would —
+//! rounds, words, messages, per-link words, queue high-water, the event
+//! log, and the order items reach the root:
+//!
+//! - the upcast runs one FIFO of item indices per node toward its parent,
+//!   keeps the engine's active-list order, and charges each round with
+//!   `Network::charge_flood_round`;
+//! - the downcast is a saturated pipeline, charged in closed form by
+//!   `Network::charge_pipelined_downcast`.
+//!
+//! `crates/congest/tests/flood_spec_differential.rs` pins both against an
+//! engine-stepped reference (`broadcast_matches_engine_stepping`), and
+//! pins [`convergecast`] against the same up/down stepping loop written
+//! in the test (`convergecast_matches_engine_stepping`), ready for a
+//! direct schedule.
 
 use crate::engine::{Network, RoundOutput};
 use crate::ledger::Ledger;
+use crate::workspace;
 use mwc_graph::{Graph, NodeId};
 
 /// A BFS spanning tree of the communication topology, the backbone for
@@ -90,6 +107,155 @@ impl BfsTree {
     }
 }
 
+/// A node's queue of item indices on its link to its parent: a list
+/// threaded through the upcast's per-item `after` links.
+#[derive(Clone, Copy, Debug, Default)]
+struct Fifo {
+    /// The item in transfer (meaningful while `len > 0`).
+    head: u32,
+    /// The last item queued (meaningful while `len > 0`).
+    tail: u32,
+    /// Items queued, the head included.
+    len: u32,
+}
+
+/// The broadcast's buffers, kept in the thread's
+/// [`Workspace`](crate::workspace::Workspace) between calls. A finished
+/// call leaves every queue empty.
+#[derive(Default)]
+pub(crate) struct BroadcastBuffers {
+    /// Per node, its queue toward the parent; entries past the current
+    /// `n` are spares (empty).
+    queues: Vec<Fifo>,
+    /// Per item, the item queued behind it on the same link.
+    after: Vec<u32>,
+    /// Links carrying traffic as `(sender, link id)`, in the engine's
+    /// active-list order.
+    active: Vec<(u32, u32)>,
+    /// The next round's `active` while this round's is read.
+    next: Vec<(u32, u32)>,
+    /// One round's charged link ids, in `active` order.
+    links: Vec<u32>,
+    /// One delivery round's arrivals as `(receiver, item)`.
+    arrived: Vec<(u32, u32)>,
+    /// Tree links `(link id, child depth)` in BFS order (the downcast).
+    bfs_links: Vec<(u32, u32)>,
+}
+
+/// Fills `out` with the tree links `(link id, child depth)` in BFS order
+/// (depth ascending, siblings in `children[]` order): the order a
+/// downcast's active list settles into, which pins the event-log order.
+fn bfs_links(tree: &BfsTree, net: &Network<()>, out: &mut Vec<(u32, u32)>) {
+    out.clear();
+    let push_children = |out: &mut Vec<(u32, u32)>, v: NodeId| {
+        for &c in &tree.children[v] {
+            let l = net.link_id(v, c).expect("tree edges are links");
+            out.push((l as u32, tree.depth[c] as u32));
+        }
+    };
+    push_children(out, tree.root);
+    let mut i = 0;
+    while i < out.len() {
+        let child = net.link_ends()[out[i].0 as usize].1;
+        push_children(out, child);
+        i += 1;
+    }
+}
+
+impl BroadcastBuffers {
+    /// Queues `item` at non-root `v` toward its parent as `Network::send`
+    /// would: a link whose queue was empty joins the end of the active
+    /// list. Returns the queue's new depth.
+    fn send_up(&mut self, tree: &BfsTree, net: &Network<()>, v: NodeId, item: u32) -> u64 {
+        let q = &mut self.queues[v];
+        if q.len == 0 {
+            let p = tree.parent[v].expect("only non-root nodes send up");
+            let l = net.link_id(v, p).expect("tree edges are links");
+            self.active.push((v as u32, l as u32));
+            q.head = item;
+        } else {
+            self.after[q.tail as usize] = item;
+        }
+        q.tail = item;
+        q.len += 1;
+        u64::from(q.len)
+    }
+
+    /// The broadcast upcast: every item climbs from its origin to the root,
+    /// `w` words per hop, charged to `net` round by round. Returns the item
+    /// indices in the order the root holds them: its own items first, in
+    /// input order, then arrivals in delivery order.
+    ///
+    /// The engine would queue each item on its origin's parent link and
+    /// forward it on delivery. Every send happens before round 1 or right
+    /// after a delivery round, and every message takes `w` rounds, so all
+    /// active links finish their heads in the same rounds: one word counter
+    /// serves every head.
+    fn upcast(
+        &mut self,
+        tree: &BfsTree,
+        net: &mut Network<()>,
+        origins: impl ExactSizeIterator<Item = NodeId>,
+        w: u64,
+    ) -> Vec<u32> {
+        if self.queues.len() < tree.parent.len() {
+            self.queues.resize(tree.parent.len(), Fifo::default());
+        }
+        self.after.clear();
+        self.after.resize(origins.len(), 0);
+        let mut collected = Vec::with_capacity(origins.len());
+        // Deepest queue any send built: the engine's queue high-water.
+        let mut depth = 0;
+        for (i, origin) in origins.enumerate() {
+            let item = u32::try_from(i).expect("item count fits u32");
+            match tree.parent[origin] {
+                Some(_) => depth = depth.max(self.send_up(tree, net, origin, item)),
+                None => collected.push(item),
+            }
+        }
+        let mut round = 0;
+        while !self.active.is_empty() {
+            self.links.clear();
+            self.links.extend(self.active.iter().map(|&(_, l)| l));
+            for _ in 1..w {
+                round += 1;
+                net.charge_flood_round(round, &self.links, std::iter::empty(), w, depth);
+            }
+            round += 1;
+            net.charge_flood_round(round, &self.links, self.links.iter().copied(), w, depth);
+            // Every head arrives; links with more queued stay, in order.
+            self.arrived.clear();
+            self.next.clear();
+            for &(v, l) in &self.active {
+                let q = &mut self.queues[v as usize];
+                debug_assert!(q.len > 0, "active links have queued items");
+                let item = q.head;
+                q.len -= 1;
+                let p = tree.parent[v as usize].expect("only non-root nodes send up");
+                self.arrived.push((p as u32, item));
+                if q.len > 0 {
+                    q.head = self.after[item as usize];
+                    self.next.push((v, l));
+                }
+            }
+            std::mem::swap(&mut self.active, &mut self.next);
+            // Receivers forward in delivery order, re-activated links last.
+            for k in 0..self.arrived.len() {
+                let (p, item) = self.arrived[k];
+                match tree.parent[p as usize] {
+                    Some(_) => depth = depth.max(self.send_up(tree, net, p as usize, item)),
+                    None => collected.push(item),
+                }
+            }
+        }
+        debug_assert!(
+            self.queues.iter().all(|q| q.len == 0),
+            "upcast left items queued"
+        );
+        collected
+    }
+}
+
 /// Broadcasts every `(origin, item)` to **all** nodes by pipelining items
 /// up to the root and flooding them back down the tree. Each item occupies
 /// `words_per_item` words. Costs `O(M · words_per_item + D)` rounds.
@@ -105,54 +271,36 @@ pub fn broadcast<T>(
 ) -> Vec<(NodeId, T)> {
     let _span = mwc_trace::span("tree/broadcast");
     let n = g.n();
-    // Upcast: every node forwards items toward the root.
-    let mut net: Network<(NodeId, T)> = Network::new(g);
-    let mut collected: Vec<(NodeId, T)> = Vec::with_capacity(items.len());
-    for (origin, item) in items {
-        match tree.parent[origin] {
-            Some(p) => net
-                .send(origin, p, (origin, item), words_per_item)
-                .expect("tree edges are links"),
-            None => collected.push((origin, item)),
-        }
-    }
-    let mut out = RoundOutput::default();
-    while net.step_bulk_into(&mut out) {
-        for d in out.deliveries.drain(..) {
-            let v = d.to;
-            match tree.parent[v] {
-                Some(p) => net
-                    .send(v, p, d.payload, words_per_item)
-                    .expect("tree edges are links"),
-                None => collected.push(d.payload),
-            }
-        }
-    }
+    let mut ws = workspace::take();
+    let buf = &mut ws.broadcast;
+    let mut net: Network<()> = Network::new(g);
+    let order = buf.upcast(
+        tree,
+        &mut net,
+        items.iter().map(|&(origin, _)| origin),
+        words_per_item.max(1),
+    );
     ledger.absorb("broadcast: upcast", &net);
     let up_rounds = net.round();
+    let mut slots: Vec<Option<(NodeId, T)>> = items.into_iter().map(Some).collect();
+    let collected: Vec<(NodeId, T)> = order
+        .iter()
+        .map(|&i| {
+            slots[i as usize]
+                .take()
+                .expect("each item reaches the root once")
+        })
+        .collect();
 
     // Downcast: the root streams the full list down every tree edge. The
     // schedule is a fully saturated pipeline (item `i` reaches depth `d`
     // at round `words_per_item·(i+d)`), so the whole phase is charged in
-    // closed form instead of stepping the engine per message: O(links +
-    // rounds) instead of O(items · links) work, pinned against an
-    // engine-stepped downcast by the broadcast differential test.
-    let mut net: Network<(NodeId, T)> = Network::new(g);
-    // Tree links in BFS order (depth ascending, siblings in `children[]`
-    // order) — the order the engine's active list settles into, which
-    // pins the event-log order.
-    let mut links: Vec<(u32, u32)> = Vec::with_capacity(n.saturating_sub(1));
-    let mut queue: std::collections::VecDeque<NodeId> = std::collections::VecDeque::new();
-    queue.push_back(tree.root);
-    while let Some(v) = queue.pop_front() {
-        for &c in &tree.children[v] {
-            let l = net.link_id(v, c).expect("tree edges are links");
-            links.push((l as u32, tree.depth[c] as u32));
-            queue.push_back(c);
-        }
-    }
-    net.charge_pipelined_downcast(&links, collected.len() as u64, words_per_item);
+    // closed form: O(links + rounds) instead of O(items · links) work.
+    let mut net: Network<()> = Network::new(g);
+    bfs_links(tree, &net, &mut buf.bfs_links);
+    net.charge_pipelined_downcast(&buf.bfs_links, collected.len() as u64, words_per_item);
     ledger.absorb("broadcast: downcast", &net);
+    workspace::put_back(ws);
     mwc_trace::check_bound(
         "congest/broadcast",
         mwc_trace::BoundInputs::n(n)

@@ -3,8 +3,9 @@
 //! engine's transit order), random insert schedules — latencies well past
 //! the ring's span included — must agree on pop order, bucket rotation
 //! across many wraparounds, overflow migration, and quiet-gap
-//! fast-forwards; and random stretched floods must match the sequential
-//! flood specification.
+//! fast-forwards; a ring reset to a new latency must drain like a new
+//! ring; and random stretched floods must match the sequential flood
+//! specification.
 //!
 //! Runs on `mwc_rng::proptest_lite`; new failures persist their case
 //! seed under `proplite-regressions/`.
@@ -40,8 +41,51 @@ fn heap_due(heap: &mut BinaryHeap<Reverse<(u64, u64)>>, round: u64) -> Vec<u64> 
     due
 }
 
+/// Runs a round-by-round schedule on `ring` (batch `i` pushed at round
+/// `i + 1`, then that round drained) and drains the tail through the
+/// quiet-gap fast-forward; returns every drained round with its items.
+fn run_schedule(ring: &mut CalendarRing<u64>, batches: &[Vec<u64>]) -> Vec<(u64, Vec<u64>)> {
+    let mut drained = Vec::new();
+    let mut seq = 0u64;
+    let mut round = 0u64;
+    for batch in batches {
+        round += 1;
+        for &lat in batch {
+            ring.push(round + lat, seq);
+            seq += 1;
+        }
+        let mut got = Vec::new();
+        ring.drain_round_into(round, &mut got);
+        drained.push((round, got));
+    }
+    while let Some(next) = ring.next_arrival() {
+        let mut got = Vec::new();
+        ring.drain_round_into(next, &mut got);
+        drained.push((next, got));
+    }
+    drained
+}
+
 prop_tests! {
     config = Config::with_cases(64);
+
+    /// A ring reused across floods: after draining one schedule and a
+    /// reset to another latency — wider or narrower than before — it
+    /// drains a second schedule exactly as a new ring with that latency.
+    fn reset_ring_drains_like_new(
+        lat1 in 0u64..40,
+        lat2 in 0u64..40,
+        first in plite::vec(plite::vec(0u64..200, 0..5), 1..24),
+        second in plite::vec(plite::vec(0u64..200, 0..5), 1..24)
+    ) {
+        let mut reused: CalendarRing<u64> = CalendarRing::new(lat1);
+        run_schedule(&mut reused, &first);
+        prop_assert!(reused.is_empty());
+        reused.reset(lat2);
+        let mut fresh: CalendarRing<u64> = CalendarRing::new(lat2);
+        prop_assert_eq!(run_schedule(&mut reused, &second), run_schedule(&mut fresh, &second));
+        prop_assert!(reused.is_empty() && fresh.is_empty());
+    }
 
     /// Round-by-round schedule: each batch of latencies is inserted at
     /// its send round and that round's expiries are drained. The ring

@@ -16,15 +16,16 @@
 //! - words per directed link,
 //! - the message-event log, delivery by delivery.
 //!
-//! The tree [`broadcast`] downcast, charged in closed form, is checked
-//! against an engine-stepped downcast written here.
+//! The tree [`broadcast`], whose phases run the engine's schedule
+//! directly or charge it in closed form, and [`convergecast`] are checked
+//! against engine-stepped references written here.
 
 mod common;
 
 use common::flood_spec::{run_flood, Rule, SpecOutcome};
 use mwc_congest::{
-    broadcast, multi_source_bfs, source_detection, BfsTree, EventLog, FloodPlan, Ledger,
-    MultiBfsSpec, Network, RoundOutput, INF,
+    broadcast, convergecast, multi_source_bfs, source_detection, BfsTree, EventLog, FloodPlan,
+    Ledger, MultiBfsSpec, Network, RoundOutput, INF,
 };
 use mwc_graph::generators::{connected_gnm, ring_with_chords, WeightRange};
 use mwc_graph::seq::Direction;
@@ -542,13 +543,62 @@ fn engine_broadcast(
     collected
 }
 
-/// The closed-form downcast charge against the engine-stepped one, on
-/// the shapes that stress the schedule: a path (maximum height), a star
-/// (the root queue holds every item), and a random connected graph
-/// (branching trees), each with `m ∈ {0, 1, many}` items of one or
-/// three words.
-#[test]
-fn broadcast_downcast_matches_engine_stepping() {
+/// [`convergecast`] stepped through the engine message by message: leaves
+/// report first, each node reports once all its children have, and the
+/// result floods back down the tree.
+fn engine_convergecast(
+    g: &Graph,
+    tree: &BfsTree,
+    values: Vec<u64>,
+    op: impl Fn(u64, u64) -> u64,
+    ledger: &mut Ledger,
+) -> u64 {
+    let n = g.n();
+    let mut pending: Vec<usize> = (0..n).map(|v| tree.children[v].len()).collect();
+    let mut acc = values;
+    let mut out = RoundOutput::default();
+    let mut net: Network<u64> = Network::new(g);
+    for v in 0..n {
+        if pending[v] == 0 {
+            if let Some(p) = tree.parent[v] {
+                net.send(v, p, acc[v], 1).unwrap();
+            }
+        }
+    }
+    while net.step_bulk_into(&mut out) {
+        for d in out.deliveries.drain(..) {
+            let v = d.to;
+            acc[v] = op(acc[v], d.payload);
+            pending[v] -= 1;
+            if pending[v] == 0 {
+                if let Some(p) = tree.parent[v] {
+                    net.send(v, p, acc[v], 1).unwrap();
+                }
+            }
+        }
+    }
+    ledger.absorb("convergecast: up", &net);
+    let result = acc[tree.root];
+
+    let mut net: Network<u64> = Network::new(g);
+    for &c in &tree.children[tree.root] {
+        net.send(tree.root, c, result, 1).unwrap();
+    }
+    while net.step_bulk_into(&mut out) {
+        for d in out.deliveries.drain(..) {
+            for &c in &tree.children[d.to] {
+                net.send(d.to, c, result, 1).unwrap();
+            }
+        }
+    }
+    ledger.absorb("convergecast: down", &net);
+    result
+}
+
+/// The tree shapes that stress the schedules: a path (maximum height), a
+/// star (the root queue holds every item), and a random connected graph
+/// (branching trees), each with its root.
+fn tree_shapes() -> Vec<(&'static str, Graph, NodeId)> {
     let mut path = Graph::undirected(12);
     for i in 0..11 {
         path.add_edge(i, i + 1, 1).unwrap();
@@ -558,20 +608,69 @@ fn broadcast_downcast_matches_engine_stepping() {
         star.add_edge(0, i, 1).unwrap();
     }
     let gnm = connected_gnm(26, 50, Orientation::Undirected, WeightRange::unit(), 13);
-    let shapes: [(&str, &Graph, NodeId); 3] =
-        [("path", &path, 0), ("star", &star, 0), ("gnm", &gnm, 5)];
-    for (name, g, root) in shapes {
-        for m in [0usize, 1, 17] {
+    vec![("path", path, 0), ("star", star, 0), ("gnm", gnm, 5)]
+}
+
+/// Item lists for a broadcast on `g` rooted at `root`: `m ∈ {0, 1, 17}`
+/// items spread over the nodes, then lists that stress the upcast FIFOs —
+/// several items per origin at different depths with root items mixed
+/// in, and every item at the deepest node.
+fn broadcast_items(g: &Graph, root: NodeId) -> Vec<(String, Vec<(NodeId, u64)>)> {
+    let mut sets: Vec<(String, Vec<(NodeId, u64)>)> = [0usize, 1, 17]
+        .into_iter()
+        .map(|m| {
+            let items = (0..m).map(|i| (i % g.n(), 1000 + i as u64)).collect();
+            (format!("m={m}"), items)
+        })
+        .collect();
+    let tree = BfsTree::build(g, root, &mut Ledger::new());
+    let deepest = (0..g.n()).max_by_key(|&v| (tree.depth[v], v)).unwrap();
+    let origins: Vec<NodeId> = (0..g.n()).step_by(3).chain([root, deepest]).collect();
+    let multi = (0..4 * origins.len())
+        .map(|i| (origins[(i * 5) % origins.len()], 2000 + i as u64))
+        .collect();
+    sets.push(("several-per-origin".to_owned(), multi));
+    let leaf = (0..23).map(|i| (deepest, 3000 + i as u64)).collect();
+    sets.push(("deepest-leaf".to_owned(), leaf));
+    sets
+}
+
+/// The direct upcast schedule and the closed-form downcast charge against
+/// engine stepping, on every tree shape and item list, with items of one
+/// or three words.
+#[test]
+fn broadcast_matches_engine_stepping() {
+    for (name, g, root) in &tree_shapes() {
+        for (set, items) in broadcast_items(g, *root) {
             for w in [1u64, 3] {
-                let items: Vec<(NodeId, u64)> =
-                    (0..m).map(|i| (i % g.n(), 1000 + i as u64)).collect();
-                let want = observe_broadcast(g, root, |g, t, l| {
+                let want = observe_broadcast(g, *root, |g, t, l| {
                     engine_broadcast(g, t, items.clone(), w, l)
                 });
                 let got =
-                    observe_broadcast(g, root, |g, t, l| broadcast(g, t, items.clone(), w, l));
-                assert_eq!(got, want, "broadcast/{name}/m={m}/w={w}");
+                    observe_broadcast(g, *root, |g, t, l| broadcast(g, t, items.clone(), w, l));
+                assert_eq!(got, want, "broadcast/{name}/{set}/w={w}");
             }
+        }
+    }
+}
+
+/// [`convergecast`] against the engine-stepped reference, on every tree
+/// shape, with `min` and with a sum: the pin a direct schedule for either
+/// phase must pass. The result rides in the run's item list.
+#[test]
+fn convergecast_matches_engine_stepping() {
+    type Op = fn(u64, u64) -> u64;
+    let ops: [(&str, Op); 2] = [("min", u64::min), ("sum", |a, b| a + b)];
+    for (name, g, root) in &tree_shapes() {
+        let values: Vec<u64> = (0..g.n() as u64).map(|v| (v * 7919 + 13) % 1000).collect();
+        for (op_name, op) in ops {
+            let want = observe_broadcast(g, *root, |g, t, l| {
+                vec![(t.root, engine_convergecast(g, t, values.clone(), op, l))]
+            });
+            let got = observe_broadcast(g, *root, |g, t, l| {
+                vec![(t.root, convergecast(g, t, values.clone(), op, l))]
+            });
+            assert_eq!(got, want, "convergecast/{name}/{op_name}");
         }
     }
 }
