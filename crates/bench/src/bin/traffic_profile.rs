@@ -11,6 +11,17 @@
 //! BFS), with delay ranges ρ ∈ {1 (no delays), √n, n^{4/5}}.
 //!
 //! Usage: `traffic_profile [n_side]` (default 24, i.e. a 24×24 grid).
+//!
+//! # What its run record gates
+//!
+//! Only the three `rho=…` congestion summaries: each delayed flood's
+//! rounds, words, messages, active rounds, peak round load, queue
+//! high-water and hot links. The flood is hand-rolled on a raw
+//! [`Network`], outside any algorithm span, and simulated cost and
+//! allocations are charged to the innermost open span. With none open,
+//! the record's round/word/message totals, its span tree and its
+//! per-span allocation counts are 0 by construction, so a perf-gate
+//! change here can only come from the engine's stepping.
 
 use mwc_bench::plot::{downsample_max, sparkline_scaled};
 use mwc_bench::{report, Table};

@@ -213,7 +213,7 @@ pub fn save_json(relpath: &str, value: &Json) -> PathBuf {
 }
 
 /// Records one benchmark binary's run as a canonical
-/// [`RunRecord`](mwc_trace::RunRecord) under `results/run_records/`.
+/// [`RunRecord`] under `results/run_records/`.
 ///
 /// Wraps an in-memory [`TraceSession`] so every span the algorithms open
 /// during the run is captured, collects [`Ledger`] congestion summaries

@@ -101,8 +101,10 @@ pub struct CacheStats {
 
 /// Memoizes per-run shared structures: the global BFS tree keyed by
 /// `(graph fingerprint, root)`, stretched latency tables keyed by
-/// `(graph fingerprint, h, ε_q, scale)`, and flood charges keyed by
-/// [`FloodKey`]. See the module docs for the scoping and visibility rules.
+/// `(graph fingerprint, h, ε_q, scale)`, and flood charges keyed by the
+/// graph fingerprint and a digest of the flood's direction, budget, source
+/// rows and latency table. See the module docs for the scoping and
+/// visibility rules.
 #[derive(Default)]
 pub struct PhaseCache {
     trees: HashMap<(u64, NodeId), CachedTree>,
@@ -366,6 +368,9 @@ pub struct CacheScope {
 impl Drop for CacheScope {
     fn drop(&mut self) {
         if self.installed {
+            // A solve's flood outboxes end with it (see the `workspace`
+            // module docs).
+            crate::workspace::release_outboxes();
             let cache = ACTIVE.with(|a| a.borrow_mut().take());
             // The scope owns its cache's whole life, so teardown is the
             // one point the final hit/miss tally exists — report it to

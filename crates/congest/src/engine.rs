@@ -59,16 +59,6 @@ impl<M> Default for RoundOutput<M> {
     }
 }
 
-/// Number of buckets in the per-round delivered-word histogram: bucket `i`
-/// counts rounds that transferred `w` words with `2^i ≤ w < 2^(i+1)`
-/// (bucket 0 is `w = 1`; the last bucket absorbs everything above).
-pub const HIST_BUCKETS: usize = 16;
-
-/// The histogram bucket for a round that transferred `words` words (≥ 1).
-pub fn hist_bucket(words: u64) -> usize {
-    (63 - u64::leading_zeros(words.max(1)) as usize).min(HIST_BUCKETS - 1)
-}
-
 /// Aggregate traffic statistics of a [`Network`].
 ///
 /// `PartialEq` is derived so differential tests can assert that bulk
@@ -101,9 +91,6 @@ pub struct NetStats {
     /// High-water mark of any single link's send-queue depth (messages
     /// queued behind one FIFO link, the engine's backpressure signal).
     pub queue_high_water: u64,
-    /// Histogram of per-round delivered words over power-of-two buckets
-    /// (see [`hist_bucket`]); always on — one increment per active round.
-    pub round_histogram: [u64; HIST_BUCKETS],
 }
 
 /// A queued message. Endpoints are *not* stored: queues are per-link, so
@@ -315,25 +302,6 @@ impl<M> Network<M> {
         )
     }
 
-    /// The `k` most-loaded directed links as `((from, to), words)`,
-    /// heaviest first; ties break toward the lower link index so the
-    /// report is deterministic.
-    pub fn hot_links(&self, k: usize) -> Vec<((NodeId, NodeId), u64)> {
-        crate::profile::top_links(&self.link_ends, &self.stats.per_link_words, k)
-    }
-
-    /// Sum of words that crossed between the two sides of a node
-    /// partition; `side[v]` is `v`'s side. Used by the two-party
-    /// communication harness.
-    pub fn words_across(&self, side: &[bool]) -> u64 {
-        self.link_ends
-            .iter()
-            .zip(&self.stats.per_link_words)
-            .filter(|((u, v), _)| side[*u] != side[*v])
-            .map(|(_, w)| *w)
-            .sum()
-    }
-
     /// The directed link id for `from → to`, if the nodes are adjacent.
     /// Ids index [`NetStats::per_link_words`] / [`Network::link_ends`] and
     /// can be fed to [`Network::send_on_link`] to skip the per-send
@@ -344,10 +312,6 @@ impl<M> Network<M> {
             .binary_search_by_key(&to, |&(nb, _)| nb)
             .ok()
             .map(|i| links[i].1)
-    }
-
-    fn link(&self, from: NodeId, to: NodeId) -> Option<usize> {
-        self.link_id(from, to)
     }
 
     /// Enqueues a `words`-word message from `from` to its neighbor `to`.
@@ -385,7 +349,9 @@ impl<M> Network<M> {
         words: u64,
         latency: u64,
     ) -> Result<(), SendError> {
-        let l = self.link(from, to).ok_or(SendError::NoLink { from, to })?;
+        let l = self
+            .link_id(from, to)
+            .ok_or(SendError::NoLink { from, to })?;
         self.send_on_link(l, payload, words, latency);
         Ok(())
     }
@@ -446,6 +412,25 @@ impl<M> Network<M> {
         next
     }
 
+    /// Records `k` consecutive transferring rounds of `w` words each, the
+    /// first of them round `first`: total words, active rounds, the peak
+    /// (first reach wins, so ties keep the earliest round) and the
+    /// optional history. Per-link words and the queue high-water stay
+    /// with the caller.
+    fn record_rounds(&mut self, first: u64, k: u64, w: u64) {
+        self.stats.words += k * w;
+        self.stats.active_rounds += k;
+        if w > self.stats.max_words_in_round {
+            self.stats.max_words_in_round = w;
+            self.stats.peak_round = first;
+        }
+        if self.history {
+            self.stats
+                .words_per_round
+                .extend((first..first + k).map(|r| (r, w)));
+        }
+    }
+
     /// Advances the simulation by exactly one round, clearing `out` and
     /// filling it with what the nodes observe at the round's end (reusing
     /// its backing buffers). Quiet rounds are stepped one by one too, so
@@ -459,15 +444,7 @@ impl<M> Network<M> {
         // Transfer one word on every active link.
         let transferred = self.active.len() as u64;
         if transferred > 0 {
-            self.stats.active_rounds += 1;
-            self.stats.round_histogram[hist_bucket(transferred)] += 1;
-            if transferred > self.stats.max_words_in_round {
-                self.stats.max_words_in_round = transferred;
-                self.stats.peak_round = self.round;
-            }
-            if self.history {
-                self.stats.words_per_round.push((self.round, transferred));
-            }
+            self.record_rounds(self.round, 1, transferred);
         }
         let mut still_active = std::mem::take(&mut self.scratch_active);
         still_active.clear();
@@ -476,7 +453,6 @@ impl<M> Network<M> {
             let q = &mut self.queues[l];
             let head = q.front_mut().expect("active links have queued traffic");
             head.words_left -= 1;
-            self.stats.words += 1;
             self.stats.per_link_words[l] += 1;
             if head.words_left == 0 {
                 // The last word left the link: deliver now (zero latency)
@@ -561,12 +537,11 @@ impl<M> Network<M> {
     /// Records exactly what [`Network::send_on_link`] followed by
     /// [`Network::step_into`] (or, with no transfer, a
     /// [`Network::step_bulk_into`] landing on `round`) would: transfer
-    /// stats — words, per-link words, the active-round histogram,
-    /// first-reach peak tracking, the optional history, the queue
-    /// high-water — only when `links` is nonempty, while the message
-    /// count and the event log follow `delivered`. An empty charge at
-    /// `round() + 1` is an idle `step_into`: the round advances and
-    /// nothing is recorded.
+    /// stats — words, per-link words, active rounds, first-reach peak
+    /// tracking, the optional history, the queue high-water — only when
+    /// `links` is nonempty, while the message count and the event log
+    /// follow `delivered`. An empty charge at `round() + 1` is an idle
+    /// `step_into`: the round advances and nothing is recorded.
     pub(crate) fn charge_flood_round(
         &mut self,
         round: u64,
@@ -579,16 +554,7 @@ impl<M> Network<M> {
         self.round = round;
         let transferred = links.len() as u64;
         if transferred > 0 {
-            self.stats.active_rounds += 1;
-            self.stats.round_histogram[hist_bucket(transferred)] += 1;
-            if transferred > self.stats.max_words_in_round {
-                self.stats.max_words_in_round = transferred;
-                self.stats.peak_round = self.round;
-            }
-            if self.history {
-                self.stats.words_per_round.push((self.round, transferred));
-            }
-            self.stats.words += transferred;
+            self.record_rounds(round, 1, transferred);
             if self.stats.queue_high_water < queue_depth {
                 self.stats.queue_high_water = queue_depth;
             }
@@ -655,16 +621,7 @@ impl<M> Network<M> {
             let d_min = (r.div_ceil(w).saturating_sub(m - 1)).max(1) as usize;
             let transferred = prefix[d_max] - prefix[d_min - 1];
             debug_assert!(transferred > 0, "the pipeline never idles mid-stream");
-            self.stats.active_rounds += 1;
-            self.stats.round_histogram[hist_bucket(transferred)] += 1;
-            if transferred > self.stats.max_words_in_round {
-                self.stats.max_words_in_round = transferred;
-                self.stats.peak_round = r;
-            }
-            if self.history {
-                self.stats.words_per_round.push((r, transferred));
-            }
-            self.stats.words += transferred;
+            self.record_rounds(r, 1, transferred);
         }
         self.round = total_rounds;
         self.stats.messages += m * links.len() as u64;
@@ -696,7 +653,7 @@ impl<M> Network<M> {
     /// On top of that, **bulk link transfer**: when no delivery, transit
     /// expiry, or wakeup can fire before round `r + k`, the engine
     /// advances every active link `k - 1` words in one pass — updating
-    /// `NetStats` (words, per-link words, histogram buckets, peak round,
+    /// `NetStats` (words, per-link words, active rounds, peak round,
     /// `words_per_round` history) in closed form — and then executes round
     /// `r + k` with [`Network::step_into`]. Observable state after the
     /// call, including all statistics, the ledger history and the
@@ -723,11 +680,9 @@ impl<M> Network<M> {
             // k = number of rounds until *any* observable event: the
             // earliest head completion, transit expiry, or wakeup.
             let mut k = u64::MAX;
-            let mut deepest_queue = 0u64;
             for &l in &self.active {
-                let q = &self.queues[l];
-                deepest_queue = deepest_queue.max(q.len() as u64);
-                k = k.min(q.front().expect("active links have traffic").words_left);
+                let head = self.queues[l].front().expect("active links have traffic");
+                k = k.min(head.words_left);
             }
             if let Some(Reverse((r, _, _))) = self.transit.peek() {
                 k = k.min(r - self.round);
@@ -736,28 +691,8 @@ impl<M> Network<M> {
                 k = k.min(r - self.round);
             }
             if k > 1 {
-                // Queue depth can only grow at send() time, which already
-                // maintains the high-water mark, but re-observe it here so
-                // depth standing through a bulk advance is accounted even
-                // if a future send path forgets to.
-                if deepest_queue > self.stats.queue_high_water {
-                    self.stats.queue_high_water = deepest_queue;
-                }
                 let skipped = k - 1;
-                let per_round = self.active.len() as u64;
-                self.stats.active_rounds += skipped;
-                self.stats.round_histogram[hist_bucket(per_round)] += skipped;
-                if per_round > self.stats.max_words_in_round {
-                    self.stats.max_words_in_round = per_round;
-                    // First skipped round is the first to hit the new max.
-                    self.stats.peak_round = self.round + 1;
-                }
-                if self.history {
-                    for i in 1..=skipped {
-                        self.stats.words_per_round.push((self.round + i, per_round));
-                    }
-                }
-                self.stats.words += skipped * per_round;
+                self.record_rounds(self.round + 1, skipped, self.active.len() as u64);
                 for &l in &self.active {
                     let head = self.queues[l].front_mut().expect("active");
                     head.words_left -= skipped;
@@ -926,8 +861,10 @@ mod tests {
         assert_eq!(net.stats().words, 3);
         assert_eq!(net.stats().messages, 2);
         // Partition {0} vs {1,2}: only the 2-word message crosses.
-        assert_eq!(net.words_across(&[true, false, false]), 2);
-        assert_eq!(net.words_across(&[true, true, false]), 1);
+        let mut ledger = crate::Ledger::new();
+        ledger.absorb("cut", &net);
+        assert_eq!(ledger.words_across(&[true, false, false]), 2);
+        assert_eq!(ledger.words_across(&[true, true, false]), 1);
     }
 
     #[test]
@@ -1044,7 +981,6 @@ mod tests {
         assert_eq!(net.round(), 100);
         assert_eq!(net.stats().words, 100);
         assert_eq!(net.stats().active_rounds, 100);
-        assert_eq!(net.stats().round_histogram[hist_bucket(1)], 100);
     }
 
     #[test]

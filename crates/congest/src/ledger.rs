@@ -5,12 +5,15 @@
 //! own [`Network`](crate::Network) instance over the same topology. A
 //! [`Ledger`] accumulates the round/word/message counts of those phases so
 //! an end-to-end algorithm reports one total, with a per-phase breakdown
-//! for the benchmark tables.
+//! for the benchmark tables, and the run's congestion summary: peak words
+//! per round, queue high-water and hot links.
 
 use crate::engine::{NetStats, Network};
-use crate::profile::CongestionProfile;
 use mwc_graph::NodeId;
 use std::fmt;
+
+/// How many hot links a congestion summary retains.
+pub const PROFILE_HOT_LINKS: usize = 3;
 
 /// One accounted phase of a distributed algorithm.
 #[derive(Clone, Debug)]
@@ -21,23 +24,6 @@ pub struct Phase {
     pub rounds: u64,
     /// Words it moved.
     pub words: u64,
-    /// How the phase's traffic was shaped (peak load, backpressure, hot
-    /// links); empty-default for synthetic phases that never ran a network.
-    pub profile: CongestionProfile,
-}
-
-impl Phase {
-    /// A phase with the given totals and an empty congestion profile —
-    /// for synthetic entries (e.g. accounting markers) not backed by a
-    /// simulated network.
-    pub fn synthetic(label: impl Into<String>, rounds: u64, words: u64) -> Phase {
-        Phase {
-            label: label.into(),
-            rounds,
-            words,
-            profile: CongestionProfile::default(),
-        }
-    }
 }
 
 /// Accumulated cost of a distributed computation.
@@ -76,6 +62,15 @@ pub struct Ledger {
     pub phases: Vec<Phase>,
     link_ends: Vec<(NodeId, NodeId)>,
     per_link_words: Vec<u64>,
+    /// Rounds that transferred at least one word, over all phases.
+    active_rounds: u64,
+    /// The most words any single round transferred.
+    max_words_in_round: u64,
+    /// The global round (phase offsets applied) at which
+    /// `max_words_in_round` was first reached; the earliest peak wins.
+    peak_round: u64,
+    /// The deepest any link's send queue got, over all phases.
+    queue_high_water: u64,
     /// Concatenated congestion timeline: `(global round, words)` across all
     /// absorbed phases, with each phase's rounds offset so the timeline is
     /// monotone. Only populated for phases whose network had
@@ -127,6 +122,13 @@ impl Ledger {
         link_ends: &[(NodeId, NodeId)],
     ) {
         let offset = self.rounds;
+        self.fold_congestion(
+            offset,
+            stats.active_rounds,
+            stats.max_words_in_round,
+            stats.peak_round,
+            stats.queue_high_water,
+        );
         self.rounds += rounds;
         self.words += stats.words;
         self.messages += stats.messages;
@@ -135,7 +137,6 @@ impl Ledger {
             label: label.to_owned(),
             rounds,
             words: stats.words,
-            profile: CongestionProfile::from_stats(stats, link_ends),
         });
         self.words_per_round
             .extend(stats.words_per_round.iter().map(|&(r, w)| (offset + r, w)));
@@ -159,6 +160,13 @@ impl Ledger {
     /// congestion timeline shifts by this ledger's rounds).
     pub fn merge(&mut self, other: &Ledger) {
         let offset = self.rounds;
+        self.fold_congestion(
+            offset,
+            other.active_rounds,
+            other.max_words_in_round,
+            other.peak_round,
+            other.queue_high_water,
+        );
         self.rounds += other.rounds;
         self.words += other.words;
         self.messages += other.messages;
@@ -177,6 +185,26 @@ impl Ledger {
         }
     }
 
+    /// Folds a later phase's (or ledger's) congestion into the running
+    /// totals: active rounds add, the queue high-water is the max, and a
+    /// peak moves only when strictly higher, so the earliest one wins ties.
+    /// `offset` is the global round the incoming part starts after.
+    fn fold_congestion(
+        &mut self,
+        offset: u64,
+        active_rounds: u64,
+        max_words_in_round: u64,
+        peak_round: u64,
+        queue_high_water: u64,
+    ) {
+        self.active_rounds += active_rounds;
+        if max_words_in_round > self.max_words_in_round {
+            self.max_words_in_round = max_words_in_round;
+            self.peak_round = offset + peak_round;
+        }
+        self.queue_high_water = self.queue_high_water.max(queue_high_water);
+    }
+
     /// Records a phase-cache hit: a structure that would have cost
     /// `saved_rounds` was replayed instead of rebuilt. Pushes
     /// a zero-cost synthetic phase labeled `cached: <what> (saved N
@@ -187,11 +215,11 @@ impl Ledger {
     pub fn credit_cached(&mut self, what: &str, saved_rounds: u64) {
         self.rounds_saved += saved_rounds;
         mwc_trace::add_saved(saved_rounds);
-        self.phases.push(Phase::synthetic(
-            format!("cached: {what} (saved {saved_rounds} rounds)"),
-            0,
-            0,
-        ));
+        self.phases.push(Phase {
+            label: format!("cached: {what} (saved {saved_rounds} rounds)"),
+            rounds: 0,
+            words: 0,
+        });
     }
 
     /// The concatenated `(global round, words)` congestion timeline across
@@ -204,43 +232,30 @@ impl Ledger {
     /// The `k` most-loaded directed links across all absorbed phases, as
     /// `((from, to), words)` heaviest first. The order is a total order —
     /// load descending, then `(from, to)` ascending — so run records and
-    /// diffs can never flake on ties (see [`crate::top_links`]).
+    /// diffs can never flake on ties (see [`top_links`]).
     pub fn hot_links(&self, k: usize) -> Vec<((NodeId, NodeId), u64)> {
-        crate::profile::top_links(&self.link_ends, &self.per_link_words, k)
+        top_links(&self.link_ends, &self.per_link_words, k)
     }
 
-    /// Aggregates the ledger into the [`CongestionSummary`] a
-    /// [`RunRecord`](mwc_trace::RunRecord) carries: totals, the global
-    /// peak round (phase offsets applied, earliest peak wins ties), queue
-    /// high-water (the max over phases) and the top
-    /// [`crate::PROFILE_HOT_LINKS`] hot links.
+    /// Aggregates the ledger into the
+    /// [`CongestionSummary`](mwc_trace::CongestionSummary) a
+    /// [`RunRecord`](mwc_trace::RunRecord) carries: totals, active rounds,
+    /// the global peak round (phase offsets applied, earliest peak wins
+    /// ties), queue high-water (the max over phases) and the top
+    /// [`PROFILE_HOT_LINKS`] hot links.
     pub fn congestion_summary(&self, label: &str) -> mwc_trace::CongestionSummary {
-        let mut active_rounds = 0;
-        let mut max_words_in_round = 0;
-        let mut peak_round = 0;
-        let mut queue_high_water = 0;
-        let mut offset = 0;
-        for p in &self.phases {
-            active_rounds += p.profile.active_rounds;
-            if p.profile.max_words_in_round > max_words_in_round {
-                max_words_in_round = p.profile.max_words_in_round;
-                peak_round = offset + p.profile.peak_round;
-            }
-            queue_high_water = queue_high_water.max(p.profile.queue_high_water);
-            offset += p.rounds;
-        }
         mwc_trace::CongestionSummary {
             label: label.to_owned(),
             rounds: self.rounds,
             words: self.words,
             messages: self.messages,
             rounds_saved: self.rounds_saved,
-            active_rounds,
-            max_words_in_round,
-            peak_round,
-            queue_high_water,
+            active_rounds: self.active_rounds,
+            max_words_in_round: self.max_words_in_round,
+            peak_round: self.peak_round,
+            queue_high_water: self.queue_high_water,
             hot_links: self
-                .hot_links(crate::PROFILE_HOT_LINKS)
+                .hot_links(PROFILE_HOT_LINKS)
                 .into_iter()
                 .map(|((f, t), w)| (f as u64, t as u64, w))
                 .collect(),
@@ -279,6 +294,38 @@ impl fmt::Display for Ledger {
         }
         Ok(())
     }
+}
+
+/// The `k` heaviest `(link, words)` pairs from a per-link load table.
+///
+/// The order is a *total* order — load descending, then `(from, to)`
+/// ascending — never map or insertion order, so every hot-link report
+/// (engine, ledger, run records, diffs) is deterministic even on ties.
+/// Because the order is total, selecting the first `k` and sorting only
+/// those gives exactly the first `k` of a full sort.
+pub fn top_links(
+    link_ends: &[(NodeId, NodeId)],
+    per_link_words: &[u64],
+    k: usize,
+) -> Vec<((NodeId, NodeId), u64)> {
+    if k == 0 {
+        return Vec::new();
+    }
+    let mut loaded: Vec<((NodeId, NodeId), u64)> = link_ends
+        .iter()
+        .copied()
+        .zip(per_link_words.iter().copied())
+        .filter(|&(_, w)| w > 0)
+        .collect();
+    let order = |a: &((NodeId, NodeId), u64), b: &((NodeId, NodeId), u64)| {
+        b.1.cmp(&a.1).then(a.0.cmp(&b.0))
+    };
+    if k < loaded.len() {
+        loaded.select_nth_unstable_by(k, order);
+        loaded.truncate(k);
+    }
+    loaded.sort_unstable_by(order);
+    loaded
 }
 
 #[cfg(test)]
@@ -381,27 +428,44 @@ mod tests {
         assert!(ledger.words_per_round().is_empty());
     }
 
+    fn path3() -> Graph {
+        Graph::from_edges(3, Orientation::Undirected, [(0, 1, 1), (1, 2, 1)]).unwrap()
+    }
+
+    /// A finished network on [`path3`] that ran `sends` as
+    /// `(from, to, words)` messages, all enqueued before round 1.
+    fn ran(sends: &[(NodeId, NodeId, u64)]) -> Network<u8> {
+        let mut net: Network<u8> = Network::new(&path3());
+        for &(from, to, words) in sends {
+            net.send(from, to, 0, words).unwrap();
+        }
+        while !net.is_idle() {
+            step(&mut net);
+        }
+        net
+    }
+
+    #[test]
+    fn congestion_summary_reads_engine_metrics() {
+        let mut ledger = Ledger::new();
+        ledger.absorb("one", &ran(&[(0, 1, 2), (0, 1, 1), (1, 2, 1)]));
+        let s = ledger.congestion_summary("one");
+        assert_eq!(s.messages, 3);
+        assert_eq!(s.queue_high_water, 2); // two messages queued on 0→1
+        assert_eq!(s.max_words_in_round, 2); // round 1: links 0→1 and 1→2
+        assert_eq!(s.active_rounds, 3);
+        assert_eq!(s.hot_links[0], (0, 1, 3));
+    }
+
     #[test]
     fn congestion_summary_offsets_peak_round_and_breaks_ties_early() {
-        let g = Graph::from_edges(3, Orientation::Undirected, [(0, 1, 1), (1, 2, 1)]).unwrap();
         let mut ledger = Ledger::new();
         // Phase 1: 1 round, 1 word — peak 1 at local round 1.
-        let mut net: Network<u8> = Network::new(&g);
-        net.send(0, 1, 1, 1).unwrap();
-        step(&mut net);
-        ledger.absorb("light", &net);
+        ledger.absorb("light", &ran(&[(0, 1, 1)]));
         // Phase 2: local round 1 moves 2 words — new global peak at 1+1=2.
-        let mut net: Network<u8> = Network::new(&g);
-        net.send(0, 1, 1, 1).unwrap();
-        net.send(1, 2, 2, 1).unwrap();
-        step(&mut net);
-        ledger.absorb("heavy", &net);
+        ledger.absorb("heavy", &ran(&[(0, 1, 1), (1, 2, 1)]));
         // Phase 3: ties the peak (2 words) — must NOT displace it.
-        let mut net: Network<u8> = Network::new(&g);
-        net.send(0, 1, 1, 1).unwrap();
-        net.send(1, 2, 2, 1).unwrap();
-        step(&mut net);
-        ledger.absorb("tie", &net);
+        ledger.absorb("tie", &ran(&[(0, 1, 1), (1, 2, 1)]));
         let s = ledger.congestion_summary("all");
         assert_eq!(s.rounds, 3);
         assert_eq!(s.words, 5);
@@ -409,6 +473,37 @@ mod tests {
         assert_eq!(s.peak_round, 2);
         assert_eq!(s.active_rounds, 3);
         assert_eq!(s.hot_links[0], (0, 1, 3));
+
+        // A merged ledger folds the same way as absorbing its phases one
+        // by one. `b` ties the peak in its second phase and beats it in
+        // its third; its deep first phase raises the queue high-water.
+        let b_phases = [
+            ran(&[(0, 1, 1), (0, 1, 1), (0, 1, 1)]),
+            ran(&[(0, 1, 2), (1, 2, 1)]),
+            ran(&[(0, 1, 1), (1, 0, 1), (1, 2, 1), (2, 1, 1)]),
+        ];
+        let mut b = Ledger::new();
+        let mut straight = ledger.clone();
+        for (i, net) in b_phases.iter().enumerate() {
+            b.absorb(&format!("b{i}"), net);
+            straight.absorb(&format!("b{i}"), net);
+        }
+        let mut merged = ledger.clone();
+        merged.merge(&b);
+        let m = merged.congestion_summary("all");
+        assert_eq!(m, straight.congestion_summary("all"));
+        // Phase offsets: 3 (a) + 3 (b0) + 2 (b1), then b2's round 1.
+        assert_eq!(m.max_words_in_round, 4);
+        assert_eq!(m.peak_round, 9);
+        assert_eq!(m.queue_high_water, 3);
+        assert_eq!(m.active_rounds, 3 + 3 + 2 + 1);
+
+        // Without the beating phase, the tie inside `b` keeps `a`'s peak.
+        let mut tie_only = Ledger::new();
+        tie_only.absorb("b1", &b_phases[1]);
+        let mut merged = ledger.clone();
+        merged.merge(&tie_only);
+        assert_eq!(merged.congestion_summary("all").peak_round, 2);
     }
 
     #[test]
@@ -457,8 +552,6 @@ mod tests {
             step(&mut net);
         }
         ledger.absorb("shallow", &net);
-        assert_eq!(ledger.phases[0].profile.queue_high_water, 2);
-        assert_eq!(ledger.phases[1].profile.queue_high_water, 1);
         let s = ledger.congestion_summary("all");
         // Queue high-waters take the max across phases, not the sum 3.
         assert_eq!(s.queue_high_water, 2);
@@ -480,5 +573,80 @@ mod tests {
         assert_eq!(a.rounds, 2);
         assert_eq!(a.phases.len(), 2);
         assert_eq!(a.words_across(&[true, false]), 2);
+    }
+
+    #[test]
+    fn top_links_is_deterministic_on_ties() {
+        let ends = [(0, 1), (1, 0), (1, 2)];
+        let words = [5, 5, 1];
+        let top = top_links(&ends, &words, 2);
+        assert_eq!(top, vec![((0, 1), 5), ((1, 0), 5)]);
+        assert!(top_links(&ends, &[0, 0, 0], 2).is_empty());
+    }
+
+    /// The reference: sort every loaded link, keep the first `k`.
+    fn full_sort(
+        ends: &[(NodeId, NodeId)],
+        words: &[u64],
+        k: usize,
+    ) -> Vec<((NodeId, NodeId), u64)> {
+        let mut all: Vec<_> = ends
+            .iter()
+            .copied()
+            .zip(words.iter().copied())
+            .filter(|&(_, w)| w > 0)
+            .collect();
+        all.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        all.truncate(k);
+        all
+    }
+
+    #[test]
+    fn top_links_matches_a_full_sort() {
+        // Links of a 7-node complete digraph listed in a scrambled order,
+        // loads drawn from a few values so ties straddle every k-th place.
+        use mwc_rng::SliceRandom;
+        let mut rng = mwc_rng::StdRng::seed_from_u64(7);
+        let mut ends: Vec<(NodeId, NodeId)> = (0..7)
+            .flat_map(|u| (0..7).filter(move |&v| v != u).map(move |v| (u, v)))
+            .collect();
+        ends.shuffle(&mut rng);
+        for round in 0..40 {
+            let words: Vec<u64> = match round {
+                0 => vec![0; ends.len()],
+                1 => vec![3; ends.len()],
+                _ => ends.iter().map(|_| rng.random_range(0..4u64)).collect(),
+            };
+            let loaded = words.iter().filter(|&&w| w > 0).count();
+            for k in [
+                0,
+                1,
+                2,
+                3,
+                5,
+                8,
+                loaded.saturating_sub(1),
+                loaded,
+                loaded + 1,
+                ends.len() + 3,
+            ] {
+                assert_eq!(
+                    top_links(&ends, &words, k),
+                    full_sort(&ends, &words, k),
+                    "round {round}, k = {k}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn top_links_ties_break_by_link_id_even_when_table_is_shuffled() {
+        // The tie-break is on the (from, to) pair itself, not on the
+        // position in the link table: a reordered table must produce the
+        // identical report.
+        let ends = [(2, 0), (0, 1), (1, 0)];
+        let words = [5, 5, 5];
+        let top = top_links(&ends, &words, 3);
+        assert_eq!(top, vec![((0, 1), 5), ((1, 0), 5), ((2, 0), 5)]);
     }
 }

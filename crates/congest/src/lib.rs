@@ -52,7 +52,6 @@ pub mod events;
 mod flood;
 mod ledger;
 mod multibfs;
-mod profile;
 pub mod program;
 pub mod replay;
 mod tree;
@@ -62,14 +61,13 @@ pub use cache::{
     cache_disabled, graph_fingerprint, CacheDisableGuard, CacheScope, CacheStats, PhaseCache,
 };
 pub use distmat::{DistMatrix, INF};
-pub use engine::{hist_bucket, Delivery, NetStats, Network, RoundOutput, SendError, HIST_BUCKETS};
+pub use engine::{Delivery, NetStats, Network, RoundOutput, SendError};
 pub use events::EventCapture;
 pub use flood::{flood_engagement, flood_kernel, CalendarRing, FloodHop, FloodKernel, FloodPlan};
-pub use ledger::{Ledger, Phase};
+pub use ledger::{top_links, Ledger, Phase, PROFILE_HOT_LINKS};
 pub use multibfs::{
     charge_multi_source_bfs, multi_source_bfs, source_detection, Detection, DetectionLists,
     MultiBfsSpec,
 };
-pub use profile::{top_links, CongestionProfile, PROFILE_HOT_LINKS};
 pub use replay::{first_divergence, Divergence, EventLog, MsgEvent, PhaseEvent};
 pub use tree::{broadcast, convergecast, convergecast_min, BfsTree};

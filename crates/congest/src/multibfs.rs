@@ -167,7 +167,8 @@ type Transit = (u32, u32, u32, Weight, u32);
 /// flood only resizes them.
 pub(crate) struct FloodBuffers {
     /// Per-node fresh announcements; entries past the current `n` are
-    /// spares from a larger graph (empty).
+    /// spares from a larger graph (empty). Dropped at the end of each
+    /// solve ([`workspace::release_outboxes`]).
     outbox: Vec<BitFrontier>,
     /// Nodes holding a fresh announcement for the next pass.
     pending: NodeSet,
@@ -204,6 +205,12 @@ impl FloodBuffers {
         self.pending.reset(n);
         self.acting.reset(n);
         self.ring.reset(max_latency);
+    }
+
+    /// Drops every node's outbox, keeping the table that holds them; see
+    /// [`workspace::release_outboxes`].
+    pub(crate) fn release_outboxes(&mut self) {
+        self.outbox.clear();
     }
 
     /// `true` when nothing of a flood is left behind: what lets the next
@@ -1477,5 +1484,26 @@ mod tests {
         let g = connected_gnm(48, 70, Orientation::Undirected, WeightRange::unit(), 33);
         let sources: Vec<NodeId> = (0..48).step_by(3).collect();
         assert_detection_matches_spec(&g, &sources, 6, 4, None);
+    }
+
+    /// The flood outboxes outlive floods but not the outermost phase-cache
+    /// scope (see the `workspace` module docs).
+    #[test]
+    fn outboxes_last_one_solve() {
+        let outboxes = || {
+            let ws = workspace::take();
+            let len = ws.flood.outbox.len();
+            workspace::put_back(ws);
+            len
+        };
+        let g = connected_gnm(30, 60, Orientation::Undirected, WeightRange::unit(), 4);
+        let spec = MultiBfsSpec::default();
+        {
+            let _solve = PhaseCache::scope();
+            multi_source_bfs(&g, &[0, 7], &spec, "bfs", &mut Ledger::new());
+            drop(PhaseCache::scope()); // a nested scope leaves them alone
+            assert!(outboxes() >= 30);
+        }
+        assert_eq!(outboxes(), 0);
     }
 }

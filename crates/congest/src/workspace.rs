@@ -15,6 +15,16 @@
 //! run, and the calendar ring keeps only the buckets its last flood's span
 //! used. Every user leaves the buffers it keeps empty, so no call pays a
 //! clearing pass; debug builds assert it.
+//!
+//! The per-node flood outboxes are the exception: they live for one solve,
+//! and the outermost phase-cache scope drops them as it closes
+//! ([`release_outboxes`]). An outbox grows a few hundred bytes at a time,
+//! in the middle of a flood, while the solve's distance table or detection
+//! slab is live. Kept for the thread's life, such a piece sat inside the
+//! memory those tables freed and split it, so a later solve's larger table
+//! no longer fit there and the allocator mapped it fresh while the split
+//! heap stayed resident, adding the whole table to the peak RSS. Regrowing
+//! the outboxes costs each solve a few small allocations per node.
 
 use crate::multibfs::FloodBuffers;
 use crate::tree::BroadcastBuffers;
@@ -41,4 +51,15 @@ pub(crate) fn take() -> Workspace {
 /// Returns `ws` to this thread's slot for the next call.
 pub(crate) fn put_back(ws: Workspace) {
     WORKSPACE.with(|slot| slot.set(Some(ws)));
+}
+
+/// Drops this thread's flood outboxes; the outermost phase-cache scope
+/// calls it as it closes, so outboxes live for one solve.
+pub(crate) fn release_outboxes() {
+    WORKSPACE.with(|slot| {
+        if let Some(mut ws) = slot.take() {
+            ws.flood.release_outboxes();
+            slot.set(Some(ws));
+        }
+    });
 }

@@ -1,6 +1,6 @@
 //! The flood memo of [`PhaseCache`] against uncached runs: a sequence of
 //! real and charge-only floods, two of them exact repeats, must leave
-//! every observable — ledger phases with their congestion profiles, hot
+//! every observable — ledger phases with their rounds and words, hot
 //! links, the congestion summary, the distance tables, the
 //! span tree, the bound audits, the flood tally and the message-event
 //! log — exactly as it is with the cache off. Only host work may differ.

@@ -20,7 +20,7 @@ use crate::outcome::{BestCycle, MwcOutcome};
 use crate::util::simplify_path;
 use mwc_congest::{convergecast_min, multi_source_bfs, BfsTree, Ledger, MultiBfsSpec, INF};
 use mwc_graph::seq::Direction;
-use mwc_graph::{CycleWitness, Graph, NodeId, Weight};
+use mwc_graph::{Graph, NodeId, Weight};
 use std::borrow::Cow;
 
 /// Finds the shortest cycle of **hop length at most `q`** (treating the
@@ -98,10 +98,7 @@ pub fn shortest_cycle_within(g: &Graph, q: u64) -> MwcOutcome {
                     if let Some(path) = mat.path_from_source(v, u) {
                         let cyc = simplify_path(path);
                         if cyc.len() as u64 >= min_len && cyc[0] == v {
-                            let w = CycleWitness::new(cyc);
-                            if let Ok(weight) = w.validate(&hops) {
-                                best.offer(weight, w);
-                            }
+                            best.offer_validated(&hops, cyc);
                         }
                     }
                 }
@@ -144,10 +141,7 @@ pub fn shortest_cycle_within(g: &Graph, q: u64) -> MwcOutcome {
                 if let Some(cyc) = lca_cycle(&mat, s, x, y) {
                     if cyc.len() as u64 <= q {
                         local_best[x] = local_best[x].min(cyc.len() as Weight);
-                        let w = CycleWitness::new(cyc);
-                        if let Ok(weight) = w.validate(&hops) {
-                            best.offer(weight, w);
-                        }
+                        best.offer_validated(&hops, cyc);
                     }
                 }
             }

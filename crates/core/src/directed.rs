@@ -33,7 +33,7 @@ use mwc_congest::{
     PhaseCache, RoundOutput, INF,
 };
 use mwc_graph::seq::Direction;
-use mwc_graph::{CycleWitness, Graph, NodeId, Weight};
+use mwc_graph::{Graph, NodeId, Weight};
 use mwc_rng::StdRng;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -293,12 +293,8 @@ impl DistTable {
 /// MWC by construction).
 fn offer_cycle_with_closing_edge(g: &Graph, best: &mut BestCycle, path: Vec<NodeId>, s: NodeId) {
     let cyc = simplify_path(path);
-    if cyc.len() < 2 || cyc[0] != s {
-        return;
-    }
-    let w = CycleWitness::new(cyc);
-    if let Ok(weight) = w.validate(g) {
-        best.offer(weight, w);
+    if cyc.len() >= 2 && cyc[0] == s {
+        best.offer_validated(g, cyc);
     }
 }
 
@@ -678,11 +674,11 @@ fn short_cycles_restricted_bfs(
     // Line 24: h-hop BFS from the phase-overflow set Z. Record |Z| in the
     // ledger (zero-cost info line) for the scheduling ablation.
     let z: Vec<NodeId> = (0..n).filter(|&v| overflow[v]).collect();
-    ledger.phases.push(mwc_congest::Phase::synthetic(
-        format!("Alg3: |Z| = {} phase-overflow vertices", z.len()),
-        0,
-        0,
-    ));
+    ledger.phases.push(mwc_congest::Phase {
+        label: format!("Alg3: |Z| = {} phase-overflow vertices", z.len()),
+        rounds: 0,
+        words: 0,
+    });
     if !z.is_empty() {
         let latency_vec: Option<&[Weight]> = match mode {
             Mode::Unweighted => None,

@@ -115,7 +115,7 @@ mod tests {
             assert!(!want_events.is_empty());
             assert_eq!(net.round(), want.round());
             // Every stat: words, messages, per-link words and queue
-            // high-waters, the round histogram, `words_per_round`, peaks.
+            // high-waters, active rounds, `words_per_round`, peaks.
             assert_eq!(net.stats(), want.stats());
             assert!(!net.stats().words_per_round.is_empty());
 

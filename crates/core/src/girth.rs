@@ -35,7 +35,7 @@ use mwc_congest::{
     PhaseCache, INF,
 };
 use mwc_graph::seq::Direction;
-use mwc_graph::{CycleWitness, EdgeId, Graph, NodeId, Weight};
+use mwc_graph::{EdgeId, Graph, NodeId, Weight};
 
 pub(crate) const SALT_GIRTH_SAMPLES: u64 = 0xC1;
 
@@ -208,7 +208,7 @@ fn girth_core_parts(
                     continue; // tree edge w.r.t. this source
                 }
                 if let Some(cyc) = lca_cycle(&mat, row, x, y) {
-                    offer_validated(g, &mut parts.best, cyc);
+                    parts.best.offer_validated(g, cyc);
                 }
             }
         }
@@ -343,14 +343,7 @@ fn offer_closed_walk(
     }
     walk.extend(py); // y … v
     if let Some(cyc) = extract_cycle_from_walk(&walk, 3) {
-        offer_validated(g, best, cyc);
-    }
-}
-
-fn offer_validated(g: &Graph, best: &mut BestCycle, cyc: Vec<NodeId>) {
-    let w = CycleWitness::new(cyc);
-    if let Ok(weight) = w.validate(g) {
-        best.offer(weight, w);
+        best.offer_validated(g, cyc);
     }
 }
 

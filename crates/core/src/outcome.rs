@@ -112,6 +112,16 @@ impl BestCycle {
         }
     }
 
+    /// Offers the vertex sequence `cycle` at its weight in `g` after
+    /// validating it; a sequence that is not a cycle of `g` is dropped, so
+    /// a kept weight always belongs to a real cycle.
+    pub(crate) fn offer_validated(&mut self, g: &Graph, cycle: Vec<NodeId>) {
+        let w = CycleWitness::new(cycle);
+        if let Ok(weight) = w.validate(g) {
+            self.offer(weight, w);
+        }
+    }
+
     /// The current best weight, if any.
     pub fn weight(&self) -> Option<Weight> {
         self.best.as_ref().map(|(w, _)| *w)

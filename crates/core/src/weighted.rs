@@ -33,7 +33,7 @@ use crate::scaling::{scale_budget, stretched_latency_table, EpsQ};
 use crate::util::{extract_cycle_from_walk, sample_vertices};
 use mwc_congest::{convergecast_min, PhaseCache, INF};
 use mwc_graph::seq::Direction;
-use mwc_graph::{CycleWitness, Graph, NodeId, Weight};
+use mwc_graph::{Graph, NodeId, Weight};
 use std::sync::Arc;
 
 pub(crate) const SALT_WEIGHTED_SAMPLES: u64 = 0xD1;
@@ -278,7 +278,7 @@ fn long_cycles_directed(g: &Graph, params: &Params, h: u64, parts: &mut Partial)
             let mut walk = p1;
             walk.extend_from_slice(&p2[1..]); // closed walk s → v → s
             if let Some(cyc) = extract_cycle_from_walk(&walk, 2) {
-                offer_validated(g, &mut parts.best, cyc);
+                parts.best.offer_validated(g, cyc);
             }
         }
     }
@@ -303,14 +303,7 @@ fn offer_walk_cycle(
     let mut walk = px;
     walk.extend(py.into_iter().rev()); // s … x, y … s
     if let Some(cyc) = extract_cycle_from_walk(&walk, 3) {
-        offer_validated(g, best, cyc);
-    }
-}
-
-fn offer_validated(g: &Graph, best: &mut BestCycle, cyc: Vec<NodeId>) {
-    let w = CycleWitness::new(cyc);
-    if let Ok(weight) = w.validate(g) {
-        best.offer(weight, w);
+        best.offer_validated(g, cyc);
     }
 }
 

@@ -6,7 +6,7 @@
 //!
 //! - [`Strategy`] — generates a random value of some type and proposes
 //!   shrink candidates for a failing one. Implemented for integer ranges
-//!   (`4usize..40`), [`any_bool`], [`vec`] and tuples of strategies.
+//!   (`4usize..40`), [`any_bool`], [`vec()`] and tuples of strategies.
 //! - [`run`] — the case loop: replays persisted regression seeds first,
 //!   then enumerates `cases` fresh inputs from a fixed master seed, and
 //!   on failure **shrinks by bisection** toward the range minimum before
@@ -189,7 +189,7 @@ impl Strategy for AnyBool {
     }
 }
 
-/// Strategy for `Vec<T>` with a length drawn from a range; see [`vec`].
+/// Strategy for `Vec<T>` with a length drawn from a range; see [`vec()`].
 #[derive(Clone, Debug)]
 pub struct VecStrategy<S> {
     elem: S,
