@@ -83,12 +83,6 @@ pub fn convergecast(i: &BoundInputs) -> f64 {
     2.0 * i.diameter as f64 + 4.0
 }
 
-/// Event-driven node programs: the engine cannot exceed the caller's
-/// round budget, carried in `h`.
-pub fn node_programs(i: &BoundInputs) -> f64 {
-    i.h as f64 + 1.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -21,8 +21,9 @@
 //!   one word per round, but traversal takes the path length, and
 //!   back-to-back messages pipeline.
 //! - Local computation is free; nodes may schedule **wakeups** to act at a
-//!   future round without receiving a message (used for the random-delay
-//!   scheduling of Algorithm 3).
+//!   future round without receiving a message (`traffic_profile` starts
+//!   its random-delay sources this way; Algorithm 3 runs its own phase
+//!   loop and needs none).
 
 use mwc_graph::{Graph, NodeId};
 use std::cmp::Reverse;
@@ -261,7 +262,7 @@ impl<M> Network<M> {
 
     /// The network's sequence number in the message-event log, if logging
     /// was active when it was built.
-    pub fn events_net(&self) -> Option<u64> {
+    pub(crate) fn events_net(&self) -> Option<u64> {
         self.events_net
     }
 
@@ -398,7 +399,7 @@ impl<M> Network<M> {
     }
 
     /// The round at which something next happens, if anything is pending.
-    pub fn next_event_round(&self) -> Option<u64> {
+    fn next_event_round(&self) -> Option<u64> {
         let mut next = None;
         if !self.active.is_empty() {
             next = Some(self.round + 1);

@@ -299,7 +299,7 @@ impl<T> CalendarRing<T> {
         let span = self.span();
         (self.next..self.next + span)
             .find(|r| !self.buckets[(r % span) as usize].is_empty())
-            .or_else(|| self.far.keys().next().copied())
+            .or_else(|| self.far.first_key_value().map(|(&r, _)| r))
     }
 
     /// `true` when no arrival is pending.

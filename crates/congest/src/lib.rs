@@ -52,7 +52,6 @@ pub mod events;
 mod flood;
 mod ledger;
 mod multibfs;
-pub mod program;
 pub mod replay;
 mod tree;
 mod workspace;

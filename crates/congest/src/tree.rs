@@ -413,7 +413,9 @@ mod tests {
             assert_eq!(tree.depth[v], reference.dist[v]);
         }
         assert_eq!(tree.height, *reference.dist.iter().max().unwrap());
-        // Building the tree costs Θ(ecc(root)) rounds.
+        // Building the tree costs Θ(ecc(root)) rounds: the deepest node
+        // hears its parent no earlier than round `height`.
+        assert!(ledger.rounds as usize >= tree.height);
         assert!(ledger.rounds as usize <= tree.height + 1);
     }
 

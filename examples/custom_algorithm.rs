@@ -1,62 +1,19 @@
-//! Writing your own CONGEST algorithm against the engine's node-program
-//! API: a distributed *local triangle counter*.
+//! Writing your own CONGEST algorithm on the engine's `Network`: a
+//! distributed *local triangle counter*.
 //!
 //! Each node sends its (id-sorted) adjacency list to every neighbor; on
 //! receipt it intersects the list with its own to count triangles it
-//! participates in. Locality is enforced by the runtime — a node can only
-//! ever message its neighbors — and the ledger reports what the exchange
-//! cost in CONGEST rounds (Θ(max degree), since adjacency lists are
-//! Θ(deg) words).
+//! participates in. Locality is enforced by the network — `Network::send`
+//! refuses any pair that is not a link — and the ledger reports what the
+//! exchange cost in CONGEST rounds (Θ(max degree), since adjacency lists
+//! are Θ(deg) words).
 //!
 //! Run with: `cargo run --release --example custom_algorithm`
 
-use congest_mwc::congest::program::{run_programs, Action, NodeCtx, NodeProgram};
-use congest_mwc::congest::Ledger;
+use congest_mwc::congest::{Ledger, Network, RoundOutput};
 use congest_mwc::graph::generators::{connected_gnm, WeightRange};
 use congest_mwc::graph::{NodeId, Orientation};
 use std::sync::Arc;
-
-struct TriangleCounter {
-    my_adj: Arc<Vec<NodeId>>,
-    /// Triangles this node participates in, counted with multiplicity 2
-    /// (once per incident edge pair ordering).
-    double_count: u64,
-}
-
-impl NodeProgram for TriangleCounter {
-    type Msg = Arc<Vec<NodeId>>;
-
-    fn init(&mut self, ctx: &NodeCtx) -> Vec<Action<Self::Msg>> {
-        self.my_adj = Arc::new({
-            let mut a = ctx.neighbors.clone();
-            a.sort_unstable();
-            a
-        });
-        ctx.neighbors
-            .iter()
-            .map(|&to| Action::Send {
-                to,
-                msg: Arc::clone(&self.my_adj),
-                words: self.my_adj.len().max(1) as u64,
-            })
-            .collect()
-    }
-
-    fn on_receive(
-        &mut self,
-        _ctx: &NodeCtx,
-        from: NodeId,
-        their_adj: Self::Msg,
-    ) -> Vec<Action<Self::Msg>> {
-        // Common neighbors of me and `from` close triangles (me, from, x).
-        for x in their_adj.iter() {
-            if *x != from && self.my_adj.binary_search(x).is_ok() {
-                self.double_count += 1;
-            }
-        }
-        Vec::new()
-    }
-}
 
 /// Sequential reference count.
 fn triangles_sequential(g: &congest_mwc::graph::Graph) -> u64 {
@@ -75,20 +32,43 @@ fn main() {
     let g = connected_gnm(300, 1800, Orientation::Undirected, WeightRange::unit(), 99);
     println!("network: n = {}, m = {}", g.n(), g.m());
 
+    // What each node knows of the topology: its own neighbors, id-sorted.
+    let adj: Vec<Arc<Vec<NodeId>>> = (0..g.n())
+        .map(|v| {
+            let mut a = g.comm_neighbors(v);
+            a.sort_unstable();
+            Arc::new(a)
+        })
+        .collect();
+    let mut net: Network<Arc<Vec<NodeId>>> = Network::new(&g);
+    for (v, mine) in adj.iter().enumerate() {
+        for to in g.comm_neighbors(v) {
+            net.send(v, to, Arc::clone(mine), mine.len().max(1) as u64)
+                .expect("communication neighbors are links");
+        }
+    }
+
+    // Triangles each node participates in, counted with multiplicity 2
+    // (once per incident edge pair ordering).
+    let mut double_count = vec![0u64; g.n()];
+    let mut out = RoundOutput::default();
+    while net.step_bulk_into(&mut out) {
+        for d in out.deliveries.drain(..) {
+            // Common neighbors of `to` and `from` close triangles
+            // (to, from, x).
+            let mine = &adj[d.to];
+            double_count[d.to] += d
+                .payload
+                .iter()
+                .filter(|&&x| x != d.from && mine.binary_search(&x).is_ok())
+                .count() as u64;
+        }
+    }
     let mut ledger = Ledger::new();
-    let nodes = run_programs(
-        &g,
-        |_| TriangleCounter {
-            my_adj: Arc::new(Vec::new()),
-            double_count: 0,
-        },
-        1_000_000,
-        &mut ledger,
-    );
+    ledger.absorb("adjacency exchange", &net);
 
     // Every triangle is double-counted at each of its 3 vertices.
-    let total: u64 = nodes.iter().map(|p| p.double_count).sum();
-    let triangles = total / 6;
+    let triangles = double_count.iter().sum::<u64>() / 6;
     let reference = triangles_sequential(&g);
     println!("distributed triangle count: {triangles} (sequential reference: {reference})");
     assert_eq!(triangles, reference);
