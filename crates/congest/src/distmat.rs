@@ -92,6 +92,13 @@ impl DistMatrix {
         self.dist[v * self.k() + row]
     }
 
+    /// Node `v`'s distances from every source, in row order: the
+    /// contiguous column the node-major layout keeps.
+    pub fn column(&self, v: NodeId) -> &[Weight] {
+        let k = self.k();
+        &self.dist[v * k..(v + 1) * k]
+    }
+
     /// Sets the distance and predecessor for `(row, v)`.
     pub fn set_row(&mut self, row: usize, v: NodeId, d: Weight, pred: Option<NodeId>) {
         let i = v * self.k() + row;

@@ -2,10 +2,10 @@
 //!
 //! The engine is the "hardware" of this reproduction: node-local states
 //! exchange information only over its links, and its round counter is the
-//! complexity measure every experiment reports. Schedules the crate runs
-//! outside the queue machinery (floods, the broadcast's upcast and
-//! downcast) charge their rounds here with exactly the stats stepping
-//! would record.
+//! complexity measure every experiment reports. Schedules run outside
+//! the queue machinery (floods, the broadcast's upcast and downcast, and
+//! batches of simultaneous sends drained to idle) charge their rounds
+//! here with exactly the stats stepping would record.
 //!
 //! # Model (paper §1.1)
 //!
@@ -170,6 +170,23 @@ pub struct Network<M> {
     /// Sequence number in the message-event log, when logging is active
     /// (see [`crate::events`]); `None` keeps the logging path cost-free.
     events_net: Option<u64>,
+    /// Recycled buffers of [`Network::charge_batch`].
+    batch: BatchScratch,
+}
+
+/// Working storage of [`Network::charge_batch`], kept across calls so a
+/// network charged batch after batch allocates nothing in steady state.
+#[derive(Default)]
+struct BatchScratch {
+    /// Per link: `(rank of its first send, total words, messages)`. Only
+    /// the links in `touched` are nonzero, and only during a call.
+    per_link: Vec<(u32, u64, u64)>,
+    /// Links with at least one send, in rank order.
+    touched: Vec<u32>,
+    /// The touched links' word totals, sorted for the round counts.
+    totals: Vec<u64>,
+    /// `(delivery round, link rank, link, words)` per send, while logging.
+    events: Vec<(u64, u32, u32, u64)>,
 }
 
 /// Error returned by [`Network::send`] variants.
@@ -257,6 +274,7 @@ impl<M> Network<M> {
             any_multiword: false,
             scratch_active: Vec::new(),
             events_net: crate::events::next_net_id(),
+            batch: BatchScratch::default(),
         }
     }
 
@@ -643,6 +661,78 @@ impl<M> Network<M> {
                 }
             }
         }
+    }
+
+    /// Charges a batch of simultaneous zero-latency sends in closed form,
+    /// recording exactly what [`Network::send_on_link`] for each `(link,
+    /// words)` in order, then [`Network::step_bulk_into`] until idle,
+    /// would. A link carries its messages back to back, so a link whose
+    /// sends total `T` words transfers during the next `T` rounds, and
+    /// the round advances by the largest `T`. That fixes every stat:
+    /// per-link words; each round's transfer count, the number of links
+    /// still busy, which never rises, so the first-reach peak lands where
+    /// stepping puts it; the queue high-water, the most messages on one
+    /// link, all queued before the first round; the message count; and
+    /// one event per message at its delivery round, within a round in
+    /// the order the links were first sent on (the engine's active-list
+    /// order). A `0`-word send is charged as one word, as `send_on_link`
+    /// does.
+    ///
+    /// Runs on an idle network (nothing queued, in transit or scheduled)
+    /// and leaves it idle. Its working buffers are kept on the network,
+    /// so batch after batch allocates nothing.
+    pub fn charge_batch(&mut self, sends: impl IntoIterator<Item = (u32, u64)>) {
+        debug_assert!(self.is_idle(), "a batch is charged on an idle network");
+        let mut s = std::mem::take(&mut self.batch);
+        if s.per_link.len() != self.link_ends.len() {
+            s.per_link = vec![(0, 0, 0); self.link_ends.len()];
+        }
+        let start = self.round;
+        let logging = self.events_net.is_some();
+        for (l, words) in sends {
+            let words = words.max(1);
+            let entry = &mut s.per_link[l as usize];
+            if entry.2 == 0 {
+                entry.0 = s.touched.len() as u32;
+                s.touched.push(l);
+            }
+            entry.1 += words;
+            entry.2 += 1;
+            self.stats.messages += 1;
+            if logging {
+                s.events.push((start + entry.1, entry.0, l, words));
+            }
+        }
+        for &l in &s.touched {
+            let (_, total, count) = std::mem::take(&mut s.per_link[l as usize]);
+            self.stats.per_link_words[l as usize] += total;
+            self.stats.queue_high_water = self.stats.queue_high_water.max(count);
+            s.totals.push(total);
+        }
+        // With the totals ascending, rounds `start + prev + 1 ..= start +
+        // t` keep busy exactly the links from `t`'s position on.
+        s.totals.sort_unstable();
+        let busy = s.totals.len() as u64;
+        let mut prev = 0;
+        for (i, &t) in s.totals.iter().enumerate() {
+            if t > prev {
+                self.record_rounds(start + prev + 1, t - prev, busy - i as u64);
+                prev = t;
+            }
+        }
+        self.round = start + prev;
+        if let Some(net) = self.events_net {
+            s.events
+                .sort_unstable_by_key(|&(round, rank, _, _)| (round, rank));
+            for &(round, _, l, words) in &s.events {
+                let (from, to) = self.link_ends[l as usize];
+                crate::events::emit_msg(net, round, from, to, words);
+            }
+        }
+        s.touched.clear();
+        s.totals.clear();
+        s.events.clear();
+        self.batch = s;
     }
 
     /// Advances to the next round in which something happens and performs

@@ -18,18 +18,22 @@
 //!
 //! The tree [`broadcast`], whose phases run the engine's schedule
 //! directly or charge it in closed form, and [`convergecast`] are checked
-//! against engine-stepped references written here.
+//! against engine-stepped references written here, as is
+//! [`Network::charge_batch`], the closed-form charge of a batch of
+//! simultaneous sends.
 
 mod common;
 
 use common::flood_spec::{run_flood, Rule, SpecOutcome};
 use mwc_congest::{
-    broadcast, convergecast, multi_source_bfs, source_detection, BfsTree, EventLog, FloodPlan,
-    Ledger, MultiBfsSpec, Network, RoundOutput, INF,
+    broadcast, convergecast, multi_source_bfs, source_detection, BfsTree, EventCapture, EventLog,
+    FloodPlan, Ledger, MultiBfsSpec, NetStats, Network, RoundOutput, INF,
 };
 use mwc_graph::generators::{connected_gnm, ring_with_chords, WeightRange};
 use mwc_graph::seq::Direction;
 use mwc_graph::{Graph, NodeId, Orientation, Weight};
+use mwc_rng::proptest_lite::{self as plite, Config};
+use mwc_rng::{prop_assert, prop_assert_eq, prop_tests, StdRng};
 
 /// Checks the ledger and event log of one flood against the spec.
 fn assert_traffic_matches(ledger: &Ledger, log: &EventLog, want: &SpecOutcome, family: &str) {
@@ -672,5 +676,79 @@ fn convergecast_matches_engine_stepping() {
             });
             assert_eq!(got, want, "convergecast/{name}/{op_name}");
         }
+    }
+}
+
+/// Random `(link, words)` batches over `links` links: a third of the
+/// sends reuse one of the first four links, so links repeat; words run
+/// 0–4 with an occasional long message.
+fn random_batches(rng: &mut StdRng, links: u32, batches: usize) -> Vec<Vec<(u32, u64)>> {
+    (0..batches)
+        .map(|_| {
+            (0..rng.random_range(0..3 * links as usize))
+                .map(|_| {
+                    let l = if rng.random_bool(0.35) {
+                        rng.random_range(0..links.min(4))
+                    } else {
+                        rng.random_range(0..links)
+                    };
+                    let w = if rng.random_bool(0.1) {
+                        rng.random_range(5u64..12)
+                    } else {
+                        rng.random_range(0u64..5)
+                    };
+                    (l, w)
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Runs `batches` back to back on one network with history on, each
+/// either charged with [`Network::charge_batch`] or sent message by
+/// message and stepped until idle; returns the round, the stats and the
+/// event log.
+fn run_batches(
+    g: &Graph,
+    batches: &[Vec<(u32, u64)>],
+    charged: bool,
+) -> (u64, NetStats, Vec<String>) {
+    let cap = EventCapture::memory();
+    let mut net: Network<()> = Network::new(g);
+    net.enable_history();
+    let mut out = RoundOutput::default();
+    for batch in batches {
+        if charged {
+            net.charge_batch(batch.iter().copied());
+        } else {
+            for &(l, w) in batch {
+                net.send_on_link(l as usize, (), w, 0);
+            }
+            while net.step_bulk_into(&mut out) {}
+        }
+    }
+    (net.round(), net.stats().clone(), cap.finish())
+}
+
+prop_tests! {
+    config = Config::with_cases(64);
+
+    /// [`Network::charge_batch`] against engine stepping, two batches
+    /// back to back: the round, every `NetStats` field (per-link words,
+    /// per-round counts and peaks, queue high-water, messages) and the
+    /// event log, delivery by delivery.
+    fn charge_batch_matches_engine_stepping(
+        seed in 0u64..10_000,
+        n in 2usize..24,
+        extra in 0usize..40,
+        directed in plite::any_bool(),
+    ) {
+        let orientation = if directed { Orientation::Directed } else { Orientation::Undirected };
+        let g = connected_gnm(n, extra, orientation, WeightRange::unit(), seed);
+        let links = Network::<()>::new(&g).link_ends().len() as u32;
+        let batches = random_batches(&mut StdRng::seed_from_u64(seed ^ 0xBA7C), links, 2);
+        let want = run_batches(&g, &batches, false);
+        prop_assert!(batches.iter().all(Vec::is_empty) || want.0 > 0);
+        prop_assert_eq!(run_batches(&g, &batches, true), want);
     }
 }

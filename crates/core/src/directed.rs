@@ -30,13 +30,11 @@ use crate::params::Params;
 use crate::util::{sample_vertices, simplify_path};
 use mwc_congest::{
     broadcast, convergecast_min, multi_source_bfs, FloodPlan, Ledger, MultiBfsSpec, Network,
-    PhaseCache, RoundOutput, INF,
+    PhaseCache, INF,
 };
 use mwc_graph::seq::Direction;
 use mwc_graph::{Graph, NodeId, Weight};
 use mwc_rng::StdRng;
-use std::collections::HashMap;
-use std::sync::Arc;
 
 pub(crate) const SALT_MWC_SAMPLES: u64 = 0xB2;
 
@@ -278,6 +276,19 @@ impl DistTable {
         }
     }
 
+    /// The table node-major, as every node holds it: entry `v * ns + i`
+    /// is sample `i`'s distance at `v`.
+    fn node_major(&self, n: usize, ns: usize) -> Vec<Weight> {
+        let mut out = Vec::with_capacity(n * ns);
+        for v in 0..n {
+            match self {
+                DistTable::KsBfs(k) => out.extend((0..ns).map(|si| k.get_row(si, v))),
+                DistTable::Mat(m) => out.extend_from_slice(m.column(v)),
+            }
+        }
+        out
+    }
+
     /// Path oriented along graph edges (forward tables: sample→v; reverse
     /// tables: v→sample).
     fn path(&self, row: usize, v: NodeId) -> Option<Vec<NodeId>> {
@@ -298,26 +309,18 @@ fn offer_cycle_with_closing_edge(g: &Graph, best: &mut BestCycle, path: Vec<Node
     }
 }
 
-/// Per-source BFS record at a node.
-#[derive(Clone, Copy)]
-struct Reach {
-    /// Restricted-BFS distance in mode units (used for candidate pruning).
-    dist: Weight,
-    pred: NodeId,
+/// `R(v)` for every node `v` as one CSR table.
+pub(crate) struct RSets {
+    /// Node `v`'s pairs are `pairs[off[v]..off[v + 1]]` (length `n + 1`).
+    off: Vec<u32>,
+    /// `(sample index, d(v, s))` pairs, node after node.
+    pairs: Vec<(u32, Weight)>,
 }
 
-/// One restricted-BFS message: `(Q(y), d*(y, ·))` of Algorithm 3 line 16.
-#[derive(Clone)]
-struct BfsMsg {
-    src: u32,
-    dist: Weight,
-    /// `R(src)` as (sample index, d(src, t)) pairs — `O(log n)` words.
-    q: Arc<Vec<(u32, Weight)>>,
-}
-
-impl BfsMsg {
-    fn words(&self) -> u64 {
-        (1 + 2 * self.q.len()) as u64
+impl RSets {
+    /// `R(v)` as `(sample index, d(v, s))` pairs — `O(log n)` of them.
+    pub(crate) fn of(&self, v: NodeId) -> &[(u32, Weight)] {
+        &self.pairs[self.off[v] as usize..self.off[v + 1] as usize]
     }
 }
 
@@ -334,7 +337,7 @@ pub(crate) fn build_rsets(
     to_s: &[Weight],
     d_st: &[Weight],
     seed: u64,
-) -> Vec<Arc<Vec<(u32, Weight)>>> {
+) -> RSets {
     let covered_check = |dvs: Weight, s_i: usize, r: &[(u32, Weight)]| -> bool {
         // Returns true if s_i is still *uncovered* (i.e. in P(v) so far).
         r.iter().all(|&(t_i, dvt)| {
@@ -345,29 +348,31 @@ pub(crate) fn build_rsets(
         })
     };
 
-    let mut rset: Vec<Arc<Vec<(u32, Weight)>>> = Vec::with_capacity(n);
+    let mut off: Vec<u32> = Vec::with_capacity(n + 1);
+    let mut pairs: Vec<(u32, Weight)> = Vec::new();
     let mut rng_r = StdRng::seed_from_u64(seed).fork("alg3/rset");
     // One candidate buffer for every (node, class) probe.
     let mut t: Vec<usize> = Vec::new();
     for v in 0..n {
         let tv = &to_s[v * ns..(v + 1) * ns];
-        let mut r: Vec<(u32, Weight)> = Vec::new();
+        let start = pairs.len();
+        off.push(start as u32);
         for class in classes {
             t.clear();
             t.extend(
                 class
                     .iter()
                     .copied()
-                    .filter(|&s_i| tv[s_i] != INF && covered_check(tv[s_i], s_i, &r)),
+                    .filter(|&s_i| tv[s_i] != INF && covered_check(tv[s_i], s_i, &pairs[start..])),
             );
             if !t.is_empty() {
                 let pick = t[rng_r.random_range(0..t.len())];
-                r.push((pick as u32, tv[pick]));
+                pairs.push((pick as u32, tv[pick]));
             }
         }
-        rset.push(Arc::new(r));
     }
-    rset
+    off.push(pairs.len() as u32);
+    RSets { off, pairs }
 }
 
 /// Membership of `y` in `P(v)` per Definition 3.1, given `R(v)` and exact
@@ -384,6 +389,68 @@ pub(crate) fn in_neighborhood(
         d_y_to_t(t_i as usize).saturating_add(2u64.saturating_mul(d_vy))
             <= d_t_to_y(t_i as usize).saturating_add(2u64.saturating_mul(dvt))
     })
+}
+
+/// One restricted-BFS message on `link` from `from` to `to`: source
+/// `src`'s search at distance `dist` in mode units. Its body is `(Q(src),
+/// d*(src, ·))` of Algorithm 3 line 16, `1 + 2·|R(src)|` words; the
+/// receiver reads `R(src)` from the [`RSets`] table, which holds exactly
+/// what the message delivered.
+#[derive(Clone, Copy)]
+struct Msg {
+    from: u32,
+    to: u32,
+    link: u32,
+    src: u32,
+    dist: Weight,
+}
+
+/// An open-addressed set of `(node, source)` pairs, growing at half
+/// load: line 20's "first message from this source" test.
+struct PairSet {
+    slots: Vec<u64>,
+    len: usize,
+}
+
+impl PairSet {
+    const EMPTY: u64 = u64::MAX;
+
+    fn with_capacity(pairs: usize) -> Self {
+        PairSet {
+            slots: vec![Self::EMPTY; (2 * pairs).next_power_of_two().max(16)],
+            len: 0,
+        }
+    }
+
+    /// Inserts `(a, b)`; `false` if it was already present.
+    fn insert(&mut self, a: u32, b: u32) -> bool {
+        if 2 * (self.len + 1) > self.slots.len() {
+            let grown = vec![Self::EMPTY; 2 * self.slots.len()];
+            let old = std::mem::replace(&mut self.slots, grown);
+            for key in old.into_iter().filter(|&k| k != Self::EMPTY) {
+                let i = self.probe(key);
+                self.slots[i] = key;
+            }
+        }
+        let key = (a as u64) << 32 | b as u64;
+        let i = self.probe(key);
+        if self.slots[i] == key {
+            return false;
+        }
+        self.slots[i] = key;
+        self.len += 1;
+        true
+    }
+
+    /// The slot holding `key`, or the empty slot where it belongs.
+    fn probe(&self, key: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask;
+        while self.slots[i] != Self::EMPTY && self.slots[i] != key {
+            i = (i + 1) & mask;
+        }
+        i
+    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -420,17 +487,11 @@ fn short_cycles_restricted_bfs(
 
     // d(v, s) and d(s, v) vectors per node (information each node holds
     // from line 3's BFS runs), node-major: entry `v * ns + i` is `s_i`'s.
-    let node_major = |t: &DistTable| -> Vec<Weight> {
-        let mut out = Vec::with_capacity(n * ns);
-        for v in 0..n {
-            out.extend((0..ns).map(|si| t.get(si, v)));
-        }
-        out
-    };
-    let to_s = node_major(d_to_s);
-    let from_s = node_major(d_from_s);
+    let to_s = d_to_s.node_major(n, ns);
+    let from_s = d_from_s.node_major(n, ns);
 
     let rset = build_rsets(n, ns, &classes, &to_s, d_st, params.seed);
+    let msg_words = |src: u32| (1 + 2 * rset.of(src as usize).len()) as u64;
 
     // Line 9: random delays δ_v ∈ [1, ρ]. One labeled substream per
     // node: δ_v depends only on (seed, v), so the schedule is stable
@@ -466,18 +527,23 @@ fn short_cycles_restricted_bfs(
 
     // Lines 13–22: the phase-organized restricted BFS.
     let max_phase = rho + budget; // arrivals occur by δ_v + budget ≤ ρ + h*.
-    let mut reached: Vec<HashMap<u32, Reach>> = vec![HashMap::new(); n];
     let mut overflow = vec![false; n];
-    // future[p % window] = messages arriving at phase p (stretch ≥ 1), as
-    // `(from, to, link, msg)`.
+    // The reach log: the first message from each source to reach each
+    // node (line 20), appended as it arrives; `seen` indexes it by
+    // `(to, src)`.
+    let mut reach: Vec<Msg> = Vec::new();
+    let mut seen = PairSet::with_capacity(4 * n);
+    // future[p % window] = messages arriving at phase p (stretch ≥ 1).
+    // Pending arrivals lie in (p, max_phase], so the ring never needs
+    // more than `max_phase + 1` slots, however long an edge stretches.
     let max_stretch = match mode {
         Mode::Unweighted => 1,
-        Mode::Stretched { latency, .. } => {
-            latency.iter().copied().max().unwrap_or(1).max(1) as usize
-        }
+        Mode::Stretched { latency, .. } => latency.iter().copied().max().unwrap_or(1).max(1),
     };
-    let window = max_stretch + 1;
-    let mut future: Vec<Vec<(NodeId, NodeId, u32, BfsMsg)>> = vec![Vec::new(); window];
+    let window = max_stretch.min(max_phase) as usize + 1;
+    let mut future: Vec<Vec<Msg>> = vec![Vec::new(); window];
+    // Drained buckets, kept for the next bucket that fills.
+    let mut spare: Vec<Vec<Msg>> = Vec::new();
     let mut bfs_net: Network<()> = Network::new(g); // round accounting only
 
     // Traversal-edge CSR: link ids and stretches resolved once, so the
@@ -501,17 +567,14 @@ fn short_cycles_restricted_bfs(
     let mut initiators: Vec<NodeId> = (0..n).collect();
     initiators.sort_by_key(|&v| delays[v]);
     let mut next_init = 0;
-    // Buffers reused by every phase. Sends carry their resolved
-    // `(link, ell)` so charging and scheduling stay lookup-free; a phase's
-    // fresh messages are kept per node, with the nodes holding any listed
-    // in `fresh_nodes`; `received` counts line 19's per-edge receives by
-    // link id and is reset through `touched`.
-    let mut sends: Vec<(NodeId, NodeId, u32, u64, BfsMsg)> = Vec::new();
-    let mut fresh: Vec<Vec<(u32, Weight, Arc<Vec<(u32, Weight)>>)>> = vec![Vec::new(); n];
-    let mut fresh_nodes: Vec<NodeId> = Vec::new();
+    // Buffers reused by every phase. Sends carry their stretch so
+    // scheduling stays lookup-free; a phase's fresh first messages are
+    // `(to, arrival seq, src, dist)`; `received` counts line 19's
+    // per-edge receives by link id and is reset through `touched`.
+    let mut sends: Vec<(Msg, u64)> = Vec::new();
+    let mut fresh: Vec<(u32, u32, u32, Weight)> = Vec::new();
     let mut received = vec![0u32; bfs_net.link_ends().len()];
     let mut touched: Vec<u32> = Vec::new();
-    let mut drained = RoundOutput::default();
 
     for phase in 1..=max_phase {
         let slot = (phase as usize) % window;
@@ -529,145 +592,126 @@ fn short_cycles_restricted_bfs(
             if overflow[v] {
                 continue;
             }
-            let q = &rset[v];
             for hop in plan.of(v) {
                 let ell = hop.latency + 1;
                 if ell > budget {
                     continue;
                 }
-                sends.push((
-                    v,
-                    hop.to as usize,
-                    hop.link,
-                    ell,
-                    BfsMsg {
-                        src: v as u32,
-                        dist: ell,
-                        q: Arc::clone(q),
-                    },
-                ));
+                let msg = Msg {
+                    from: v as u32,
+                    to: hop.to,
+                    link: hop.link,
+                    src: v as u32,
+                    dist: ell,
+                };
+                sends.push((msg, ell));
             }
         }
         next_init = init_end;
 
         // Per-edge receive counting (line 19) and first-message dedup
         // (line 20) over the deliveries scheduled for this phase.
-        for (from, to, link, msg) in future[slot].drain(..) {
+        let mut arrived = std::mem::take(&mut future[slot]);
+        for msg in arrived.drain(..) {
+            let to = msg.to as usize;
             if overflow[to] {
                 continue;
             }
-            let c = &mut received[link as usize];
+            let c = &mut received[msg.link as usize];
             if *c == 0 {
-                touched.push(link);
+                touched.push(msg.link);
             }
             *c += 1;
             if *c as usize > cap {
                 overflow[to] = true;
-                fresh[to].clear();
                 continue;
             }
-            if reached[to].contains_key(&msg.src) || msg.src as usize == to {
+            if msg.src == msg.to || !seen.insert(msg.to, msg.src) {
                 continue; // not the first message for this source
             }
-            reached[to].insert(
-                msg.src,
-                Reach {
-                    dist: msg.dist,
-                    pred: from,
-                },
-            );
-            if fresh[to].is_empty() {
-                fresh_nodes.push(to);
-            }
-            fresh[to].push((msg.src, msg.dist, msg.q));
+            reach.push(msg);
+            fresh.push((msg.to, fresh.len() as u32, msg.src, msg.dist));
         }
         for l in touched.drain(..) {
             received[l as usize] = 0;
         }
+        if arrived.capacity() > 0 {
+            spare.push(arrived);
+        }
 
         // Line 21: Y^r(v) cap; line 22: forward with the membership test.
-        // Ascending node order, as a scan over every node would visit them.
-        fresh_nodes.sort_unstable();
-        for &v in &fresh_nodes {
-            if !overflow[v] && fresh[v].len() > cap {
+        // Ascending node order, each node's messages in arrival order.
+        fresh.sort_unstable_by_key(|&(to, seq, _, _)| (to, seq));
+        for run in fresh.chunk_by(|a, b| a.0 == b.0) {
+            let v = run[0].0 as usize;
+            if run.len() > cap {
                 overflow[v] = true;
             }
             if overflow[v] {
-                fresh[v].clear();
                 continue;
             }
-            for (src, dist, q) in fresh[v].drain(..) {
+            for &(_, _, src, dist) in run {
+                let q = rset.of(src as usize);
                 for hop in plan.of(v) {
                     let ell = hop.latency + 1;
                     let cand = dist.saturating_add(ell);
                     if cand > budget {
                         continue;
                     }
-                    if forward_test(hop.to as usize, cand, &q) {
-                        sends.push((
-                            v,
-                            hop.to as usize,
-                            hop.link,
-                            ell,
-                            BfsMsg {
-                                src,
-                                dist: cand,
-                                q: Arc::clone(&q),
-                            },
-                        ));
+                    if forward_test(hop.to as usize, cand, q) {
+                        let msg = Msg {
+                            from: v as u32,
+                            to: hop.to,
+                            link: hop.link,
+                            src,
+                            dist: cand,
+                        };
+                        sends.push((msg, ell));
                     }
                 }
             }
         }
-        fresh_nodes.clear();
+        fresh.clear();
 
         if sends.is_empty() {
             continue; // nothing forwarded: zero rounds.
         }
-        // Charge this phase's rounds: drain all sends through the engine.
-        for (_, _, link, _, msg) in &sends {
-            bfs_net.send_on_link(*link as usize, (), msg.words(), 0);
-        }
-        while bfs_net.step_bulk_into(&mut drained) {}
-        // Schedule arrivals at entry phase + stretch, read off the plan
-        // hop — no edge-id recovery.
-        for (from, to, link, ell, msg) in sends.drain(..) {
+        // Charge this phase's rounds: all sends as one batch.
+        bfs_net.charge_batch(sends.iter().map(|(m, _)| (m.link, msg_words(m.src))));
+        // Schedule arrivals at entry phase + stretch.
+        for (msg, ell) in sends.drain(..) {
             let arrive = phase + ell;
             if arrive <= max_phase {
-                future[(arrive as usize) % window].push((from, to, link, msg));
+                let bucket = &mut future[(arrive as usize) % window];
+                if bucket.capacity() == 0 {
+                    *bucket = spare.pop().unwrap_or_default();
+                }
+                bucket.push(msg);
             }
         }
     }
     ledger.absorb("Alg3: restricted BFS phases", &bfs_net);
 
     // Lines 25–26: close cycles found by the restricted BFS — at node y
-    // holding d(v, y) with an out-edge (y, v).
-    for y in 0..n {
-        // Sorted source order: the `cand >= b` pruning depends on how
-        // early `best` improves, so HashMap's per-process iteration order
-        // would make the work done (and the profiled allocator traffic,
-        // gated in the default configuration) nondeterministic — the
-        // cycle weight itself is order-invariant.
-        let mut srcs: Vec<u32> = reached[y].keys().copied().collect();
-        srcs.sort_unstable();
-        for src in srcs {
-            let rec = &reached[y][&src];
-            let v = src as usize;
-            if !g.has_edge(y, v) {
-                continue;
-            }
-            // Prune by the mode-unit candidate d(v, y) + stretch(y, v).
-            let eid = g.edge_id(y, v).expect("edge exists");
-            let cand = rec.dist.saturating_add(mode.stretch_of(eid));
-            if best
-                .weight()
-                .is_some_and(|b| matches!(mode, Mode::Unweighted) && cand >= b)
-            {
-                continue;
-            }
-            if let Some(path) = reconstruct_restricted_path(&reached, v, y, n) {
-                offer_cycle_with_closing_edge(g, best, path, v);
-            }
+    // holding d(v, y) with an out-edge (y, v). Sorted by `(y, v)`, so the
+    // `cand >= b` pruning sees the same sequence of improvements on
+    // every run.
+    reach.sort_unstable_by_key(|r| (r.to, r.src));
+    for rec in &reach {
+        let (y, v) = (rec.to as usize, rec.src as usize);
+        let Some(eid) = g.edge_id(y, v) else {
+            continue;
+        };
+        // Prune by the mode-unit candidate d(v, y) + stretch(y, v).
+        let cand = rec.dist.saturating_add(mode.stretch_of(eid));
+        if best
+            .weight()
+            .is_some_and(|b| matches!(mode, Mode::Unweighted) && cand >= b)
+        {
+            continue;
+        }
+        if let Some(path) = reconstruct_restricted_path(&reach, v, y, n) {
+            offer_cycle_with_closing_edge(g, best, path, v);
         }
     }
 
@@ -705,10 +749,10 @@ fn short_cycles_restricted_bfs(
     }
 }
 
-/// Walks restricted-BFS predecessor records back from `y` to the source
-/// `v`, returning the path `v → … → y`.
+/// Walks the reach log's first messages back from `y` to the source `v`,
+/// returning the path `v → … → y`. `reach` is sorted by `(to, src)`.
 fn reconstruct_restricted_path(
-    reached: &[HashMap<u32, Reach>],
+    reach: &[Msg],
     v: NodeId,
     y: NodeId,
     n: usize,
@@ -716,8 +760,10 @@ fn reconstruct_restricted_path(
     let mut path = vec![y];
     let mut cur = y;
     while cur != v {
-        let r = reached[cur].get(&(v as u32))?;
-        cur = r.pred;
+        let i = reach
+            .binary_search_by_key(&(cur as u32, v as u32), |r| (r.to, r.src))
+            .ok()?;
+        cur = reach[i].from as usize;
         path.push(cur);
         if path.len() > n {
             return None;
@@ -869,7 +915,7 @@ mod tests {
                             to(v, y),
                             |t| to(y, samples[t]),
                             |t| to(samples[t], y),
-                            &rsets[v],
+                            rsets.of(v),
                         )
                 })
                 .collect();
@@ -885,7 +931,7 @@ mod tests {
                             to(v, p),
                             |t| to(p, samples[t]),
                             |t| to(samples[t], p),
-                            &rsets[v],
+                            rsets.of(v),
                         ),
                         "P({v}) not connected: ancestor {p} of {y} excluded"
                     );
@@ -903,6 +949,22 @@ mod tests {
         assert!(
             mean <= bound,
             "mean |P(v)| = {mean:.1} > {bound:.1} (|S| = {ns})"
+        );
+    }
+
+    /// Weights near 2^40 stretch the finest scales' edges far past the
+    /// phase horizon; the arrival ring must stay sized by the horizon.
+    #[test]
+    fn huge_weights_keep_the_arrival_ring_small() {
+        let w = 1u64 << 40;
+        let mut g = ring_with_chords(12, 0, Orientation::Directed, WeightRange::uniform(w, w), 0);
+        g.add_edge(4, 3, w).unwrap();
+        let out = crate::approx_mwc_directed_weighted(&g, &Params::new().with_seed(2));
+        out.assert_valid(&g);
+        let rep = out.weight.expect("the graph has cycles");
+        assert!(
+            rep >= 2 * w && rep as f64 <= 2.25 * (2 * w) as f64,
+            "rep {rep}"
         );
     }
 

@@ -8,7 +8,8 @@
 //! exchange's only cost is its words on the links.
 //! [`charge_neighbor_exchange`] charges exactly those — the same
 //! messages, with the same per-sender word counts, in the same send order
-//! — through a payload-free `Network<()>`, and returns nothing.
+//! — as one closed-form [`Network::charge_batch`] on a payload-free
+//! `Network<()>`, without stepping the engine, and returns nothing.
 //!
 //! After the charge, each receiver reads its neighbor's value **in
 //! place** (`values[y]`, the `DistMatrix` column of `y`, ...). That is
@@ -16,7 +17,7 @@
 //! [`Graph`] is simple (no self-loops, no parallel edges), so every edge
 //! endpoint is a communication link that delivered precisely that value.
 
-use mwc_congest::{DistMatrix, Ledger, Network, RoundOutput};
+use mwc_congest::{DistMatrix, Ledger, Network};
 use mwc_graph::{Graph, NodeId};
 
 /// Charges one neighbor exchange to `ledger` under `label`: every `v`
@@ -34,17 +35,13 @@ pub(crate) fn charge_neighbor_exchange(
     ledger.absorb(label, &net);
 }
 
-/// Sends the exchange's messages on `net` and steps it until idle. The
-/// engine numbers links by sender in ascending order, each sender's in
+/// Charges the exchange's messages on `net` as one batch. The engine
+/// numbers links by sender in ascending order, each sender's in
 /// [`Graph::comm_neighbors`] order, so sending on every link id in turn
 /// is the per-node, per-neighbor send order without walking adjacency.
 fn run_exchange(net: &mut Network<()>, words: impl Fn(NodeId) -> u64) {
-    for l in 0..net.link_ends().len() {
-        let (v, _) = net.link_ends()[l];
-        net.send_on_link(l, (), words(v), 0);
-    }
-    let mut out = RoundOutput::default();
-    while net.step_bulk_into(&mut out) {}
+    let senders: Vec<NodeId> = net.link_ends().iter().map(|&(v, _)| v).collect();
+    net.charge_batch((0u32..).zip(senders).map(|(l, v)| (l, words(v))));
 }
 
 /// The BFS-tree LCA cycle of a non-tree edge `(x, y)` w.r.t. the matrix's
@@ -66,7 +63,7 @@ pub(crate) fn lca_cycle(mat: &DistMatrix, row: usize, x: NodeId, y: NodeId) -> O
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mwc_congest::{multi_source_bfs, EventCapture, MultiBfsSpec};
+    use mwc_congest::{multi_source_bfs, EventCapture, MultiBfsSpec, RoundOutput};
     use mwc_graph::generators::{connected_gnm, WeightRange};
     use mwc_graph::Orientation;
 

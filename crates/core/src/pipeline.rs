@@ -21,6 +21,10 @@ pub(crate) trait Segments {
     /// A real path from the `row`-th source to `v` realizing (at most) the
     /// reported distance, in forward orientation.
     fn path(&self, row: usize, v: NodeId) -> Option<Vec<NodeId>>;
+    /// One min-plus fold over every source: `out[v] = min(out[v], a[row]
+    /// ⊕ get(row, v))` for each `row`, where `⊕` saturates, so [`INF`]
+    /// absorbs. Implementations walk their storage in layout order.
+    fn min_plus_into(&self, a: &[Weight], out: &mut [Weight]);
 }
 
 /// Output of [`skeleton_pipeline`].
@@ -229,42 +233,32 @@ pub(crate) fn skeleton_pipeline<S: Segments>(
             .collect()
     };
 
-    // Line 8 (local everywhere): source→sample distances via entry samples.
-    let mut d_us = vec![INF; k * ns];
+    // Line 8 (local everywhere): source→sample distances via entry
+    // samples, one skeleton row at a time.
+    let mut d_us_hop = vec![INF; k * ns];
     for &(row, si, d) in &us_edges {
-        let cell = &mut d_us[row as usize * ns + si as usize];
+        let cell = &mut d_us_hop[row as usize * ns + si as usize];
         *cell = (*cell).min(d);
     }
-    let d_us_hop = d_us.clone();
-    for row in 0..k {
-        for si in 0..ns {
-            let mut best = d_us[row * ns + si];
-            for t in 0..ns {
-                let a = d_us_hop[row * ns + t];
-                let b = skel_dist[t * ns + si];
-                if a != INF && b != INF {
-                    best = best.min(a + b);
+    let mut d_us = d_us_hop.clone();
+    for (hop, out) in d_us_hop.chunks_exact(ns).zip(d_us.chunks_exact_mut(ns)) {
+        for (&a, skel_row) in hop.iter().zip(skel_dist.chunks_exact(ns)) {
+            if a != INF {
+                for (o, &b) in out.iter_mut().zip(skel_row) {
+                    *o = (*o).min(a.saturating_add(b));
                 }
             }
-            d_us[row * ns + si] = best;
         }
     }
 
     // Lines 9–10 (local, justified by the global broadcasts — see the
     // ksssp module docs): combine.
     let mut final_dist = vec![INF; k * n];
-    for row in 0..k {
-        for v in 0..n {
-            let mut best = seg_u.get(row, v);
-            for si in 0..ns {
-                let a = d_us[row * ns + si];
-                let b = seg_s.get(si, v);
-                if a != INF && b != INF {
-                    best = best.min(a + b);
-                }
-            }
-            final_dist[row * n + v] = best;
+    for (row, out) in final_dist.chunks_exact_mut(n).enumerate() {
+        for (v, o) in out.iter_mut().enumerate() {
+            *o = seg_u.get(row, v);
         }
+        seg_s.min_plus_into(&d_us[row * ns..(row + 1) * ns], out);
     }
 
     Pipeline::Skeleton(Box::new(SkeletonParts {

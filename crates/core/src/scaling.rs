@@ -103,6 +103,17 @@ impl Segments for ScaledSegments {
         let run = &self.runs[self.choice[row * self.n + v] as usize];
         run.mat.path_from_source(row, v)
     }
+
+    /// Row-major: adds whole `est` rows.
+    fn min_plus_into(&self, a: &[Weight], out: &mut [Weight]) {
+        for (&a, est) in a.iter().zip(self.est.chunks_exact(self.n)) {
+            if a != INF {
+                for (o, &b) in out.iter_mut().zip(est) {
+                    *o = (*o).min(a.saturating_add(b));
+                }
+            }
+        }
+    }
 }
 
 impl Segments for DistMatrix {
@@ -113,13 +124,27 @@ impl Segments for DistMatrix {
     fn path(&self, row: usize, v: NodeId) -> Option<Vec<NodeId>> {
         self.path_from_source(row, v)
     }
+
+    /// Node-major: folds each node's column.
+    fn min_plus_into(&self, a: &[Weight], out: &mut [Weight]) {
+        for (v, o) in out.iter_mut().enumerate() {
+            for (&a, &b) in a.iter().zip(self.column(v)) {
+                *o = (*o).min(a.saturating_add(b));
+            }
+        }
+    }
 }
 
 fn rescale(raw: Weight, scale_pow: u32, en: u64, h: u64) -> Weight {
-    // ⌈raw · en · 2^i / (16h)⌉ in exact u128 arithmetic.
-    let num = raw as u128 * en as u128 * (1u128 << scale_pow);
-    let den = 16u128 * h as u128;
-    num.div_ceil(den) as Weight
+    // ⌈raw · en · 2^i / (16h)⌉ in exact arithmetic: u64 while the
+    // product fits, u128 past it.
+    let factor = en as u128 * (1u128 << scale_pow);
+    let den = 16 * h as u128;
+    let fast = u64::try_from(factor).ok().and_then(|f| raw.checked_mul(f));
+    match (fast, u64::try_from(den)) {
+        (Some(num), Ok(den)) => num.div_ceil(den),
+        _ => (raw as u128 * factor).div_ceil(den) as Weight,
+    }
 }
 
 /// Budget shared by all runs: `⌈2h/ε_q⌉ + h = ⌈32h/en⌉ + h`.
@@ -247,16 +272,17 @@ pub(crate) fn scaled_hop_sssp(
         runs.push(Run { mat, scale });
     });
 
-    // Fold: min estimate across runs. `choice` stores run indices as u8;
-    // the run count grows as log₂(h·W), so 256 runs would need W ≈ 2^256,
-    // but a wider `Weight` must fail loudly rather than truncate.
+    // Fold: min estimate across runs, each run's table walked node by
+    // node. `choice` stores run indices as u8; the run count grows as
+    // log₂(h·W), so 256 runs would need W ≈ 2^256, but a wider `Weight`
+    // must fail loudly rather than truncate. The strict `<` keeps the
+    // earliest run on ties.
     let mut est = vec![INF; k * n];
     let mut choice = vec![0u8; k * n];
     for (ri, run) in runs.iter().enumerate() {
         let ri = u8::try_from(ri).expect("stretched run index overflows the u8 choice table");
-        for row in 0..k {
-            for v in 0..n {
-                let raw = run.mat.get_row(row, v);
+        for v in 0..n {
+            for (row, &raw) in run.mat.column(v).iter().enumerate() {
                 if raw == INF {
                     continue;
                 }
