@@ -16,7 +16,6 @@
 
 pub mod plot;
 pub mod report;
-pub mod stopwatch;
 
 use std::fmt::Write as _;
 

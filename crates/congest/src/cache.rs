@@ -38,6 +38,20 @@
 //! ([`crate::events::enabled`]), since a replay emits no message events.
 //! [`CacheStats::flood_replays`] counts the replays.
 //!
+//! A fourth table holds **link tables**, one per graph fingerprint. The
+//! communication topology is fixed for the whole run, so the first
+//! [`Network::new`] on a graph in the scope builds the graph's link table
+//! and every later network on it shares that table: floods, source
+//! detection, broadcast, the tree build, convergecast, the neighbor
+//! exchanges and Algorithm 3's round accounting. A flood replay charges
+//! into the same table. Outside a scope a network builds its own.
+//! [`CacheStats::link_hits`] counts the shared tables handed out.
+//!
+//! So a scope holds four tables, all keyed by [`Graph::fingerprint`]
+//! (computed once per graph): BFS trees, stretched latency tables, the
+//! flood memo and link tables. They live as long as the outermost scope,
+//! not as long as the graph.
+//!
 //! [`PhaseCache::disable_for_thread`] forces every call site on the
 //! thread down the uncached path, flood memo included; results must be
 //! byte-identical either way — only the round accounting of repeated tree
@@ -47,7 +61,7 @@
 //! [`charge_multi_source_bfs`]: crate::charge_multi_source_bfs
 
 use crate::distmat::DistMatrix;
-use crate::engine::{NetStats, Network};
+use crate::engine::{Links, NetStats, Network};
 use crate::ledger::Ledger;
 use crate::multibfs::MultiBfsSpec;
 use crate::tree::BfsTree;
@@ -97,54 +111,28 @@ pub struct CacheStats {
     pub rounds_saved: u64,
     /// Floods replayed from the flood memo (charged in full, not re-run).
     pub flood_replays: u64,
+    /// Networks handed an already-built link table.
+    pub link_hits: u64,
 }
 
 /// Memoizes per-run shared structures: the global BFS tree keyed by
 /// `(graph fingerprint, root)`, stretched latency tables keyed by
-/// `(graph fingerprint, h, ε_q, scale)`, and flood charges keyed by the
-/// graph fingerprint and a digest of the flood's direction, budget, source
-/// rows and latency table. See the module docs for the scoping and
-/// visibility rules.
+/// `(graph fingerprint, h, ε_q, scale)`, flood charges keyed by the graph
+/// fingerprint and a digest of the flood's direction, budget, source rows
+/// and latency table, and network link tables keyed by the graph
+/// fingerprint. See the module docs for the scoping and visibility rules.
 #[derive(Default)]
 pub struct PhaseCache {
     trees: HashMap<(u64, NodeId), CachedTree>,
     latencies: HashMap<LatencyKey, Arc<Vec<Weight>>>,
     floods: HashMap<FloodKey, FloodCharge>,
-    /// One link table per graph fingerprint: a replay into an empty
-    /// ledger needs it, and every flood on a graph shares it.
-    link_ends: HashMap<u64, Vec<(NodeId, NodeId)>>,
+    links: HashMap<u64, Arc<Links>>,
     stats: CacheStats,
 }
 
 thread_local! {
     static ACTIVE: RefCell<Option<PhaseCache>> = const { RefCell::new(None) };
     static DISABLED: Cell<bool> = const { Cell::new(false) };
-}
-
-/// A stable fingerprint of a graph's topology and weights, mixed with the
-/// in-tree [`mwc_rng::splitmix64`] finalizer. Distinguishes a graph from
-/// its reverse (orientation and edge direction are hashed), so `g` and
-/// `g.reversed()` never share cache entries.
-pub fn graph_fingerprint(g: &Graph) -> u64 {
-    let mut state: u64 = 0x6d77_6363_6163_6865; // "mwccache"
-    mix(&mut state, g.n() as u64);
-    mix(&mut state, g.is_directed() as u64);
-    mix(&mut state, g.m() as u64);
-    for e in g.edges() {
-        mix(&mut state, e.u as u64);
-        mix(&mut state, e.v as u64);
-        mix(&mut state, e.weight);
-    }
-    mwc_rng::splitmix64(&mut state)
-}
-
-/// Folds `word` into a running digest. The next state is the mixed
-/// output of [`mwc_rng::splitmix64`], not its counter: xoring words into
-/// a counter that only steps by a constant lets short runs of small
-/// words cancel (two latency tables of one graph collided that way).
-fn mix(state: &mut u64, word: u64) {
-    let mut counter = *state ^ word;
-    *state = mwc_rng::splitmix64(&mut counter);
 }
 
 /// True when caching is off for this call: a
@@ -190,6 +178,28 @@ impl PhaseCache {
         ACTIVE.with(|a| a.borrow().as_ref().map(|c| c.stats))
     }
 
+    /// The scope's link table for `g`, built on the graph's first
+    /// [`Network::new`] of the scope and shared by every later one; `None`
+    /// when no scope is active, so the network builds its own.
+    pub(crate) fn links(g: &Graph) -> Option<Arc<Links>> {
+        ACTIVE.with(|a| {
+            let mut slot = a.borrow_mut();
+            let cache = slot.as_mut()?;
+            let key = g.fingerprint();
+            if let Some(links) = cache.links.get(&key) {
+                debug_assert!(
+                    links.counts_match(g),
+                    "link table under a colliding fingerprint"
+                );
+                cache.stats.link_hits += 1;
+                return Some(links.clone());
+            }
+            let links = Arc::new(Links::new(g));
+            cache.links.insert(key, links.clone());
+            Some(links)
+        })
+    }
+
     /// [`BfsTree::build`] through the cache. On a miss the tree is built
     /// normally (charged to `ledger`) and remembered with its round cost;
     /// on a hit the cached tree is replayed and `ledger` records a
@@ -197,9 +207,9 @@ impl PhaseCache {
     /// Without an active scope this is exactly `BfsTree::build`.
     pub fn bfs_tree(g: &Graph, root: NodeId, ledger: &mut Ledger) -> Arc<BfsTree> {
         if !is_active() {
-            return Arc::new(BfsTree::build(g, root, ledger));
+            return BfsTree::build_shared(g, root, ledger);
         }
-        let key = (graph_fingerprint(g), root);
+        let key = (g.fingerprint(), root);
         let hit = ACTIVE.with(|a| {
             let mut slot = a.borrow_mut();
             let cache = slot.as_mut().expect("checked active above");
@@ -216,7 +226,7 @@ impl PhaseCache {
         // Miss: build outside any RefCell borrow (the build may trace,
         // panic, or re-enter), then remember the measured round cost.
         let before = ledger.rounds;
-        let tree = Arc::new(BfsTree::build(g, root, ledger));
+        let tree = BfsTree::build_shared(g, root, ledger);
         let rounds = ledger.rounds - before;
         ACTIVE.with(|a| {
             if let Some(cache) = a.borrow_mut().as_mut() {
@@ -247,7 +257,7 @@ impl PhaseCache {
         if !is_active() {
             return Arc::new(build());
         }
-        let key = (graph_fingerprint(g), h, eps_num, scale);
+        let key = (g.fingerprint(), h, eps_num, scale);
         let hit = ACTIVE.with(|a| {
             let mut slot = a.borrow_mut();
             let cache = slot.as_mut().expect("checked active above");
@@ -280,24 +290,24 @@ impl PhaseCache {
             return None;
         }
         let mut state: u64 = 0x6d77_6366_6c6f_6f64; // "mwcflood"
-        mix(&mut state, (spec.direction == Direction::Reverse) as u64);
-        mix(&mut state, spec.max_dist);
-        mix(&mut state, sources.len() as u64);
+        mwc_rng::mix(&mut state, (spec.direction == Direction::Reverse) as u64);
+        mwc_rng::mix(&mut state, spec.max_dist);
+        mwc_rng::mix(&mut state, sources.len() as u64);
         for &s in sources {
-            mix(&mut state, s as u64);
+            mwc_rng::mix(&mut state, s as u64);
         }
         // Only the first `m` entries reach the flood and its bound audit.
         match spec.latency {
-            None => mix(&mut state, 0),
+            None => mwc_rng::mix(&mut state, 0),
             Some(l) => {
-                mix(&mut state, 1);
+                mwc_rng::mix(&mut state, 1);
                 for &w in &l[..g.m()] {
-                    mix(&mut state, w);
+                    mwc_rng::mix(&mut state, w);
                 }
             }
         }
         Some(FloodKey {
-            graph: graph_fingerprint(g),
+            graph: g.fingerprint(),
             flood: mwc_rng::splitmix64(&mut state),
         })
     }
@@ -315,14 +325,14 @@ impl PhaseCache {
         ACTIVE.with(|a| {
             let mut slot = a.borrow_mut();
             let cache = slot.as_mut()?;
+            let links = cache.links.get(&key.graph)?;
             let charge = cache.floods.get_mut(&key)?;
             let mat = if wanted {
                 Some(charge.parked.take()?)
             } else {
                 None
             };
-            let link_ends = &cache.link_ends[&key.graph];
-            ledger.absorb_stats(label, charge.rounds, &charge.stats, link_ends);
+            ledger.absorb_stats(label, charge.rounds, &charge.stats, links.ends());
             cache.stats.flood_replays += 1;
             Some((charge.rounds, mat))
         })
@@ -338,7 +348,7 @@ impl PhaseCache {
         wanted: bool,
     ) -> Option<DistMatrix> {
         let rounds = net.round();
-        let (link_ends, stats) = net.into_charges();
+        let stats = net.into_stats();
         let (parked, result) = if wanted {
             (None, Some(mat))
         } else {
@@ -346,7 +356,6 @@ impl PhaseCache {
         };
         ACTIVE.with(|a| {
             if let Some(cache) = a.borrow_mut().as_mut() {
-                cache.link_ends.entry(key.graph).or_insert(link_ends);
                 cache.floods.entry(key).or_insert(FloodCharge {
                     rounds,
                     stats,
@@ -378,10 +387,12 @@ impl Drop for CacheScope {
             // saw no cache traffic).
             if let Some(cache) = cache {
                 let s = cache.stats;
-                // Replays are not a run-record field: a scope that only
-                // replayed floods reports nothing, as before the memo.
+                // Replays and link-table hits are not run-record fields:
+                // a scope that only replayed floods or shared link tables
+                // reports nothing.
                 let reported = CacheStats {
                     flood_replays: 0,
+                    link_hits: 0,
                     ..s
                 };
                 if reported != CacheStats::default() {
@@ -421,14 +432,55 @@ mod tests {
         connected_gnm(24, 40, Orientation::Undirected, WeightRange::unit(), 9)
     }
 
+    /// A network built on a link-table hit has the same links, with the
+    /// same ids, as one that built its own table outside any scope.
     #[test]
-    fn fingerprint_is_stable_and_separates_graphs() {
+    fn shared_link_tables_match_owned_ones() {
+        let undirected = graph();
+        let mut directed = connected_gnm(24, 40, Orientation::Directed, WeightRange::unit(), 9);
+        // An antiparallel pair shares one link pair.
+        let e = *directed
+            .edges()
+            .iter()
+            .find(|e| !directed.has_edge(e.v, e.u))
+            .unwrap();
+        directed.add_edge(e.v, e.u, 1).unwrap();
+        for g in [undirected, directed] {
+            let owned: Network<()> = Network::new(&g);
+            let _scope = PhaseCache::scope();
+            let _first: Network<()> = Network::new(&g);
+            let shared: Network<u8> = Network::new(&g);
+            assert_eq!(PhaseCache::stats().unwrap().link_hits, 1);
+            assert_eq!(shared.link_ends(), owned.link_ends());
+            for u in 0..g.n() {
+                for v in 0..g.n() {
+                    assert_eq!(shared.link_id(u, v), owned.link_id(u, v), "({u}, {v})");
+                }
+            }
+        }
+    }
+
+    /// Link tables are per graph, live with the scope, and are never
+    /// shared outside one.
+    #[test]
+    fn link_tables_are_per_graph_and_per_scope() {
         let g = graph();
-        assert_eq!(graph_fingerprint(&g), graph_fingerprint(&g));
-        let other = connected_gnm(24, 40, Orientation::Undirected, WeightRange::unit(), 10);
-        assert_ne!(graph_fingerprint(&g), graph_fingerprint(&other));
-        let d = connected_gnm(24, 40, Orientation::Directed, WeightRange::uniform(1, 9), 9);
-        assert_ne!(graph_fingerprint(&d), graph_fingerprint(&d.reversed()));
+        {
+            let _scope = PhaseCache::scope();
+            for _ in 0..3 {
+                let _: Network<()> = Network::new(&g);
+            }
+            let _: Network<()> = Network::new(&g.map_weights(|w| w + 1));
+            assert_eq!(PhaseCache::stats().unwrap().link_hits, 2);
+        }
+        let _scope = PhaseCache::scope();
+        let _: Network<()> = Network::new(&g);
+        assert_eq!(PhaseCache::stats().unwrap().link_hits, 0);
+        drop(_scope);
+        let _off = PhaseCache::disable_for_thread();
+        let _scope = PhaseCache::scope();
+        let _: Network<()> = Network::new(&g);
+        assert!(PhaseCache::stats().is_none());
     }
 
     #[test]

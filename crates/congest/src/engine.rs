@@ -29,6 +29,8 @@ use mwc_graph::{Graph, NodeId};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// A message delivered to a node at the start of a round.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -105,6 +107,122 @@ struct InFlight<M> {
     latency: u64,
 }
 
+/// A graph's directed communication links: the undirected support's
+/// links in both directions, numbered by sender in ascending order and,
+/// within a sender, in [`Graph::comm_neighbors`] order (adjacency order
+/// for undirected graphs, ascending neighbor for directed ones).
+///
+/// The topology is fixed for a whole run, so the active phase-cache
+/// scope builds one table per graph and every [`Network`] of the solve
+/// shares it (see the `cache` module docs).
+pub(crate) struct Links {
+    /// `link_ends[l] = (from, to)`.
+    link_ends: Vec<(NodeId, NodeId)>,
+    /// CSR offsets into `out_links`: node `u`'s outgoing links are
+    /// `out_links[out_start[u]..out_start[u + 1]]` (length `n + 1`).
+    out_start: Vec<usize>,
+    /// Every node's outgoing `(neighbor, link id)` pairs, each node's
+    /// slice sorted by neighbor for [`Links::id`].
+    out_links: Vec<(NodeId, usize)>,
+}
+
+impl Links {
+    /// Builds `graph`'s link table in place from the adjacency lists,
+    /// with no per-node allocation.
+    pub(crate) fn new(graph: &Graph) -> Links {
+        let n = graph.n();
+        let directed = graph.is_directed();
+        // Every edge appears in two adjacency lists, so this bounds the
+        // link count (exact unless antiparallel edges share a link).
+        let max_links = 2 * graph.m();
+        let mut link_ends = Vec::with_capacity(max_links);
+        let mut out_start = Vec::with_capacity(n + 1);
+        let mut out_links: Vec<(NodeId, usize)> = Vec::with_capacity(max_links);
+        // `u`'s communication neighbors, as `Graph::comm_neighbors` lists
+        // them: a directed node's are the sorted, deduplicated union of
+        // its out- and in-neighbors.
+        let mut nbrs: Vec<NodeId> = Vec::new();
+        for u in 0..n {
+            let start = link_ends.len();
+            out_start.push(start);
+            nbrs.clear();
+            nbrs.extend(graph.out_adj(u).iter().map(|a| a.to));
+            if directed {
+                nbrs.extend(graph.in_adj(u).iter().map(|a| a.to));
+                nbrs.sort_unstable();
+                nbrs.dedup();
+            }
+            for &v in &nbrs {
+                out_links.push((v, link_ends.len()));
+                link_ends.push((u, v));
+            }
+            out_links[start..].sort_unstable();
+        }
+        out_start.push(link_ends.len());
+        Links {
+            link_ends,
+            out_start,
+            out_links,
+        }
+    }
+
+    /// The links as `(from, to)` pairs, indexed by link id.
+    pub(crate) fn ends(&self) -> &[(NodeId, NodeId)] {
+        &self.link_ends
+    }
+
+    /// The ids of `from`'s outgoing links, in [`Graph::comm_neighbors`]
+    /// order.
+    fn from(&self, from: NodeId) -> std::ops::Range<usize> {
+        self.out_start[from]..self.out_start[from + 1]
+    }
+
+    /// The link id for `from → to`, if the nodes are adjacent.
+    fn id(&self, from: NodeId, to: NodeId) -> Option<usize> {
+        let links = &self.out_links[self.from(from)];
+        links
+            .binary_search_by_key(&to, |&(nb, _)| nb)
+            .ok()
+            .map(|i| links[i].1)
+    }
+
+    /// Whether the table's node and link counts are `graph`'s: a check
+    /// for a table found under `graph`'s fingerprint. A directed graph
+    /// has one link pair per edge, less one per antiparallel pair.
+    pub(crate) fn counts_match(&self, graph: &Graph) -> bool {
+        let pairs = if graph.is_directed() {
+            let antiparallel = graph
+                .edges()
+                .iter()
+                .filter(|e| graph.has_edge(e.v, e.u))
+                .count();
+            2 * graph.m() - antiparallel
+        } else {
+            2 * graph.m()
+        };
+        self.out_start.len() == graph.n() + 1 && self.link_ends.len() == pairs
+    }
+}
+
+/// A network's link table: its own, or the phase-cache scope's shared one.
+/// A table outside a scope is held inline, not behind an [`Arc`], so an
+/// unshared network costs no extra allocation.
+enum LinkTable {
+    Owned(Links),
+    Shared(Arc<Links>),
+}
+
+impl Deref for LinkTable {
+    type Target = Links;
+
+    fn deref(&self) -> &Links {
+        match self {
+            LinkTable::Owned(links) => links,
+            LinkTable::Shared(links) => links,
+        }
+    }
+}
+
 /// The CONGEST network simulator. See the crate docs for the model.
 ///
 /// `M` is the algorithm-specific message type. The engine never inspects
@@ -132,17 +250,13 @@ struct InFlight<M> {
 pub struct Network<M> {
     n: usize,
     round: u64,
-    /// `links[l] = (from, to)`.
-    link_ends: Vec<(NodeId, NodeId)>,
-    /// CSR offsets into `out_links`: node `u`'s outgoing links are
-    /// `out_links[out_start[u]..out_start[u + 1]]` (length `n + 1`).
-    out_start: Vec<usize>,
-    /// Every node's outgoing `(neighbor, link id)` pairs, each node's
-    /// slice sorted by neighbor for [`Network::link_id`].
-    out_links: Vec<(NodeId, usize)>,
+    links: LinkTable,
+    /// Per-link send queues, built on the first [`Network::send_on_link`]:
+    /// a network that is only charged never needs them.
     queues: Vec<VecDeque<InFlight<M>>>,
     /// Links with a non-empty queue.
     active: Vec<usize>,
+    /// Per link, whether it is in `active` (built with `queues`).
     active_flag: Vec<bool>,
     /// Messages whose words all left their link, awaiting latency expiry:
     /// (arrival round, insertion sequence for FIFO stability, slab slot).
@@ -178,6 +292,12 @@ pub struct Network<M> {
 /// network charged batch after batch allocates nothing in steady state.
 #[derive(Default)]
 struct BatchScratch {
+    /// The network's round when the batch starts.
+    start: u64,
+    /// Whether the message-event log is on.
+    logging: bool,
+    /// Messages in the batch.
+    messages: u64,
     /// Per link: `(rank of its first send, total words, messages)`. Only
     /// the links in `touched` are nonzero, and only during a call.
     per_link: Vec<(u32, u64, u64)>,
@@ -218,49 +338,23 @@ impl<M> Network<M> {
     ///
     /// Link ids are grouped by sender in ascending order; within a sender
     /// they follow [`Graph::comm_neighbors`] order (adjacency order for
-    /// undirected graphs, ascending neighbor for directed ones). The
-    /// table is built in place from the adjacency lists, with no
-    /// per-node allocation.
+    /// undirected graphs, ascending neighbor for directed ones). Inside a
+    /// [`PhaseCache`](crate::PhaseCache) scope the link table is the
+    /// scope's, built once per graph and shared by every network of the
+    /// solve; outside one the network builds and owns its table.
     pub fn new(graph: &Graph) -> Self {
-        let n = graph.n();
-        let directed = graph.is_directed();
-        // Every edge appears in two adjacency lists, so this bounds the
-        // link count (exact unless antiparallel edges share a link).
-        let max_links = 2 * graph.m();
-        let mut link_ends = Vec::with_capacity(max_links);
-        let mut out_start = Vec::with_capacity(n + 1);
-        let mut out_links: Vec<(NodeId, usize)> = Vec::with_capacity(max_links);
-        // `u`'s communication neighbors, as `Graph::comm_neighbors` lists
-        // them: a directed node's are the sorted, deduplicated union of
-        // its out- and in-neighbors.
-        let mut nbrs: Vec<NodeId> = Vec::new();
-        for u in 0..n {
-            let start = link_ends.len();
-            out_start.push(start);
-            nbrs.clear();
-            nbrs.extend(graph.out_adj(u).iter().map(|a| a.to));
-            if directed {
-                nbrs.extend(graph.in_adj(u).iter().map(|a| a.to));
-                nbrs.sort_unstable();
-                nbrs.dedup();
-            }
-            for &v in &nbrs {
-                out_links.push((v, link_ends.len()));
-                link_ends.push((u, v));
-            }
-            out_links[start..].sort_unstable();
-        }
-        out_start.push(link_ends.len());
-        let m = link_ends.len();
+        let links = match crate::cache::PhaseCache::links(graph) {
+            Some(shared) => LinkTable::Shared(shared),
+            None => LinkTable::Owned(Links::new(graph)),
+        };
+        let m = links.ends().len();
         Network {
-            n,
+            n: graph.n(),
             round: 0,
-            link_ends,
-            out_start,
-            out_links,
-            queues: (0..m).map(|_| VecDeque::new()).collect(),
+            links,
+            queues: Vec::new(),
             active: Vec::new(),
-            active_flag: vec![false; m],
+            active_flag: Vec::new(),
             transit: BinaryHeap::new(),
             transit_msgs: Vec::new(),
             transit_free: Vec::new(),
@@ -309,16 +403,13 @@ impl<M> Network<M> {
     /// The directed communication links as `(from, to)` pairs, parallel to
     /// [`NetStats::per_link_words`].
     pub fn link_ends(&self) -> &[(NodeId, NodeId)] {
-        &self.link_ends
+        self.links.ends()
     }
 
-    /// A finished network's link table and stats, moved out rather than
-    /// cloned: what the flood memo keeps to replay the phase.
-    pub(crate) fn into_charges(mut self) -> (Vec<(NodeId, NodeId)>, NetStats) {
-        (
-            std::mem::take(&mut self.link_ends),
-            std::mem::take(&mut self.stats),
-        )
+    /// A finished network's stats, moved out rather than cloned: what the
+    /// flood memo keeps to replay the phase.
+    pub(crate) fn into_stats(self) -> NetStats {
+        self.stats
     }
 
     /// The directed link id for `from → to`, if the nodes are adjacent.
@@ -326,11 +417,13 @@ impl<M> Network<M> {
     /// can be fed to [`Network::send_on_link`] to skip the per-send
     /// neighbor lookup in tight flooding loops.
     pub fn link_id(&self, from: NodeId, to: NodeId) -> Option<usize> {
-        let links = &self.out_links[self.out_start[from]..self.out_start[from + 1]];
-        links
-            .binary_search_by_key(&to, |&(nb, _)| nb)
-            .ok()
-            .map(|i| links[i].1)
+        self.links.id(from, to)
+    }
+
+    /// The ids of `from`'s outgoing links, in [`Graph::comm_neighbors`]
+    /// order: [`Network::link_ends`] gives each link's receiver.
+    pub(crate) fn links_from(&self, from: NodeId) -> std::ops::Range<usize> {
+        self.links.from(from)
     }
 
     /// Enqueues a `words`-word message from `from` to its neighbor `to`.
@@ -387,6 +480,11 @@ impl<M> Network<M> {
         let words = words.max(1);
         if words > 1 {
             self.any_multiword = true;
+        }
+        if self.queues.is_empty() {
+            let m = self.links.ends().len();
+            self.queues = (0..m).map(|_| VecDeque::new()).collect();
+            self.active_flag = vec![false; m];
         }
         self.queues[l].push_back(InFlight {
             payload,
@@ -477,7 +575,7 @@ impl<M> Network<M> {
                 // The last word left the link: deliver now (zero latency)
                 // or park the message in transit until its latency expires.
                 let msg = q.pop_front().expect("head exists");
-                let (from, to) = self.link_ends[l];
+                let (from, to) = self.links.ends()[l];
                 let delivery = Delivery {
                     from,
                     to,
@@ -584,7 +682,7 @@ impl<M> Network<M> {
         self.stats.messages += delivered.len() as u64;
         if let Some(net) = self.events_net {
             for l in delivered {
-                let (from, to) = self.link_ends[l as usize];
+                let (from, to) = self.links.ends()[l as usize];
                 crate::events::emit_msg(net, self.round, from, to, words);
             }
         }
@@ -655,7 +753,7 @@ impl<M> Network<M> {
                 for &(l, d) in links {
                     let d = d as u64;
                     if d >= d_min && d <= d_max {
-                        let (from, to) = self.link_ends[l as usize];
+                        let (from, to) = self.links.ends()[l as usize];
                         crate::events::emit_msg(net, w * t, from, to, w);
                     }
                 }
@@ -682,27 +780,45 @@ impl<M> Network<M> {
     /// and leaves it idle. Its working buffers are kept on the network,
     /// so batch after batch allocates nothing.
     pub fn charge_batch(&mut self, sends: impl IntoIterator<Item = (u32, u64)>) {
+        let mut s = self.begin_batch();
+        for (l, words) in sends {
+            s.push(l, words);
+        }
+        self.finish_batch(s);
+    }
+
+    /// Charges a neighbor exchange: every node sends one message of
+    /// `words(node)` words to each of its communication neighbors, nodes
+    /// in ascending order and each node's sends in link order. That is
+    /// one send on every link in link id order, charged as
+    /// [`Network::charge_batch`] would, straight from the link table.
+    pub fn charge_all_links(&mut self, words: impl Fn(NodeId) -> u64) {
+        let mut s = self.begin_batch();
+        for (l, &(from, _)) in (0u32..).zip(self.links.ends()) {
+            s.push(l, words(from));
+        }
+        self.finish_batch(s);
+    }
+
+    /// Takes the batch scratch, sized to this network's links, for a
+    /// batch starting now.
+    fn begin_batch(&mut self) -> BatchScratch {
         debug_assert!(self.is_idle(), "a batch is charged on an idle network");
         let mut s = std::mem::take(&mut self.batch);
-        if s.per_link.len() != self.link_ends.len() {
-            s.per_link = vec![(0, 0, 0); self.link_ends.len()];
+        let m = self.links.ends().len();
+        if s.per_link.len() != m {
+            s.per_link = vec![(0, 0, 0); m];
         }
-        let start = self.round;
-        let logging = self.events_net.is_some();
-        for (l, words) in sends {
-            let words = words.max(1);
-            let entry = &mut s.per_link[l as usize];
-            if entry.2 == 0 {
-                entry.0 = s.touched.len() as u32;
-                s.touched.push(l);
-            }
-            entry.1 += words;
-            entry.2 += 1;
-            self.stats.messages += 1;
-            if logging {
-                s.events.push((start + entry.1, entry.0, l, words));
-            }
-        }
+        s.start = self.round;
+        s.logging = self.events_net.is_some();
+        s
+    }
+
+    /// Records the batch's sends and returns the scratch to the network,
+    /// empty.
+    fn finish_batch(&mut self, mut s: BatchScratch) {
+        let start = s.start;
+        self.stats.messages += std::mem::take(&mut s.messages);
         for &l in &s.touched {
             let (_, total, count) = std::mem::take(&mut s.per_link[l as usize]);
             self.stats.per_link_words[l as usize] += total;
@@ -725,7 +841,7 @@ impl<M> Network<M> {
             s.events
                 .sort_unstable_by_key(|&(round, rank, _, _)| (round, rank));
             for &(round, _, l, words) in &s.events {
-                let (from, to) = self.link_ends[l as usize];
+                let (from, to) = self.links.ends()[l as usize];
                 crate::events::emit_msg(net, round, from, to, words);
             }
         }
@@ -797,12 +913,31 @@ impl<M> Network<M> {
     }
 }
 
+impl BatchScratch {
+    /// Adds one `words`-word send on link `l` to the batch.
+    #[inline]
+    fn push(&mut self, l: u32, words: u64) {
+        let words = words.max(1);
+        let entry = &mut self.per_link[l as usize];
+        if entry.2 == 0 {
+            entry.0 = self.touched.len() as u32;
+            self.touched.push(l);
+        }
+        entry.1 += words;
+        entry.2 += 1;
+        self.messages += 1;
+        if self.logging {
+            self.events.push((self.start + entry.1, entry.0, l, words));
+        }
+    }
+}
+
 impl<M> fmt::Debug for Network<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Network")
             .field("n", &self.n)
             .field("round", &self.round)
-            .field("links", &self.link_ends.len())
+            .field("links", &self.links.ends().len())
             .field("words", &self.stats.words)
             .finish()
     }

@@ -56,9 +56,7 @@ pub mod replay;
 mod tree;
 mod workspace;
 
-pub use cache::{
-    cache_disabled, graph_fingerprint, CacheDisableGuard, CacheScope, CacheStats, PhaseCache,
-};
+pub use cache::{cache_disabled, CacheDisableGuard, CacheScope, CacheStats, PhaseCache};
 pub use distmat::{DistMatrix, INF};
 pub use engine::{Delivery, NetStats, Network, RoundOutput, SendError};
 pub use events::EventCapture;

@@ -18,6 +18,9 @@
 //! - the downcast is a saturated pipeline, charged in closed form by
 //!   `Network::charge_pipelined_downcast`.
 //!
+//! Both read their link ids from the tree, which records each node's
+//! parent link and the downcast's links in BFS order when it is built.
+//!
 //! `crates/congest/tests/flood_spec_differential.rs` pins both against an
 //! engine-stepped reference (`broadcast_matches_engine_stepping`), and
 //! pins [`convergecast`] against the same up/down stepping loop written
@@ -28,6 +31,7 @@ use crate::engine::{Network, RoundOutput};
 use crate::ledger::Ledger;
 use crate::workspace;
 use mwc_graph::{Graph, NodeId};
+use std::sync::Arc;
 
 /// A BFS spanning tree of the communication topology, the backbone for
 /// [`broadcast`] and [`convergecast_min`].
@@ -43,6 +47,13 @@ pub struct BfsTree {
     pub children: Vec<Vec<NodeId>>,
     /// Height of the tree (max depth) — at most the diameter `D`.
     pub height: usize,
+    /// Per non-root node, the id of its link to its parent (unused at the
+    /// root): the upcast's send link.
+    parent_link: Vec<u32>,
+    /// The tree links `(link id, child depth)` in BFS order (depth
+    /// ascending, siblings in `children[]` order): the order a downcast's
+    /// active list settles into, which pins the event-log order.
+    bfs_links: Vec<(u32, u32)>,
 }
 
 impl BfsTree {
@@ -54,14 +65,32 @@ impl BfsTree {
     /// Panics if the communication topology is disconnected (a CONGEST
     /// network is connected by assumption).
     pub fn build(g: &Graph, root: NodeId, ledger: &mut Ledger) -> BfsTree {
+        Self::build_into(g, root, ledger, |tree| tree)
+    }
+
+    /// [`BfsTree::build`] into a shared cell, allocated inside the
+    /// `tree/build` span so the span accounts for all of the tree's memory.
+    pub(crate) fn build_shared(g: &Graph, root: NodeId, ledger: &mut Ledger) -> Arc<BfsTree> {
+        Self::build_into(g, root, ledger, Arc::new)
+    }
+
+    fn build_into<T>(
+        g: &Graph,
+        root: NodeId,
+        ledger: &mut Ledger,
+        wrap: impl FnOnce(BfsTree) -> T,
+    ) -> T {
         let _span = mwc_trace::span("tree/build");
         let n = g.n();
         let mut net: Network<u64> = Network::new(g);
         let mut parent: Vec<Option<NodeId>> = vec![None; n];
+        let mut parent_link = vec![u32::MAX; n];
         let mut depth = vec![usize::MAX; n];
         depth[root] = 0;
-        for w in g.comm_neighbors(root) {
-            net.send(root, w, 1, 1).expect("neighbors are linked");
+        // Sending on each of a node's links in id order is sending to its
+        // `comm_neighbors` in order.
+        for l in net.links_from(root) {
+            net.send_on_link(l, 1, 1, 0);
         }
         let mut out = RoundOutput::default();
         while net.step_bulk_into(&mut out) {
@@ -70,10 +99,10 @@ impl BfsTree {
                 if depth[v] == usize::MAX {
                     depth[v] = d.payload as usize;
                     parent[v] = Some(d.from);
-                    for w in g.comm_neighbors(v) {
-                        if depth[w] == usize::MAX {
-                            net.send(v, w, d.payload + 1, 1)
-                                .expect("neighbors are linked");
+                    parent_link[v] = net.link_id(v, d.from).expect("senders are linked") as u32;
+                    for l in net.links_from(v) {
+                        if depth[net.link_ends()[l].1] == usize::MAX {
+                            net.send_on_link(l, d.payload + 1, 1, 0);
                         }
                     }
                 }
@@ -91,19 +120,36 @@ impl BfsTree {
             }
         }
         let height = depth.iter().copied().max().unwrap_or(0);
+        // The downcast's links, walked breadth-first from the root.
+        let mut bfs_links: Vec<(u32, u32)> = Vec::with_capacity(n.saturating_sub(1));
+        let push_children = |bfs_links: &mut Vec<(u32, u32)>, v: NodeId| {
+            for &c in &children[v] {
+                let l = net.link_id(v, c).expect("tree edges are links");
+                bfs_links.push((l as u32, depth[c] as u32));
+            }
+        };
+        push_children(&mut bfs_links, root);
+        let mut i = 0;
+        while i < bfs_links.len() {
+            let child = net.link_ends()[bfs_links[i].0 as usize].1;
+            push_children(&mut bfs_links, child);
+            i += 1;
+        }
         mwc_trace::check_bound(
             "congest/bfs_tree",
             mwc_trace::BoundInputs::n(n).diameter(height as u64),
             net.round(),
             crate::bounds::bfs_tree,
         );
-        BfsTree {
+        wrap(BfsTree {
             root,
             parent,
             depth,
             children,
             height,
-        }
+            parent_link,
+            bfs_links,
+        })
     }
 }
 
@@ -138,28 +184,6 @@ pub(crate) struct BroadcastBuffers {
     links: Vec<u32>,
     /// One delivery round's arrivals as `(receiver, item)`.
     arrived: Vec<(u32, u32)>,
-    /// Tree links `(link id, child depth)` in BFS order (the downcast).
-    bfs_links: Vec<(u32, u32)>,
-}
-
-/// Fills `out` with the tree links `(link id, child depth)` in BFS order
-/// (depth ascending, siblings in `children[]` order): the order a
-/// downcast's active list settles into, which pins the event-log order.
-fn bfs_links(tree: &BfsTree, net: &Network<()>, out: &mut Vec<(u32, u32)>) {
-    out.clear();
-    let push_children = |out: &mut Vec<(u32, u32)>, v: NodeId| {
-        for &c in &tree.children[v] {
-            let l = net.link_id(v, c).expect("tree edges are links");
-            out.push((l as u32, tree.depth[c] as u32));
-        }
-    };
-    push_children(out, tree.root);
-    let mut i = 0;
-    while i < out.len() {
-        let child = net.link_ends()[out[i].0 as usize].1;
-        push_children(out, child);
-        i += 1;
-    }
 }
 
 impl BroadcastBuffers {
@@ -169,9 +193,13 @@ impl BroadcastBuffers {
     fn send_up(&mut self, tree: &BfsTree, net: &Network<()>, v: NodeId, item: u32) -> u64 {
         let q = &mut self.queues[v];
         if q.len == 0 {
-            let p = tree.parent[v].expect("only non-root nodes send up");
-            let l = net.link_id(v, p).expect("tree edges are links");
-            self.active.push((v as u32, l as u32));
+            let l = tree.parent_link[v];
+            debug_assert_eq!(
+                Some(&(v, tree.parent[v].expect("only non-root nodes send up"))),
+                net.link_ends().get(l as usize),
+                "the tree was built on this graph"
+            );
+            self.active.push((v as u32, l));
             q.head = item;
         } else {
             self.after[q.tail as usize] = item;
@@ -297,8 +325,7 @@ pub fn broadcast<T>(
     // at round `words_per_item·(i+d)`), so the whole phase is charged in
     // closed form: O(links + rounds) instead of O(items · links) work.
     let mut net: Network<()> = Network::new(g);
-    bfs_links(tree, &net, &mut buf.bfs_links);
-    net.charge_pipelined_downcast(&buf.bfs_links, collected.len() as u64, words_per_item);
+    net.charge_pipelined_downcast(&tree.bfs_links, collected.len() as u64, words_per_item);
     ledger.absorb("broadcast: downcast", &net);
     workspace::put_back(ws);
     mwc_trace::check_bound(
@@ -335,10 +362,8 @@ where
     // Leaves start immediately; internal nodes send once all children
     // reported.
     for v in 0..n {
-        if pending[v] == 0 {
-            if let Some(p) = tree.parent[v] {
-                net.send(v, p, acc[v], 1).expect("tree edges are links");
-            }
+        if pending[v] == 0 && v != tree.root {
+            net.send_on_link(tree.parent_link[v] as usize, acc[v], 1, 0);
         }
     }
     let mut out = RoundOutput::default();
@@ -347,10 +372,8 @@ where
             let v = d.to;
             acc[v] = op(acc[v], d.payload);
             pending[v] -= 1;
-            if pending[v] == 0 {
-                if let Some(p) = tree.parent[v] {
-                    net.send(v, p, acc[v], 1).expect("tree edges are links");
-                }
+            if pending[v] == 0 && v != tree.root {
+                net.send_on_link(tree.parent_link[v] as usize, acc[v], 1, 0);
             }
         }
     }

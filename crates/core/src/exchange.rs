@@ -8,8 +8,9 @@
 //! exchange's only cost is its words on the links.
 //! [`charge_neighbor_exchange`] charges exactly those — the same
 //! messages, with the same per-sender word counts, in the same send order
-//! — as one closed-form [`Network::charge_batch`] on a payload-free
-//! `Network<()>`, without stepping the engine, and returns nothing.
+//! — as one closed-form batch ([`Network::charge_all_links`]) on a
+//! payload-free `Network<()>`, read straight from the network's link
+//! table, without stepping the engine, and returns nothing.
 //!
 //! After the charge, each receiver reads its neighbor's value **in
 //! place** (`values[y]`, the `DistMatrix` column of `y`, ...). That is
@@ -31,17 +32,8 @@ pub(crate) fn charge_neighbor_exchange(
     ledger: &mut Ledger,
 ) {
     let mut net: Network<()> = Network::new(g);
-    run_exchange(&mut net, words);
+    net.charge_all_links(words);
     ledger.absorb(label, &net);
-}
-
-/// Charges the exchange's messages on `net` as one batch. The engine
-/// numbers links by sender in ascending order, each sender's in
-/// [`Graph::comm_neighbors`] order, so sending on every link id in turn
-/// is the per-node, per-neighbor send order without walking adjacency.
-fn run_exchange(net: &mut Network<()>, words: impl Fn(NodeId) -> u64) {
-    let senders: Vec<NodeId> = net.link_ends().iter().map(|&(v, _)| v).collect();
-    net.charge_batch((0u32..).zip(senders).map(|(l, v)| (l, words(v))));
 }
 
 /// The BFS-tree LCA cycle of a non-tree edge `(x, y)` w.r.t. the matrix's
@@ -67,7 +59,7 @@ mod tests {
     use mwc_graph::generators::{connected_gnm, WeightRange};
     use mwc_graph::Orientation;
 
-    /// Reference for [`run_exchange`]: the same sends, each carrying a
+    /// Reference for [`Network::charge_all_links`]: the same sends, each carrying a
     /// `words(v)`-word payload that is delivered and checked.
     fn payload_exchange(g: &Graph, words: impl Fn(NodeId) -> u64) -> Network<Vec<u64>> {
         let mut net: Network<Vec<u64>> = Network::new(g);
@@ -107,7 +99,7 @@ mod tests {
             let cap = EventCapture::memory();
             let mut net: Network<()> = Network::new(&g);
             net.enable_history();
-            run_exchange(&mut net, words);
+            net.charge_all_links(words);
             assert_eq!(cap.finish(), want_events);
             assert!(!want_events.is_empty());
             assert_eq!(net.round(), want.round());

@@ -9,6 +9,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Identifier of a node; nodes of an `n`-node graph are `0..n`.
 ///
@@ -124,7 +125,7 @@ pub struct Adj {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone)]
 pub struct Graph {
     n: usize,
     orientation: Orientation,
@@ -135,6 +136,51 @@ pub struct Graph {
     index: HashMap<(NodeId, NodeId), EdgeId>,
     max_weight: Weight,
     unit_weights: bool,
+    /// [`Graph::fingerprint`], computed on first use and reset by
+    /// [`Graph::add_edge`]. Derived from the fields above, so `==` and
+    /// `Debug` skip it.
+    fingerprint: OnceLock<u64>,
+}
+
+impl PartialEq for Graph {
+    fn eq(&self, other: &Self) -> bool {
+        let Graph {
+            n,
+            orientation,
+            edges,
+            out_adj,
+            in_adj,
+            index,
+            max_weight,
+            unit_weights,
+            fingerprint: _,
+        } = self;
+        *n == other.n
+            && *orientation == other.orientation
+            && *edges == other.edges
+            && *out_adj == other.out_adj
+            && *in_adj == other.in_adj
+            && *index == other.index
+            && *max_weight == other.max_weight
+            && *unit_weights == other.unit_weights
+    }
+}
+
+impl Eq for Graph {}
+
+impl fmt::Debug for Graph {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Graph")
+            .field("n", &self.n)
+            .field("orientation", &self.orientation)
+            .field("edges", &self.edges)
+            .field("out_adj", &self.out_adj)
+            .field("in_adj", &self.in_adj)
+            .field("index", &self.index)
+            .field("max_weight", &self.max_weight)
+            .field("unit_weights", &self.unit_weights)
+            .finish()
+    }
 }
 
 impl Graph {
@@ -159,6 +205,7 @@ impl Graph {
             index: HashMap::new(),
             max_weight: 0,
             unit_weights: true,
+            fingerprint: OnceLock::new(),
         }
     }
 
@@ -202,6 +249,7 @@ impl Graph {
             return Err(GraphError::DuplicateEdge { u, v });
         }
         let id = self.edges.len();
+        self.fingerprint = OnceLock::new();
         self.edges.push(Edge { u, v, weight });
         self.index.insert((u, v), id);
         self.out_adj[u].push(Adj {
@@ -232,6 +280,27 @@ impl Graph {
             self.unit_weights = false;
         }
         Ok(id)
+    }
+
+    /// A stable fingerprint of the graph's topology and weights, mixed
+    /// with [`mwc_rng::mix`]: the node count, orientation, edge count and
+    /// every edge `(u, v, weight)` in insertion order. Distinguishes a
+    /// graph from its reverse, so `g` and `g.reversed()` never share an
+    /// entry of a cache keyed by it. Computed once, in `O(m)`, and cached
+    /// until the next [`Graph::add_edge`].
+    pub fn fingerprint(&self) -> u64 {
+        *self.fingerprint.get_or_init(|| {
+            let mut state: u64 = 0x6d77_6363_6163_6865; // "mwccache"
+            mwc_rng::mix(&mut state, self.n as u64);
+            mwc_rng::mix(&mut state, self.is_directed() as u64);
+            mwc_rng::mix(&mut state, self.m() as u64);
+            for e in &self.edges {
+                mwc_rng::mix(&mut state, e.u as u64);
+                mwc_rng::mix(&mut state, e.v as u64);
+                mwc_rng::mix(&mut state, e.weight);
+            }
+            mwc_rng::splitmix64(&mut state)
+        })
     }
 
     /// Number of nodes.
@@ -552,6 +621,27 @@ mod tests {
         .unwrap();
         assert_eq!(g.m(), 3);
         assert_eq!(g.undirected_diameter(), Some(1));
+    }
+
+    #[test]
+    fn fingerprint_tracks_the_edge_list() {
+        let edges = [(0, 1, 2), (1, 2, 3), (2, 0, 4), (0, 3, 1)];
+        let g = Graph::from_edges(4, Orientation::Directed, edges).unwrap();
+        let fp = g.fingerprint();
+        assert_eq!(g.clone().fingerprint(), fp);
+        let again = Graph::from_edges(4, Orientation::Directed, edges).unwrap();
+        assert_eq!(again.fingerprint(), fp);
+        assert_ne!(g.reversed().fingerprint(), fp);
+        let undirected = Graph::from_edges(4, Orientation::Undirected, edges).unwrap();
+        assert_ne!(undirected.fingerprint(), fp);
+        let mut grown = g.clone();
+        grown.add_edge(3, 1, 5).unwrap();
+        assert_ne!(grown.fingerprint(), fp);
+        // The cache is invisible to `==`: a graph whose fingerprint was
+        // computed equals one whose was not.
+        let fresh = Graph::from_edges(4, Orientation::Directed, edges).unwrap();
+        assert_eq!(g, fresh);
+        assert!(!format!("{g:?}").contains("fingerprint"));
     }
 
     #[test]

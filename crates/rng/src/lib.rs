@@ -61,6 +61,16 @@ pub fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Folds `word` into a running digest. The next state is the mixed
+/// output of [`splitmix64`], not its counter: xoring words into a counter
+/// that only steps by a constant lets short runs of small words cancel
+/// (two latency tables of one graph collided that way).
+#[inline]
+pub fn mix(state: &mut u64, word: u64) {
+    let mut counter = *state ^ word;
+    *state = splitmix64(&mut counter);
+}
+
 /// FNV-1a hash of a byte string, used to turn fork labels into stream
 /// identities.
 #[inline]

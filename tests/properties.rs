@@ -13,9 +13,9 @@ use congest_mwc::core::{
     approx_girth, approx_mwc_undirected_weighted, exact_mwc, two_approx_directed_mwc, Params,
 };
 use congest_mwc::graph::generators::{connected_gnm, WeightRange};
-use congest_mwc::graph::{seq, Orientation};
+use congest_mwc::graph::{seq, Graph, Orientation};
 use congest_mwc::rng::proptest_lite::Config;
-use congest_mwc::rng::{prop_assert, prop_assert_eq, prop_tests};
+use congest_mwc::rng::{prop_assert, prop_assert_eq, prop_tests, Rng, SliceRandom};
 
 prop_tests! {
     config = Config::with_cases(24);
@@ -32,6 +32,33 @@ prop_tests! {
         let out = exact_mwc(&g);
         out.assert_valid(&g);
         prop_assert_eq!(out.weight, seq::mwc_exact(&g).map(|m| m.weight));
+    }
+
+    /// Metamorphic checks of `exact_mwc` on both orientations: the weight
+    /// does not depend on how the nodes are numbered, and scaling every
+    /// edge weight by `c` scales it by `c`. Each relabeled or scaled graph
+    /// has its own fingerprint, so the per-graph phase-cache tables run
+    /// under distinct keys.
+    fn exact_weight_ignores_labels_and_scales(seed in 0u64..10_000, n in 6usize..24, extra in 0usize..40, c in 2u64..4) {
+        for orientation in [Orientation::Directed, Orientation::Undirected] {
+            let g = connected_gnm(n, extra, orientation, WeightRange::uniform(1, 9), seed);
+            let want = exact_mwc(&g).weight;
+            let mut label: Vec<usize> = (0..n).collect();
+            label.shuffle(&mut Rng::seed_from_u64(seed));
+            let relabeled = Graph::from_edges(
+                n,
+                orientation,
+                g.edges().iter().map(|e| (label[e.u], label[e.v], e.weight)),
+            )
+            .expect("a relabeled simple graph is simple");
+            let out = exact_mwc(&relabeled);
+            out.assert_valid(&relabeled);
+            prop_assert_eq!(out.weight, want, "{:?} relabeled by {:?}", orientation, label);
+            let scaled = g.map_weights(|w| c * w);
+            let out = exact_mwc(&scaled);
+            out.assert_valid(&scaled);
+            prop_assert_eq!(out.weight, want.map(|w| c * w), "{:?} scaled by {}", orientation, c);
+        }
     }
 
     fn approximations_never_underestimate(seed in 0u64..10_000, n in 10usize..36, extra in 10usize..70) {
