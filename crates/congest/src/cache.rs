@@ -53,9 +53,10 @@
 //! not as long as the graph.
 //!
 //! [`PhaseCache::disable_for_thread`] forces every call site on the
-//! thread down the uncached path, flood memo included; results must be
-//! byte-identical either way — only the round accounting of repeated tree
-//! builds differs.
+//! thread down the uncached path while its guard lives, flood memo and
+//! link tables included, even inside a scope installed before the guard;
+//! results must be byte-identical either way — only the round accounting
+//! of repeated tree builds differs.
 //!
 //! [`flood_engagement`]: crate::flood_engagement
 //! [`charge_multi_source_bfs`]: crate::charge_multi_source_bfs
@@ -141,8 +142,16 @@ pub fn cache_disabled() -> bool {
     DISABLED.with(Cell::get)
 }
 
-fn is_active() -> bool {
-    ACTIVE.with(|a| a.borrow().is_some())
+/// Runs `f` on the thread's cache when it is in use: a scope is installed
+/// and no [`PhaseCache::disable_for_thread`] guard is live. Every table
+/// read and write goes through here, so a guard taken inside a scope turns
+/// the scope's tables off too. `None` means the call takes the uncached
+/// path.
+fn with_active<R>(f: impl FnOnce(&mut PhaseCache) -> R) -> Option<R> {
+    if cache_disabled() {
+        return None;
+    }
+    ACTIVE.with(|a| a.borrow_mut().as_mut().map(f))
 }
 
 impl PhaseCache {
@@ -166,8 +175,9 @@ impl PhaseCache {
         })
     }
 
-    /// Disables caching on this thread until the guard drops; other
-    /// threads keep their caches, so parallel tests do not interfere.
+    /// Disables caching on this thread until the guard drops, including
+    /// an already installed scope's tables; other threads keep their
+    /// caches, so parallel tests do not interfere.
     pub fn disable_for_thread() -> CacheDisableGuard {
         let prev = DISABLED.with(|d| d.replace(true));
         CacheDisableGuard { prev }
@@ -182,9 +192,7 @@ impl PhaseCache {
     /// [`Network::new`] of the scope and shared by every later one; `None`
     /// when no scope is active, so the network builds its own.
     pub(crate) fn links(g: &Graph) -> Option<Arc<Links>> {
-        ACTIVE.with(|a| {
-            let mut slot = a.borrow_mut();
-            let cache = slot.as_mut()?;
+        with_active(|cache| {
             let key = g.fingerprint();
             if let Some(links) = cache.links.get(&key) {
                 debug_assert!(
@@ -192,11 +200,11 @@ impl PhaseCache {
                     "link table under a colliding fingerprint"
                 );
                 cache.stats.link_hits += 1;
-                return Some(links.clone());
+                return links.clone();
             }
             let links = Arc::new(Links::new(g));
             cache.links.insert(key, links.clone());
-            Some(links)
+            links
         })
     }
 
@@ -206,39 +214,36 @@ impl PhaseCache {
     /// zero-cost `cached: bfs tree` phase crediting the saved rounds.
     /// Without an active scope this is exactly `BfsTree::build`.
     pub fn bfs_tree(g: &Graph, root: NodeId, ledger: &mut Ledger) -> Arc<BfsTree> {
-        if !is_active() {
-            return BfsTree::build_shared(g, root, ledger);
-        }
-        let key = (g.fingerprint(), root);
-        let hit = ACTIVE.with(|a| {
-            let mut slot = a.borrow_mut();
-            let cache = slot.as_mut().expect("checked active above");
-            cache.trees.get(&key).map(|ct| {
+        let key = || (g.fingerprint(), root);
+        let hit = with_active(|cache| {
+            cache.trees.get(&key()).map(|ct| {
                 cache.stats.tree_hits += 1;
                 cache.stats.rounds_saved += ct.rounds;
                 (ct.tree.clone(), ct.rounds)
             })
         });
-        if let Some((tree, rounds)) = hit {
-            ledger.credit_cached("bfs tree", rounds);
-            return tree;
+        match hit {
+            None => return BfsTree::build_shared(g, root, ledger),
+            Some(Some((tree, rounds))) => {
+                ledger.credit_cached("bfs tree", rounds);
+                return tree;
+            }
+            Some(None) => {}
         }
         // Miss: build outside any RefCell borrow (the build may trace,
         // panic, or re-enter), then remember the measured round cost.
         let before = ledger.rounds;
         let tree = BfsTree::build_shared(g, root, ledger);
         let rounds = ledger.rounds - before;
-        ACTIVE.with(|a| {
-            if let Some(cache) = a.borrow_mut().as_mut() {
-                cache.stats.tree_misses += 1;
-                cache.trees.insert(
-                    key,
-                    CachedTree {
-                        tree: tree.clone(),
-                        rounds,
-                    },
-                );
-            }
+        with_active(|cache| {
+            cache.stats.tree_misses += 1;
+            cache.trees.insert(
+                key(),
+                CachedTree {
+                    tree: tree.clone(),
+                    rounds,
+                },
+            );
         });
         tree
     }
@@ -254,27 +259,22 @@ impl PhaseCache {
         scale: u32,
         build: impl FnOnce() -> Vec<Weight>,
     ) -> Arc<Vec<Weight>> {
-        if !is_active() {
-            return Arc::new(build());
-        }
-        let key = (g.fingerprint(), h, eps_num, scale);
-        let hit = ACTIVE.with(|a| {
-            let mut slot = a.borrow_mut();
-            let cache = slot.as_mut().expect("checked active above");
-            cache.latencies.get(&key).map(|t| {
+        let key = || (g.fingerprint(), h, eps_num, scale);
+        let hit = with_active(|cache| {
+            cache.latencies.get(&key()).map(|t| {
                 cache.stats.latency_hits += 1;
                 t.clone()
             })
         });
-        if let Some(table) = hit {
-            return table;
+        match hit {
+            None => return Arc::new(build()),
+            Some(Some(table)) => return table,
+            Some(None) => {}
         }
         let table = Arc::new(build());
-        ACTIVE.with(|a| {
-            if let Some(cache) = a.borrow_mut().as_mut() {
-                cache.stats.latency_misses += 1;
-                cache.latencies.insert(key, table.clone());
-            }
+        with_active(|cache| {
+            cache.stats.latency_misses += 1;
+            cache.latencies.insert(key(), table.clone());
         });
         table
     }
@@ -286,7 +286,7 @@ impl PhaseCache {
         sources: &[NodeId],
         spec: &MultiBfsSpec<'_>,
     ) -> Option<FloodKey> {
-        if !is_active() || crate::events::enabled() {
+        if with_active(|_| ()).is_none() || crate::events::enabled() {
             return None;
         }
         let mut state: u64 = 0x6d77_6366_6c6f_6f64; // "mwcflood"
@@ -322,9 +322,7 @@ impl PhaseCache {
         label: &str,
         ledger: &mut Ledger,
     ) -> Option<(u64, Option<DistMatrix>)> {
-        ACTIVE.with(|a| {
-            let mut slot = a.borrow_mut();
-            let cache = slot.as_mut()?;
+        with_active(|cache| {
             let links = cache.links.get(&key.graph)?;
             let charge = cache.floods.get_mut(&key)?;
             let mat = if wanted {
@@ -336,6 +334,7 @@ impl PhaseCache {
             cache.stats.flood_replays += 1;
             Some((charge.rounds, mat))
         })
+        .flatten()
     }
 
     /// Stores a finished flood's charges under `key` (the first run's
@@ -354,14 +353,12 @@ impl PhaseCache {
         } else {
             (Some(mat), None)
         };
-        ACTIVE.with(|a| {
-            if let Some(cache) = a.borrow_mut().as_mut() {
-                cache.floods.entry(key).or_insert(FloodCharge {
-                    rounds,
-                    stats,
-                    parked,
-                });
-            }
+        with_active(|cache| {
+            cache.floods.entry(key).or_insert(FloodCharge {
+                rounds,
+                stats,
+                parked,
+            });
         });
         result
     }
@@ -560,6 +557,35 @@ mod tests {
         PhaseCache::bfs_tree(&g, 0, &mut ledger);
         PhaseCache::bfs_tree(&g, 0, &mut ledger);
         assert_eq!(ledger.rounds_saved, 0);
+    }
+
+    /// A guard taken inside an installed scope turns the scope's tables
+    /// off until it drops: repeated trees and floods are neither looked up
+    /// nor stored.
+    #[test]
+    fn disable_guard_bypasses_an_installed_scope() {
+        let g = graph();
+        let spec = MultiBfsSpec::default();
+        let _scope = PhaseCache::scope();
+        let mut ledger = Ledger::new();
+        {
+            let _off = PhaseCache::disable_for_thread();
+            let t1 = PhaseCache::bfs_tree(&g, 0, &mut ledger);
+            let t2 = PhaseCache::bfs_tree(&g, 0, &mut ledger);
+            assert_eq!(t1.parent, t2.parent);
+            let a = crate::multi_source_bfs(&g, &[0, 5], &spec, "bfs", &mut ledger);
+            let b = crate::multi_source_bfs(&g, &[0, 5], &spec, "bfs", &mut ledger);
+            assert!((0..g.n()).all(|v| a.column(v) == b.column(v)));
+            assert_eq!(ledger.rounds_saved, 0);
+            assert!(!ledger.phases.iter().any(|p| p.label.starts_with("cached:")));
+            assert_eq!(PhaseCache::stats(), Some(CacheStats::default()));
+        }
+        // The scope is back once the guard drops.
+        PhaseCache::bfs_tree(&g, 0, &mut ledger);
+        PhaseCache::bfs_tree(&g, 0, &mut ledger);
+        let stats = PhaseCache::stats().unwrap();
+        assert_eq!((stats.tree_hits, stats.tree_misses), (1, 1));
+        assert!(stats.rounds_saved > 0);
     }
 
     /// Every latency table over `{1, …, 4}` on a 5-edge graph gets its own

@@ -108,6 +108,8 @@ pub struct FloodPlan {
     hops: Vec<FloodHop>,
     /// Largest hop latency (0 when every edge crosses in one round).
     max_latency: u64,
+    /// Every hop adds 1 to the distance and crosses in one round.
+    unit: bool,
 }
 
 impl FloodPlan {
@@ -141,6 +143,7 @@ impl FloodPlan {
         let mut start = Vec::with_capacity(n + 1);
         let mut hops = Vec::new();
         let mut max_latency = 0;
+        let mut unit = true;
         start.push(0);
         for v in 0..n {
             for a in direction.adj(g, v) {
@@ -148,11 +151,13 @@ impl FloodPlan {
                     .link_id(v, a.to)
                     .expect("traversal edges are communication links");
                 let lat = Self::stretch(latency, a.edge) - 1;
+                let dist_add = Self::dist_add(latency, a.edge);
                 max_latency = max_latency.max(lat);
+                unit &= dist_add == 1 && lat == 0;
                 hops.push(FloodHop {
                     link: l as u32,
                     to: a.to as u32,
-                    dist_add: Self::dist_add(latency, a.edge),
+                    dist_add,
                     latency: lat,
                 });
             }
@@ -162,6 +167,7 @@ impl FloodPlan {
             start,
             hops,
             max_latency,
+            unit,
         }
     }
 
@@ -176,6 +182,14 @@ impl FloodPlan {
     /// increment, so no hop within the budget arrives further ahead.
     pub fn max_latency(&self) -> u64 {
         self.max_latency
+    }
+
+    /// `true` when every hop announces `d + 1` and crosses in one round:
+    /// a plain BFS plan (no latency table, or one of all ones). The flood
+    /// loop runs such a plan through its unit instantiation, where the
+    /// per-hop increment, budget test and calendar ring drop out.
+    pub(crate) fn is_unit(&self) -> bool {
+        self.unit
     }
 }
 
@@ -196,12 +210,18 @@ const RING_SPAN_MAX: u64 = 1 << 16;
 /// overflow arrival for round `a` was pushed while `a` was still beyond
 /// the window, hence before any push that landed in `a`'s bucket, and
 /// migrates ahead of all of them.
+///
+/// Buckets hold bare items, not `(arrival, item)` pairs: a bucket only
+/// ever holds arrivals for the one window round that maps to it, since
+/// `push` and `migrate` admit an arrival to a bucket only inside the
+/// window and a round is drained before the window moves past it. For
+/// the flood loop's 24-byte transits that keeps each ring item 24 bytes
+/// instead of 32.
 #[derive(Clone, Debug)]
 pub struct CalendarRing<T> {
     /// `buckets[a % span]` holds the pending round-`a` arrivals in push
-    /// order, tagged with `a` to assert the window invariant; `span =
-    /// buckets.len() = min(max_latency + 1, 65 536)`.
-    buckets: Vec<Vec<(u64, T)>>,
+    /// order; `span = buckets.len() = min(max_latency + 1, 65 536)`.
+    buckets: Vec<Vec<T>>,
     /// Arrivals at or beyond `next + span`, by round, each in push order.
     far: BTreeMap<u64, Vec<T>>,
     /// The earliest round not yet drained: the window is
@@ -252,7 +272,7 @@ impl<T> CalendarRing<T> {
         debug_assert!(arrival >= self.next, "arrival in a drained round");
         if arrival - self.next < self.span() {
             let b = (arrival % self.span()) as usize;
-            self.buckets[b].push((arrival, item));
+            self.buckets[b].push(item);
         } else {
             self.far.entry(arrival).or_default().push(item);
         }
@@ -268,7 +288,7 @@ impl<T> CalendarRing<T> {
             }
             let (arrival, items) = entry.remove_entry();
             let b = (arrival % self.span()) as usize;
-            self.buckets[b].extend(items.into_iter().map(|item| (arrival, item)));
+            self.buckets[b].extend(items);
         }
     }
 
@@ -281,10 +301,7 @@ impl<T> CalendarRing<T> {
         self.migrate();
         let b = (round % self.span()) as usize;
         self.len -= self.buckets[b].len();
-        for (arrival, item) in self.buckets[b].drain(..) {
-            debug_assert_eq!(arrival, round, "calendar window invariant violated");
-            out.push(item);
-        }
+        out.append(&mut self.buckets[b]);
         self.next = round + 1;
         self.migrate();
     }

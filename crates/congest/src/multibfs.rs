@@ -44,6 +44,11 @@
 //! so every pop is fresh), parks latency-delayed sends in a
 //! [`CalendarRing`], and charges each round's traffic in one
 //! `Network::charge_flood_round` call instead of stepping the engine.
+//! Its one body is instantiated twice, on [`FloodPlan::is_unit`]: for a
+//! plan whose every hop adds 1 and crosses in one round (no latency
+//! table, or an all-ones one) the distance add and budget test run once
+//! per pop rather than once per hop, and the calendar ring is compiled
+//! out, since every send arrives the next round.
 //! These buffers, with the node sets and send/delivery vectors, are
 //! reused across floods, not allocated per flood: they live in the
 //! thread's workspace (the `workspace` module), and a finished flood
@@ -234,6 +239,27 @@ fn flood<A: Admission>(
     net: &mut Network<()>,
     state: &mut A,
 ) {
+    if plan.is_unit() {
+        flood_rounds::<A, true>(sources, budget, plan, net, state);
+    } else {
+        flood_rounds::<A, false>(sources, budget, plan, net, state);
+    }
+}
+
+/// [`flood`]'s one loop body, instantiated per plan kind. With `UNIT` (a
+/// plan whose every hop adds 1 and crosses in one round, see
+/// [`FloodPlan::is_unit`]) a pop's announced distance and budget test are
+/// computed once for all its hops, every send is delivered the next round
+/// and the calendar ring is never touched, so its code drops out. Both
+/// instantiations run the same rules and charge the same rounds.
+fn flood_rounds<A: Admission, const UNIT: bool>(
+    sources: &[NodeId],
+    budget: Weight,
+    plan: &FloodPlan,
+    net: &mut Network<()>,
+    state: &mut A,
+) {
+    debug_assert_eq!(UNIT, plan.is_unit(), "flood instantiated for another plan");
     note_flood();
     let mut ws = workspace::take();
     // A hop is sent only if `d + dist_add ≤ budget`, and its latency is at
@@ -265,15 +291,27 @@ fn flood<A: Admission>(
                 continue; // detection evicted everything it held
             };
             popped = true;
-            for hop in plan.of(v) {
-                let cand = add_dist(d, hop.dist_add);
-                if cand > budget {
+            // A unit pop announces `d + 1` on every hop: one add, one
+            // budget test, and no hops at all when it is over budget.
+            let unit_cand = if UNIT { add_dist(d, 1) } else { 0 };
+            let hops = if UNIT && unit_cand > budget {
+                &[]
+            } else {
+                plan.of(v)
+            };
+            for hop in hops {
+                let cand = if UNIT {
+                    unit_cand
+                } else {
+                    add_dist(d, hop.dist_add)
+                };
+                if !UNIT && cand > budget {
                     continue;
                 }
                 debug_assert!(hop.latency <= budget, "latency beyond the budget");
                 links.push(hop.link);
                 let msg = (hop.link, hop.to, row, cand, v as u32);
-                if hop.latency == 0 {
+                if UNIT || hop.latency == 0 {
                     deliv.push(msg);
                 } else {
                     ring.push(send_round + hop.latency, msg);
@@ -289,12 +327,16 @@ fn flood<A: Admission>(
         } else if !pending.is_empty() {
             continue; // BFS: every pop was filtered, no round passes
         } else {
-            match ring.next_arrival() {
+            // A unit flood delivers every send in the round after it, so
+            // nothing is in flight here.
+            match if UNIT { None } else { ring.next_arrival() } {
                 Some(r) => r,
                 None => break,
             }
         };
-        ring.drain_round_into(round, deliv);
+        if !UNIT {
+            ring.drain_round_into(round, deliv);
+        }
         net.charge_flood_round(round, links, deliv.iter().map(|m| m.0), 1, 1);
         for &(_, to, row, cand, from) in deliv.iter() {
             let v = to as usize;
@@ -820,6 +862,7 @@ mod flood_spec;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::events::EventCapture;
     use flood_spec::{run_flood, Rule, SpecOutcome};
     use mwc_graph::generators::{connected_gnm, grid, WeightRange};
     use mwc_graph::seq::{bellman_ford_hops, bfs, HOP_INF};
@@ -1136,7 +1179,8 @@ mod tests {
     #[test]
     fn zero_weight_edges_match_spec() {
         // `dist_add = 0` with `stretch = 1` costs one round and adds zero
-        // distance. All weights ≤ 1, so the flood is unit-latency.
+        // distance. All weights ≤ 1, so every hop crosses in one round,
+        // but the 0s keep the plan off the unit instantiation.
         let g = Graph::from_edges(
             6,
             Orientation::Directed,
@@ -1484,6 +1528,63 @@ mod tests {
         let g = connected_gnm(48, 70, Orientation::Undirected, WeightRange::unit(), 33);
         let sources: Vec<NodeId> = (0..48).step_by(3).collect();
         assert_detection_matches_spec(&g, &sources, 6, 4, None);
+    }
+
+    /// A plan is unit exactly when every hop adds 1 and crosses in one
+    /// round: with no latency table or an all-ones one, not with a 0
+    /// (`dist_add` 0) or a 2 anywhere. Floods over each plan match the
+    /// spec, and the two unit runs agree on tables, ledgers, per-link
+    /// words and event logs.
+    #[test]
+    fn unit_plans_dispatch_to_the_unit_loop_and_match_spec() {
+        let g = connected_gnm(40, 80, Orientation::Undirected, WeightRange::unit(), 7);
+        let ones = vec![1; g.m()];
+        let with = |w: Weight| {
+            let mut lat = ones.clone();
+            lat[g.m() / 2] = w;
+            lat
+        };
+        let (zero, two) = (with(0), with(2));
+        let net: Network<()> = Network::new(&g);
+        let unit = |lat| FloodPlan::build(&g, &net, Direction::Forward, lat).is_unit();
+        assert!(unit(None) && unit(Some(&ones)));
+        assert!(!unit(Some(&zero)) && !unit(Some(&two)));
+
+        let sources: Vec<NodeId> = (0..g.n()).step_by(3).collect();
+        let (h, sigma) = (5, 3);
+        let run = |latency: Option<&[Weight]>| {
+            let spec = MultiBfsSpec {
+                max_dist: h,
+                direction: Direction::Forward,
+                latency,
+            };
+            assert_bfs_matches_spec(&g, &sources, &spec);
+            assert_detection_matches_spec(&g, &sources, h, sigma, latency);
+            let cap = EventCapture::memory();
+            let mut ledger = Ledger::new();
+            let mat = multi_source_bfs(&g, &sources, &spec, "bfs", &mut ledger);
+            let dir = Direction::Forward;
+            let det = source_detection(&g, &sources, h, sigma, dir, latency, "sd", &mut ledger);
+            let events = cap.finish();
+            let columns: Vec<Vec<Weight>> = (0..g.n()).map(|v| mat.column(v).to_vec()).collect();
+            let preds: Vec<Option<NodeId>> = (0..sources.len())
+                .flat_map(|row| (0..g.n()).map(move |v| (row, v)))
+                .map(|(row, v)| mat.pred_row(row, v))
+                .collect();
+            let totals = (ledger.rounds, ledger.words, ledger.messages);
+            let phases: Vec<(String, u64, u64)> = ledger
+                .phases
+                .iter()
+                .map(|p| (p.label.clone(), p.rounds, p.words))
+                .collect();
+            let links = ledger.hot_links(usize::MAX);
+            (columns, preds, det, totals, phases, links, events)
+        };
+        let plain = run(None);
+        assert!(!plain.6.is_empty(), "the event log captured the floods");
+        assert_eq!(plain, run(Some(&ones)));
+        run(Some(&zero));
+        run(Some(&two));
     }
 
     /// The flood outboxes outlive floods but not the outermost phase-cache

@@ -110,11 +110,12 @@ pub fn shortest_cycle_within(g: &Graph, q: u64) -> MwcOutcome {
         // message size proportional to how many sources reached them, so
         // sparse instances stay cheap on the links — and each edge
         // endpoint reads the other's entries in place. A node's entries
-        // are its contiguous `DistMatrix` column, so one pass over both
-        // endpoints' columns finds their common sources in ascending
-        // order: `O(m·n)` host work, the order of the n × n matrix the
-        // all-source BFS already filled, and no allocation.
-        let detected = |v: NodeId| (0..n).filter(|&s| mat.get_row(s, v) != INF).count();
+        // are its contiguous `DistMatrix` column (row `s` is source `s`),
+        // so one pass over both endpoints' columns finds their common
+        // sources in ascending order: `O(m·n)` host work, the order of the
+        // n × n matrix the all-source BFS already filled, and no
+        // allocation.
+        let detected = |v: NodeId| mat.column(v).iter().filter(|&&d| d != INF).count();
         charge_neighbor_exchange(
             g,
             |v| (2 * detected(v) as u64).max(1),
@@ -122,17 +123,17 @@ pub fn shortest_cycle_within(g: &Graph, q: u64) -> MwcOutcome {
             &mut ledger,
         );
 
+        // A candidate `dx + dy + 1` survives iff it is at most `q` and
+        // below the best weight so far, i.e. iff `dx + dy < limit` with
+        // `limit = min(q, best − 1)`. The sum saturates, so an `INF` entry
+        // never passes; `limit` changes only when an offer lands.
+        let limit = |best: &BestCycle| q.min(best.weight().map_or(INF, |b| b.saturating_sub(1)));
+        let mut bound = limit(&best);
         for e in g.edges() {
             let (x, y) = (e.u, e.v);
-            for s in 0..n {
-                let (dx, dy) = (mat.get_row(s, x), mat.get_row(s, y));
-                if dx == INF || dy == INF {
-                    continue;
-                }
-                // Cheap distance test first; every test here is pure, so
-                // the order does not change which candidates survive.
-                let cand = dx + dy + 1;
-                if cand > q || best.weight().is_some_and(|b| cand >= b) {
+            let pairs = mat.column(x).iter().zip(mat.column(y));
+            for (s, (&dx, &dy)) in pairs.enumerate() {
+                if dx.saturating_add(dy) >= bound {
                     continue;
                 }
                 if mat.pred_row(s, x) == Some(y) || mat.pred_row(s, y) == Some(x) {
@@ -142,6 +143,7 @@ pub fn shortest_cycle_within(g: &Graph, q: u64) -> MwcOutcome {
                     if cyc.len() as u64 <= q {
                         local_best[x] = local_best[x].min(cyc.len() as Weight);
                         best.offer_validated(&hops, cyc);
+                        bound = limit(&best);
                     }
                 }
             }
