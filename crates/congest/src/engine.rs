@@ -2,10 +2,15 @@
 //!
 //! The engine is the "hardware" of this reproduction: node-local states
 //! exchange information only over its links, and its round counter is the
-//! complexity measure every experiment reports. Schedules run outside
-//! the queue machinery (floods, the broadcast's upcast and downcast, and
-//! batches of simultaneous sends drained to idle) charge their rounds
-//! here with exactly the stats stepping would record.
+//! complexity measure every experiment reports. Within a solve only the
+//! BFS tree build steps it: the floods, the tree broadcast and
+//! convergecast, and batches of simultaneous sends drained to idle run
+//! their schedules outside the queue machinery and charge their rounds
+//! here with exactly the stats stepping would record. Stepping ([`Network::step_bulk_into`], which
+//! jumps quiet gaps and ends in the one-round [`Network::step_into`])
+//! serves `BfsTree::build`, the `traffic_profile` bin, the
+//! `custom_algorithm` example, and the tests that pin every direct
+//! charge against it.
 //!
 //! # Model (paper §1.1)
 //!
@@ -27,7 +32,7 @@
 
 use mwc_graph::{Graph, NodeId};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
@@ -64,8 +69,8 @@ impl<M> Default for RoundOutput<M> {
 
 /// Aggregate traffic statistics of a [`Network`].
 ///
-/// `PartialEq` is derived so differential tests can assert that bulk
-/// advancement ([`Network::step_bulk_into`]) produces *bit-identical*
+/// `PartialEq` is derived so differential tests can assert that the
+/// direct charges and [`Network::step_bulk_into`] produce *bit-identical*
 /// stats to single-stepping.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct NetStats {
@@ -258,29 +263,14 @@ pub struct Network<M> {
     active: Vec<usize>,
     /// Per link, whether it is in `active` (built with `queues`).
     active_flag: Vec<bool>,
-    /// Messages whose words all left their link, awaiting latency expiry:
-    /// (arrival round, insertion sequence for FIFO stability, slab slot).
-    /// The slot tags along outside the ordering key so expiry is a direct
-    /// index into `transit_msgs` — on stretched graphs *every* message
-    /// passes through here, so this path must not hash.
-    transit: BinaryHeap<Reverse<(u64, u64, u32)>>,
-    /// Slab of in-transit `(delivery, message words)`; words ride along
-    /// for the event log. Freed slots are recycled via `transit_free`.
-    transit_msgs: Vec<Option<(Delivery<M>, u64)>>,
-    transit_free: Vec<u32>,
+    /// Messages whose words all left their link, awaiting latency expiry,
+    /// keyed by (arrival round, insertion sequence for FIFO stability);
+    /// the message's words ride along for the event log.
+    transit: BTreeMap<(u64, u64), (Delivery<M>, u64)>,
     transit_seq: u64,
     wakeups: BinaryHeap<Reverse<(u64, NodeId)>>,
     stats: NetStats,
     history: bool,
-    /// Sticky: set once any message longer than one word is enqueued.
-    /// While false, every active link's head has exactly one word left, so
-    /// [`Network::step_bulk_into`] can skip its `O(active)` lookahead scan —
-    /// one-word workloads (BFS floods, source detection) pay nothing for
-    /// the bulk path.
-    any_multiword: bool,
-    /// Recycled backing storage for the `still_active` rebuild in
-    /// [`Network::step_into`], so steady-state stepping allocates nothing.
-    scratch_active: Vec<usize>,
     /// Sequence number in the message-event log, when logging is active
     /// (see [`crate::events`]); `None` keeps the logging path cost-free.
     events_net: Option<u64>,
@@ -355,9 +345,7 @@ impl<M> Network<M> {
             queues: Vec::new(),
             active: Vec::new(),
             active_flag: Vec::new(),
-            transit: BinaryHeap::new(),
-            transit_msgs: Vec::new(),
-            transit_free: Vec::new(),
+            transit: BTreeMap::new(),
             transit_seq: 0,
             wakeups: BinaryHeap::new(),
             stats: NetStats {
@@ -365,8 +353,6 @@ impl<M> Network<M> {
                 ..NetStats::default()
             },
             history: false,
-            any_multiword: false,
-            scratch_active: Vec::new(),
             events_net: crate::events::next_net_id(),
             batch: BatchScratch::default(),
         }
@@ -415,7 +401,7 @@ impl<M> Network<M> {
     /// The directed link id for `from → to`, if the nodes are adjacent.
     /// Ids index [`NetStats::per_link_words`] / [`Network::link_ends`] and
     /// can be fed to [`Network::send_on_link`] to skip the per-send
-    /// neighbor lookup in tight flooding loops.
+    /// neighbor lookup.
     pub fn link_id(&self, from: NodeId, to: NodeId) -> Option<usize> {
         self.links.id(from, to)
     }
@@ -469,18 +455,15 @@ impl<M> Network<M> {
     }
 
     /// [`Network::send_latency`] addressed by link id instead of endpoint
-    /// pair — the flooding primitives resolve each node's links once with
-    /// [`Network::link_id`] and then enqueue millions of one-word
-    /// announcements without re-searching the adjacency every time.
+    /// pair: a sender that already holds the link id (from
+    /// [`Network::link_id`] or its own link range) skips the adjacency
+    /// search.
     ///
     /// # Panics
     ///
     /// Panics if `l` is not a valid link id for this network.
     pub fn send_on_link(&mut self, l: usize, payload: M, words: u64, latency: u64) {
         let words = words.max(1);
-        if words > 1 {
-            self.any_multiword = true;
-        }
         if self.queues.is_empty() {
             let m = self.links.ends().len();
             self.queues = (0..m).map(|_| VecDeque::new()).collect();
@@ -520,8 +503,8 @@ impl<M> Network<M> {
         if !self.active.is_empty() {
             next = Some(self.round + 1);
         }
-        if let Some(Reverse((r, _, _))) = self.transit.peek() {
-            next = Some(next.map_or(*r, |n: u64| n.min(*r)));
+        if let Some((&(r, _), _)) = self.transit.first_key_value() {
+            next = Some(next.map_or(r, |n: u64| n.min(r)));
         }
         if let Some(Reverse((r, _))) = self.wakeups.peek() {
             next = Some(next.map_or(*r, |n: u64| n.min(*r)));
@@ -563,10 +546,8 @@ impl<M> Network<M> {
         if transferred > 0 {
             self.record_rounds(self.round, 1, transferred);
         }
-        let mut still_active = std::mem::take(&mut self.scratch_active);
-        still_active.clear();
-        let active = std::mem::take(&mut self.active);
-        for &l in &active {
+        let mut active = std::mem::take(&mut self.active);
+        active.retain(|&l| {
             let q = &mut self.queues[l];
             let head = q.front_mut().expect("active links have queued traffic");
             head.words_left -= 1;
@@ -588,41 +569,23 @@ impl<M> Network<M> {
                     }
                     out.deliveries.push(delivery);
                 } else {
-                    let seq = self.transit_seq;
+                    let key = (self.round + msg.latency, self.transit_seq);
                     self.transit_seq += 1;
-                    let slot = match self.transit_free.pop() {
-                        Some(s) => {
-                            self.transit_msgs[s as usize] = Some((delivery, msg.words));
-                            s
-                        }
-                        None => {
-                            self.transit_msgs.push(Some((delivery, msg.words)));
-                            (self.transit_msgs.len() - 1) as u32
-                        }
-                    };
-                    self.transit
-                        .push(Reverse((self.round + msg.latency, seq, slot)));
+                    self.transit.insert(key, (delivery, msg.words));
                 }
             }
-            if self.queues[l].is_empty() {
-                self.active_flag[l] = false;
-            } else {
-                still_active.push(l);
-            }
-        }
-        self.active = still_active;
-        self.scratch_active = active;
+            let busy = !q.is_empty();
+            self.active_flag[l] = busy;
+            busy
+        });
+        self.active = active;
 
         // Deliver messages whose latency expired.
-        while let Some(Reverse((r, _, slot))) = self.transit.peek().copied() {
-            if r > self.round {
+        while let Some(entry) = self.transit.first_entry() {
+            if entry.key().0 > self.round {
                 break;
             }
-            self.transit.pop();
-            let (msg, words) = self.transit_msgs[slot as usize]
-                .take()
-                .expect("transit message exists");
-            self.transit_free.push(slot);
+            let (msg, words) = entry.remove();
             self.stats.messages += 1;
             if let Some(net) = self.events_net {
                 crate::events::emit_msg(net, self.round, msg.from, msg.to, words);
@@ -641,7 +604,7 @@ impl<M> Network<M> {
     }
 
     /// Charges round `round` of a schedule run outside the queue machinery
-    /// (the flood loop and the tree broadcast's upcast). `round` may jump
+    /// (the flood loop and the tree upcasts). `round` may jump
     /// ahead over quiet rounds, like [`Network::step_bulk_into`]. `links`
     /// each carry one word this round, in the engine's active-list order;
     /// a link appears at most once. `delivered` are the links whose
@@ -852,62 +815,19 @@ impl<M> Network<M> {
     }
 
     /// Advances to the next round in which something happens and performs
-    /// it; returns `false` (leaving `out` cleared) when the network is
-    /// idle. Quiet rounds — nothing transferring, only transit arrivals or
-    /// wakeups pending — are jumped over; the round counter still advances
-    /// over them, so complexity accounting is unchanged.
-    ///
-    /// On top of that, **bulk link transfer**: when no delivery, transit
-    /// expiry, or wakeup can fire before round `r + k`, the engine
-    /// advances every active link `k - 1` words in one pass — updating
-    /// `NetStats` (words, per-link words, active rounds, peak round,
-    /// `words_per_round` history) in closed form — and then executes round
-    /// `r + k` with [`Network::step_into`]. Observable state after the
-    /// call, including all statistics, the ledger history and the
-    /// message-event log, is bit-identical to `k` calls of
-    /// [`Network::step_into`]: during the skipped rounds the active-link
-    /// set cannot change (no head finishes, by the choice of `k`), every
-    /// round transfers exactly `active.len()` words, and nothing is
-    /// delivered, so there is no event to log and no stats path that
-    /// differs.
-    ///
-    /// The lookahead scan is `O(active)` and gated on the network ever
-    /// having carried a multi-word message; single-word workloads only
-    /// pay for the quiet-gap jump.
+    /// it with [`Network::step_into`]; returns `false` (leaving `out`
+    /// cleared) when the network is idle. Quiet rounds — nothing
+    /// transferring, only transit arrivals or wakeups pending — are jumped
+    /// over; the round counter still advances over them, so complexity
+    /// accounting, every statistic and the message-event log are those of
+    /// stepping each round.
     pub fn step_bulk_into(&mut self, out: &mut RoundOutput<M>) -> bool {
         let Some(next) = self.next_event_round() else {
             out.deliveries.clear();
             out.wakeups.clear();
             return false;
         };
-        if next > self.round + 1 {
-            // Quiet gap: nothing is transferring; jump to the event.
-            self.round = next - 1;
-        } else if self.any_multiword && !self.active.is_empty() {
-            // k = number of rounds until *any* observable event: the
-            // earliest head completion, transit expiry, or wakeup.
-            let mut k = u64::MAX;
-            for &l in &self.active {
-                let head = self.queues[l].front().expect("active links have traffic");
-                k = k.min(head.words_left);
-            }
-            if let Some(Reverse((r, _, _))) = self.transit.peek() {
-                k = k.min(r - self.round);
-            }
-            if let Some(Reverse((r, _))) = self.wakeups.peek() {
-                k = k.min(r - self.round);
-            }
-            if k > 1 {
-                let skipped = k - 1;
-                self.record_rounds(self.round + 1, skipped, self.active.len() as u64);
-                for &l in &self.active {
-                    let head = self.queues[l].front_mut().expect("active");
-                    head.words_left -= skipped;
-                    self.stats.per_link_words[l] += skipped;
-                }
-                self.round += skipped;
-            }
-        }
+        self.round = next - 1;
         self.step_into(out);
         true
     }
@@ -1192,21 +1112,6 @@ mod tests {
         assert_eq!(slow_log, fast_log);
         assert_eq!(slow.round(), fast.round());
         assert_eq!(slow.stats(), fast.stats());
-    }
-
-    #[test]
-    fn bulk_step_skips_rounds_inside_long_messages() {
-        let mut net: Network<u32> = Network::new(&path3());
-        net.send(0, 1, 7, 100).unwrap();
-        let mut calls = 0;
-        while bulk(&mut net).is_some() {
-            calls += 1;
-        }
-        // One bulk call covers rounds 1..=100; the message arrives at 100.
-        assert_eq!(calls, 1);
-        assert_eq!(net.round(), 100);
-        assert_eq!(net.stats().words, 100);
-        assert_eq!(net.stats().active_rounds, 100);
     }
 
     #[test]

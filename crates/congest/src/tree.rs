@@ -6,26 +6,26 @@
 //! - a convergecast of an associative operation costs `O(D)` rounds.
 //!
 //! All three are simulated message by message, so their measured round
-//! counts are the ones charged to algorithms. [`BfsTree::build`] and
-//! [`convergecast`] step the engine. The [`broadcast`] phases run the
+//! counts are the ones charged to algorithms. [`BfsTree::build`] steps
+//! the engine. The [`broadcast`] and [`convergecast`] phases run the
 //! engine's schedule directly and record exactly what stepping would —
 //! rounds, words, messages, per-link words, queue high-water, the event
 //! log, and the order items reach the root:
 //!
-//! - the upcast runs one FIFO of item indices per node toward its parent,
-//!   keeps the engine's active-list order, and charges each round with
-//!   `Network::charge_flood_round`;
-//! - the downcast is a saturated pipeline, charged in closed form by
+//! - the upcasts charge each round with `Network::charge_flood_round`:
+//!   the broadcast runs one FIFO of item indices per node toward its
+//!   parent and keeps the engine's active-list order; a convergecast
+//!   node reports once, the round after its last child's report arrives;
+//! - the downcasts are saturated pipelines, charged in closed form by
 //!   `Network::charge_pipelined_downcast`.
 //!
-//! Both read their link ids from the tree, which records each node's
+//! All read their link ids from the tree, which records each node's
 //! parent link and the downcast's links in BFS order when it is built.
 //!
-//! `crates/congest/tests/flood_spec_differential.rs` pins both against an
-//! engine-stepped reference (`broadcast_matches_engine_stepping`), and
-//! pins [`convergecast`] against the same up/down stepping loop written
-//! in the test (`convergecast_matches_engine_stepping`), ready for a
-//! direct schedule.
+//! `crates/congest/tests/flood_spec_differential.rs` pins both against
+//! engine-stepped references written in the test
+//! (`broadcast_matches_engine_stepping`,
+//! `convergecast_matches_engine_stepping`).
 
 use crate::engine::{Network, RoundOutput};
 use crate::ledger::Ledger;
@@ -358,44 +358,39 @@ where
     assert_eq!(values.len(), n, "one value per node");
     let mut pending: Vec<usize> = (0..n).map(|v| tree.children[v].len()).collect();
     let mut acc: Vec<T> = values;
-    let mut net: Network<T> = Network::new(g);
-    // Leaves start immediately; internal nodes send once all children
-    // reported.
-    for v in 0..n {
-        if pending[v] == 0 && v != tree.root {
-            net.send_on_link(tree.parent_link[v] as usize, acc[v], 1, 0);
-        }
-    }
-    let mut out = RoundOutput::default();
-    while net.step_bulk_into(&mut out) {
-        for d in out.deliveries.drain(..) {
-            let v = d.to;
-            acc[v] = op(acc[v], d.payload);
-            pending[v] -= 1;
-            if pending[v] == 0 && v != tree.root {
-                net.send_on_link(tree.parent_link[v] as usize, acc[v], 1, 0);
+    // Up: leaves report in round 1, every other node the round after its
+    // last child's report arrives. A report is one word on the parent
+    // link, delivered the next round in send order, and folded in that
+    // order.
+    let mut net: Network<()> = Network::new(g);
+    let mut senders: Vec<NodeId> = (0..n)
+        .filter(|&v| pending[v] == 0 && v != tree.root)
+        .collect();
+    let (mut next, mut links) = (Vec::new(), Vec::new());
+    while !senders.is_empty() {
+        links.clear();
+        links.extend(senders.iter().map(|&v| tree.parent_link[v]));
+        net.charge_flood_round(net.round() + 1, &links, links.iter().copied(), 1, 1);
+        for &v in &senders {
+            let p = tree.parent[v].expect("only non-root nodes report");
+            acc[p] = op(acc[p], acc[v]);
+            pending[p] -= 1;
+            if pending[p] == 0 && p != tree.root {
+                next.push(p);
             }
         }
+        std::mem::swap(&mut senders, &mut next);
+        next.clear();
     }
     ledger.absorb("convergecast: up", &net);
     let up_rounds = net.round();
     let result = acc[tree.root];
 
-    // Flood the result down so every node knows it (the paper requires
-    // every node to know the final MWC weight).
-    let mut net: Network<T> = Network::new(g);
-    for &c in &tree.children[tree.root] {
-        net.send(tree.root, c, result, 1)
-            .expect("tree edges are links");
-    }
-    let mut out = RoundOutput::default();
-    while net.step_bulk_into(&mut out) {
-        for d in out.deliveries.drain(..) {
-            for &c in &tree.children[d.to] {
-                net.send(d.to, c, result, 1).expect("tree edges are links");
-            }
-        }
-    }
+    // Down: the result floods the tree so every node knows it (the paper
+    // requires every node to know the final MWC weight), a one-message
+    // pipelined downcast.
+    let mut net: Network<()> = Network::new(g);
+    net.charge_pipelined_downcast(&tree.bfs_links, 1, 1);
     ledger.absorb("convergecast: down", &net);
     mwc_trace::check_bound(
         "congest/convergecast",

@@ -29,8 +29,7 @@ use crate::outcome::{BestCycle, MwcOutcome};
 use crate::params::Params;
 use crate::util::{sample_vertices, simplify_path};
 use mwc_congest::{
-    broadcast, convergecast_min, multi_source_bfs, FloodPlan, Ledger, MultiBfsSpec, Network,
-    PhaseCache, INF,
+    broadcast, multi_source_bfs, FloodPlan, Ledger, MultiBfsSpec, Network, PhaseCache, INF,
 };
 use mwc_graph::seq::Direction;
 use mwc_graph::{Graph, NodeId, Weight};
@@ -102,13 +101,9 @@ pub fn two_approx_directed_mwc(g: &Graph, params: &Params) -> MwcOutcome {
         g.is_unit_weight(),
         "Algorithm 2 requires an unweighted graph; use §5's weighted algorithm"
     );
-    let out = directed_mwc_core(g, params, Mode::Unweighted);
-    let mut ledger = out.ledger;
     // Line 7: convergecast so every node knows μ (value only; the witness
     // is assembled from the argmin holder).
-    let tree = PhaseCache::bfs_tree(g, 0, &mut ledger);
-    let local = vec![out.best.weight().unwrap_or(INF); g.n()];
-    let _ = convergecast_min(g, &tree, local, &mut ledger);
+    let out = directed_mwc_core(g, params, Mode::Unweighted).announce(g);
     let n = g.n();
     let h = ((n as f64).powf(params.directed_h_exponent).ceil() as u64).max(1);
     mwc_trace::check_bound(
@@ -117,10 +112,10 @@ pub fn two_approx_directed_mwc(g: &Graph, params: &Params) -> MwcOutcome {
             .diameter(mwc_congest::bounds::diameter_upper_bound(g))
             .h(h)
             .k(crate::bounds::directed_samples(n, h, params)),
-        ledger.rounds,
+        out.ledger.rounds,
         |i| crate::bounds::directed_2approx(g, i.diameter, params),
     );
-    out.best.into_outcome(ledger)
+    out
 }
 
 /// Hop-limited 2-approximation on a stretched directed graph — the §5.2

@@ -31,8 +31,7 @@ use crate::outcome::{BestCycle, MwcOutcome, Partial};
 use crate::params::Params;
 use crate::util::{extract_cycle_from_walk, sample_vertices};
 use mwc_congest::{
-    convergecast_min, multi_source_bfs, source_detection, Detection, Ledger, MultiBfsSpec,
-    PhaseCache, INF,
+    multi_source_bfs, source_detection, Detection, Ledger, MultiBfsSpec, PhaseCache, INF,
 };
 use mwc_graph::seq::Direction;
 use mwc_graph::{EdgeId, Graph, NodeId, Weight};
@@ -71,13 +70,9 @@ pub fn approx_girth(g: &Graph, params: &Params) -> MwcOutcome {
         g.is_unit_weight(),
         "girth requires an unweighted graph; see §5 for weighted"
     );
-    let parts = girth_core(g, params, None);
-    let mut ledger = parts.ledger;
-    let tree = PhaseCache::bfs_tree(g, 0, &mut ledger);
-    let local = vec![parts.best.weight().unwrap_or(INF); g.n()];
-    let _ = convergecast_min(g, &tree, local, &mut ledger);
-    audit_girth("core/approx_girth", g, params, &ledger);
-    parts.best.into_outcome(ledger)
+    let out = girth_core(g, params, None).announce(g);
+    audit_girth("core/approx_girth", g, params, &out.ledger);
+    out
 }
 
 /// Audits a finished girth-entry run against the Theorem 1.3.B envelope.
@@ -133,13 +128,9 @@ pub fn approx_girth_parts(
     );
     assert!(!g.is_directed(), "girth requires an undirected graph");
     assert!(g.is_unit_weight(), "girth requires an unweighted graph");
-    let parts = girth_core_parts(g, params, None, sampled_part, neighborhood_part);
-    let mut ledger = parts.ledger;
-    let tree = PhaseCache::bfs_tree(g, 0, &mut ledger);
-    let local = vec![parts.best.weight().unwrap_or(INF); g.n()];
-    let _ = convergecast_min(g, &tree, local, &mut ledger);
-    audit_girth("core/approx_girth", g, params, &ledger);
-    parts.best.into_outcome(ledger)
+    let out = girth_core_parts(g, params, None, sampled_part, neighborhood_part).announce(g);
+    audit_girth("core/approx_girth", g, params, &out.ledger);
+    out
 }
 
 fn girth_core(g: &Graph, params: &Params, stretch: Option<(&[Weight], Weight)>) -> Partial {

@@ -1,6 +1,6 @@
 //! Result types shared by all distributed MWC algorithms.
 
-use mwc_congest::Ledger;
+use mwc_congest::{convergecast_min, Ledger, PhaseCache, INF};
 use mwc_graph::{CycleWitness, Graph, NodeId, Weight};
 
 /// The outcome of a distributed MWC computation: the reported weight, a
@@ -87,6 +87,21 @@ impl MwcOutcome {
 pub(crate) struct Partial {
     pub best: BestCycle,
     pub ledger: Ledger,
+}
+
+impl Partial {
+    /// Convergecasts the best weight over the BFS tree rooted at node 0
+    /// so every node knows it, then builds the outcome. A graph with no
+    /// nodes has no tree and nothing to announce.
+    pub fn announce(self, g: &Graph) -> MwcOutcome {
+        let mut ledger = self.ledger;
+        if g.n() > 0 {
+            let tree = PhaseCache::bfs_tree(g, 0, &mut ledger);
+            let local = vec![self.best.weight().unwrap_or(INF); g.n()];
+            let _ = convergecast_min(g, &tree, local, &mut ledger);
+        }
+        self.best.into_outcome(ledger)
+    }
 }
 
 /// Accumulates `(weight, witness)` candidates, keeping the minimum.

@@ -31,7 +31,7 @@ use crate::outcome::{BestCycle, MwcOutcome, Partial};
 use crate::params::Params;
 use crate::scaling::{scale_budget, stretched_latency_table, EpsQ};
 use crate::util::{extract_cycle_from_walk, sample_vertices};
-use mwc_congest::{convergecast_min, PhaseCache, INF};
+use mwc_congest::{PhaseCache, INF};
 use mwc_graph::seq::Direction;
 use mwc_graph::{Graph, NodeId, Weight};
 use std::sync::Arc;
@@ -115,7 +115,7 @@ pub fn approx_mwc_undirected_weighted(g: &Graph, params: &Params) -> MwcOutcome 
             merge_best(&mut parts.best, sub.best);
         }
     }
-    let out = finish(g, parts);
+    let out = parts.announce(g);
     mwc_trace::check_bound(
         "core/approx_mwc_undirected_weighted",
         mwc_trace::BoundInputs::n(n)
@@ -181,7 +181,7 @@ pub fn approx_mwc_directed_weighted(g: &Graph, params: &Params) -> MwcOutcome {
             merge_best(&mut parts.best, sub.best);
         }
     }
-    let out = finish(g, parts);
+    let out = parts.announce(g);
     mwc_trace::check_bound(
         "core/approx_mwc_directed_weighted",
         mwc_trace::BoundInputs::n(n)
@@ -199,16 +199,6 @@ fn merge_best(into: &mut BestCycle, from: BestCycle) {
     if let Some((w, c)) = from.into_parts() {
         into.offer(w, c);
     }
-}
-
-fn finish(g: &Graph, parts: Partial) -> MwcOutcome {
-    let mut ledger = parts.ledger;
-    if g.n() > 0 {
-        let tree = PhaseCache::bfs_tree(g, 0, &mut ledger);
-        let local = vec![parts.best.weight().unwrap_or(INF); g.n()];
-        let _ = convergecast_min(g, &tree, local, &mut ledger);
-    }
-    parts.best.into_outcome(ledger)
 }
 
 /// Long undirected cycles: `(1+ε)` SSSP from samples + per-edge scan.

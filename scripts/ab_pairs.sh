@@ -8,8 +8,9 @@
 # the side that runs first alternates from pair to pair, so a slow stretch
 # of a shared host does not always land on the same side. For every pair
 # it prints each side's solve_ms_p50, solve_ms_p90 and peak_rss_mb, then
-# the median change/parent ratio of solve_ms_p50 and how many pairs the
-# change improved (a tie counts for neither side).
+# the median change/parent ratio of solve_ms_p50, how many pairs the
+# change improved (a tie counts for neither side), and each side's median
+# solve_ms_p90 and peak_rss_mb.
 #
 # It reads only the last line of each binary's standard output (the result
 # JSON), writes no file, and leaves the benchmark's directory alone. Build
@@ -59,7 +60,7 @@ print(" ".join(str(m[k]["value"]) for k in ("solve_ms_p50", "solve_ms_p90", "pea
 }
 
 printf '%-5s %-6s %12s %12s %12s\n' pair side solve_ms_p50 solve_ms_p90 peak_rss_mb
-RATIOS=""
+PAIRED=""
 for ((i = 1; i <= PAIRS; i++)); do
   if ((i % 2)); then
     p="$(run_one "$PARENT" "$i")"
@@ -72,14 +73,18 @@ for ((i = 1; i <= PAIRS; i++)); do
   printf '%-5s %-6s %12s %12s %12s\n' "$i" parent "$p50" "$p90" "$rss"
   read -r c50 c90 crss <<<"$c"
   printf '%-5s %-6s %12s %12s %12s\n' "$i" change "$c50" "$c90" "$crss"
-  RATIOS="$RATIOS $c50/$p50"
+  PAIRED="$PAIRED $p50,$p90,$rss,$c50,$c90,$crss"
 done
 
 python3 -c '
 import statistics, sys
-pairs = [tuple(map(float, r.split("/"))) for r in sys.argv[1:]]
-ratios = [c / p for c, p in pairs]
-improved = sum(c < p for c, p in pairs)
+runs = [tuple(map(float, r.split(","))) for r in sys.argv[1:]]
+ratios = [r[3] / r[0] for r in runs]
+improved = sum(r[3] < r[0] for r in runs)
 print(f"median change/parent solve_ms_p50: {statistics.median(ratios):.4f}")
-print(f"pairs improved: {improved} of {len(pairs)}")
-' $RATIOS
+print(f"pairs improved: {improved} of {len(runs)}")
+for side, at in (("parent", 0), ("change", 3)):
+    p90 = statistics.median(r[at + 1] for r in runs)
+    rss = statistics.median(r[at + 2] for r in runs)
+    print(f"{side} median solve_ms_p90: {p90:.3f}  peak_rss_mb: {rss:.3f}")
+' $PAIRED

@@ -4,8 +4,8 @@
 //! index errors.
 
 use congest_mwc::core::{
-    approx_girth, approx_mwc_directed_weighted, approx_mwc_undirected_weighted, distributed_apsp,
-    exact_mwc, has_cycle_within, k_source_bfs, shortest_cycle_within, sssp_bfs,
+    approx_girth, approx_girth_parts, approx_mwc_directed_weighted, approx_mwc_undirected_weighted,
+    distributed_apsp, exact_mwc, has_cycle_within, k_source_bfs, shortest_cycle_within, sssp_bfs,
     two_approx_directed_mwc, Params,
 };
 use congest_mwc::graph::seq::{self, Direction};
@@ -40,6 +40,24 @@ fn single_node_everything() {
         approx_mwc_directed_weighted(&g, &Params::new()).weight,
         None
     );
+}
+
+#[test]
+fn empty_graph_everything() {
+    // No nodes: no cycle, and no BFS tree to convergecast over.
+    let params = Params::new();
+    for orientation in [Orientation::Directed, Orientation::Undirected] {
+        let g = Graph::new(0, orientation);
+        assert_eq!(exact_mwc(&g).weight, None);
+        assert_eq!(shortest_cycle_within(&g, 5).weight, None);
+    }
+    let g = Graph::undirected(0);
+    assert_eq!(approx_girth(&g, &params).weight, None);
+    assert_eq!(approx_girth_parts(&g, &params, true, false).weight, None);
+    assert_eq!(approx_mwc_undirected_weighted(&g, &params).weight, None);
+    let g = Graph::directed(0);
+    assert_eq!(two_approx_directed_mwc(&g, &params).weight, None);
+    assert_eq!(approx_mwc_directed_weighted(&g, &params).weight, None);
 }
 
 #[test]

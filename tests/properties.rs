@@ -61,6 +61,60 @@ prop_tests! {
         }
     }
 
+    /// Subdividing edges keeps the minimum weight cycle, on both
+    /// orientations: with every weight doubled, splitting chosen edges
+    /// into two halves through a new node maps every cycle to one of the
+    /// same weight and adds none, so the weight stays twice the original.
+    fn exact_weight_survives_subdivision(seed in 0u64..10_000, n in 6usize..24, extra in 0usize..40) {
+        for orientation in [Orientation::Directed, Orientation::Undirected] {
+            let g = connected_gnm(n, extra, orientation, WeightRange::uniform(1, 9), seed);
+            let want = exact_mwc(&g).weight.map(|w| 2 * w);
+            let mut rng = Rng::seed_from_u64(seed);
+            let mut edges = Vec::new();
+            let mut nodes = n;
+            for e in g.edges() {
+                if rng.random_bool(0.5) {
+                    edges.push((e.u, nodes, e.weight));
+                    edges.push((nodes, e.v, e.weight));
+                    nodes += 1;
+                } else {
+                    edges.push((e.u, e.v, 2 * e.weight));
+                }
+            }
+            let split = Graph::from_edges(nodes, orientation, edges)
+                .expect("subdividing a simple graph keeps it simple");
+            let out = exact_mwc(&split);
+            out.assert_valid(&split);
+            prop_assert_eq!(out.weight, want, "{:?} with {} edges split", orientation, nodes - n);
+        }
+    }
+
+    /// On directed graphs, a new path u → x → v at least as heavy as an
+    /// edge (u, v) keeps the minimum weight cycle: a cycle through the
+    /// path is no lighter than the one taking the edge instead. (On an
+    /// undirected graph the path and the edge close a new cycle.)
+    fn exact_weight_ignores_detours(seed in 0u64..10_000, n in 6usize..24, extra in 0usize..40) {
+        let g = connected_gnm(n, extra, Orientation::Directed, WeightRange::uniform(1, 9), seed);
+        let want = exact_mwc(&g).weight;
+        let mut rng = Rng::seed_from_u64(seed);
+        let mut edges: Vec<_> = g.edges().iter().map(|e| (e.u, e.v, e.weight)).collect();
+        let mut nodes = n;
+        for e in g.edges() {
+            if rng.random_bool(0.5) {
+                let first = rng.random_range(1..=e.weight);
+                let second = (e.weight + rng.random_range(0u64..3)).saturating_sub(first).max(1);
+                edges.push((e.u, nodes, first));
+                edges.push((nodes, e.v, second));
+                nodes += 1;
+            }
+        }
+        let detoured = Graph::from_edges(nodes, Orientation::Directed, edges)
+            .expect("paths through new nodes keep the graph simple");
+        let out = exact_mwc(&detoured);
+        out.assert_valid(&detoured);
+        prop_assert_eq!(out.weight, want, "{} detours added", nodes - n);
+    }
+
     fn approximations_never_underestimate(seed in 0u64..10_000, n in 10usize..36, extra in 10usize..70) {
         let params = Params::new().with_seed(seed);
 
