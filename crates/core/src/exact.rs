@@ -62,7 +62,7 @@ pub fn exact_mwc(g: &Graph) -> MwcOutcome {
     }
     let apsp = distributed_apsp(g);
     ledger.merge(&apsp.ledger);
-    let mat = apsp.matrix().clone();
+    let mat = apsp.matrix();
     let mut best = BestCycle::new();
     let mut local_best: Vec<Weight> = vec![INF; n];
 
@@ -108,7 +108,7 @@ pub fn exact_mwc(g: &Graph) -> MwcOutcome {
                 let cand = dx + w + dy;
                 local_best[x] = local_best[x].min(cand);
                 if best.weight().is_none_or(|b| cand < b) {
-                    if let Some(cyc) = lca_cycle(&mat, s, x, y) {
+                    if let Some(cyc) = lca_cycle(mat, s, x, y) {
                         best.offer(cand, CycleWitness::new(cyc));
                     }
                 }

@@ -70,6 +70,6 @@ pub use outcome::{BestCycle, MwcOutcome};
 pub use params::Params;
 pub use sssp::{
     k_source_bfs_auto, k_source_bfs_repeated, sssp_approx, sssp_bfs, sssp_exact_weighted,
-    KSourceStrategy, SsspResult,
+    KSourceStrategy,
 };
 pub use weighted::{approx_mwc_directed_weighted, approx_mwc_undirected_weighted};

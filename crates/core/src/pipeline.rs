@@ -5,7 +5,9 @@
 //! segment distances are computed: plain BFS for unweighted graphs, scaled
 //! stretched BFS for the `(1+ε)` weighted variant (§2, "Weighted Graphs").
 //! This module implements the structure once, generic over a [`Segments`]
-//! provider.
+//! provider; the driver around it (reverse flip, direct regime, reverse
+//! charge from `S`, bound audit) is the one in [`ksssp`](crate::ksssp),
+//! which supplies the segments of either kind.
 
 use crate::params::Params;
 use crate::util::sample_vertices;
@@ -15,7 +17,9 @@ use mwc_graph::{Graph, NodeId, Weight};
 pub(crate) const SALT_SAMPLES: u64 = 0xA1;
 
 /// An `h`-bounded multi-source distance table with path reconstruction.
-pub(crate) trait Segments {
+/// Public only so [`KSource`](crate::ksssp::KSource)'s accessors may name
+/// it; this module is private, so no other crate can implement it.
+pub trait Segments {
     /// Distance from the `row`-th source to `v`, [`INF`] if not found.
     fn get(&self, row: usize, v: NodeId) -> Weight;
     /// A real path from the `row`-th source to `v` realizing (at most) the

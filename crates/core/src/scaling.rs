@@ -45,9 +45,10 @@ impl EpsQ {
     /// **Floor:** requests below [`EpsQ::MIN`] cannot be represented and
     /// are clamped **up** to `1/16` — for those the effective parameter is
     /// *larger* than requested and `ε_q ≤ ε` does not hold. Callers that
-    /// surface an ε (e.g. `KSourceApproxSssp::epsilon`) must therefore
-    /// report [`EpsQ::value`], the ε actually used, never echo the
-    /// request. Use [`EpsQ::floors`] to detect the clamp.
+    /// surface an ε (e.g.
+    /// [`KSourceApproxSssp::epsilon`](crate::KSourceApproxSssp::epsilon))
+    /// must therefore report [`EpsQ::value`], the ε actually used, never
+    /// echo the request. Use [`EpsQ::floors`] to detect the clamp.
     pub fn from_f64(eps: f64) -> Self {
         let num = (eps * Self::DEN as f64).floor().clamp(1.0, 64.0) as u64;
         EpsQ { num }
@@ -73,11 +74,17 @@ struct Run {
 }
 
 /// `h`-hop-bounded `(1+ε)`-approximate distances from `k` sources,
-/// computed by per-scale stretched BFS. Produced by [`scaled_hop_sssp`].
-pub(crate) struct ScaledSegments {
+/// computed by per-scale stretched BFS: the segment table behind
+/// [`KSourceApproxSssp`](crate::KSourceApproxSssp), read through its
+/// accessors.
+pub struct ScaledSegments {
     n: usize,
-    est: Vec<Weight>,
-    choice: Vec<u8>,
+    /// The quantized ε every estimate honours.
+    pub(crate) eps: EpsQ,
+    /// Per-cell estimate and the run that realizes it, `k × n`; boxed
+    /// slices keep the struct small, as every skeleton boxes two of them.
+    est: Box<[Weight]>,
+    choice: Box<[u8]>,
     runs: Vec<Run>,
 }
 
@@ -301,8 +308,9 @@ pub(crate) fn scaled_hop_sssp(
 
     ScaledSegments {
         n,
-        est,
-        choice,
+        eps,
+        est: est.into_boxed_slice(),
+        choice: choice.into_boxed_slice(),
         runs,
     }
 }

@@ -4,7 +4,8 @@
 //! Theorem 1.6.A's bound for `k < n^{1/3}` sources is a *minimum* of two
 //! strategies: the skeleton pipeline with `h = √(nk)` (`Õ(n/k + √(nk) +
 //! D)`) and simply repeating single-source computations
-//! (`k · SSSP`). This module provides:
+//! (`k · SSSP`). This module provides the following; every exact one
+//! returns a [`KSourceDistances`] (with `k = 1` for a single source):
 //!
 //! - [`sssp_bfs`]: single-source BFS in `O(ecc(src)) ≤ O(D)` rounds;
 //! - [`sssp_exact_weighted`]: exact weighted SSSP via a stretched BFS
@@ -18,29 +19,9 @@
 
 use crate::ksssp::{k_source_bfs, KSourceDistances};
 use crate::params::Params;
-use mwc_congest::{multi_source_bfs, DistMatrix, Ledger, MultiBfsSpec, INF};
+use mwc_congest::{multi_source_bfs, DistMatrix, Ledger, MultiBfsSpec, PhaseCache, INF};
 use mwc_graph::seq::Direction;
 use mwc_graph::{Graph, NodeId, Weight};
-
-/// Distances from one source with path reconstruction and accounting.
-#[derive(Clone, Debug)]
-pub struct SsspResult {
-    mat: DistMatrix,
-    /// Round/traffic accounting.
-    pub ledger: Ledger,
-}
-
-impl SsspResult {
-    /// Distance from the source to `v` ([`INF`] if unreachable).
-    pub fn dist(&self, v: NodeId) -> Weight {
-        self.mat.get_row(0, v)
-    }
-
-    /// The discovered shortest path source → v.
-    pub fn path(&self, v: NodeId) -> Option<Vec<NodeId>> {
-        self.mat.path_from_source(0, v)
-    }
-}
 
 /// Single-source BFS (hop distances) in `O(ecc(src)) ≤ O(D)` rounds.
 ///
@@ -54,12 +35,12 @@ impl SsspResult {
 /// # fn main() -> Result<(), mwc_graph::GraphError> {
 /// let g = Graph::from_edges(3, Orientation::Directed, [(0, 1, 1), (1, 2, 1)])?;
 /// let out = sssp_bfs(&g, 0, Direction::Forward);
-/// assert_eq!(out.dist(2), 2);
+/// assert_eq!(out.get_row(0, 2), 2);
 /// assert!(out.ledger.rounds <= 3);
 /// # Ok(())
 /// # }
 /// ```
-pub fn sssp_bfs(g: &Graph, src: NodeId, direction: Direction) -> SsspResult {
+pub fn sssp_bfs(g: &Graph, src: NodeId, direction: Direction) -> KSourceDistances {
     let _span = mwc_trace::span("sssp/bfs");
     let mut ledger = Ledger::new();
     let spec = MultiBfsSpec {
@@ -77,7 +58,7 @@ pub fn sssp_bfs(g: &Graph, src: NodeId, direction: Direction) -> SsspResult {
         ledger.rounds,
         crate::bounds::apsp,
     );
-    SsspResult { mat, ledger }
+    KSourceDistances::from_direct(vec![src], mat, ledger)
 }
 
 /// Exact weighted SSSP via a stretched BFS: distances are exact because
@@ -85,7 +66,7 @@ pub fn sssp_bfs(g: &Graph, src: NodeId, direction: Direction) -> SsspResult {
 /// near-`D·W` for bounded weights. This is the simple exact baseline
 /// behind the paper's `k·SSSP` term (its sharper `SSSP` bound \[9\] is a
 /// documented substitution, DESIGN.md §2).
-pub fn sssp_exact_weighted(g: &Graph, src: NodeId, direction: Direction) -> SsspResult {
+pub fn sssp_exact_weighted(g: &Graph, src: NodeId, direction: Direction) -> KSourceDistances {
     let _span = mwc_trace::span("sssp/exact-weighted");
     let mut ledger = Ledger::new();
     let lat: Vec<Weight> = g.edges().iter().map(|e| e.weight).collect();
@@ -109,7 +90,7 @@ pub fn sssp_exact_weighted(g: &Graph, src: NodeId, direction: Direction) -> Sssp
         ledger.rounds,
         crate::bounds::apsp,
     );
-    SsspResult { mat, ledger }
+    KSourceDistances::from_direct(vec![src], mat, ledger)
 }
 
 /// `(1+ε)`-approximate weighted SSSP from a single source — Theorem
@@ -136,7 +117,7 @@ pub fn k_source_bfs_repeated(
     g: &Graph,
     sources: &[NodeId],
     direction: Direction,
-) -> (DistMatrix, Ledger) {
+) -> KSourceDistances {
     let _span = mwc_trace::span("ksssp/repeated");
     let mut ledger = Ledger::new();
     let mut combined = DistMatrix::new(g.n(), sources.to_vec());
@@ -162,7 +143,7 @@ pub fn k_source_bfs_repeated(
         ledger.rounds,
         crate::bounds::ksssp_repeated,
     );
-    (combined, ledger)
+    KSourceDistances::from_direct(sources.to_vec(), combined, ledger)
 }
 
 /// Which strategy [`k_source_bfs_auto`] chose.
@@ -180,7 +161,11 @@ pub enum KSourceStrategy {
 /// diameter (computed distributively by a BFS-tree build, whose `O(D)`
 /// cost is charged).
 ///
-/// Returns the distances, the chosen strategy, and the total ledger.
+/// Returns the distances, the chosen strategy, and the total ledger. The
+/// probe's tree is built through the [`PhaseCache`], so the skeleton
+/// pipeline reuses it instead of charging it again; a
+/// [`Direction::Reverse`] run on a directed graph builds its tree on the
+/// reversed graph, which the probe does not cover.
 pub fn k_source_bfs_auto(
     g: &Graph,
     sources: &[NodeId],
@@ -188,11 +173,12 @@ pub fn k_source_bfs_auto(
     params: &Params,
 ) -> (KSourceDistances, KSourceStrategy) {
     let _span = mwc_trace::span("ksssp/auto");
+    let _cache = PhaseCache::scope();
     let n = g.n().max(2) as f64;
     let k = sources.len().max(1) as f64;
     // Estimate D via a BFS-tree from node 0 (height ≤ D ≤ 2·height).
     let mut probe_ledger = Ledger::new();
-    let tree = mwc_congest::BfsTree::build(g, 0, &mut probe_ledger);
+    let tree = PhaseCache::bfs_tree(g, 0, &mut probe_ledger);
     let d_est = (2 * tree.height).max(1) as f64;
 
     // Cost model with the preset's actual sampling constant: |S| ≈
@@ -202,9 +188,8 @@ pub fn k_source_bfs_auto(
     let repeated_est = k * d_est;
 
     if repeated_est <= skeleton_est {
-        let (mat, mut ledger) = k_source_bfs_repeated(g, sources, direction);
-        ledger.merge(&probe_ledger);
-        let out = KSourceDistances::from_direct(sources.to_vec(), mat, ledger);
+        let mut out = k_source_bfs_repeated(g, sources, direction);
+        out.ledger.merge(&probe_ledger);
         (out, KSourceStrategy::Repeated)
     } else {
         let mut out = k_source_bfs(g, sources, direction, params);
@@ -231,7 +216,7 @@ mod tests {
             } else {
                 t.dist[v] as Weight
             };
-            assert_eq!(out.dist(v), expect);
+            assert_eq!(out.get_row(0, v), expect);
         }
         // One BFS costs about the eccentricity, far below n.
         assert!(out.ledger.rounds < 80);
@@ -250,12 +235,12 @@ mod tests {
         let t = dijkstra(&g, 0, Direction::Forward);
         for v in 0..g.n() {
             let expect = if t.dist[v] == SEQ_INF { INF } else { t.dist[v] };
-            assert_eq!(out.dist(v), expect, "node {v}");
+            assert_eq!(out.get_row(0, v), expect, "node {v}");
         }
         // Paths are real.
         for v in 0..g.n() {
-            if out.dist(v) != INF && v != 0 {
-                let p = out.path(v).expect("reachable");
+            if out.get_row(0, v) != INF && v != 0 {
+                let p = out.path_row(0, v).expect("reachable");
                 for w in p.windows(2) {
                     assert!(g.has_edge(w[0], w[1]));
                 }
@@ -289,7 +274,7 @@ mod tests {
     fn repeated_matches_skeleton() {
         let g = connected_gnm(70, 150, Orientation::Directed, WeightRange::unit(), 4);
         let sources = [0, 9, 33];
-        let (mat, ledger) = k_source_bfs_repeated(&g, &sources, Direction::Forward);
+        let rep = k_source_bfs_repeated(&g, &sources, Direction::Forward);
         let sk = k_source_bfs(
             &g,
             &sources,
@@ -298,10 +283,10 @@ mod tests {
         );
         for (row, _) in sources.iter().enumerate() {
             for v in 0..g.n() {
-                assert_eq!(mat.get_row(row, v), sk.get_row(row, v));
+                assert_eq!(rep.get_row(row, v), sk.get_row(row, v));
             }
         }
-        assert!(ledger.rounds > 0);
+        assert!(rep.ledger.rounds > 0);
     }
 
     #[test]
@@ -339,12 +324,26 @@ mod tests {
     }
 
     #[test]
+    fn auto_charges_the_probe_tree_once() {
+        // The diameter probe and the skeleton pipeline need the same BFS
+        // tree from node 0; a real execution builds it once.
+        let g = connected_gnm(200, 600, Orientation::Directed, WeightRange::unit(), 7);
+        let sources: Vec<NodeId> = (0..100).map(|i| i * 2).collect();
+        let (out, strat) = k_source_bfs_auto(&g, &sources, Direction::Forward, &Params::lean());
+        assert_eq!(strat, KSourceStrategy::Skeleton);
+        let labels =
+            |pred: fn(&str) -> bool| out.ledger.phases.iter().filter(|p| pred(&p.label)).count();
+        assert_eq!(labels(|l| l == "bfs tree"), 1, "{:?}", out.ledger.phases);
+        assert_eq!(labels(|l| l.starts_with("cached: bfs tree")), 1);
+    }
+
+    #[test]
     fn repeated_on_high_diameter_ring_is_costly() {
         // The tradeoff's other side: on a ring (D ≈ n/2), repetition pays
         // k·D while the skeleton pays Õ(√(nk) + n/k + D).
         let g = ring_with_chords(128, 0, Orientation::Directed, WeightRange::unit(), 0);
         let sources: Vec<NodeId> = (0..16).map(|i| i * 8).collect();
-        let (_, rep_ledger) = k_source_bfs_repeated(&g, &sources, Direction::Forward);
+        let rep_ledger = k_source_bfs_repeated(&g, &sources, Direction::Forward).ledger;
         // k·D = 16·127 ≈ 2032; each BFS costs ecc = n−1.
         assert!(
             rep_ledger.rounds >= 16 * 100,

@@ -39,7 +39,8 @@ fn main() {
     let sssp = k_source_approx_sssp(&g, &gateways, Direction::Forward, &params);
     println!(
         "k-source (1+ε)-SSSP (weighted): {} rounds, effective ε = {}",
-        sssp.ledger.rounds, sssp.epsilon
+        sssp.ledger.rounds,
+        sssp.epsilon()
     );
 
     // Every node now knows its nearest gateway; show a sample.
